@@ -132,15 +132,15 @@ class AppellBasis:
         self.malpha_jet = jet_compose_scalar(self.m_jet, alpha, self.A)
         self.u_jet = jet_recip(self.m_jet)
         self.ualpha_jet = jet_recip(self.malpha_jet)
-        ident = identity_vjet(self.dim, degree)
-        self.alpha_is_identity = _vjet_key(alpha) == _vjet_key(ident)
-        self.signature = (model.key(), _vjet_key(alpha), degree)
+        key = _vjet_key(alpha)
+        self.alpha_is_identity = key == _vjet_key(identity_vjet(self.dim, degree))
+        self.signature = (model.key(), key, degree)
 
     def same_basis(self, other: "AppellBasis") -> bool:
         return self.signature == other.signature
 
     def same_alpha(self, other: "AppellBasis") -> bool:
-        return _vjet_key(self.alpha) == _vjet_key(other.alpha) and self.degree == other.degree
+        return self.signature[1:] == other.signature[1:]
 
 
 @dataclass(frozen=True)
@@ -234,43 +234,29 @@ def appell_eval(basis: AppellBasis, n: int, z) -> SymTensor:
 def gen_appell_all(basis: AppellBasis, z) -> list[SymTensor]:
     """All generalized tensors at z for n = 0..N, sharing the plain tensors."""
     plain = [appell_eval(basis, m, z) for m in range(basis.degree + 1)]
-    out = [scalar_tensor(basis.dim, 1.0)]
-    for n in range(1, basis.degree + 1):
-        acc = zero_tensor(basis.dim, n)
-        for m in range(1, n + 1):
-            acc = acc + basis.A.contract_out(n, m, plain[m]).scale(1.0 / factorial(m))
-        out.append(acc)
-    return out
+    return [scalar_tensor(basis.dim, 1.0)] + [
+        basis.A.compose(n, plain) for n in range(1, basis.degree + 1)
+    ]
 
 
 def gen_appell_eval(basis: AppellBasis, n: int, z) -> SymTensor:
     """Rank-n tensor of the generalized system at z.
 
-    Contracts the plain tensors at z against the output slots of the power
+    Contracts the plain tensors at z of grades up to n against the power
     kernels of alpha; reduces to appell_eval when alpha is the identity.
     """
     if n > basis.degree:
         raise ValueError(f"grade {n} exceeds truncation degree {basis.degree}")
     if n == 0:
         return scalar_tensor(basis.dim, 1.0)
-    acc = zero_tensor(basis.dim, n)
-    for m in range(1, n + 1):
-        acc = acc + basis.A.contract_out(n, m, appell_eval(basis, m, z)).scale(
-            1.0 / factorial(m)
-        )
-    return acc
+    return basis.A.compose(n, [appell_eval(basis, m, z) for m in range(n + 1)])
 
 
 def delta_appell_eval(basis: AppellBasis, n: int, w) -> SymTensor:
     """Rank-n tensor of the point-mass system at w (kernels of exp<w, alpha(.)>)."""
     if n > basis.degree:
         raise ValueError(f"grade {n} exceeds truncation degree {basis.degree}")
-    if n == 0:
-        return scalar_tensor(basis.dim, 1.0)
-    acc = zero_tensor(basis.dim, n)
-    for m in range(1, n + 1):
-        acc = acc + basis.A.contract_out(n, m, power_tensor(w, m)).scale(1.0 / factorial(m))
-    return acc
+    return basis.A.compose(n, [power_tensor(w, m) for m in range(n + 1)])
 
 
 def generating_jet(basis: AppellBasis, z) -> ScalarJet:
@@ -285,50 +271,37 @@ def generating_jet(basis: AppellBasis, z) -> ScalarJet:
 # basis conversion
 
 
-def _gen_to_plain(basis: AppellBasis, kernels: tuple[SymTensor, ...]) -> list[SymTensor]:
-    """Test-side conversion from the generalized basis to the plain one."""
-    N = basis.degree
-    out = [zero_tensor(basis.dim, m) for m in range(N + 1)]
-    out[0] = out[0] + kernels[0]
-    for m in range(1, N + 1):
-        acc = out[m]
-        for n in range(m, N + 1):
-            acc = acc + basis.A.contract_in(n, m, kernels[n])
-        out[m] = acc.scale(1.0 / factorial(m))
+def _contract_inputs(ck: CompKernels, kernels) -> list[SymTensor]:
+    """Test-side change of parametrization through the power kernels ck.
+
+    Grade m is (1/m!) sum_{n>=m} of kernel n paired against the input
+    slots of ck[n][m].  With ck = A it takes generalized kernels to plain
+    ones, with ck = B plain kernels to generalized ones.
+    """
+    out = [zero_tensor(ck.dim, 0) + kernels[0]]
+    for m in range(1, ck.degree + 1):
+        acc = zero_tensor(ck.dim, m)
+        for n in range(m, ck.degree + 1):
+            acc = acc + ck.contract_in(n, m, kernels[n])
+        out.append(acc.scale(1.0 / factorial(m)))
     return out
 
 
-def _plain_to_gen(basis: AppellBasis, kernels: list[SymTensor]) -> list[SymTensor]:
-    """Test-side conversion from the plain basis to the generalized one."""
-    N = basis.degree
-    out = [zero_tensor(basis.dim, n) for n in range(N + 1)]
-    out[0] = out[0] + kernels[0]
-    for n in range(1, N + 1):
-        acc = out[n]
-        for m in range(n, N + 1):
-            acc = acc + basis.B.contract_in(m, n, kernels[m])
-        out[n] = acc.scale(1.0 / factorial(n))
-    return out
+def binomial_contract(kernels, weights: ScalarJet) -> list[SymTensor]:
+    """out_k = sum_{m>=k} C(m, k) times kernel m with weight kernel m-k
+    contracted into its last m-k slots; zero kernels are skipped.
 
-
-def _plain_to_monomial(basis: AppellBasis, kernels: list[SymTensor]) -> list[SymTensor]:
-    N = basis.degree
+    With the weights u_jet it takes plain test kernels to monomial ones,
+    with m_jet monomial kernels to plain ones.
+    """
+    N = weights.degree
+    live = [m for m in range(N + 1) if kernels[m].max_abs() != 0.0]
     out = []
     for k in range(N + 1):
-        acc = zero_tensor(basis.dim, k)
-        for m in range(k, N + 1):
-            acc = acc + partial_pairing(kernels[m], basis.u_jet.kernels[m - k]).scale(comb(m, k))
-        out.append(acc)
-    return out
-
-
-def _monomial_to_plain(basis: AppellBasis, kernels: tuple[SymTensor, ...]) -> list[SymTensor]:
-    N = basis.degree
-    out = []
-    for k in range(N + 1):
-        acc = zero_tensor(basis.dim, k)
-        for n in range(k, N + 1):
-            acc = acc + partial_pairing(kernels[n], basis.m_jet.kernels[n - k]).scale(comb(n, k))
+        acc = zero_tensor(weights.dim, k)
+        for m in live:
+            if m >= k:
+                acc = acc + partial_pairing(kernels[m], weights.kernels[m - k]).scale(comb(m, k))
         out.append(acc)
     return out
 
@@ -337,16 +310,14 @@ def to_monomial(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
     """Re-express a P-tagged test function in monomial kernels (same function)."""
     _require_tag(f, P_TAG)
     _require_same_basis(basis, f.basis)
-    plain = _gen_to_plain(basis, f.kernels)
-    mono = _plain_to_monomial(basis, plain)
+    mono = binomial_contract(_contract_inputs(basis.A, f.kernels), basis.u_jet)
     return KernelSeq(MONOMIAL, basis.dim, basis.degree, tuple(mono))
 
 
 def to_appell(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
     """Inverse of to_monomial: expand monomial kernels in the P basis."""
     _require_tag(f, MONOMIAL)
-    plain = _monomial_to_plain(basis, f.kernels)
-    gen = _plain_to_gen(basis, plain)
+    gen = _contract_inputs(basis.B, binomial_contract(f.kernels, basis.m_jet))
     return KernelSeq(P_TAG, basis.dim, basis.degree, tuple(gen), basis)
 
 
@@ -410,25 +381,19 @@ def s_transform(basis: AppellBasis, Phi: KernelSeq) -> ScalarJet:
     """
     _require_tag(Phi, Q_TAG)
     _require_same_basis(basis, Phi.basis)
-    ks = [scalar_tensor(basis.dim, Phi.kernels[0].item())]
-    for m in range(1, basis.degree + 1):
-        acc = zero_tensor(basis.dim, m)
-        for n in range(1, m + 1):
-            acc = acc + basis.B.contract_out(m, n, Phi.kernels[n])
-        ks.append(acc)
-    return ScalarJet(basis.dim, basis.degree, tuple(ks))
+    coeffs = [k.scale(factorial(n)) for n, k in enumerate(Phi.kernels)]
+    ks = tuple(basis.B.compose(m, coeffs) for m in range(basis.degree + 1))
+    return ScalarJet(basis.dim, basis.degree, ks)
 
 
 def s_inverse(basis: AppellBasis, jet: ScalarJet) -> KernelSeq:
     """Kernels of the distribution whose transform is the given jet."""
     if jet.dim != basis.dim or jet.degree != basis.degree:
         raise ValueError("jet shape does not match the basis")
-    out = {0: scalar_tensor(basis.dim, jet.constant())}
-    for n in range(1, basis.degree + 1):
-        acc = zero_tensor(basis.dim, n)
-        for k in range(1, n + 1):
-            acc = acc + basis.A.contract_out(n, k, jet.kernels[k].scale(1.0 / factorial(k)))
-        out[n] = acc.scale(1.0 / factorial(n))
+    out = {
+        n: basis.A.compose(n, jet.kernels).scale(1.0 / factorial(n))
+        for n in range(basis.degree + 1)
+    }
     return q_seq(basis, out)
 
 
@@ -473,14 +438,12 @@ def delta_z(basis: AppellBasis, z) -> KernelSeq:
 def radon_nikodym(basis: AppellBasis, z) -> KernelSeq:
     """Shift kernel rho(z, .): pairing against phi integrates phi(. - z).
 
-    Grade-n kernel is (1/n!) times the point-mass-system tensor at -z.
+    Grade-n kernel is (1/n!) times the point-mass-system tensor at -z: the
+    distribution whose transform is exp<-z, theta>.
     """
     z = np.asarray(z, dtype=float)
-    out = {
-        n: delta_appell_eval(basis, n, -z).scale(1.0 / factorial(n))
-        for n in range(basis.degree + 1)
-    }
-    return q_seq(basis, out)
+    powers = tuple(power_tensor(-z, m) for m in range(basis.degree + 1))
+    return s_inverse(basis, ScalarJet(basis.dim, basis.degree, powers))
 
 
 def convolution(basis: AppellBasis, phi: KernelSeq, z) -> float:
@@ -493,10 +456,7 @@ def convolution(basis: AppellBasis, phi: KernelSeq, z) -> float:
         raise ValueError("convolution is defined for the identity alpha only")
     _require_tag(phi, P_TAG)
     _require_same_basis(basis, phi.basis)
-    return sum(
-        eval_power(phi.kernels[n], np.asarray(z, dtype=float))
-        for n in range(basis.degree + 1)
-    )
+    return eval_monomial_seq(KernelSeq(MONOMIAL, basis.dim, basis.degree, phi.kernels), z)
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +568,7 @@ def growth_bound_check(
         r = rng.uniform(0.0, z_radius)
         z = r * direction / np.linalg.norm(direction)
         znorm = tensor_norm(vector_tensor(z), -(p - 1.0), basis.scale)
-        val = abs(
-            sum(eval_power(mono.kernels[n], z) for n in range(basis.degree + 1))
-        )
+        val = abs(eval_monomial_seq(mono, z))
         ratio = val / (norm * exp(epsilon * znorm)) if norm > 0 else 0.0
         worst = max(worst, ratio)
     finite_envelope = 2.0 ** float(q) > sigma**-2.0

@@ -86,7 +86,8 @@ def _load_config(path: str | None) -> dict:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
-        raise SystemExit(f"config file not found: {path}")
+        print(f"config file not found: {path}", file=sys.stderr)
+        raise SystemExit(2)
 
     def grab(section, key, cast, target=None):
         if parser.has_option(section, key):

@@ -288,6 +288,20 @@ class CompKernels:
                 acc = acc + tens.scale(multiplicity(u) * c)
         return acc
 
+    def compose(self, n: int, ks) -> SymTensor:
+        """Grade n of f(a(theta)) from the kernels ks of f.
+
+        Grade 0 is ks[0]; grade n >= 1 is sum_{m=1..n} (1/m!) times ks[m]
+        paired against the output slots of the power kernels, and reads
+        ks[1..n] only.
+        """
+        if n == 0:
+            return ks[0]
+        acc = zero_tensor(self.dim, n)
+        for m in range(1, n + 1):
+            acc = acc + self.contract_out(n, m, ks[m]).scale(1.0 / factorial(m))
+        return acc
+
     def contract_in(self, n: int, m: int, phi: SymTensor) -> SymTensor:
         """Pair a rank-n tensor against the input slots, leaving rank m (output)."""
         if phi.rank != n:
@@ -329,13 +343,8 @@ def jet_compose_scalar(f: ScalarJet, a: VectorJet, ck: CompKernels | None = None
     _check_compatible(f, a)
     if ck is None:
         ck = comp_kernels(a)
-    ks = [scalar_tensor(f.dim, f.constant())]
-    for n in range(1, f.degree + 1):
-        acc = zero_tensor(f.dim, n)
-        for m in range(1, n + 1):
-            acc = acc + ck.contract_out(n, m, f.kernels[m]).scale(1.0 / factorial(m))
-        ks.append(acc)
-    return ScalarJet(f.dim, f.degree, tuple(ks))
+    ks = tuple(ck.compose(n, f.kernels) for n in range(f.degree + 1))
+    return ScalarJet(f.dim, f.degree, ks)
 
 
 def jet_compose_vector(a: VectorJet, b: VectorJet, ck: CompKernels | None = None) -> VectorJet:

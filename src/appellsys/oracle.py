@@ -45,7 +45,6 @@ __all__ = [
     "exact_product_expectation",
     "poly_product",
     "mc_expectation",
-    "eval_polynomial",
     "eval_polynomial_batch",
     "quad_1d",
     "pmf_sum",
@@ -95,12 +94,6 @@ def exact_product_expectation(basis: AppellBasis, phi: KernelSeq, psi: KernelSeq
         raise ValueError("expected P-tagged test functions")
     prod = poly_product(to_monomial(basis, phi), to_monomial(basis, psi))
     return exact_expectation(basis.model, prod)
-
-
-def eval_polynomial(f: KernelSeq, x) -> float:
-    _require_monomial(f)
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(eval_polynomial_batch(f, x)[0])
 
 
 def eval_polynomial_batch(f: KernelSeq, xs: np.ndarray) -> np.ndarray:

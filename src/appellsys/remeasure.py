@@ -1,11 +1,12 @@
 """Change of measure: re-express test and distribution kernels.
 
 Two bases sharing the dimension, degree and reparametrization jet admit an
-explicit transport: test kernels are reordered through partial contractions
-against the constants-at-zero of one basis and the moment tensors of the
-other, and distribution kernels move the opposite way so that every dual
-pairing is preserved.  Changing the reparametrization itself for a fixed
-measure goes through the scalar transform.
+explicit transport through one weight jet, the ratio l_mut(alpha)/l_mu(alpha)
+of the reparametrized transforms: test kernels are reordered through
+partial contractions against its kernels, and distribution kernels are
+multiplied by it, so that every dual pairing is preserved.  Changing the
+reparametrization itself for a fixed measure goes through the scalar
+transform.
 """
 
 from __future__ import annotations
@@ -16,16 +17,18 @@ from .appell import (
     AppellBasis,
     BasisMismatchError,
     KernelSeq,
-    MONOMIAL,
     P_TAG,
     Q_TAG,
+    binomial_contract,
+    gen_appell_all,
     gen_appell_eval,
     p_seq,
     q_seq,
     s_inverse,
     s_transform,
 )
-from .symtensor import partial_pairing, sym_product, zero_tensor
+from .jets import ScalarJet, jet_mul
+from .symtensor import sym_product, zero_tensor
 
 __all__ = [
     "p_relation",
@@ -45,64 +48,43 @@ def _require_shared_alpha(a: AppellBasis, b: AppellBasis) -> None:
         )
 
 
+def _ratio_jet(basis_mu: AppellBasis, basis_mut: AppellBasis) -> ScalarJet:
+    """Kernels of l_mut(alpha(theta)) / l_mu(alpha(theta))."""
+    return jet_mul(basis_mu.ualpha_jet, basis_mut.malpha_jet)
+
+
 def p_relation(basis_mu: AppellBasis, basis_mut: AppellBasis, n: int, points) -> dict:
     """Check the cross-measure expansion of the degree-n polynomial tensor.
 
-    The tensor of the mu system at x must equal the trinomial sum of the
-    mut-system tensors at x against the mu constants at zero and the mut
-    moment tensors.  Returns the worst entry discrepancy over the points.
+    The tensor of the mu system at x must equal grade n of the product of
+    the mut-system generating jet at x with the ratio jet.  Returns the
+    worst entry discrepancy over the points.
     """
     _require_shared_alpha(basis_mu, basis_mut)
+    points = list(points)
+    ratio = _ratio_jet(basis_mu, basis_mut)
     worst = 0.0
     for x in points:
         lhs = gen_appell_eval(basis_mu, n, x)
-        rhs = zero_tensor(basis_mu.dim, n)
-        for k in range(n + 1):
-            for m in range(n - k + 1):
-                l = n - k - m
-                coeff = factorial(n) / (factorial(k) * factorial(m) * factorial(l))
-                term = sym_product(
-                    sym_product(
-                        gen_appell_eval(basis_mut, k, x),
-                        basis_mu.ualpha_jet.kernels[m],
-                    ),
-                    basis_mut.malpha_jet.kernels[l],
-                )
-                rhs = rhs + term.scale(coeff)
-        worst = max(worst, (lhs - rhs).max_abs() if n > 0 else abs(lhs.item() - rhs.item()))
-    return {"n": n, "max_discrepancy": worst, "points": len(list(points))}
+        gen = ScalarJet(basis_mut.dim, basis_mut.degree, tuple(gen_appell_all(basis_mut, x)))
+        rhs = jet_mul(gen, ratio).kernels[n]
+        worst = max(worst, (lhs - rhs).max_abs())
+    return {"n": n, "max_discrepancy": worst, "points": len(points)}
 
 
 def reorder_test(basis_mu: AppellBasis, basis_mut: AppellBasis, phi: KernelSeq) -> KernelSeq:
     """Rewrite a test function from the mu basis into the mut basis.
 
-    Grade n gains contractions of the higher mu-kernels against the products
-    of mu constants at zero and mut moment tensors; pointwise values are
-    unchanged.
+    Grade n gains contractions of the higher mu-kernels against the ratio
+    jet; pointwise values are unchanged.
     """
     if phi.tag != P_TAG:
         raise ValueError("reorder_test expects a P-tagged sequence")
     if not basis_mu.same_basis(phi.basis):
         raise BasisMismatchError("phi does not live in the source basis")
     _require_shared_alpha(basis_mu, basis_mut)
-    N = basis_mu.degree
-    out = {}
-    for n in range(N + 1):
-        acc = zero_tensor(basis_mu.dim, n)
-        for m in range(N - n + 1):
-            for l in range(N - n - m + 1):
-                src = phi.kernels[n + m + l]
-                if src.max_abs() == 0.0:
-                    continue
-                coeff = factorial(n + m + l) / (
-                    factorial(n) * factorial(m) * factorial(l)
-                )
-                weight = sym_product(
-                    basis_mu.ualpha_jet.kernels[m], basis_mut.malpha_jet.kernels[l]
-                )
-                acc = acc + partial_pairing(src, weight).scale(coeff)
-        out[n] = acc
-    return p_seq(basis_mut, out)
+    out = binomial_contract(phi.kernels, _ratio_jet(basis_mu, basis_mut))
+    return p_seq(basis_mut, dict(enumerate(out)))
 
 
 def transport_dist(
@@ -119,21 +101,15 @@ def transport_dist(
     if not basis_mut.same_basis(Phi_t.basis):
         raise BasisMismatchError("distribution does not live in the source basis")
     _require_shared_alpha(basis_mu, basis_mut)
-    N = basis_mu.degree
+    ratio = _ratio_jet(basis_mu, basis_mut)
+    weights = [r.scale(1.0 / factorial(j)) for j, r in enumerate(ratio.kernels)]
+    live = [k for k, t in enumerate(Phi_t.kernels) if k == 0 or t.max_abs() != 0.0]
     out = {}
-    for n in range(N + 1):
+    for n in range(basis_mu.degree + 1):
         acc = zero_tensor(basis_mu.dim, n)
-        for k in range(n + 1):
-            if Phi_t.kernels[k].max_abs() == 0.0 and k > 0:
-                continue
-            for m in range(n - k + 1):
-                l = n - k - m
-                coeff = 1.0 / (factorial(m) * factorial(l))
-                term = sym_product(
-                    sym_product(Phi_t.kernels[k], basis_mu.ualpha_jet.kernels[m]),
-                    basis_mut.malpha_jet.kernels[l],
-                )
-                acc = acc + term.scale(coeff)
+        for k in live:
+            if k <= n:
+                acc = acc + sym_product(Phi_t.kernels[k], weights[n - k])
         out[n] = acc
     return q_seq(basis_mu, out)
 

@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import appellsys
 from appellsys.appell import AppellBasis
 from appellsys.jets import log1p_vjet
 from appellsys.measures import DeltaModel, GaussianModel, PoissonModel
@@ -36,3 +40,13 @@ def poisson2d_log1p_basis():
 @pytest.fixture(scope="session")
 def delta1d_basis():
     return AppellBasis(DeltaModel(1), degree=6)
+
+
+@pytest.fixture(scope="session")
+def cli_env():
+    """Environment in which a `python -m appellsys.cli` subprocess imports
+    the package under test, also when pytest found it through its own
+    pythonpath setting rather than an installation or PYTHONPATH."""
+    paths = [str(Path(appellsys.__file__).resolve().parents[1])]
+    paths += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}

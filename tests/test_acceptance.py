@@ -386,7 +386,7 @@ def test_every_suite_under_time_budget():
     )
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, cli_env):
     # repeated verify runs with a fixed seed produce byte-identical reports
     outs = []
     for sub in ("a", "b"):
@@ -404,6 +404,7 @@ def test_criterion_10_determinism(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=cli_env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outs.append(out)

@@ -22,6 +22,7 @@ from appellsys.appell import (
     estimate_sigma_eps,
     eval_monomial_seq,
     eval_test,
+    gen_appell_all,
     gen_appell_eval,
     generating_jet,
     growth_bound_check,
@@ -202,6 +203,19 @@ class TestGeneralizedEval:
         for n in range(6):
             got = gen_appell_eval(basis, n, w)
             assert (got - jet.kernels[n]).max_abs() < 1e-11
+
+    def test_per_grade_matches_all_grades_exactly(self, poisson2d_log1p_basis):
+        # both routes compose the same plain tensors, so they agree bit for bit
+        rng = np.random.default_rng(4)
+        bases = [
+            poisson2d_log1p_basis,
+            AppellBasis(GaussianModel.standard(2), random_vjet(rng, 2, 5), degree=5),
+        ]
+        for basis in bases:
+            z = rng.uniform(0.0, 3.0, basis.dim)
+            tensors = gen_appell_all(basis, z)
+            for n in range(basis.degree + 1):
+                assert gen_appell_eval(basis, n, z).coeffs == tensors[n].coeffs
 
 
 class TestDeltaAppellEval:

@@ -17,9 +17,9 @@ def run_cli(args):
     return main(args)
 
 
-def test_missing_subcommand_is_usage_error():
+def test_missing_subcommand_is_usage_error(cli_env):
     proc = subprocess.run(
-        [sys.executable, "-m", "appellsys.cli"], capture_output=True, text=True
+        [sys.executable, "-m", "appellsys.cli"], capture_output=True, text=True, env=cli_env
     )
     assert proc.returncode == 2
 
@@ -237,6 +237,8 @@ def test_config_file_drives_run(tmp_path):
     assert (tmp_path / "results" / "kernels.csv").exists()
 
 
-def test_missing_config_file_errors():
-    with pytest.raises(SystemExit):
+def test_missing_config_file_errors(capsys):
+    with pytest.raises(SystemExit) as exc:
         run_cli(["kernels", "--config", "/nonexistent/path.cfg"])
+    assert exc.value.code == 2
+    assert "config file not found" in capsys.readouterr().err

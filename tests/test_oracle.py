@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from appellsys.appell import AppellBasis, monomial_seq, p_seq, to_appell
+from appellsys.appell import AppellBasis, eval_monomial_seq, monomial_seq, p_seq, to_appell
 from appellsys.jets import log1p_vjet
 from appellsys.measures import (
     DeltaModel,
@@ -15,7 +15,6 @@ from appellsys.measures import (
 )
 from appellsys.oracle import (
     charlier,
-    eval_polynomial,
     eval_polynomial_batch,
     exact_expectation,
     exact_product_expectation,
@@ -63,8 +62,8 @@ class TestPolyProduct:
         assert prod.degree == 5
         for _ in range(5):
             x = rng.standard_normal(2)
-            assert eval_polynomial(prod, x) == pytest.approx(
-                eval_polynomial(f, x) * eval_polynomial(g, x), rel=1e-11
+            assert eval_monomial_seq(prod, x) == pytest.approx(
+                eval_monomial_seq(f, x) * eval_monomial_seq(g, x), rel=1e-11
             )
 
     def test_batch_eval(self):
@@ -73,7 +72,7 @@ class TestPolyProduct:
         xs = rng.standard_normal((7, 2))
         vals = eval_polynomial_batch(f, xs)
         for i in range(7):
-            assert vals[i] == pytest.approx(eval_polynomial(f, xs[i]), rel=1e-12)
+            assert vals[i] == pytest.approx(eval_monomial_seq(f, xs[i]), rel=1e-12)
 
 
 class TestProductExpectation:

@@ -1,7 +1,11 @@
 """Measure transport: cross-measure expansions, reordering, pairing invariance."""
 
+from functools import lru_cache
+from math import factorial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from appellsys.appell import (
     AppellBasis,
@@ -16,7 +20,7 @@ from appellsys.appell import (
     to_monomial,
     monomial_seq,
 )
-from appellsys.jets import identity_vjet, log1p_vjet
+from appellsys.jets import identity_vjet, log1p_vjet, random_vjet
 from appellsys.measures import DeltaModel, GaussianModel, PoissonModel
 from appellsys.oracle import exact_expectation
 from appellsys.remeasure import (
@@ -25,7 +29,14 @@ from appellsys.remeasure import (
     reorder_test,
     transport_dist,
 )
-from appellsys.symtensor import SymTensor, random_tensor, scalar_tensor
+from appellsys.symtensor import (
+    SymTensor,
+    partial_pairing,
+    random_tensor,
+    scalar_tensor,
+    sym_product,
+    zero_tensor,
+)
 
 N = 5
 
@@ -34,14 +45,17 @@ def tensor_1d(rank, value):
     return SymTensor(1, rank, {(1,) * rank: float(value)})
 
 
-def make_basis(kind, alpha_kind, dim=1, degree=N):
+def make_basis(kind, alpha_kind, dim=1, degree=N, alpha_seed=0):
     if kind == "gaussian":
         model = GaussianModel.standard(dim)
     elif kind == "poisson":
         model = PoissonModel(tuple(1.0 + 0.5 * i for i in range(dim)))
     else:
         model = DeltaModel(dim)
-    alpha = identity_vjet(dim, degree) if alpha_kind == "id" else log1p_vjet(dim, degree)
+    if alpha_kind == "random":
+        alpha = random_vjet(np.random.default_rng(alpha_seed), dim, degree)
+    else:
+        alpha = identity_vjet(dim, degree) if alpha_kind == "id" else log1p_vjet(dim, degree)
     return AppellBasis(model, alpha, degree=degree)
 
 
@@ -56,6 +70,46 @@ def random_qseq(rng, basis):
     return q_seq(
         basis, {n: random_tensor(rng, basis.dim, n) for n in range(basis.degree + 1)}
     )
+
+
+def trinomial_transport(basis_mut, basis_mu, Phi_t):
+    """Literal transport: grade n is the sum over k + m + l = n of
+    Phi_k sym u_m sym M_l / (m! l!), u the mu constants and M the mut
+    moments, both reparametrized."""
+    u, M = basis_mu.ualpha_jet.kernels, basis_mut.malpha_jet.kernels
+    out = {}
+    for n in range(basis_mu.degree + 1):
+        acc = zero_tensor(basis_mu.dim, n)
+        for k in range(n + 1):
+            for m in range(n - k + 1):
+                l = n - k - m
+                term = sym_product(sym_product(Phi_t.kernels[k], u[m]), M[l])
+                acc = acc + term.scale(1.0 / (factorial(m) * factorial(l)))
+        out[n] = acc
+    return out
+
+
+def trinomial_reorder(basis_mu, basis_mut, phi):
+    """Literal reordering: grade n is the sum over m, l of the trinomial
+    (n+m+l)!/(n! m! l!) times phi_{n+m+l} contracted with u_m sym M_l."""
+    u, M = basis_mu.ualpha_jet.kernels, basis_mut.malpha_jet.kernels
+    N = basis_mu.degree
+    out = {}
+    for n in range(N + 1):
+        acc = zero_tensor(basis_mu.dim, n)
+        for m in range(N - n + 1):
+            for l in range(N - n - m + 1):
+                coeff = factorial(n + m + l) / (factorial(n) * factorial(m) * factorial(l))
+                weight = sym_product(u[m], M[l])
+                acc = acc + partial_pairing(phi.kernels[n + m + l], weight).scale(coeff)
+        out[n] = acc
+    return out
+
+
+def assert_close_rel(got, ref, rel):
+    scale = max(t.max_abs() for t in ref.values())
+    for n, t in ref.items():
+        assert (got.kernels[n] - t).max_abs() <= rel * scale
 
 
 class TestPRelation:
@@ -93,6 +147,13 @@ class TestPRelation:
         b2 = make_basis("poisson", "log1p")
         with pytest.raises(BasisMismatchError):
             p_relation(b1, b2, 2, [np.zeros(1)])
+
+    def test_generator_points_counted(self):
+        bp = make_basis("poisson", "log1p")
+        bg = make_basis("gaussian", "log1p")
+        report = p_relation(bp, bg, 3, (np.array([x]) for x in (0.5, 1.5, 2.5)))
+        assert report["points"] == 3
+        assert report["max_discrepancy"] < 1e-10
 
 
 class TestReorderTest:
@@ -138,8 +199,28 @@ class TestReorderTest:
         for n in range(N + 1):
             assert (back.kernels[n] - phi.kernels[n]).max_abs() < 1e-10
 
+    def test_matches_trinomial_formula(self):
+        rng = np.random.default_rng(13)
+        for alpha_kind in ("id", "log1p", "random"):
+            for src, dst in (("poisson", "gaussian"), ("gaussian", "delta"), ("delta", "poisson")):
+                bsrc = make_basis(src, alpha_kind, dim=2)
+                bdst = make_basis(dst, alpha_kind, dim=2)
+                phi = random_pseq(rng, bsrc)
+                ref = trinomial_reorder(bsrc, bdst, phi)
+                assert_close_rel(reorder_test(bsrc, bdst, phi), ref, 1e-12)
+
 
 class TestTransportDist:
+    def test_matches_trinomial_formula(self):
+        rng = np.random.default_rng(14)
+        for alpha_kind in ("id", "log1p", "random"):
+            for src, dst in (("poisson", "gaussian"), ("gaussian", "delta"), ("delta", "poisson")):
+                bsrc = make_basis(src, alpha_kind, dim=2)
+                bdst = make_basis(dst, alpha_kind, dim=2)
+                Phi = random_qseq(rng, bsrc)
+                ref = trinomial_transport(bsrc, bdst, Phi)
+                assert_close_rel(transport_dist(bsrc, bdst, Phi), ref, 1e-12)
+
     def test_same_measure_identity(self):
         b = make_basis("poisson", "log1p")
         rng = np.random.default_rng(5)
@@ -242,3 +323,34 @@ class TestChangeAlpha:
         assert pair(b_id, moved, phi) == pytest.approx(
             eval_test(b_id, phi, z), rel=1e-9, abs=1e-9
         )
+
+
+MEASURE_KINDS = ("gaussian", "poisson", "delta")
+property_basis = lru_cache(maxsize=None)(make_basis)
+
+
+class TestTransportProperties:
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(
+        dim=st.integers(1, 2),
+        degree=st.integers(1, 5),
+        alpha_kind=st.sampled_from(("id", "log1p", "random")),
+        alpha_seed=st.integers(0, 2),
+        pair_index=st.integers(0, 5),
+        data_seed=st.integers(0, 2**16),
+    )
+    def test_pairing_invariance_and_double_transport(
+        self, dim, degree, alpha_kind, alpha_seed, pair_index, data_seed
+    ):
+        src, dst = [(s, t) for s in MEASURE_KINDS for t in MEASURE_KINDS if s != t][pair_index]
+        bsrc = property_basis(src, alpha_kind, dim, degree, alpha_seed)
+        bdst = property_basis(dst, alpha_kind, dim, degree, alpha_seed)
+        rng = np.random.default_rng(data_seed)
+        Phi = random_qseq(rng, bsrc)
+        phi = random_pseq(rng, bdst)
+        lhs = pair(bdst, transport_dist(bsrc, bdst, Phi), phi)
+        rhs = pair(bsrc, Phi, reorder_test(bdst, bsrc, phi))
+        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+        back = transport_dist(bdst, bsrc, transport_dist(bsrc, bdst, Phi))
+        for n in range(degree + 1):
+            assert (back.kernels[n] - Phi.kernels[n]).max_abs() < 1e-10
