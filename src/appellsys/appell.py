@@ -127,7 +127,7 @@ class AppellBasis:
         self.scale = scale if scale is not None else HilbertScale(model.dim)
         self.m_jet = moment_kernels(model, degree)
         self.A = comp_kernels(alpha)
-        self.g_alpha = jet_invert(alpha)
+        self.g_alpha = jet_invert(alpha, self.A)
         self.B = comp_kernels(self.g_alpha)
         self.malpha_jet = jet_compose_scalar(self.m_jet, alpha, self.A)
         self.u_jet = jet_recip(self.m_jet)

@@ -125,8 +125,10 @@ def _make_model(kind: str, dim: int, sigma2: float, nu):
     if kind == "gaussian":
         return GaussianModel.standard(dim, sigma2)
     if kind == "poisson":
-        nus = tuple(nu) if len(nu) == dim else tuple(nu[0] for _ in range(dim))
-        return PoissonModel(nus)
+        if len(nu) not in (1, dim):
+            print(f"poisson nu needs 1 or {dim} values, got {len(nu)}", file=sys.stderr)
+            raise SystemExit(2)
+        return PoissonModel(tuple(nu) if len(nu) == dim else tuple(nu) * dim)
     if kind == "delta":
         return DeltaModel(dim)
     print(f"unknown measure {kind!r} (expected gaussian|poisson|delta)", file=sys.stderr)
@@ -378,17 +380,14 @@ def cmd_transport(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(cfg, args)
     seed = args.seed if args.seed is not None else cfg["seed"]
-    dim = args.dim if args.dim is not None else cfg["dim"]
-    degree = args.N if args.N is not None else cfg["degree"]
-    alpha = _make_alpha(args.alpha or cfg["alpha"], dim, degree)
-    model_src = _make_model(args.measure or cfg["measure"], dim, cfg["sigma2"], cfg["nu"])
     kind2 = args.measure2 or cfg["measure2"]
     if kind2 is None:
         print("transport needs --measure2 or a [model2] config section", file=sys.stderr)
         return 2
+    basis_src = _basis_from(cfg, args)
+    dim, degree = basis_src.dim, basis_src.degree
     model_dst = _make_model(kind2, dim, cfg["sigma2_2"], cfg["nu2"])
-    basis_src = AppellBasis(model_src, alpha, degree=degree)
-    basis_dst = AppellBasis(model_dst, alpha, degree=degree)
+    basis_dst = AppellBasis(model_dst, basis_src.alpha, degree=degree)
     Phi = parse_kernel_seq(Path(args.phi).read_text(), basis_src)
     moved = remeasure.transport_dist(basis_src, basis_dst, Phi)
     (out / "transport_result.fixture").write_text(format_kernel_seq(moved))
@@ -409,7 +408,7 @@ def cmd_transport(args) -> int:
     tol = args.tol if args.tol is not None else cfg["tolerance"]
     ok = worst <= tol and round_err <= tol
     print(
-        f"transport {model_src.name} -> {model_dst.name}: pairing error {worst:.3e}, "
+        f"transport {basis_src.model.name} -> {model_dst.name}: pairing error {worst:.3e}, "
         f"round trip {round_err:.3e}"
     )
     return 0 if ok else 1

@@ -314,7 +314,7 @@ class CompKernels:
         return SymTensor(self.dim, m, out)
 
 
-def comp_kernels(a: VectorJet, max_power: int | None = None) -> CompKernels:
+def comp_kernels(a: VectorJet) -> CompKernels:
     """Build the power kernels of a by iterated graded products of components.
 
     The degree-n kernel of the product of scalar jets a_{u_1} ... a_{u_m}
@@ -322,11 +322,9 @@ def comp_kernels(a: VectorJet, max_power: int | None = None) -> CompKernels:
     l_i >= 1; the iterated product computes it in O(N^2) tensor products.
     """
     N = a.degree
-    if max_power is None:
-        max_power = N
     tables: dict[tuple[int, int], dict[tuple[int, ...], SymTensor]] = {}
     prods: dict[tuple[int, ...], ScalarJet] = {}
-    for m in range(1, max_power + 1):
+    for m in range(1, N + 1):
         for u in multi_indices(a.dim, m):
             if m == 1:
                 jet = a.components[u[0] - 1]
@@ -365,12 +363,14 @@ def linear_part(a: VectorJet) -> np.ndarray:
     return mat
 
 
-def jet_invert(a: VectorJet) -> VectorJet:
-    """Compositional inverse g with a(g(theta)) = theta to degree N.
+def jet_invert(a: VectorJet, ck: CompKernels | None = None) -> VectorJet:
+    """Compositional inverse g with g(a(theta)) = theta to degree N.
 
-    The linear part is inverted as a matrix; kernel n of g is then solved
-    from the vanishing of the degree-n residual of a(g) - id, which only
-    involves kernels of g below n.
+    This is the left inverse; for jets with an invertible linear part L it
+    is also the right inverse, a(g(theta)) = theta.  Kernel n >= 2 of g is
+    solved in one pass through the power kernels ck of a: grade n of g(a)
+    is ck.compose(n, g), whose only term holding g_n is g_n pulled back
+    through L, so g_n is minus the rest pulled back through L^{-1}.
     """
     mat = linear_part(a)
     try:
@@ -382,30 +382,13 @@ def jet_invert(a: VectorJet) -> VectorJet:
         raise SingularJetError(f"linear part is numerically singular (cond={cond:.3g})")
 
     d, N = a.dim, a.degree
-    g_kernels: list[list[SymTensor]] = [[vector_tensor(inv[j]) for j in range(d)]]
-    ident = identity_vjet(d, N)
+    if ck is None:
+        ck = comp_kernels(a)
+    pull = comp_kernels(VectorJet(d, N, tuple(linear_jet(d, N, row) for row in inv)))
+    g_kernels = [[scalar_tensor(d, 0.0), vector_tensor(row)] for row in inv]
     for n in range(2, N + 1):
-        g_partial = _assemble_vjet(d, N, g_kernels, pad_to=n - 1)
-        resid = jet_compose_vector(a, g_partial)
-        new = []
-        for j in range(d):
-            r = zero_tensor(d, n)
-            for l in range(d):
-                rl = resid.components[l].kernels[n] - ident.components[l].kernels[n]
-                r = r + rl.scale(inv[j, l])
-            new.append(r.scale(-1.0))
-        g_kernels.append(new)
-    return _assemble_vjet(d, N, g_kernels, pad_to=N)
-
-
-def _assemble_vjet(d: int, N: int, kernels_by_degree, pad_to: int) -> VectorJet:
-    comps = []
-    for j in range(d):
-        ks = [scalar_tensor(d, 0.0)]
-        for n in range(1, N + 1):
-            if n <= pad_to and n - 1 < len(kernels_by_degree):
-                ks.append(kernels_by_degree[n - 1][j])
-            else:
-                ks.append(zero_tensor(d, n))
-        comps.append(ScalarJet(d, N, tuple(ks)))
-    return VectorJet(d, N, tuple(comps))
+        for ks in g_kernels:
+            # kernel n stays zero while compose forms the rest of grade n
+            ks.append(zero_tensor(d, n))
+            ks[n] = pull.contract_out(n, n, ck.compose(n, ks)).scale(-1.0 / factorial(n))
+    return VectorJet(d, N, tuple(ScalarJet(d, N, tuple(ks)) for ks in g_kernels))

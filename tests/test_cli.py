@@ -9,7 +9,8 @@ import pytest
 from appellsys.cli import main
 from appellsys.appell import AppellBasis, q_seq
 from appellsys.fixtures import format_kernel_seq
-from appellsys.measures import GaussianModel
+from appellsys.measures import GaussianModel, PoissonModel
+from appellsys.remeasure import transport_dist
 from appellsys.symtensor import SymTensor, scalar_tensor
 
 
@@ -204,6 +205,30 @@ def test_transport_command(tmp_path):
     report = json.loads((tmp_path / "transport_report.json").read_text())
     assert report["pairing_invariance_error"] < 1e-10
     assert report["double_transport_error"] < 1e-10
+
+
+def test_transport_honours_nu(tmp_path):
+    # nu = 2.0 differs from the default 1.0, so a source model built from the
+    # config alone would move Phi differently
+    src = AppellBasis(PoissonModel((2.0,)), degree=4)
+    dst = AppellBasis(GaussianModel.standard(1), degree=4)
+    Phi = q_seq(src, {0: scalar_tensor(1, 1.0), 2: SymTensor(1, 2, {(1, 1): 0.5})})
+    fixture = tmp_path / "phi.fixture"
+    fixture.write_text(format_kernel_seq(Phi))
+    args = ["transport", "--measure", "poisson", "--nu", "2.0", "--measure2", "gaussian"]
+    args += ["--N", "4", "--dim", "1", "--phi", str(fixture), "--out", str(tmp_path)]
+    assert run_cli(args) == 0
+    expected = format_kernel_seq(transport_dist(src, dst, Phi))
+    assert (tmp_path / "transport_result.fixture").read_text() == expected
+
+
+def test_nu_length_mismatch_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[model]\nmeasure = poisson\ndim = 3\nnu = 1.0, 2.0\n\n[basis]\ndegree = 2\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["kernels", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "nu needs 1 or 3 values, got 2" in capsys.readouterr().err
 
 
 def test_shipped_configs_verify(tmp_path):

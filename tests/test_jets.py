@@ -5,6 +5,7 @@ from math import factorial
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings, strategies as st
 
 from appellsys.jets import (
     CompKernels,
@@ -249,10 +250,36 @@ class TestInversion:
                 ).max_abs() < 1e-13
 
     def test_log1p_inverts_to_expm1(self):
-        g = jet_invert(log1p_vjet(1, N))
-        expected = expm1_vjet(1, N)
-        for n in range(1, N + 1):
-            assert (g.kernel(n, 1) - expected.kernel(n, 1)).max_abs() < 1e-11
+        for deg, tol in ((N, 1e-11), (12, 1e-10)):
+            g = jet_invert(log1p_vjet(1, deg))
+            expected = expm1_vjet(1, deg)
+            for n in range(1, deg + 1):
+                assert (g.kernel(n, 1) - expected.kernel(n, 1)).max_abs() < tol
+
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(
+        d=st.integers(1, 3),
+        deg=st.integers(1, 6),
+        nonlinearity=st.floats(0.0, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_two_sided_inverse_property(self, d, deg, nonlinearity, seed):
+        # the kernels of g grow with the conditioning of the linear part, and
+        # rounding with them, so the gap is measured against their size
+        a = random_vjet(np.random.default_rng(seed), d, deg, nonlinearity)
+        assume(np.linalg.cond(linear_part(a)) < 20)
+        g = jet_invert(a)
+        size = max(1.0, max(c.max_abs() for c in g.components))
+        ident = identity_vjet(d, deg)
+        for back in (jet_compose_vector(a, g), jet_compose_vector(g, a)):
+            for j in range(d):
+                for n in range(1, deg + 1):
+                    gap = back.components[j].kernels[n] - ident.components[j].kernels[n]
+                    assert gap.max_abs() < 1e-11 * size
+        cached = jet_invert(a, comp_kernels(a))
+        for c, c_cached in zip(g.components, cached.components):
+            for k, k_cached in zip(c.kernels, c_cached.kernels):
+                assert k.coeffs == k_cached.coeffs
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(9)
