@@ -41,6 +41,7 @@ from .symtensor import (
     HilbertScale,
     SymTensor,
     eval_power,
+    is_live,
     pairing,
     partial_pairing,
     power_tensor,
@@ -170,7 +171,7 @@ class KernelSeq:
     def max_grade(self) -> int:
         top = 0
         for n, k in enumerate(self.kernels):
-            if k.max_abs() != 0.0:
+            if is_live(k):
                 top = n
         return top
 
@@ -232,8 +233,13 @@ def appell_eval(basis: AppellBasis, n: int, z) -> SymTensor:
 
 
 def gen_appell_all(basis: AppellBasis, z) -> list[SymTensor]:
-    """All generalized tensors at z for n = 0..N, sharing the plain tensors."""
-    plain = [appell_eval(basis, m, z) for m in range(basis.degree + 1)]
+    """All generalized tensors at z for n = 0..N, sharing the plain tensors.
+
+    The plain tensors are the kernels of exp<z, theta> / l(theta): the
+    same sums, in the same order, as appell_eval.
+    """
+    powers = tuple(power_tensor(z, k) for k in range(basis.degree + 1))
+    plain = jet_mul(ScalarJet(basis.dim, basis.degree, powers), basis.u_jet).kernels
     return [scalar_tensor(basis.dim, 1.0)] + [
         basis.A.compose(n, plain) for n in range(1, basis.degree + 1)
     ]
@@ -295,7 +301,7 @@ def binomial_contract(kernels, weights: ScalarJet) -> list[SymTensor]:
     with m_jet monomial kernels to plain ones.
     """
     N = weights.degree
-    live = [m for m in range(N + 1) if kernels[m].max_abs() != 0.0]
+    live = [m for m in range(N + 1) if is_live(kernels[m])]
     out = []
     for k in range(N + 1):
         acc = zero_tensor(weights.dim, k)
@@ -356,7 +362,7 @@ def g_nabla_apply(basis: AppellBasis, xi, f: KernelSeq) -> KernelSeq:
         for j in range(1, basis.dim + 1):
             if xi[j - 1]:
                 psi = psi + basis.g_alpha.kernel(n, j).scale(xi[j - 1])
-        if psi.max_abs() == 0.0:
+        if not is_live(psi):
             continue
         term = diff_op(psi, f)
         for m in range(f.degree + 1):
@@ -417,7 +423,7 @@ def eval_test(basis: AppellBasis, phi: KernelSeq, z) -> float:
     return sum(
         pairing(tensors[n], phi.kernels[n])
         for n in range(basis.degree + 1)
-        if phi.kernels[n].max_abs() != 0.0
+        if is_live(phi.kernels[n])
     )
 
 

@@ -143,15 +143,23 @@ def _make_alpha(spec: str, dim: int, degree: int):
         return log1p_vjet(dim, degree)
     if spec_l == "expm1":
         return expm1_vjet(dim, degree)
-    path = Path(spec)
-    if path.exists():
-        jet = parse_vector_jet(path.read_text())
+    if Path(spec).exists():
+        jet = _read_fixture(spec, parse_vector_jet)
         if jet.dim != dim or jet.degree != degree:
             print(f"alpha fixture shape mismatch: {spec}", file=sys.stderr)
             raise SystemExit(2)
         return jet
     print(f"unknown alpha spec {spec!r} (id|log1p|expm1|<fixture path>)", file=sys.stderr)
     raise SystemExit(2)
+
+
+def _read_fixture(path: str, parse, *args):
+    """Parse the fixture file at path; an unreadable or malformed one is a usage error."""
+    try:
+        return parse(Path(path).read_text(), *args)
+    except (OSError, ValueError) as e:  # FixtureFormatError is a ValueError
+        print(f"bad fixture {path}: {e}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _out_dir(cfg, args) -> Path:
@@ -248,8 +256,7 @@ def cmd_kernels(args) -> int:
     return 0
 
 
-def _run_single_suite(args, name: str) -> int:
-    cfg = _load_config(args.config)
+def _run_single_suite(cfg, args, name: str) -> int:
     seed = args.seed if args.seed is not None else cfg["seed"]
     out = _out_dir(cfg, args)
     (res,) = run_suite([name], seed=seed)
@@ -261,21 +268,22 @@ def _run_single_suite(args, name: str) -> int:
 
 
 def cmd_biorth(args) -> int:
-    measure = (args.measure or "gaussian").lower()
-    alpha = (args.alpha or "id").lower()
+    cfg = _load_config(args.config)
+    measure = (args.measure or cfg["measure"]).lower()
+    alpha = (args.alpha or cfg["alpha"]).lower()
     name = f"biorth-{measure}-{alpha}"
     if name not in list_suites():
         print(f"no biorthogonality suite for {measure}/{alpha}", file=sys.stderr)
         return 2
-    return _run_single_suite(args, name)
+    return _run_single_suite(cfg, args, name)
 
 
 def cmd_charlier(args) -> int:
-    return _run_single_suite(args, "charlier-poisson")
+    return _run_single_suite(_load_config(args.config), args, "charlier-poisson")
 
 
 def cmd_hermite(args) -> int:
-    return _run_single_suite(args, "hermite-gaussian")
+    return _run_single_suite(_load_config(args.config), args, "hermite-gaussian")
 
 
 def cmd_growth(args) -> int:
@@ -310,14 +318,14 @@ def cmd_wick(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(cfg, args)
     basis = _basis_from(cfg, args)
-    Phi = parse_kernel_seq(Path(args.phi).read_text(), basis)
+    Phi = _read_fixture(args.phi, parse_kernel_seq, basis)
     if args.operation in ("mul", "solve") and not args.psi:
         print(f"operation {args.operation} needs --psi", file=sys.stderr)
         return 2
     if args.operation == "fn" and not args.coeffs:
         print("operation fn needs --coeffs (Taylor coefficients at the mean)", file=sys.stderr)
         return 2
-    Psi = parse_kernel_seq(Path(args.psi).read_text(), basis) if args.psi else None
+    Psi = _read_fixture(args.psi, parse_kernel_seq, basis) if args.psi else None
     if args.operation == "mul":
         result = wick.wick_mul(Phi, Psi)
     elif args.operation == "pow":
@@ -388,7 +396,7 @@ def cmd_transport(args) -> int:
     dim, degree = basis_src.dim, basis_src.degree
     model_dst = _make_model(kind2, dim, cfg["sigma2_2"], cfg["nu2"])
     basis_dst = AppellBasis(model_dst, basis_src.alpha, degree=degree)
-    Phi = parse_kernel_seq(Path(args.phi).read_text(), basis_src)
+    Phi = _read_fixture(args.phi, parse_kernel_seq, basis_src)
     moved = remeasure.transport_dist(basis_src, basis_dst, Phi)
     (out / "transport_result.fixture").write_text(format_kernel_seq(moved))
 

@@ -21,6 +21,7 @@ import numpy as np
 from .symtensor import (
     DimensionMismatchError,
     SymTensor,
+    is_live,
     multi_indices,
     multiplicity,
     eval_power,
@@ -117,7 +118,7 @@ class ScalarJet:
         """Evaluate at each row of thetas (shape (count, dim))."""
         out = np.zeros(thetas.shape[0])
         for n in range(self.degree + 1):
-            if self.kernels[n].max_abs() != 0.0:
+            if is_live(self.kernels[n]):
                 out += eval_power_batch(self.kernels[n], thetas) / factorial(n)
         return out
 
@@ -143,25 +144,32 @@ def linear_jet(dim: int, degree: int, vec) -> ScalarJet:
 
 
 def jet_mul(f: ScalarJet, g: ScalarJet) -> ScalarJet:
-    """Product of jets: h_n = sum_k C(n,k) f_k sym g_{n-k}."""
+    """Product of jets: h_n = sum_k C(n,k) f_k sym g_{n-k}, over live kernels."""
     _check_compatible(f, g)
+    f_live = [is_live(k) for k in f.kernels]
+    g_live = [is_live(k) for k in g.kernels]
     ks = []
     for n in range(f.degree + 1):
         acc = zero_tensor(f.dim, n)
         for k in range(n + 1):
-            acc = acc + sym_product(f.kernels[k], g.kernels[n - k]).scale(comb(n, k))
+            if f_live[k] and g_live[n - k]:
+                acc = acc + sym_product(f.kernels[k], g.kernels[n - k]).scale(comb(n, k))
         ks.append(acc)
     return ScalarJet(f.dim, f.degree, tuple(ks))
 
 
 def jet_exp(f: ScalarJet) -> ScalarJet:
     """exp of a jet via h_n = sum_{j>=1} C(n-1, j-1) f_j sym h_{n-j}."""
+    f_live = [is_live(k) for k in f.kernels]
     h = [scalar_tensor(f.dim, exp(f.constant()))]
+    h_live = [is_live(h[0])]
     for n in range(1, f.degree + 1):
         acc = zero_tensor(f.dim, n)
         for j in range(1, n + 1):
-            acc = acc + sym_product(f.kernels[j], h[n - j]).scale(comb(n - 1, j - 1))
+            if f_live[j] and h_live[n - j]:
+                acc = acc + sym_product(f.kernels[j], h[n - j]).scale(comb(n - 1, j - 1))
         h.append(acc)
+        h_live.append(is_live(acc))
     return ScalarJet(f.dim, f.degree, tuple(h))
 
 
@@ -170,12 +178,17 @@ def jet_log(f: ScalarJet) -> ScalarJet:
     c0 = f.constant()
     if c0 <= 0:
         raise SingularJetError(f"log requires a positive constant term, got {c0}")
+    f_live = [is_live(k) for k in f.kernels]
     g = [scalar_tensor(f.dim, log(c0))]
+    g_live = [is_live(g[0])]
     for n in range(1, f.degree + 1):
+        # a skipped term would subtract an all -0.0 tensor, which changes nothing
         acc = f.kernels[n]
         for j in range(1, n):
-            acc = acc - sym_product(g[j], f.kernels[n - j]).scale(comb(n - 1, j - 1))
+            if g_live[j] and f_live[n - j]:
+                acc = acc - sym_product(g[j], f.kernels[n - j]).scale(comb(n - 1, j - 1))
         g.append(acc.scale(1.0 / c0))
+        g_live.append(is_live(g[n]))
     return ScalarJet(f.dim, f.degree, tuple(g))
 
 
@@ -184,12 +197,16 @@ def jet_recip(f: ScalarJet) -> ScalarJet:
     c0 = f.constant()
     if c0 == 0:
         raise SingularJetError("reciprocal requires a nonzero constant term")
+    f_live = [is_live(k) for k in f.kernels]
     h = [scalar_tensor(f.dim, 1.0 / c0)]
+    h_live = [is_live(h[0])]
     for n in range(1, f.degree + 1):
         acc = zero_tensor(f.dim, n)
         for k in range(1, n + 1):
-            acc = acc + sym_product(f.kernels[k], h[n - k]).scale(comb(n, k))
+            if f_live[k] and h_live[n - k]:
+                acc = acc + sym_product(f.kernels[k], h[n - k]).scale(comb(n, k))
         h.append(acc.scale(-1.0 / c0))
+        h_live.append(is_live(h[n]))
     return ScalarJet(f.dim, f.degree, tuple(h))
 
 
@@ -267,7 +284,9 @@ class CompKernels:
     """Power kernels of a vector jet a: a(theta)^{tensor m} expanded in theta.
 
     tables[(n, m)] maps a sorted m-tuple of output coordinates to the rank-n
-    input tensor; entries with n < m vanish identically and are not stored.
+    input tensor.  Only live (not all-zero) kernels are stored, so entries
+    with n < m, which vanish identically, are absent, and a missing entry
+    or table reads as zero.
     """
 
     dim: int
@@ -332,7 +351,8 @@ def comp_kernels(a: VectorJet) -> CompKernels:
                 jet = jet_mul(prods[u[:-1]], a.components[u[-1] - 1])
             prods[u] = jet
             for n in range(m, N + 1):
-                tables.setdefault((n, m), {})[u] = jet.kernels[n]
+                if is_live(jet.kernels[n]):
+                    tables.setdefault((n, m), {})[u] = jet.kernels[n]
     return CompKernels(a.dim, N, tables)
 
 

@@ -28,7 +28,7 @@ from .appell import (
     s_transform,
 )
 from .jets import ScalarJet, jet_mul
-from .symtensor import sym_product, zero_tensor
+from .symtensor import is_live, sym_product, zero_tensor
 
 __all__ = [
     "p_relation",
@@ -103,12 +103,13 @@ def transport_dist(
     _require_shared_alpha(basis_mu, basis_mut)
     ratio = _ratio_jet(basis_mu, basis_mut)
     weights = [r.scale(1.0 / factorial(j)) for j, r in enumerate(ratio.kernels)]
-    live = [k for k, t in enumerate(Phi_t.kernels) if k == 0 or t.max_abs() != 0.0]
+    live = [k for k, t in enumerate(Phi_t.kernels) if is_live(t)]
+    w_live = [is_live(w) for w in weights]
     out = {}
     for n in range(basis_mu.degree + 1):
         acc = zero_tensor(basis_mu.dim, n)
         for k in live:
-            if k <= n:
+            if k <= n and w_live[n - k]:
                 acc = acc + sym_product(Phi_t.kernels[k], weights[n - k])
         out[n] = acc
     return q_seq(basis_mu, out)

@@ -35,6 +35,7 @@ __all__ = [
     "eval_power",
     "eval_power_batch",
     "tensor_norm",
+    "is_live",
     "zero_tensor",
     "scalar_tensor",
     "basis_vector",
@@ -169,6 +170,16 @@ def _check_same_shape(a: SymTensor, b: SymTensor) -> None:
         raise DimensionMismatchError(f"dim mismatch: {a.dim} vs {b.dim}")
     if a.rank != b.rank:
         raise RankMismatchError(f"rank mismatch: {a.rank} vs {b.rank}")
+
+
+def is_live(t: SymTensor) -> bool:
+    """Whether t has a nonzero coefficient.
+
+    Grade loops form only products of live kernels.  The skip is exact: a
+    sum that starts at +0.0 is never -0.0, so adding a signed zero to it
+    changes nothing.
+    """
+    return any(t.coeffs.values())
 
 
 def zero_tensor(dim: int, rank: int) -> SymTensor:

@@ -2,11 +2,16 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import appellsys
 from appellsys.appell import AppellBasis
 from appellsys.jets import log1p_vjet
 from appellsys.measures import DeltaModel, GaussianModel, PoissonModel
+
+# property tests draw the same examples on every run and never time out
+settings.register_profile("appellsys", derandomize=True, deadline=None, database=None)
+settings.load_profile("appellsys")
 
 
 @pytest.fixture(scope="session")

@@ -267,3 +267,55 @@ def test_missing_config_file_errors(capsys):
         run_cli(["kernels", "--config", "/nonexistent/path.cfg"])
     assert exc.value.code == 2
     assert "config file not found" in capsys.readouterr().err
+
+
+def test_biorth_reads_measure_and_alpha_from_config(tmp_path):
+    import pathlib
+
+    cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / "poisson_log1p.cfg"
+    assert run_cli(["biorth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "biorth-poisson-log1p.json").exists()
+    assert not (tmp_path / "biorth-gaussian-id.json").exists()
+
+
+def _dim2_fixture(tmp_path):
+    basis = AppellBasis(GaussianModel.standard(2), degree=4)
+    fixture = tmp_path / "dim2.fixture"
+    fixture.write_text(format_kernel_seq(q_seq(basis, {0: scalar_tensor(2, 1.0)})))
+    return fixture
+
+
+@pytest.mark.parametrize("command", ["wick", "transport"])
+@pytest.mark.parametrize("problem", ["missing", "dim-mismatch", "malformed"])
+def test_bad_phi_fixture_is_usage_error(tmp_path, capsys, command, problem):
+    if problem == "missing":
+        fixture = tmp_path / "absent.fixture"
+    elif problem == "dim-mismatch":
+        fixture = _dim2_fixture(tmp_path)
+    else:
+        fixture = tmp_path / "bad.fixture"
+        fixture.write_text("kernelseq\ntag Q\ndim one\n")
+    args = [command, "inv"] if command == "wick" else [command, "--measure2", "poisson"]
+    args += ["--N", "4", "--dim", "1", "--phi", str(fixture), "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"bad fixture {fixture}" in err and len(err.splitlines()) == 1
+
+
+def test_bad_psi_and_alpha_fixtures_are_usage_errors(tmp_path, capsys):
+    basis = AppellBasis(GaussianModel.standard(1), degree=4)
+    phi = tmp_path / "phi.fixture"
+    phi.write_text(format_kernel_seq(q_seq(basis, {0: scalar_tensor(1, 2.0)})))
+    psi = _dim2_fixture(tmp_path)
+    alpha = tmp_path / "alpha.fixture"
+    alpha.write_text("vectorjet\ndim 1\ndegree 4\nkernel 1 component 1\n1 nan\n")
+    for args in (
+        ["wick", "mul", "--phi", str(phi), "--psi", str(psi)],
+        ["kernels", "--alpha", str(alpha)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + ["--N", "4", "--dim", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "bad fixture" in capsys.readouterr().err

@@ -330,7 +330,7 @@ property_basis = lru_cache(maxsize=None)(make_basis)
 
 
 class TestTransportProperties:
-    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(
         dim=st.integers(1, 2),
         degree=st.integers(1, 5),
