@@ -28,6 +28,7 @@ from .jets import (
     ScalarJet,
     VectorJet,
     comp_kernels,
+    graded_product,
     identity_vjet,
     jet_compose_scalar,
     jet_exp,
@@ -46,7 +47,6 @@ from .symtensor import (
     partial_pairing,
     power_tensor,
     scalar_tensor,
-    sym_product,
     tensor_norm,
     vector_tensor,
     zero_tensor,
@@ -221,25 +221,24 @@ def appell_constants(basis: AppellBasis) -> list[SymTensor]:
     return list(basis.u_jet.kernels)
 
 
+def _plain_tensors(basis: AppellBasis, z, grades) -> list[SymTensor]:
+    """The given grades of the plain tensors at z, the kernels of
+    exp<z, theta> / l(theta): binomial sums of z-powers against the
+    constants at zero."""
+    powers = [power_tensor(z, k) for k in range(max(grades) + 1)]
+    return graded_product(powers, basis.u_jet.kernels, grades)
+
+
 def appell_eval(basis: AppellBasis, n: int, z) -> SymTensor:
-    """Rank-n tensor of the plain system at z: binomial sum of z-powers
-    against the constants at zero."""
+    """Rank-n tensor of the plain system at z."""
     if n > basis.degree:
         raise ValueError(f"grade {n} exceeds truncation degree {basis.degree}")
-    acc = zero_tensor(basis.dim, n)
-    for k in range(n + 1):
-        acc = acc + sym_product(power_tensor(z, k), basis.u_jet.kernels[n - k]).scale(comb(n, k))
-    return acc
+    return _plain_tensors(basis, z, [n])[0]
 
 
 def gen_appell_all(basis: AppellBasis, z) -> list[SymTensor]:
-    """All generalized tensors at z for n = 0..N, sharing the plain tensors.
-
-    The plain tensors are the kernels of exp<z, theta> / l(theta): the
-    same sums, in the same order, as appell_eval.
-    """
-    powers = tuple(power_tensor(z, k) for k in range(basis.degree + 1))
-    plain = jet_mul(ScalarJet(basis.dim, basis.degree, powers), basis.u_jet).kernels
+    """All generalized tensors at z for n = 0..N, sharing the plain tensors."""
+    plain = _plain_tensors(basis, z, range(basis.degree + 1))
     return [scalar_tensor(basis.dim, 1.0)] + [
         basis.A.compose(n, plain) for n in range(1, basis.degree + 1)
     ]
@@ -255,7 +254,7 @@ def gen_appell_eval(basis: AppellBasis, n: int, z) -> SymTensor:
         raise ValueError(f"grade {n} exceeds truncation degree {basis.degree}")
     if n == 0:
         return scalar_tensor(basis.dim, 1.0)
-    return basis.A.compose(n, [appell_eval(basis, m, z) for m in range(n + 1)])
+    return basis.A.compose(n, _plain_tensors(basis, z, range(n + 1)))
 
 
 def delta_appell_eval(basis: AppellBasis, n: int, w) -> SymTensor:
@@ -293,21 +292,21 @@ def _contract_inputs(ck: CompKernels, kernels) -> list[SymTensor]:
     return out
 
 
-def binomial_contract(kernels, weights: ScalarJet) -> list[SymTensor]:
+def binomial_contract(kernels, weights) -> list[SymTensor]:
     """out_k = sum_{m>=k} C(m, k) times kernel m with weight kernel m-k
-    contracted into its last m-k slots; zero kernels are skipped.
+    contracted into its last m-k slots, over live kernels and weights.
 
     With the weights u_jet it takes plain test kernels to monomial ones,
     with m_jet monomial kernels to plain ones.
     """
-    N = weights.degree
-    live = [m for m in range(N + 1) if is_live(kernels[m])]
+    live = [m for m, t in enumerate(kernels) if is_live(t)]
+    w_live = [is_live(w) for w in weights]
     out = []
-    for k in range(N + 1):
-        acc = zero_tensor(weights.dim, k)
+    for k in range(len(weights)):
+        acc = zero_tensor(weights[0].dim, k)
         for m in live:
-            if m >= k:
-                acc = acc + partial_pairing(kernels[m], weights.kernels[m - k]).scale(comb(m, k))
+            if m >= k and w_live[m - k]:
+                acc = acc + partial_pairing(kernels[m], weights[m - k]).scale(comb(m, k))
         out.append(acc)
     return out
 
@@ -316,14 +315,14 @@ def to_monomial(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
     """Re-express a P-tagged test function in monomial kernels (same function)."""
     _require_tag(f, P_TAG)
     _require_same_basis(basis, f.basis)
-    mono = binomial_contract(_contract_inputs(basis.A, f.kernels), basis.u_jet)
+    mono = binomial_contract(_contract_inputs(basis.A, f.kernels), basis.u_jet.kernels)
     return KernelSeq(MONOMIAL, basis.dim, basis.degree, tuple(mono))
 
 
 def to_appell(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
     """Inverse of to_monomial: expand monomial kernels in the P basis."""
     _require_tag(f, MONOMIAL)
-    gen = _contract_inputs(basis.B, binomial_contract(f.kernels, basis.m_jet))
+    gen = _contract_inputs(basis.B, binomial_contract(f.kernels, basis.m_jet.kernels))
     return KernelSeq(P_TAG, basis.dim, basis.degree, tuple(gen), basis)
 
 
@@ -351,23 +350,20 @@ def g_nabla_apply(basis: AppellBasis, xi, f: KernelSeq) -> KernelSeq:
     """Apply the direction-xi gradient built from the inverse jet.
 
     The operator is the graded sum over n of (1/n!) times the order-n
-    derivative with coefficient tensor <g^(n)(0), xi>; it terminates on
+    derivative with coefficient tensor psi_n = <g^(n)(0), xi>, that is
+    binomial_contract of f against psi with psi_0 = 0; it terminates on
     polynomials.  For the identity alpha it is the directional derivative.
     """
     _require_tag(f, MONOMIAL)
     xi = np.asarray(xi, dtype=float)
-    acc = {n: zero_tensor(f.dim, n) for n in range(f.degree + 1)}
+    psi = [zero_tensor(f.dim, 0)]
     for n in range(1, f.degree + 1):
-        psi = zero_tensor(f.dim, n)
+        acc = zero_tensor(f.dim, n)
         for j in range(1, basis.dim + 1):
             if xi[j - 1]:
-                psi = psi + basis.g_alpha.kernel(n, j).scale(xi[j - 1])
-        if not is_live(psi):
-            continue
-        term = diff_op(psi, f)
-        for m in range(f.degree + 1):
-            acc[m] = acc[m] + term.kernels[m].scale(1.0 / factorial(n))
-    return monomial_seq(f.dim, f.degree, acc)
+                acc = acc + basis.g_alpha.kernel(n, j).scale(xi[j - 1])
+        psi.append(acc)
+    return KernelSeq(MONOMIAL, f.dim, f.degree, tuple(binomial_contract(f.kernels, psi)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ Writers emit entries in sorted order so files are byte-stable.
 
 from __future__ import annotations
 
+from math import isfinite
+
 from .appell import AppellBasis, KernelSeq, MONOMIAL, P_TAG, Q_TAG, monomial_seq, p_seq, q_seq
 from .jets import ScalarJet, VectorJet
 from .measures import MomentFileModel
@@ -54,6 +56,12 @@ def _parse_index(token: str) -> tuple[int, ...]:
     return idx
 
 
+def _parse_int(token: str, what: str, least: int) -> int:
+    if not token.isdecimal() or int(token) < least:
+        raise FixtureFormatError(f"{what} must be an integer of at least {least}, got {token!r}")
+    return int(token)
+
+
 def _format_index(idx: tuple[int, ...]) -> str:
     return "." if not idx else ",".join(str(i) for i in idx)
 
@@ -81,6 +89,10 @@ class _Reader:
         if parts[0] != key or len(parts) != 2:
             raise FixtureFormatError(f"line {lineno}: expected '{key} <value>', got {line!r}")
         return parts[1]
+
+    def expect_shape(self, key: str) -> tuple[int, int]:
+        """The integer `dim` header and the `key` (rank or degree) header after it."""
+        return _parse_int(self.expect_header("dim"), "dim", 1), _parse_int(self.expect_header(key), key, 0)
 
     def expect_literal(self, word: str) -> None:
         lineno, line = self.next()
@@ -112,6 +124,8 @@ class _Reader:
                 coeffs[idx] = float(parts[1])
             except ValueError as e:
                 raise FixtureFormatError(f"line {lineno}: bad value {parts[1]!r}") from e
+            if not isfinite(coeffs[idx]):
+                raise FixtureFormatError(f"line {lineno}: non-finite value {parts[1]!r}")
         return SymTensor(dim, rank, coeffs)
 
 
@@ -128,8 +142,7 @@ def _format_entries(t: SymTensor, out: list[str]) -> None:
 def parse_tensor(text: str) -> SymTensor:
     r = _Reader(text)
     r.expect_literal("symtensor")
-    dim = int(r.expect_header("dim"))
-    rank = int(r.expect_header("rank"))
+    dim, rank = r.expect_shape("rank")
     return r.read_entries(dim, rank)
 
 
@@ -147,14 +160,16 @@ def _read_graded(r: _Reader, dim: int, degree: int, marker: str):
     while r.peek() is not None:
         lineno, line = r.next()
         parts = line.split()
-        if parts[0] != marker:
-            raise FixtureFormatError(f"line {lineno}: expected a '{marker}' section")
-        n = int(parts[1])
+        if parts[0] != marker or len(parts) not in (2, 4) or parts[2:3] not in ([], ["component"]):
+            raise FixtureFormatError(f"line {lineno}: expected a '{marker} <n>' section")
+        n = _parse_int(parts[1], f"line {lineno}: {marker} number", 0)
         if n > degree:
             raise FixtureFormatError(f"line {lineno}: grade {n} beyond degree {degree}")
         comp = None
-        if len(parts) == 4 and parts[2] == "component":
-            comp = int(parts[3])
+        if len(parts) == 4:
+            comp = _parse_int(parts[3], f"line {lineno}: component number", 1)
+            if comp > dim:
+                raise FixtureFormatError(f"line {lineno}: component {comp} beyond dim {dim}")
         kernels[(n, comp)] = r.read_entries(dim, n)
     return kernels
 
@@ -162,8 +177,7 @@ def _read_graded(r: _Reader, dim: int, degree: int, marker: str):
 def parse_scalar_jet(text: str) -> ScalarJet:
     r = _Reader(text)
     r.expect_literal("scalarjet")
-    dim = int(r.expect_header("dim"))
-    degree = int(r.expect_header("degree"))
+    dim, degree = r.expect_shape("degree")
     sections = _read_graded(r, dim, degree, "kernel")
     ks = []
     for n in range(degree + 1):
@@ -183,8 +197,7 @@ def format_scalar_jet(j: ScalarJet) -> str:
 def parse_vector_jet(text: str) -> VectorJet:
     r = _Reader(text)
     r.expect_literal("vectorjet")
-    dim = int(r.expect_header("dim"))
-    degree = int(r.expect_header("degree"))
+    dim, degree = r.expect_shape("degree")
     sections = _read_graded(r, dim, degree, "kernel")
     comps = []
     for j in range(1, dim + 1):
@@ -215,8 +228,7 @@ def parse_kernel_seq(text: str, basis: AppellBasis | None = None) -> KernelSeq:
     tag = r.expect_header("tag")
     if tag not in (MONOMIAL, P_TAG, Q_TAG):
         raise FixtureFormatError(f"unknown tag {tag!r}")
-    dim = int(r.expect_header("dim"))
-    degree = int(r.expect_header("degree"))
+    dim, degree = r.expect_shape("degree")
     sections = _read_graded(r, dim, degree, "grade")
     entries = {n: t for (n, _), t in sections.items()}
     if tag == MONOMIAL:
@@ -244,8 +256,7 @@ def parse_moment_model(text: str) -> MomentFileModel:
     r = _Reader(text)
     r.expect_literal("moments")
     label = r.expect_header("label")
-    dim = int(r.expect_header("dim"))
-    degree = int(r.expect_header("degree"))
+    dim, degree = r.expect_shape("degree")
     sections = _read_graded(r, dim, degree, "kernel")
     ks = []
     for n in range(degree + 1):

@@ -143,33 +143,50 @@ def linear_jet(dim: int, degree: int, vec) -> ScalarJet:
     return ScalarJet(dim, degree, tuple(ks[: degree + 1]))
 
 
-def jet_mul(f: ScalarJet, g: ScalarJet) -> ScalarJet:
-    """Product of jets: h_n = sum_k C(n,k) f_k sym g_{n-k}, over live kernels."""
-    _check_compatible(f, g)
-    f_live = [is_live(k) for k in f.kernels]
-    g_live = [is_live(k) for k in g.kernels]
-    ks = []
-    for n in range(f.degree + 1):
-        acc = zero_tensor(f.dim, n)
+def graded_product(f, g, grades, weight=comb) -> list[SymTensor]:
+    """The given grades of the product h_n = sum_k weight(n, k) f_k sym g_{n-k}.
+
+    f and g are graded kernel sequences (kernel k of rank k).  Only products
+    of two live kernels are formed, and a weight of 1 is not applied.
+    """
+    f_live = [is_live(k) for k in f]
+    g_live = [is_live(k) for k in g]
+    out = []
+    for n in grades:
+        acc = zero_tensor(f[0].dim, n)
         for k in range(n + 1):
             if f_live[k] and g_live[n - k]:
-                acc = acc + sym_product(f.kernels[k], g.kernels[n - k]).scale(comb(n, k))
-        ks.append(acc)
+                t, w = sym_product(f[k], g[n - k]), weight(n, k)
+                acc = acc + (t if w == 1 else t.scale(w))
+        out.append(acc)
+    return out
+
+
+def graded_solve(f, h0: SymTensor, post, weight=comb) -> list[SymTensor]:
+    """Kernels h_0 = h0 and h_n = post * sum_{k=1..n} weight(n, k) f_k sym h_{n-k}.
+
+    Grade n is the graded_product of f without its constant and h_0..h_{n-1};
+    with kernel 0 of the first factor dead, the product never reads h_n.
+    """
+    tail = [zero_tensor(h0.dim, 0), *f[1:]]
+    h = [h0]
+    for n in range(1, len(f)):
+        acc = graded_product(tail, h, [n], weight)[0]
+        h.append(acc if post == 1 else acc.scale(post))
+    return h
+
+
+def jet_mul(f: ScalarJet, g: ScalarJet) -> ScalarJet:
+    """Product of jets: h_n = sum_k C(n,k) f_k sym g_{n-k}."""
+    _check_compatible(f, g)
+    ks = graded_product(f.kernels, g.kernels, range(f.degree + 1))
     return ScalarJet(f.dim, f.degree, tuple(ks))
 
 
 def jet_exp(f: ScalarJet) -> ScalarJet:
     """exp of a jet via h_n = sum_{j>=1} C(n-1, j-1) f_j sym h_{n-j}."""
-    f_live = [is_live(k) for k in f.kernels]
-    h = [scalar_tensor(f.dim, exp(f.constant()))]
-    h_live = [is_live(h[0])]
-    for n in range(1, f.degree + 1):
-        acc = zero_tensor(f.dim, n)
-        for j in range(1, n + 1):
-            if f_live[j] and h_live[n - j]:
-                acc = acc + sym_product(f.kernels[j], h[n - j]).scale(comb(n - 1, j - 1))
-        h.append(acc)
-        h_live.append(is_live(acc))
+    h0 = scalar_tensor(f.dim, exp(f.constant()))
+    h = graded_solve(f.kernels, h0, 1, lambda n, j: comb(n - 1, j - 1))
     return ScalarJet(f.dim, f.degree, tuple(h))
 
 
@@ -197,16 +214,7 @@ def jet_recip(f: ScalarJet) -> ScalarJet:
     c0 = f.constant()
     if c0 == 0:
         raise SingularJetError("reciprocal requires a nonzero constant term")
-    f_live = [is_live(k) for k in f.kernels]
-    h = [scalar_tensor(f.dim, 1.0 / c0)]
-    h_live = [is_live(h[0])]
-    for n in range(1, f.degree + 1):
-        acc = zero_tensor(f.dim, n)
-        for k in range(1, n + 1):
-            if f_live[k] and h_live[n - k]:
-                acc = acc + sym_product(f.kernels[k], h[n - k]).scale(comb(n, k))
-        h.append(acc.scale(-1.0 / c0))
-        h_live.append(is_live(h[n]))
+    h = graded_solve(f.kernels, scalar_tensor(f.dim, 1.0 / c0), -1.0 / c0)
     return ScalarJet(f.dim, f.degree, tuple(h))
 
 

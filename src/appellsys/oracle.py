@@ -32,7 +32,6 @@ from .measures import (
     sample_batch,
 )
 from .symtensor import (
-    SymTensor,
     eval_power_batch,
     pairing,
     partial_pairing,

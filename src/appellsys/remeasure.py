@@ -27,8 +27,7 @@ from .appell import (
     s_inverse,
     s_transform,
 )
-from .jets import ScalarJet, jet_mul
-from .symtensor import is_live, sym_product, zero_tensor
+from .jets import ScalarJet, graded_product, jet_mul
 
 __all__ = [
     "p_relation",
@@ -66,8 +65,7 @@ def p_relation(basis_mu: AppellBasis, basis_mut: AppellBasis, n: int, points) ->
     worst = 0.0
     for x in points:
         lhs = gen_appell_eval(basis_mu, n, x)
-        gen = ScalarJet(basis_mut.dim, basis_mut.degree, tuple(gen_appell_all(basis_mut, x)))
-        rhs = jet_mul(gen, ratio).kernels[n]
+        rhs = graded_product(gen_appell_all(basis_mut, x), ratio.kernels, [n])[0]
         worst = max(worst, (lhs - rhs).max_abs())
     return {"n": n, "max_discrepancy": worst, "points": len(points)}
 
@@ -83,7 +81,7 @@ def reorder_test(basis_mu: AppellBasis, basis_mut: AppellBasis, phi: KernelSeq) 
     if not basis_mu.same_basis(phi.basis):
         raise BasisMismatchError("phi does not live in the source basis")
     _require_shared_alpha(basis_mu, basis_mut)
-    out = binomial_contract(phi.kernels, _ratio_jet(basis_mu, basis_mut))
+    out = binomial_contract(phi.kernels, _ratio_jet(basis_mu, basis_mut).kernels)
     return p_seq(basis_mut, dict(enumerate(out)))
 
 
@@ -103,16 +101,8 @@ def transport_dist(
     _require_shared_alpha(basis_mu, basis_mut)
     ratio = _ratio_jet(basis_mu, basis_mut)
     weights = [r.scale(1.0 / factorial(j)) for j, r in enumerate(ratio.kernels)]
-    live = [k for k, t in enumerate(Phi_t.kernels) if is_live(t)]
-    w_live = [is_live(w) for w in weights]
-    out = {}
-    for n in range(basis_mu.degree + 1):
-        acc = zero_tensor(basis_mu.dim, n)
-        for k in live:
-            if k <= n and w_live[n - k]:
-                acc = acc + sym_product(Phi_t.kernels[k], weights[n - k])
-        out[n] = acc
-    return q_seq(basis_mu, out)
+    out = graded_product(Phi_t.kernels, weights, range(basis_mu.degree + 1), lambda n, k: 1)
+    return q_seq(basis_mu, dict(enumerate(out)))
 
 
 def change_alpha_dist(

@@ -18,7 +18,8 @@ from .appell import (
     dist_norm,
     q_seq,
 )
-from .symtensor import random_tensor, scalar_tensor, sym_product, zero_tensor
+from .jets import graded_product, graded_solve
+from .symtensor import random_tensor, scalar_tensor
 
 __all__ = [
     "wick_mul",
@@ -51,13 +52,8 @@ def wick_unit(basis: AppellBasis) -> KernelSeq:
 def wick_mul(Phi: KernelSeq, Psi: KernelSeq) -> KernelSeq:
     """Graded convolution: grade n collects Phi^(k) sym Psi^(n-k)."""
     basis = _same_basis(Phi, Psi)
-    out = {}
-    for n in range(basis.degree + 1):
-        acc = zero_tensor(basis.dim, n)
-        for k in range(n + 1):
-            acc = acc + sym_product(Phi.kernels[k], Psi.kernels[n - k])
-        out[n] = acc
-    return q_seq(basis, out)
+    out = graded_product(Phi.kernels, Psi.kernels, range(basis.degree + 1), lambda n, k: 1)
+    return q_seq(basis, dict(enumerate(out)))
 
 
 def wick_pow(Phi: KernelSeq, n: int) -> KernelSeq:
@@ -103,13 +99,8 @@ def wick_inv(Phi: KernelSeq) -> KernelSeq:
     c0 = Phi.kernels[0].item()
     if c0 == 0.0:
         raise ValueError("Wick inverse needs a nonzero grade-0 kernel (expectation)")
-    inv = {0: scalar_tensor(basis.dim, 1.0 / c0)}
-    for n in range(1, basis.degree + 1):
-        acc = zero_tensor(basis.dim, n)
-        for k in range(1, n + 1):
-            acc = acc + sym_product(Phi.kernels[k], inv[n - k])
-        inv[n] = acc.scale(-1.0 / c0)
-    return q_seq(basis, inv)
+    inv = graded_solve(Phi.kernels, scalar_tensor(basis.dim, 1.0 / c0), -1.0 / c0, lambda n, k: 1)
+    return q_seq(basis, dict(enumerate(inv)))
 
 
 def wick_solve(Phi: KernelSeq, Psi: KernelSeq) -> KernelSeq:

@@ -125,3 +125,31 @@ class TestMomentFormat:
     def test_requires_unit_mass(self):
         with pytest.raises(FixtureFormatError):
             parse_moment_model("moments\nlabel x\ndim 1\ndegree 1\nkernel 0\n. 0.5\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_tensor, "symtensor\ndim one\nrank 1\n"),
+        (parse_tensor, "symtensor\ndim 0\nrank 1\n"),
+        (parse_tensor, "symtensor\ndim 1\nrank 1.5\n"),
+        (parse_scalar_jet, "scalarjet\ndim 1\ndegree x\n"),
+        (parse_scalar_jet, "scalarjet\ndim 1\ndegree 2\nkernel x\n"),
+        (parse_scalar_jet, "scalarjet\ndim 1\ndegree 2\nkernel -1\n"),
+        (parse_scalar_jet, "scalarjet\ndim 1\ndegree 2\nkernel\n"),
+        (parse_vector_jet, "vectorjet\ndim 1\ndegree 2\nkernel 1 component y\n1 1.0\n"),
+        (parse_vector_jet, "vectorjet\ndim 1\ndegree 2\nkernel 1 component 2\n1 1.0\n"),
+        (parse_kernel_seq, "kernelseq\ntag monomial\ndim 1\ndegree 2\ngrade two\n"),
+        (parse_moment_model, "moments\nlabel m\ndim 1\ndegree 2\nkernel 0\n. 1.0\nkernel 2\n1,1 nan\n"),
+        (parse_tensor, "symtensor\ndim 1\nrank 1\n1 inf\n"),
+        (parse_scalar_jet, "scalarjet\ndim 1\ndegree 1\nkernel 1\n1 -inf\n"),
+    ],
+    ids=[
+        "dim-word", "dim-zero", "rank-float", "degree-word", "kernel-word", "kernel-negative",
+        "kernel-bare", "component-word", "component-beyond-dim", "grade-word", "entry-nan",
+        "entry-inf", "entry-minus-inf",
+    ],
+)
+def test_bad_numbers_raise_format_error(parse, text):
+    with pytest.raises(FixtureFormatError):
+        parse(text)

@@ -1,5 +1,7 @@
 """Jet arithmetic against sympy series and composition-sum oracles."""
 
+import sys
+from functools import lru_cache
 from math import comb, exp, factorial, log
 
 import numpy as np
@@ -8,6 +10,15 @@ import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 import appellsys.jets
+from appellsys.appell import (
+    AppellBasis,
+    appell_eval,
+    gen_appell_all,
+    gen_appell_eval,
+    p_seq,
+    q_seq,
+    to_monomial,
+)
 from appellsys.jets import (
     CompKernels,
     ScalarJet,
@@ -30,9 +41,12 @@ from appellsys.jets import (
     random_vjet,
     unit_jet,
 )
+from appellsys.measures import GaussianModel, PoissonModel
+from appellsys.remeasure import transport_dist
 from appellsys.symtensor import (
     multi_indices,
     pairing,
+    partial_pairing,
     power_tensor,
     random_tensor,
     scalar_tensor,
@@ -40,6 +54,7 @@ from appellsys.symtensor import (
     sym_product,
     zero_tensor,
 )
+from appellsys.wick import wick_inv, wick_mul
 
 N = 6
 
@@ -201,9 +216,67 @@ def dense_recip(f):
     return ScalarJet(f.dim, f.degree, tuple(h))
 
 
+def dense_wick_mul(Phi, Psi):
+    out = {}
+    for n in range(Phi.degree + 1):
+        acc = zero_tensor(Phi.dim, n)
+        for k in range(n + 1):
+            acc = acc + sym_product(Phi.kernels[k], Psi.kernels[n - k])
+        out[n] = acc
+    return q_seq(Phi.basis, out)
+
+
+def dense_wick_inv(Phi):
+    c0 = Phi.kernels[0].item()
+    inv = {0: scalar_tensor(Phi.dim, 1.0 / c0)}
+    for n in range(1, Phi.degree + 1):
+        acc = zero_tensor(Phi.dim, n)
+        for k in range(1, n + 1):
+            acc = acc + sym_product(Phi.kernels[k], inv[n - k])
+        inv[n] = acc.scale(-1.0 / c0)
+    return q_seq(Phi.basis, inv)
+
+
+def dense_transport(basis_mut, basis_mu, Phi_t):
+    ratio = jet_mul(basis_mu.ualpha_jet, basis_mut.malpha_jet)
+    weights = [r.scale(1.0 / factorial(j)) for j, r in enumerate(ratio.kernels)]
+    out = {}
+    for n in range(basis_mu.degree + 1):
+        acc = zero_tensor(basis_mu.dim, n)
+        for k in range(n + 1):
+            acc = acc + sym_product(Phi_t.kernels[k], weights[n - k])
+        out[n] = acc
+    return q_seq(basis_mu, out)
+
+
+@lru_cache(maxsize=None)
+def shared_alpha_bases(d, deg):
+    """Standard Gaussian, a wider Gaussian (its ratio jet to the standard one
+    has dead odd kernels) and Poisson, all with the identity alpha."""
+    return (
+        AppellBasis(GaussianModel.standard(d), degree=deg),
+        AppellBasis(GaussianModel.standard(d, 2.0), degree=deg),
+        AppellBasis(PoissonModel(tuple(1.0 for _ in range(d))), degree=deg),
+    )
+
+
 def bits(jet):
     """Every coefficient as its exact hex form, so -0.0 and +0.0 differ."""
     return [[v.hex() for v in k.coeffs.values()] for k in jet.kernels]
+
+
+def count_calls(monkeypatch, fn):
+    """Record every call of fn made through an appellsys module that binds it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("appellsys.") and vars(mod).get(fn.__name__) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
 
 
 @st.composite
@@ -233,6 +306,15 @@ class TestLiveGrades:
         assert bits(jet_exp(f)) == bits(dense_exp(f))
         assert bits(jet_recip(g)) == bits(dense_recip(g))
         assert bits(jet_log(g)) == bits(dense_log(g))
+        if f.degree == 0:
+            return  # an AppellBasis needs degree >= 1
+        gauss, wide, poisson = shared_alpha_bases(f.dim, f.degree)
+        Phi, Psi = (q_seq(gauss, dict(enumerate(j.kernels))) for j in (f, g))
+        assert bits(wick_mul(Phi, Psi)) == bits(dense_wick_mul(Phi, Psi))
+        assert bits(wick_inv(Psi)) == bits(dense_wick_inv(Psi))
+        for src in (wide, poisson):
+            Phi_t = q_seq(src, dict(enumerate(f.kernels)))
+            assert bits(transport_dist(src, gauss, Phi_t)) == bits(dense_transport(src, gauss, Phi_t))
 
     def test_identity_power_kernels_cost_one_product_each(self, monkeypatch):
         calls = []
@@ -246,6 +328,27 @@ class TestLiveGrades:
         ck = comp_kernels(identity_vjet(d, deg))
         assert len(calls) == sum(comb(d + m - 1, m) for m in range(2, deg + 1)) == 80
         assert sorted(ck.tables) == [(n, n) for n in range(1, deg + 1)]
+
+    def test_plain_tensors_cost_one_product_per_live_kernel(self, monkeypatch):
+        # the constants u_jet of a centred Gaussian are live at even grades only
+        d, deg, z = 2, 6, [0.3, -0.7]
+        basis = AppellBasis(GaussianModel.standard(d), degree=deg)
+        products = count_calls(monkeypatch, sym_product)
+        appell_eval(basis, deg, z)
+        assert len(products) == 4
+        products.clear()
+        gen_appell_all(basis, z)
+        assert len(products) == 16
+        per_grade = []
+        for n in range(deg + 1):
+            products.clear()
+            gen_appell_eval(basis, n, z)
+            per_grade.append(len(products))
+        assert max(per_grade) <= 16 and sum(per_grade) == 49
+        contractions = count_calls(monkeypatch, partial_pairing)
+        rng = np.random.default_rng(0)
+        to_monomial(basis, p_seq(basis, {n: random_tensor(rng, d, n) for n in range(deg + 1)}))
+        assert len(contractions) == 16
 
 
 class TestCompose:
