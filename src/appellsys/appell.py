@@ -117,6 +117,8 @@ class AppellBasis:
         degree: int = 4,
         scale: HilbertScale | None = None,
     ) -> None:
+        if degree < 1:
+            raise ValueError("degree must be at least 1")
         if alpha is None:
             alpha = identity_vjet(model.dim, degree)
         if alpha.dim != model.dim or alpha.degree != degree:
@@ -499,14 +501,13 @@ def _sphere_samples(rng: np.random.Generator, basis: AppellBasis, p: float, radi
     return radius * raw / norms[:, None]
 
 
-def estimate_sigma_eps(
-    basis: AppellBasis,
-    p: float,
-    epsilon: float,
-    seed: int = 0,
-    samples: int = 512,
-    rounds: int = 3,
-) -> float:
+# estimate_sigma_eps tests SIGMA_SAMPLES sphere points per radius and
+# refines the admissible radius SIGMA_ROUNDS times
+SIGMA_SAMPLES = 512
+SIGMA_ROUNDS = 3
+
+
+def estimate_sigma_eps(basis: AppellBasis, p: float, epsilon: float, seed: int = 0) -> float:
     """Largest sphere radius keeping |alpha(theta)|_p <= eps and the
     reparametrized transform >= 1/2, by random search with refinement.
 
@@ -518,7 +519,7 @@ def estimate_sigma_eps(
     w = np.array(basis.scale.weights)
 
     def admissible(sigma: float) -> bool:
-        pts = _sphere_samples(rng, basis, p, sigma, samples)
+        pts = _sphere_samples(rng, basis, p, sigma, SIGMA_SAMPLES)
         avals = np.stack(
             [c.eval_batch(pts) for c in basis.alpha.components], axis=1
         )
@@ -528,7 +529,7 @@ def estimate_sigma_eps(
         return bool(np.abs(basis.malpha_jet.eval_batch(pts)).min() >= 0.5)
 
     lo, hi = 0.0, epsilon
-    for _ in range(rounds):
+    for _ in range(SIGMA_ROUNDS):
         step = (hi - lo) / 8.0
         if step <= 1e-9 * epsilon:
             break

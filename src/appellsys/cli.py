@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -47,92 +48,91 @@ def _dump_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _dump_csv(path: Path, rows, fieldnames=None) -> None:
+_CSV_FIELDS = ["n", "m", "value", "expected", "abs_error"]
+
+
+def _dump_csv(path: Path, rows) -> None:
     if not rows:
         path.write_text("")
         return
-    if fieldnames is None:
-        fieldnames = list(rows[0].keys())
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, extrasaction="ignore", lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, extrasaction="ignore", lineterminator="\n")
     writer.writeheader()
     for r in rows:
         writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in r.items()})
     path.write_text(buf.getvalue())
 
 
+def _usage_error(message: str) -> int:
+    """Print message to stderr and return the exit code of a usage error."""
+    print(message, file=sys.stderr)
+    return 2
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    values = tuple(float(x) for x in text.replace(",", " ").split())
+    if not values:
+        raise ValueError("expected at least one number")
+    return values
+
+
+# (section, key) -> (setting, parser, default); any other section or key is an error
+_CONFIG = {
+    ("run", "seed"): ("seed", int, 12345),
+    ("run", "out"): ("out", str, None),
+    ("model", "measure"): ("measure", str, "gaussian"),
+    ("model", "dim"): ("dim", int, 1),
+    ("model", "sigma2"): ("sigma2", float, 1.0),
+    ("model", "nu"): ("nu", _floats, (1.0,)),
+    ("model2", "measure"): ("measure2", str, None),
+    ("model2", "nu"): ("nu2", _floats, (1.0,)),
+    ("model2", "sigma2"): ("sigma2_2", float, 1.0),
+    ("basis", "alpha"): ("alpha", str, "id"),
+    ("basis", "degree"): ("degree", int, 6),
+    ("check", "epsilon"): ("epsilon", float, 0.5),
+    ("check", "trials"): ("trials", int, 1000),
+    ("check", "tolerance"): ("tolerance", float, 1e-10),
+    ("check", "p"): ("p", float, 2.0),
+    ("check", "q"): ("q", float, 6.0),
+}
+
+
 def _load_config(path: str | None) -> dict:
-    cfg = {
-        "seed": 12345,
-        "out": None,
-        "measure": "gaussian",
-        "dim": 1,
-        "sigma2": 1.0,
-        "nu": (1.0,),
-        "measure2": None,
-        "nu2": (1.0,),
-        "sigma2_2": 1.0,
-        "alpha": "id",
-        "degree": 6,
-        "epsilon": 0.5,
-        "trials": 1000,
-        "tolerance": 1e-10,
-        "p": 2.0,
-        "q": 6.0,
-        "beta": 1.0,
-    }
+    cfg = {setting: default for setting, _, default in _CONFIG.values()}
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        print(f"config file not found: {path}", file=sys.stderr)
-        raise SystemExit(2)
-
-    def grab(section, key, cast, target=None):
-        if parser.has_option(section, key):
+    if not parser.read(path):
+        raise SystemExit(_usage_error(f"config file not found: {path}"))
+    for section in parser.sections():
+        if section not in {s for s, _ in _CONFIG}:
+            raise SystemExit(_usage_error(f"unknown config section [{section}] in {path}"))
+        for key, text in parser.items(section):
+            if (section, key) not in _CONFIG:
+                raise SystemExit(_usage_error(f"unknown config key [{section}] {key} in {path}"))
+            setting, cast, _ = _CONFIG[section, key]
             try:
-                cfg[target or key] = cast(parser.get(section, key))
+                cfg[setting] = cast(text)
             except ValueError as e:
-                print(f"bad config value for [{section}] {key}: {e}", file=sys.stderr)
-                raise SystemExit(2)
-
-    def floats(text):
-        return tuple(float(x) for x in text.replace(",", " ").split())
-
-    grab("run", "seed", int)
-    grab("run", "out", str)
-    grab("model", "measure", str)
-    grab("model", "dim", int)
-    grab("model", "sigma2", float)
-    grab("model", "nu", floats)
-    grab("model2", "measure", str, target="measure2")
-    grab("model2", "nu", floats, target="nu2")
-    grab("model2", "sigma2", float, target="sigma2_2")
-    grab("basis", "alpha", str)
-    grab("basis", "degree", int)
-    grab("check", "epsilon", float)
-    grab("check", "trials", int)
-    grab("check", "tolerance", float)
-    grab("check", "p", float)
-    grab("check", "q", float)
-    grab("check", "beta", float)
+                raise SystemExit(_usage_error(f"bad config value for [{section}] {key}: {e}"))
     return cfg
 
 
 def _make_model(kind: str, dim: int, sigma2: float, nu):
+    if not all(0 < x < inf for x in nu):
+        raise SystemExit(_usage_error(f"nu must be positive and finite, got {', '.join(map(repr, nu))}"))
+    if not 0 < sigma2 < inf:
+        raise SystemExit(_usage_error(f"sigma2 must be positive and finite, got {sigma2!r}"))
     kind = kind.lower()
     if kind == "gaussian":
         return GaussianModel.standard(dim, sigma2)
     if kind == "poisson":
         if len(nu) not in (1, dim):
-            print(f"poisson nu needs 1 or {dim} values, got {len(nu)}", file=sys.stderr)
-            raise SystemExit(2)
+            raise SystemExit(_usage_error(f"poisson nu needs 1 or {dim} values, got {len(nu)}"))
         return PoissonModel(tuple(nu) if len(nu) == dim else tuple(nu) * dim)
     if kind == "delta":
         return DeltaModel(dim)
-    print(f"unknown measure {kind!r} (expected gaussian|poisson|delta)", file=sys.stderr)
-    raise SystemExit(2)
+    raise SystemExit(_usage_error(f"unknown measure {kind!r} (expected gaussian|poisson|delta)"))
 
 
 def _make_alpha(spec: str, dim: int, degree: int):
@@ -146,11 +146,9 @@ def _make_alpha(spec: str, dim: int, degree: int):
     if Path(spec).exists():
         jet = _read_fixture(spec, parse_vector_jet)
         if jet.dim != dim or jet.degree != degree:
-            print(f"alpha fixture shape mismatch: {spec}", file=sys.stderr)
-            raise SystemExit(2)
+            raise SystemExit(_usage_error(f"alpha fixture shape mismatch: {spec}"))
         return jet
-    print(f"unknown alpha spec {spec!r} (id|log1p|expm1|<fixture path>)", file=sys.stderr)
-    raise SystemExit(2)
+    raise SystemExit(_usage_error(f"unknown alpha spec {spec!r} (id|log1p|expm1|<fixture path>)"))
 
 
 def _read_fixture(path: str, parse, *args):
@@ -158,57 +156,67 @@ def _read_fixture(path: str, parse, *args):
     try:
         return parse(Path(path).read_text(), *args)
     except (OSError, ValueError) as e:  # FixtureFormatError is a ValueError
-        print(f"bad fixture {path}: {e}", file=sys.stderr)
-        raise SystemExit(2)
+        raise SystemExit(_usage_error(f"bad fixture {path}: {e}"))
 
 
-def _out_dir(cfg, args) -> Path:
-    out = getattr(args, "out", None) or cfg.get("out") or os.environ.get(_RESULTS_ENV, "results")
-    path = Path(out)
+# flag -> (the setting it overrides, argparse keywords); --config and --out
+# are on every command, the rest only where the command reads them
+_FLAGS = {
+    "seed": ("seed", {"type": int, "help": "seed override"}),
+    "N": ("degree", {"type": int, "help": "truncation degree override"}),
+    "dim": ("dim", {"type": int, "help": "dimension override"}),
+    "measure": ("measure", {"help": "gaussian | poisson | delta"}),
+    "alpha": ("alpha", {"help": "id | log1p | expm1 | fixture path"}),
+    "nu": ("nu", {"type": float, "help": "Poisson intensity (scalar, repeated per axis)"}),
+    "tol": ("tolerance", {"type": float, "help": "tolerance override"}),
+    "measure2": ("measure2", {"help": "destination measure"}),
+    "out": ("out", {"help": f"results directory (default: results or ${_RESULTS_ENV})"}),
+}
+_BASIS_FLAGS = ("N", "dim", "measure", "alpha", "nu")
+
+
+def _add_flags(sub, flags) -> None:
+    sub.add_argument("--config", help="INI configuration file")
+    for flag in ("out",) + flags:
+        sub.add_argument("--" + flag, **_FLAGS[flag][1])
+
+
+def _settings(args) -> dict:
+    """The config file's settings with every flag given on top."""
+    cfg = _load_config(args.config)
+    for flag, (setting, _) in _FLAGS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            cfg[setting] = (value,) if flag == "nu" else value
+    return cfg
+
+
+def _out_dir(cfg) -> Path:
+    path = Path(cfg["out"] or os.environ.get(_RESULTS_ENV, "results"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _basis_from(cfg, args) -> AppellBasis:
-    dim = args.dim if args.dim is not None else cfg["dim"]
-    degree = args.N if args.N is not None else cfg["degree"]
-    measure = args.measure or cfg["measure"]
-    nu = (args.nu,) if args.nu is not None else cfg["nu"]
-    model = _make_model(measure, dim, cfg["sigma2"], nu)
-    alpha = _make_alpha(args.alpha or cfg["alpha"], dim, degree)
-    return AppellBasis(model, alpha, degree=degree)
-
-
-def _add_common(sub):
-    sub.add_argument("--config", help="INI configuration file")
-    sub.add_argument("--out", help="results directory (default: results or $%s)" % _RESULTS_ENV)
-    sub.add_argument("--seed", type=int, help="seed override")
-    sub.add_argument("--N", type=int, help="truncation degree override")
-    sub.add_argument("--dim", type=int, help="dimension override")
-    sub.add_argument("--measure", help="gaussian | poisson | delta")
-    sub.add_argument("--alpha", help="id | log1p | expm1 | fixture path")
-    sub.add_argument("--nu", type=float, help="Poisson intensity (scalar, repeated per axis)")
-    sub.add_argument("--tol", type=float, help="tolerance override")
+def _basis_from(cfg) -> AppellBasis:
+    dim, degree = cfg["dim"], cfg["degree"]
+    for name, value in (("degree N", degree), ("dim", dim)):
+        if value < 1:
+            raise SystemExit(_usage_error(f"{name} must be at least 1, got {value}"))
+    model = _make_model(cfg["measure"], dim, cfg["sigma2"], cfg["nu"])
+    return AppellBasis(model, _make_alpha(cfg["alpha"], dim, degree), degree=degree)
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    out = _out_dir(cfg, args)
-    names = args.suite or None
+    cfg = _settings(args)
+    out = _out_dir(cfg)
     try:
-        results = run_suite(names, seed=seed)
+        results = run_suite(args.suite or None, seed=cfg["seed"])
     except UnknownSuiteError as e:
-        print(str(e), file=sys.stderr)
-        return 2
+        return _usage_error(str(e))
     for res in results:
-        _dump_csv(
-            out / f"{res.name}.csv",
-            res.rows,
-            fieldnames=["n", "m", "value", "expected", "abs_error"],
-        )
+        _dump_csv(out / f"{res.name}.csv", res.rows)
     report = {
-        "seed": seed,
+        "seed": cfg["seed"],
         "suites": [r.summary() for r in results],
         "all_passed": all(r.passed for r in results),
     }
@@ -227,9 +235,9 @@ def cmd_list_suites(args) -> int:
 
 
 def cmd_kernels(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(cfg, args)
-    basis = _basis_from(cfg, args)
+    cfg = _settings(args)
+    out = _out_dir(cfg)
+    basis = _basis_from(cfg)
     rows = []
     if basis.dim == 1:
         # monomial coefficient table of each system polynomial
@@ -251,16 +259,15 @@ def cmd_kernels(args) -> int:
                         "abs_error": "",
                     }
                 )
-    _dump_csv(out / "kernels.csv", rows, fieldnames=["n", "m", "value", "expected", "abs_error"])
+    _dump_csv(out / "kernels.csv", rows)
     print(f"kernel table written to {out/'kernels.csv'}")
     return 0
 
 
-def _run_single_suite(cfg, args, name: str) -> int:
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    out = _out_dir(cfg, args)
-    (res,) = run_suite([name], seed=seed)
-    _dump_csv(out / f"{res.name}.csv", res.rows, fieldnames=["n", "m", "value", "expected", "abs_error"])
+def _run_single_suite(cfg, name: str) -> int:
+    out = _out_dir(cfg)
+    (res,) = run_suite([name], seed=cfg["seed"])
+    _dump_csv(out / f"{res.name}.csv", res.rows)
     _dump_json(out / f"{res.name}.json", res.summary())
     status = "PASS" if res.passed else "FAIL"
     print(f"{status} {res.name} (max error {res.max_error:.3e})")
@@ -268,30 +275,27 @@ def _run_single_suite(cfg, args, name: str) -> int:
 
 
 def cmd_biorth(args) -> int:
-    cfg = _load_config(args.config)
-    measure = (args.measure or cfg["measure"]).lower()
-    alpha = (args.alpha or cfg["alpha"]).lower()
+    cfg = _settings(args)
+    measure, alpha = cfg["measure"].lower(), cfg["alpha"].lower()
     name = f"biorth-{measure}-{alpha}"
     if name not in list_suites():
-        print(f"no biorthogonality suite for {measure}/{alpha}", file=sys.stderr)
-        return 2
-    return _run_single_suite(cfg, args, name)
+        return _usage_error(f"no biorthogonality suite for {measure}/{alpha}")
+    return _run_single_suite(cfg, name)
 
 
 def cmd_charlier(args) -> int:
-    return _run_single_suite(_load_config(args.config), args, "charlier-poisson")
+    return _run_single_suite(_settings(args), "charlier-poisson")
 
 
 def cmd_hermite(args) -> int:
-    return _run_single_suite(_load_config(args.config), args, "hermite-gaussian")
+    return _run_single_suite(_settings(args), "hermite-gaussian")
 
 
 def cmd_growth(args) -> int:
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    out = _out_dir(cfg, args)
-    basis = _basis_from(cfg, args)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    cfg = _settings(args)
+    out = _out_dir(cfg)
+    basis = _basis_from(cfg)
+    rng = np.random.Generator(np.random.Philox(key=cfg["seed"]))
     phi = p_seq(
         basis,
         {n: random_tensor(rng, basis.dim, n) for n in range(basis.degree + 1)},
@@ -303,7 +307,7 @@ def cmd_growth(args) -> int:
         cfg["q"],
         cfg["epsilon"],
         trials=cfg["trials"],
-        seed=seed,
+        seed=cfg["seed"],
     )
     _dump_json(out / "growth.json", report)
     status = "PASS" if report["passed"] else "FAIL"
@@ -315,16 +319,14 @@ def cmd_growth(args) -> int:
 
 
 def cmd_wick(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(cfg, args)
-    basis = _basis_from(cfg, args)
+    cfg = _settings(args)
+    out = _out_dir(cfg)
+    basis = _basis_from(cfg)
     Phi = _read_fixture(args.phi, parse_kernel_seq, basis)
     if args.operation in ("mul", "solve") and not args.psi:
-        print(f"operation {args.operation} needs --psi", file=sys.stderr)
-        return 2
+        return _usage_error(f"operation {args.operation} needs --psi")
     if args.operation == "fn" and not args.coeffs:
-        print("operation fn needs --coeffs (Taylor coefficients at the mean)", file=sys.stderr)
-        return 2
+        return _usage_error("operation fn needs --coeffs (Taylor coefficients at the mean)")
     Psi = _read_fixture(args.psi, parse_kernel_seq, basis) if args.psi else None
     if args.operation == "mul":
         result = wick.wick_mul(Phi, Psi)
@@ -378,29 +380,25 @@ def cmd_wick(args) -> int:
         )
     payload = {"operation": args.operation, "checks": checks}
     _dump_json(out / "wick_report.json", payload)
-    tol = args.tol if args.tol is not None else cfg["tolerance"]
-    ok = all(v <= tol for v in checks.values())
+    ok = all(v <= cfg["tolerance"] for v in checks.values())
     print(f"wick {args.operation}: checks {checks or '(none)'}")
     return 0 if ok else 1
 
 
 def cmd_transport(args) -> int:
-    cfg = _load_config(args.config)
-    out = _out_dir(cfg, args)
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    kind2 = args.measure2 or cfg["measure2"]
-    if kind2 is None:
-        print("transport needs --measure2 or a [model2] config section", file=sys.stderr)
-        return 2
-    basis_src = _basis_from(cfg, args)
+    cfg = _settings(args)
+    out = _out_dir(cfg)
+    if cfg["measure2"] is None:
+        return _usage_error("transport needs --measure2 or a [model2] config section")
+    basis_src = _basis_from(cfg)
     dim, degree = basis_src.dim, basis_src.degree
-    model_dst = _make_model(kind2, dim, cfg["sigma2_2"], cfg["nu2"])
+    model_dst = _make_model(cfg["measure2"], dim, cfg["sigma2_2"], cfg["nu2"])
     basis_dst = AppellBasis(model_dst, basis_src.alpha, degree=degree)
     Phi = _read_fixture(args.phi, parse_kernel_seq, basis_src)
     moved = remeasure.transport_dist(basis_src, basis_dst, Phi)
     (out / "transport_result.fixture").write_text(format_kernel_seq(moved))
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=cfg["seed"]))
     worst = 0.0
     for _ in range(8):
         phi = p_seq(basis_dst, {n: random_tensor(rng, dim, n) for n in range(degree + 1)})
@@ -413,8 +411,7 @@ def cmd_transport(args) -> int:
     )
     payload = {"pairing_invariance_error": worst, "double_transport_error": round_err}
     _dump_json(out / "transport_report.json", payload)
-    tol = args.tol if args.tol is not None else cfg["tolerance"]
-    ok = worst <= tol and round_err <= tol
+    ok = max(worst, round_err) <= cfg["tolerance"]
     print(
         f"transport {basis_src.model.name} -> {model_dst.name}: pairing error {worst:.3e}, "
         f"round trip {round_err:.3e}"
@@ -431,39 +428,32 @@ def main(argv=None) -> int:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("verify", help="run verification suites")
-    _add_common(sp)
-    sp.add_argument("--suite", action="append", help="suite name (repeatable; default all)")
-    sp.set_defaults(func=cmd_verify)
-
+    seed, basis = ("seed",), _BASIS_FLAGS
+    commands = {}
+    for name, fn, flags, help_text in [
+        ("verify", cmd_verify, seed, "run verification suites"),
+        ("kernels", cmd_kernels, basis, "dump kernel tables for a basis"),
+        ("biorth", cmd_biorth, seed + ("measure", "alpha"), "biorthogonality table for measure/alpha"),
+        ("charlier", cmd_charlier, seed, "Poisson specialization checks"),
+        ("hermite", cmd_hermite, seed, "Gaussian specialization checks"),
+        ("growth", cmd_growth, seed + basis, "growth-bound sweep for a random test function"),
+        ("wick", cmd_wick, basis + ("tol",), "Wick operations on kernel fixtures"),
+        ("transport", cmd_transport, seed + basis + ("tol", "measure2"), "move a distribution between measures"),
+    ]:
+        commands[name] = sp = subs.add_parser(name, help=help_text)
+        _add_flags(sp, flags)
+        sp.set_defaults(func=fn)
     sp = subs.add_parser("list-suites", help="list registered suite names")
     sp.set_defaults(func=cmd_list_suites)
 
-    for name, fn, extra_help in [
-        ("kernels", cmd_kernels, "dump kernel tables for a basis"),
-        ("biorth", cmd_biorth, "biorthogonality table for measure/alpha"),
-        ("charlier", cmd_charlier, "Poisson specialization checks"),
-        ("hermite", cmd_hermite, "Gaussian specialization checks"),
-        ("growth", cmd_growth, "growth-bound sweep for a random test function"),
-    ]:
-        sp = subs.add_parser(name, help=extra_help)
-        _add_common(sp)
-        sp.set_defaults(func=fn)
-
-    sp = subs.add_parser("wick", help="Wick operations on kernel fixtures")
-    _add_common(sp)
+    commands["verify"].add_argument("--suite", action="append", help="suite name (repeatable; default all)")
+    sp = commands["wick"]
     sp.add_argument("operation", choices=["mul", "pow", "fn", "inv", "solve"])
     sp.add_argument("--phi", required=True, help="kernel sequence fixture")
     sp.add_argument("--psi", help="second kernel sequence fixture")
     sp.add_argument("--power", type=int, default=2, help="exponent for pow")
     sp.add_argument("--coeffs", help="comma-separated Taylor coefficients for fn")
-    sp.set_defaults(func=cmd_wick)
-
-    sp = subs.add_parser("transport", help="move a distribution between measures")
-    _add_common(sp)
-    sp.add_argument("--measure2", help="destination measure")
-    sp.add_argument("--phi", required=True, help="kernel sequence fixture (source basis)")
-    sp.set_defaults(func=cmd_transport)
+    commands["transport"].add_argument("--phi", required=True, help="kernel sequence fixture (source basis)")
 
     args = parser.parse_args(argv)
     return args.func(args)

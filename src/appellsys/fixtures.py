@@ -155,22 +155,28 @@ def format_tensor(t: SymTensor) -> str:
 # -- jets --------------------------------------------------------------------
 
 
-def _read_graded(r: _Reader, dim: int, degree: int, marker: str):
+def _read_graded(r: _Reader, dim: int, degree: int, marker: str, component: bool):
+    """The '<marker> n' sections by n, or with component=True the
+    '<marker> n component j' sections by (n, j); any other form is an error."""
+    form = [marker, "<n>"] + (["component", "<j>"] if component else [])
     kernels = {}
     while r.peek() is not None:
         lineno, line = r.next()
         parts = line.split()
-        if parts[0] != marker or len(parts) not in (2, 4) or parts[2:3] not in ([], ["component"]):
-            raise FixtureFormatError(f"line {lineno}: expected a '{marker} <n>' section")
-        n = _parse_int(parts[1], f"line {lineno}: {marker} number", 0)
+        if len(parts) != len(form) or parts[0] != marker or parts[2:3] != form[2:3]:
+            want = " ".join(form)
+            raise FixtureFormatError(f"line {lineno}: expected a '{want}' section, got {line!r}")
+        # a vector jet vanishes at zero, so its sections start at kernel 1
+        n = _parse_int(parts[1], f"line {lineno}: {marker} number", 1 if component else 0)
         if n > degree:
             raise FixtureFormatError(f"line {lineno}: grade {n} beyond degree {degree}")
-        comp = None
-        if len(parts) == 4:
-            comp = _parse_int(parts[3], f"line {lineno}: component number", 1)
-            if comp > dim:
-                raise FixtureFormatError(f"line {lineno}: component {comp} beyond dim {dim}")
-        kernels[(n, comp)] = r.read_entries(dim, n)
+        key = n
+        if component:
+            j = _parse_int(parts[3], f"line {lineno}: component number", 1)
+            if j > dim:
+                raise FixtureFormatError(f"line {lineno}: component {j} beyond dim {dim}")
+            key = (n, j)
+        kernels[key] = r.read_entries(dim, n)
     return kernels
 
 
@@ -178,11 +184,8 @@ def parse_scalar_jet(text: str) -> ScalarJet:
     r = _Reader(text)
     r.expect_literal("scalarjet")
     dim, degree = r.expect_shape("degree")
-    sections = _read_graded(r, dim, degree, "kernel")
-    ks = []
-    for n in range(degree + 1):
-        ks.append(sections.get((n, None), zero_tensor(dim, n)))
-    return ScalarJet(dim, degree, tuple(ks))
+    sections = _read_graded(r, dim, degree, "kernel", False)
+    return ScalarJet(dim, degree, tuple(sections.get(n, zero_tensor(dim, n)) for n in range(degree + 1)))
 
 
 def format_scalar_jet(j: ScalarJet) -> str:
@@ -198,7 +201,7 @@ def parse_vector_jet(text: str) -> VectorJet:
     r = _Reader(text)
     r.expect_literal("vectorjet")
     dim, degree = r.expect_shape("degree")
-    sections = _read_graded(r, dim, degree, "kernel")
+    sections = _read_graded(r, dim, degree, "kernel", True)
     comps = []
     for j in range(1, dim + 1):
         ks = [zero_tensor(dim, 0)]
@@ -229,8 +232,7 @@ def parse_kernel_seq(text: str, basis: AppellBasis | None = None) -> KernelSeq:
     if tag not in (MONOMIAL, P_TAG, Q_TAG):
         raise FixtureFormatError(f"unknown tag {tag!r}")
     dim, degree = r.expect_shape("degree")
-    sections = _read_graded(r, dim, degree, "grade")
-    entries = {n: t for (n, _), t in sections.items()}
+    entries = _read_graded(r, dim, degree, "grade", False)
     if tag == MONOMIAL:
         return monomial_seq(dim, degree, entries)
     if basis is None:
@@ -257,10 +259,8 @@ def parse_moment_model(text: str) -> MomentFileModel:
     r.expect_literal("moments")
     label = r.expect_header("label")
     dim, degree = r.expect_shape("degree")
-    sections = _read_graded(r, dim, degree, "kernel")
-    ks = []
-    for n in range(degree + 1):
-        ks.append(sections.get((n, None), zero_tensor(dim, n)))
+    sections = _read_graded(r, dim, degree, "kernel", False)
+    ks = [sections.get(n, zero_tensor(dim, n)) for n in range(degree + 1)]
     if ks[0].item() != 1.0:
         raise FixtureFormatError("moment fixtures must have unit mass (kernel 0 = 1)")
     return MomentFileModel(label, dim, degree, tuple(ks))

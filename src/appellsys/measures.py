@@ -264,11 +264,16 @@ def density_derivatives(model: MeasureModel, x: float, up_to: int) -> list[float
     return model.density_derivatives(x, up_to)
 
 
-def nondegeneracy_check(model: MeasureModel, degree: int, tol: float = 1e-10) -> dict:
+# the smallest Gram eigenvalue at or below which a model counts as degenerate
+NONDEGENERACY_TOL = 1e-10
+
+
+def nondegeneracy_check(model: MeasureModel, degree: int) -> dict:
     """Gram matrix of monomials up to the given degree under the model.
 
     Entries come straight from the moment tensors; the report flags the
-    model as degenerate when the smallest eigenvalue is not clearly positive.
+    model as degenerate when the smallest eigenvalue is at most
+    NONDEGENERACY_TOL.
     """
     mjet = moment_kernels(model, 2 * degree)
     basis: list[tuple[int, ...]] = []
@@ -286,6 +291,6 @@ def nondegeneracy_check(model: MeasureModel, degree: int, tol: float = 1e-10) ->
         "degree": degree,
         "basis_size": len(basis),
         "min_eigenvalue": min_eig,
-        "degenerate": bool(min_eig <= tol),
-        "tolerance": tol,
+        "degenerate": bool(min_eig <= NONDEGENERACY_TOL),
+        "tolerance": NONDEGENERACY_TOL,
     }

@@ -54,6 +54,16 @@ __all__ = [
     "s_transform_of_polynomial",
 ]
 
+# Gaussian quadrature: panels cover +-QUAD_SIGMAS standard deviations with
+# QUAD_NODES Gauss-Legendre nodes each, and double until two estimates agree
+# below QUAD_TOL or QUAD_MAX_PANELS is reached.
+QUAD_SIGMAS = 12.0
+QUAD_NODES = 32
+QUAD_TOL = 1e-12
+QUAD_MAX_PANELS = 64
+# Poisson sums stop after a run of terms below PMF_TAIL relative to the total.
+PMF_TAIL = 1e-15
+
 
 def _require_monomial(f: KernelSeq) -> None:
     if f.tag != MONOMIAL:
@@ -117,27 +127,19 @@ def mc_expectation(model: MeasureModel, evaluator, count: int, seed: int) -> tup
     return mean, stderr
 
 
-def quad_1d(
-    model: MeasureModel,
-    integrand,
-    sigmas: float = 12.0,
-    nodes: int = 32,
-    tol: float = 1e-12,
-    max_panels: int = 64,
-) -> float:
+def quad_1d(model: MeasureModel, integrand) -> float:
     """Integrate integrand(x) * density(x) over the real line (d = 1).
 
-    Gaussian models use composite Gauss-Legendre panels on +-sigmas standard
-    deviations, doubling the panel count until two estimates agree below
-    tol; Poisson models sum the mass function until the cumulative tail is
-    below 1e-14.
+    Gaussian models use composite Gauss-Legendre panels on +-QUAD_SIGMAS
+    standard deviations, doubling the panel count until two estimates agree
+    below QUAD_TOL; Poisson models sum the mass function with pmf_sum.
     """
     if isinstance(model, GaussianModel):
         if model.dim != 1:
             raise UnsupportedModelError("quad_1d needs d = 1")
         s = sqrt(model.cov[0][0])
-        L = sigmas * s
-        x0, w0 = np.polynomial.legendre.leggauss(nodes)
+        L = QUAD_SIGMAS * s
+        x0, w0 = np.polynomial.legendre.leggauss(QUAD_NODES)
 
         def estimate(panels: int) -> float:
             edges = np.linspace(-L, L, panels + 1)
@@ -152,10 +154,10 @@ def quad_1d(
 
         panels = 4
         prev = estimate(panels)
-        while panels < max_panels:
+        while panels < QUAD_MAX_PANELS:
             panels *= 2
             cur = estimate(panels)
-            if abs(cur - prev) < tol:
+            if abs(cur - prev) < QUAD_TOL:
                 return cur
             prev = cur
         return prev
@@ -164,7 +166,7 @@ def quad_1d(
     raise UnsupportedModelError(f"no 1D integration route for {model.name!r}")
 
 
-def pmf_sum(model: PoissonModel, f, tail: float = 1e-15) -> float:
+def pmf_sum(model: PoissonModel, f) -> float:
     """Sum f(k) pmf(k) over the Poisson support (d = 1).
 
     Polynomial integrands grow while the mass decays factorially, so the
@@ -185,7 +187,7 @@ def pmf_sum(model: PoissonModel, f, tail: float = 1e-15) -> float:
         k += 1
         pk *= nu / k
         if k > nu + 10:
-            if abs(term) <= tail * max(1.0, abs(total)):
+            if abs(term) <= PMF_TAIL * max(1.0, abs(total)):
                 small_run += 1
                 if small_run >= 5:
                     break

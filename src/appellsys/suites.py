@@ -118,10 +118,9 @@ class SuiteResult:
         }
 
 
-def _result(name, tol, rows, details=None, require=None):
+def _result(name, tol, rows):
     max_error = max((r["abs_error"] for r in rows), default=0.0)
-    passed = max_error <= tol if require is None else require
-    return SuiteResult(name, bool(passed), tol, float(max_error), rows, details or {})
+    return SuiteResult(name, bool(max_error <= tol), tol, float(max_error), rows)
 
 
 def _row(n, m, value, expected):
@@ -169,11 +168,8 @@ def _random_pseq(rng, basis, max_grade=None, scale=1.0):
     )
 
 
-def _random_qseq(rng, basis, scale=1.0):
-    return q_seq(
-        basis,
-        {n: random_tensor(rng, basis.dim, n, scale=scale) for n in range(basis.degree + 1)},
-    )
+def _random_qseq(rng, basis):
+    return q_seq(basis, {n: random_tensor(rng, basis.dim, n) for n in range(basis.degree + 1)})
 
 
 # ---------------------------------------------------------------------------

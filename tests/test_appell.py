@@ -2,6 +2,7 @@
 operators, pairings, evaluation functionals, norms."""
 
 import math
+from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
@@ -113,6 +114,11 @@ class TestConstants:
 
 
 class TestBasisInvariants:
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_below_one_rejected(self, degree):
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            AppellBasis(GaussianModel.standard(1), degree=degree)
+
     def test_moment_and_constant_jets_are_reciprocal(
         self, gauss1d_basis, poisson1d_log1p_basis, gauss2d_basis
     ):
@@ -431,6 +437,69 @@ class TestSTransform:
                 adjoint_value = exact_expectation(basis.model, work)
                 expected = factorial(n) * pairing(power_tensor(xi, n), phi.kernels[n])
                 assert adjoint_value == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+def stirling2(N):
+    """Stirling numbers of the second kind S[m][n] for 0 <= n <= m <= N."""
+    S = [[0] * (N + 1) for _ in range(N + 1)]
+    S[0][0] = 1
+    for m in range(1, N + 1):
+        for n in range(1, m + 1):
+            S[m][n] = n * S[m - 1][n] + S[m - 1][n - 1]
+    return S
+
+
+def max_rel_error(kernels, exact):
+    """Largest |kernel - exact| / max(1, |exact|) over the grades of a 1D sequence."""
+    return max(
+        float(abs(Fraction(k.coeffs[(1,) * n]) - e) / max(1, abs(e)))
+        for n, (k, e) in enumerate(zip(kernels, exact))
+    )
+
+
+class TestExactLog1pReference:
+    """Poisson nu = 1, d = 1, alpha = log1p against exact rationals.
+
+    The inverse jet is expm1, and kernel m of (e^theta - 1)^n is
+    n! S(m, n), so s_transform kernel m is sum_n n! S(m, n) Phi_n.  The
+    generalized system is the Charlier family, in which x^k has the
+    coefficients sum_n S(k, n) C(n, j).  The float inputs are exact
+    Fractions.  The power kernels of log1p hold Stirling numbers of the
+    first kind, and a triangular solve through them loses three to five
+    digits on these inputs; the tolerances catch that.
+    """
+
+    @staticmethod
+    def basis(N):
+        return AppellBasis(PoissonModel((1.0,)), log1p_vjet(1, N), degree=N)
+
+    @pytest.mark.parametrize("N", [14, 16])
+    def test_s_transform_gives_bell_numbers(self, N):
+        # Phi_n = 1/n! makes kernel m the Bell number sum_n S(m, n)
+        vals = [1.0 / factorial(n) for n in range(N + 1)]
+        basis = self.basis(N)
+        Phi = q_seq(basis, {n: tensor_1d(n, v) for n, v in enumerate(vals)})
+        S = stirling2(N)
+        exact = [
+            sum(factorial(n) * S[m][n] * Fraction(vals[n]) for n in range(m + 1))
+            for m in range(N + 1)
+        ]
+        assert max_rel_error(s_transform(basis, Phi).kernels, exact) < 1e-13
+
+    @pytest.mark.parametrize("N", [14, 16])
+    def test_to_appell_expands_in_charlier_polynomials(self, N):
+        # the truncated series of exp(4x)
+        vals = [4.0**k / factorial(k) for k in range(N + 1)]
+        f = monomial_seq(1, N, {k: tensor_1d(k, v) for k, v in enumerate(vals)})
+        S = stirling2(N)
+        exact = [
+            sum(
+                Fraction(vals[k]) * sum(S[k][n] * comb(n, j) for n in range(j, k + 1))
+                for k in range(j, N + 1)
+            )
+            for j in range(N + 1)
+        ]
+        assert max_rel_error(to_appell(self.basis(N), f).kernels, exact) < 1e-14
 
 
 class TestPairing:

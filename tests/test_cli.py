@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifacts, determinism, fixtures."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -319,3 +320,137 @@ def test_bad_psi_and_alpha_fixtures_are_usage_errors(tmp_path, capsys):
             run_cli(args + ["--N", "4", "--dim", "1", "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "bad fixture" in capsys.readouterr().err
+
+
+def exit_code(args):
+    """The exit code of main(args), whether returned or raised as SystemExit."""
+    try:
+        return main(args)
+    except SystemExit as e:
+        return e.code
+
+
+_BASIS_FLAGS = {"--N", "--dim", "--measure", "--alpha", "--nu"}
+_COMMAND_FLAGS = {
+    "verify": {"--seed", "--suite"},
+    "charlier": {"--seed"},
+    "hermite": {"--seed"},
+    "biorth": {"--seed", "--measure", "--alpha"},
+    "kernels": _BASIS_FLAGS,
+    "growth": {"--seed"} | _BASIS_FLAGS,
+    "wick": _BASIS_FLAGS | {"--tol", "--phi", "--psi", "--power", "--coeffs"},
+    "transport": {"--seed", "--tol", "--measure2", "--phi"} | _BASIS_FLAGS,
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+def test_each_command_takes_only_the_flags_it_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--[A-Za-z0-9]+", capsys.readouterr().out)) - {"--help"}
+    assert flags == {"--config", "--out"} | _COMMAND_FLAGS[command]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--N", "5"],
+        ["hermite", "--measure", "poisson"],
+        ["charlier", "--nu", "2"],
+        ["biorth", "--dim", "2"],
+        ["kernels", "--seed", "1"],
+        ["growth", "--tol", "1"],
+        ["wick", "inv", "--phi", "phi.fixture", "--seed", "1"],
+    ],
+    ids=lambda args: " ".join(args[:1] + args[-2:-1]),
+)
+def test_flag_the_command_does_not_read_is_usage_error(args, tmp_path, capsys):
+    assert exit_code(args + ["--out", str(tmp_path)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["kernels", "--N", "0"], None),
+        (["kernels", "--N", "-1"], None),
+        (["kernels", "--dim", "0"], None),
+        (["kernels", "--nu", "-1"], None),
+        (["kernels", "--measure", "poisson", "--nu", "-1"], None),
+        (["kernels", "--measure", "poisson", "--nu", "nan"], None),
+        (["growth", "--N", "0"], None),
+        (["kernels"], "[basis]\ndegree = 0\n"),
+        (["kernels"], "[model]\ndim = 0\n"),
+        (["kernels"], "[model]\nmeasure = poisson\nnu = 1.0, -1.0\ndim = 2\n"),
+        (["kernels"], "[model]\nsigma2 = inf\n"),
+        (["transport", "--measure2", "poisson", "--phi", "phi.fixture"], "[model2]\nnu = -1\n"),
+    ],
+    ids=[
+        "N-0", "N-minus-1", "dim-0", "nu-minus-1", "poisson-nu-minus-1", "poisson-nu-nan", "growth-N-0",
+        "config-degree-0", "config-dim-0", "config-nu-minus-1", "config-sigma2-inf", "config-nu2-minus-1",
+    ],
+)
+def test_out_of_range_input_is_usage_error(args, config, tmp_path, capsys):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        args = args + ["--config", str(tmp_path / "run.cfg")]
+    assert exit_code(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "must be" in err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ("[basis]\ndegre = 9\n", "unknown config key [basis] degre"),
+        ("[check]\nbeta = 1.0\n", "unknown config key [check] beta"),
+        ("[model]\nmeasure = poisson\n\n[plot]\ncolor = red\n", "unknown config section [plot]"),
+    ],
+    ids=["misspelt-key", "dropped-key", "unknown-section"],
+)
+def test_unknown_config_section_or_key_is_usage_error(config, message, tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text(config)
+    assert exit_code(["kernels", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["kernels", "--dim", "2", "--N", "3"], 0),
+        (["wick", "solve", "--phi", "{phi}", "--psi", "{phi}", "--N", "4"], 0),
+        (["charlier"], 0),
+        (["kernels", "--measure", "poisson", "--alpha", "expm1", "--N", "4"], 0),
+        (["kernels", "--measure", "nosuch"], 2),
+        (["kernels", "--alpha", "nosuch"], 2),
+        (["kernels", "--alpha", "{alpha}", "--N", "4"], 2),
+        (["biorth", "--measure", "delta"], 2),
+        (["transport", "--phi", "{phi}", "--N", "4"], 2),
+    ],
+    ids=[
+        "kernels-nd-table", "wick-solve", "charlier", "alpha-expm1", "unknown-measure",
+        "unknown-alpha", "alpha-fixture-wrong-shape", "biorth-no-suite", "transport-no-measure2",
+    ],
+)
+def test_exit_codes_of_remaining_branches(args, code, tmp_path):
+    basis = AppellBasis(GaussianModel.standard(1), degree=4)
+    phi = tmp_path / "phi.fixture"
+    phi.write_text(format_kernel_seq(q_seq(basis, {0: scalar_tensor(1, 2.0), 1: SymTensor(1, 1, {(1,): 1.0})})))
+    alpha = tmp_path / "alpha.fixture"
+    alpha.write_text("vectorjet\ndim 1\ndegree 2\nkernel 1 component 1\n1 1.0\n")
+    args = [a.format(phi=phi, alpha=alpha) for a in args]
+    assert exit_code(args + ["--out", str(tmp_path)]) == code
+    if args[0] == "kernels" and code == 0:
+        rows = (tmp_path / "kernels.csv").read_text().splitlines()
+        assert rows[0] == "n,m,value,expected,abs_error" and len(rows) > 1
+
+
+def test_readme_config_sample_loads(tmp_path):
+    import pathlib
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sample = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "sample.cfg").write_text(sample)
+    assert exit_code(["kernels", "--config", str(tmp_path / "sample.cfg"), "--out", str(tmp_path)]) == 0

@@ -153,3 +153,25 @@ class TestMomentFormat:
 def test_bad_numbers_raise_format_error(parse, text):
     with pytest.raises(FixtureFormatError):
         parse(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_vector_jet, "vectorjet\ndim 1\ndegree 2\nkernel 1\n1 1.0\n"),
+        (parse_vector_jet, "vectorjet\ndim 1\ndegree 2\nkernel 0 component 1\n. 5.0\n"),
+        (parse_scalar_jet, "scalarjet\ndim 1\ndegree 2\nkernel 1 component 1\n1 1.0\n"),
+        (parse_moment_model, "moments\nlabel m\ndim 1\ndegree 2\nkernel 0\n. 1.0\nkernel 1 component 1\n1 0.5\n"),
+        (parse_kernel_seq, "kernelseq\ntag monomial\ndim 1\ndegree 2\ngrade 1 component 1\n1 1.0\n"),
+    ],
+    ids=[
+        "vectorjet-no-component", "vectorjet-kernel-0", "scalarjet-component", "moments-component",
+        "kernelseq-component",
+    ],
+)
+def test_section_of_the_wrong_form_raises_format_error(parse, text):
+    # each kind's sections either all carry a component or none do, and a
+    # vector jet has no kernel 0; such a section must not be dropped as if
+    # it were absent
+    with pytest.raises(FixtureFormatError):
+        parse(text)
