@@ -12,7 +12,7 @@ verification suites for every identity.
 from .symtensor import (
     HilbertScale,
     SymTensor,
-    eval_power,
+    eval_power_batch,
     pairing,
     partial_pairing,
     sym_product,
@@ -39,7 +39,6 @@ from .measures import (
     MeasureModel,
     MomentFileModel,
     PoissonModel,
-    density_derivatives,
     moment_kernels,
     nondegeneracy_check,
     sample_batch,
@@ -55,7 +54,7 @@ from .appell import (
     diff_op,
     dist_norm,
     eval_test,
-    gen_appell_eval,
+    gen_appell_all,
     g_nabla_apply,
     growth_bound_check,
     monomial_seq,

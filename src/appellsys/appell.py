@@ -41,7 +41,7 @@ from .measures import DeltaModel, MeasureModel, moment_kernels
 from .symtensor import (
     HilbertScale,
     SymTensor,
-    eval_power,
+    eval_power_batch,
     is_live,
     pairing,
     partial_pairing,
@@ -64,7 +64,6 @@ __all__ = [
     "q_seq",
     "appell_constants",
     "appell_eval",
-    "gen_appell_eval",
     "gen_appell_all",
     "delta_appell_eval",
     "to_monomial",
@@ -239,24 +238,16 @@ def appell_eval(basis: AppellBasis, n: int, z) -> SymTensor:
 
 
 def gen_appell_all(basis: AppellBasis, z) -> list[SymTensor]:
-    """All generalized tensors at z for n = 0..N, sharing the plain tensors."""
+    """The generalized tensors at z for n = 0..N.
+
+    Grade n contracts the plain tensors at z of grades up to n against the
+    power kernels of alpha; it reduces to appell_eval when alpha is the
+    identity.
+    """
     plain = _plain_tensors(basis, z, range(basis.degree + 1))
     return [scalar_tensor(basis.dim, 1.0)] + [
         basis.A.compose(n, plain) for n in range(1, basis.degree + 1)
     ]
-
-
-def gen_appell_eval(basis: AppellBasis, n: int, z) -> SymTensor:
-    """Rank-n tensor of the generalized system at z.
-
-    Contracts the plain tensors at z of grades up to n against the power
-    kernels of alpha; reduces to appell_eval when alpha is the identity.
-    """
-    if n > basis.degree:
-        raise ValueError(f"grade {n} exceeds truncation degree {basis.degree}")
-    if n == 0:
-        return scalar_tensor(basis.dim, 1.0)
-    return basis.A.compose(n, _plain_tensors(basis, z, range(n + 1)))
 
 
 def delta_appell_eval(basis: AppellBasis, n: int, w) -> SymTensor:
@@ -425,9 +416,19 @@ def eval_test(basis: AppellBasis, phi: KernelSeq, z) -> float:
     )
 
 
-def eval_monomial_seq(f: KernelSeq, z) -> float:
+def eval_monomial_seq(f: KernelSeq, xs) -> np.ndarray:
+    """The polynomial with monomial kernels f at each row of xs.
+
+    xs has shape (count, dim); a single point z is passed as [z].  The
+    result has length count.
+    """
     _require_tag(f, MONOMIAL)
-    return sum(eval_power(f.kernels[n], z) for n in range(f.degree + 1))
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros(len(xs))
+    for k in f.kernels:
+        if is_live(k):
+            out += eval_power_batch(k, xs)
+    return out
 
 
 def delta_z(basis: AppellBasis, z) -> KernelSeq:
@@ -460,7 +461,8 @@ def convolution(basis: AppellBasis, phi: KernelSeq, z) -> float:
         raise ValueError("convolution is defined for the identity alpha only")
     _require_tag(phi, P_TAG)
     _require_same_basis(basis, phi.basis)
-    return eval_monomial_seq(KernelSeq(MONOMIAL, basis.dim, basis.degree, phi.kernels), z)
+    mono = KernelSeq(MONOMIAL, basis.dim, basis.degree, phi.kernels)
+    return eval_monomial_seq(mono, [z]).item()
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +522,7 @@ def estimate_sigma_eps(basis: AppellBasis, p: float, epsilon: float, seed: int =
 
     def admissible(sigma: float) -> bool:
         pts = _sphere_samples(rng, basis, p, sigma, SIGMA_SAMPLES)
-        avals = np.stack(
-            [c.eval_batch(pts) for c in basis.alpha.components], axis=1
-        )
+        avals = basis.alpha.eval_batch(pts)
         anorms = np.sqrt(((avals * w**p) ** 2).sum(axis=1))
         if anorms.max() > epsilon:
             return False
@@ -565,13 +565,15 @@ def growth_bound_check(
     rng = np.random.Generator(np.random.Philox(key=seed + 1))
     norm = test_norm(basis, phi, p, q)
     mono = to_monomial(basis, phi)
-    worst = 0.0
-    for _ in range(trials):
+    zs = np.empty((trials, basis.dim))
+    for t in range(trials):
         direction = rng.standard_normal(basis.dim)
         r = rng.uniform(0.0, z_radius)
-        z = r * direction / np.linalg.norm(direction)
+        zs[t] = r * direction / np.linalg.norm(direction)
+    vals = np.abs(eval_monomial_seq(mono, zs))
+    worst = 0.0
+    for z, val in zip(zs, vals.tolist()):
         znorm = tensor_norm(vector_tensor(z), -(p - 1.0), basis.scale)
-        val = abs(eval_monomial_seq(mono, z))
         ratio = val / (norm * exp(epsilon * znorm)) if norm > 0 else 0.0
         worst = max(worst, ratio)
     finite_envelope = 2.0 ** float(q) > sigma**-2.0

@@ -14,7 +14,7 @@ from math import isfinite
 from .appell import AppellBasis, KernelSeq, MONOMIAL, P_TAG, Q_TAG, monomial_seq, p_seq, q_seq
 from .jets import ScalarJet, VectorJet
 from .measures import MomentFileModel
-from .symtensor import SymTensor, multi_indices, zero_tensor
+from .symtensor import SymTensor, is_live, multi_indices, zero_tensor
 
 __all__ = [
     "FixtureFormatError",
@@ -101,6 +101,7 @@ class _Reader:
 
     def read_entries(self, dim: int, rank: int) -> SymTensor:
         coeffs = {k: 0.0 for k in multi_indices(dim, rank)}
+        seen = set()
         while True:
             item = self.peek()
             if item is None:
@@ -120,6 +121,9 @@ class _Reader:
                 )
             if any(i > dim for i in idx):
                 raise FixtureFormatError(f"line {lineno}: index out of range for dim {dim}")
+            if idx in seen:
+                raise FixtureFormatError(f"line {lineno}: entry {parts[0]} given twice")
+            seen.add(idx)
             try:
                 coeffs[idx] = float(parts[1])
             except ValueError as e:
@@ -176,6 +180,8 @@ def _read_graded(r: _Reader, dim: int, degree: int, marker: str, component: bool
             if j > dim:
                 raise FixtureFormatError(f"line {lineno}: component {j} beyond dim {dim}")
             key = (n, j)
+        if key in kernels:
+            raise FixtureFormatError(f"line {lineno}: section {line!r} given twice")
         kernels[key] = r.read_entries(dim, n)
     return kernels
 
@@ -191,7 +197,7 @@ def parse_scalar_jet(text: str) -> ScalarJet:
 def format_scalar_jet(j: ScalarJet) -> str:
     out = ["scalarjet", f"dim {j.dim}", f"degree {j.degree}"]
     for n, k in enumerate(j.kernels):
-        if k.max_abs() != 0.0 or n == 0:
+        if is_live(k) or n == 0:
             out.append(f"kernel {n}")
             _format_entries(k, out)
     return "\n".join(out) + "\n"
@@ -216,7 +222,7 @@ def format_vector_jet(a: VectorJet) -> str:
     for n in range(1, a.degree + 1):
         for j in range(1, a.dim + 1):
             k = a.kernel(n, j)
-            if k.max_abs() != 0.0:
+            if is_live(k):
                 out.append(f"kernel {n} component {j}")
                 _format_entries(k, out)
     return "\n".join(out) + "\n"
@@ -245,7 +251,7 @@ def parse_kernel_seq(text: str, basis: AppellBasis | None = None) -> KernelSeq:
 def format_kernel_seq(f: KernelSeq) -> str:
     out = ["kernelseq", f"tag {f.tag}", f"dim {f.dim}", f"degree {f.degree}"]
     for n, k in enumerate(f.kernels):
-        if k.max_abs() != 0.0 or (n == 0 and f.kernels[0].item() != 0.0):
+        if is_live(k):
             out.append(f"grade {n}")
             _format_entries(k, out)
     return "\n".join(out) + "\n"
@@ -269,7 +275,7 @@ def parse_moment_model(text: str) -> MomentFileModel:
 def format_moment_model(m: MomentFileModel) -> str:
     out = ["moments", f"label {m.label}", f"dim {m.d}", f"degree {m.max_degree}"]
     for n, k in enumerate(m.moments):
-        if k.max_abs() != 0.0 or n == 0:
+        if is_live(k) or n == 0:
             out.append(f"kernel {n}")
             _format_entries(k, out)
     return "\n".join(out) + "\n"

@@ -24,7 +24,6 @@ from .symtensor import (
     is_live,
     multi_indices,
     multiplicity,
-    eval_power,
     eval_power_batch,
     pairing,
     random_tensor,
@@ -108,15 +107,14 @@ class ScalarJet:
         ks[0] = scalar_tensor(self.dim, ks[0].item() + c)
         return ScalarJet(self.dim, self.degree, tuple(ks))
 
-    def eval(self, theta) -> float:
-        """Evaluate the truncated series at the point theta."""
-        return sum(
-            eval_power(self.kernels[n], theta) / factorial(n) for n in range(self.degree + 1)
-        )
+    def eval_batch(self, thetas) -> np.ndarray:
+        """The truncated series at each row of thetas.
 
-    def eval_batch(self, thetas: np.ndarray) -> np.ndarray:
-        """Evaluate at each row of thetas (shape (count, dim))."""
-        out = np.zeros(thetas.shape[0])
+        thetas has shape (count, dim); a single point theta is passed as
+        [theta].  The result has length count.
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        out = np.zeros(len(thetas))
         for n in range(self.degree + 1):
             if is_live(self.kernels[n]):
                 out += eval_power_batch(self.kernels[n], thetas) / factorial(n)
@@ -239,8 +237,14 @@ class VectorJet:
         """Rank-n kernel of output coordinate j (1-based)."""
         return self.components[j - 1].kernels[n]
 
-    def eval(self, theta) -> np.ndarray:
-        return np.array([c.eval(theta) for c in self.components])
+    def eval_batch(self, thetas) -> np.ndarray:
+        """The jet at each row of thetas.
+
+        thetas has shape (count, dim); a single point theta is passed as
+        [theta].  Row k of the result, shape (count, dim), is the value at
+        row k of thetas.
+        """
+        return np.stack([c.eval_batch(thetas) for c in self.components], axis=1)
 
 
 def identity_vjet(dim: int, degree: int) -> VectorJet:

@@ -9,7 +9,7 @@ expose its density with exact derivatives for quadrature checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, factorial, sqrt, pi
+from math import exp, sqrt, pi
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "DegreeOverflowError",
     "moment_kernels",
     "sample_batch",
-    "density_derivatives",
     "nondegeneracy_check",
 ]
 
@@ -51,9 +50,6 @@ class MeasureModel:
 
     def laplace_jet(self, degree: int) -> ScalarJet:
         raise NotImplementedError
-
-    def has_sampler(self) -> bool:
-        return False
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         raise UnsupportedModelError(f"model {self.name!r} has no sampler")
@@ -106,9 +102,6 @@ class GaussianModel(MeasureModel):
             ks.append(SymTensor(d, 2, q))
         ks += [zero_tensor(d, n) for n in range(3, degree + 1)]
         return jet_exp(ScalarJet(d, degree, tuple(ks[: degree + 1])))
-
-    def has_sampler(self) -> bool:
-        return True
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         chol = np.linalg.cholesky(np.asarray(self.cov))
@@ -164,17 +157,8 @@ class PoissonModel(MeasureModel):
             ks.append(SymTensor(d, n, t))
         return jet_exp(ScalarJet(d, degree, tuple(ks)))
 
-    def has_sampler(self) -> bool:
-        return True
-
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.poisson(lam=self.nu, size=(count, self.dim)).astype(float)
-
-    def pmf1d(self, k: int) -> float:
-        if self.dim != 1:
-            raise UnsupportedModelError("pmf1d requires d = 1")
-        nu = self.nu[0]
-        return exp(-nu) * nu**k / factorial(k)
 
 
 @dataclass(frozen=True)
@@ -196,9 +180,6 @@ class DeltaModel(MeasureModel):
 
     def laplace_jet(self, degree: int) -> ScalarJet:
         return unit_jet(self.d, degree)
-
-    def has_sampler(self) -> bool:
-        return True
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return np.zeros((count, self.d))
@@ -244,8 +225,6 @@ def moment_kernels(model: MeasureModel, degree: int) -> ScalarJet:
 
 def sample_batch(model: MeasureModel, count: int, seed: int) -> np.ndarray:
     """Reproducible i.i.d. draws, shape (count, dim)."""
-    if not model.has_sampler():
-        raise UnsupportedModelError(f"model {model.name!r} has no sampler")
     chunks = []
     got = 0
     shard = 0
@@ -256,12 +235,6 @@ def sample_batch(model: MeasureModel, count: int, seed: int) -> np.ndarray:
         got += take
         shard += 1
     return np.concatenate(chunks, axis=0)
-
-
-def density_derivatives(model: MeasureModel, x: float, up_to: int) -> list[float]:
-    if not isinstance(model, GaussianModel):
-        raise UnsupportedModelError(f"no analytic density derivatives for {model.name!r}")
-    return model.density_derivatives(x, up_to)
 
 
 # the smallest Gram eigenvalue at or below which a model counts as degenerate

@@ -32,7 +32,7 @@ from .measures import (
     sample_batch,
 )
 from .symtensor import (
-    eval_power_batch,
+    is_live,
     pairing,
     partial_pairing,
     sym_product,
@@ -44,7 +44,6 @@ __all__ = [
     "exact_product_expectation",
     "poly_product",
     "mc_expectation",
-    "eval_polynomial_batch",
     "quad_1d",
     "pmf_sum",
     "hermite_he",
@@ -103,15 +102,6 @@ def exact_product_expectation(basis: AppellBasis, phi: KernelSeq, psi: KernelSeq
         raise ValueError("expected P-tagged test functions")
     prod = poly_product(to_monomial(basis, phi), to_monomial(basis, psi))
     return exact_expectation(basis.model, prod)
-
-
-def eval_polynomial_batch(f: KernelSeq, xs: np.ndarray) -> np.ndarray:
-    _require_monomial(f)
-    out = np.zeros(xs.shape[0])
-    for n in range(f.degree + 1):
-        if f.kernels[n].max_abs() != 0.0:
-            out += eval_power_batch(f.kernels[n], xs)
-    return out
 
 
 def mc_expectation(model: MeasureModel, evaluator, count: int, seed: int) -> tuple[float, float]:
@@ -256,7 +246,7 @@ def s_transform_of_polynomial(model: MeasureModel, f: KernelSeq, degree: int) ->
     for m in range(degree + 1):
         acc = zero_tensor(f.dim, m)
         for k in range(f.degree + 1):
-            if f.kernels[k].max_abs() != 0.0:
+            if is_live(f.kernels[k]):
                 acc = acc + partial_pairing(mjet.kernels[m + k], f.kernels[k])
         ks.append(acc)
     numerator = ScalarJet(f.dim, degree, tuple(ks))

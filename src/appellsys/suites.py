@@ -22,6 +22,7 @@ from .appell import (
     delta_appell_eval,
     delta_z,
     estimate_sigma_eps,
+    eval_monomial_seq,
     eval_test,
     gen_appell_all,
     generating_jet,
@@ -55,7 +56,6 @@ from .measures import (
 )
 from .oracle import (
     charlier,
-    eval_polynomial_batch,
     exact_expectation,
     hermite_h,
     hermite_he_coeffs,
@@ -65,6 +65,7 @@ from .oracle import (
 )
 from .symtensor import (
     SymTensor,
+    is_live,
     pairing,
     partial_pairing,
     power_tensor,
@@ -491,7 +492,7 @@ def suite_delta_density(seed: int) -> SuiteResult:
             shifted = {n: zero_tensor(dim, n) for n in range(basis.degree + 1)}
             for m_deg in range(basis.degree + 1):
                 src = mono.kernels[m_deg]
-                if src.max_abs() == 0.0:
+                if not is_live(src):
                     continue
                 for k in range(m_deg + 1):
                     shifted[k] = shifted[k] + partial_pairing(src, power_tensor(-z, m_deg - k)).scale(comb(m_deg, k))
@@ -517,7 +518,7 @@ def suite_convolution(seed: int) -> SuiteResult:
         shifted_total = 0.0
         for n in range(basis.degree + 1):
             psi = mono.kernels[n]
-            if psi.max_abs() == 0.0:
+            if not is_live(psi):
                 continue
             acc = zero_tensor(dim, n)
             for k in range(n + 1):
@@ -532,11 +533,11 @@ def suite_convolution(seed: int) -> SuiteResult:
     g_jet = s_transform_of_polynomial(gbasis.model, square, 6)
     p_jet = s_transform_of_polynomial(pbasis.model, square, 6)
     g_diff = max(
-        abs(convolution(gbasis, to_appell(gbasis, square), [z]) - g_jet.eval([z]))
+        abs(convolution(gbasis, to_appell(gbasis, square), [z]) - g_jet.eval_batch([[z]]).item())
         for z in (0.5, 1.5)
     )
     p_diff = max(
-        abs(convolution(pbasis, to_appell(pbasis, square), [z]) - p_jet.eval([z]))
+        abs(convolution(pbasis, to_appell(pbasis, square), [z]) - p_jet.eval_batch([[z]]).item())
         for z in (0.5, 1.5)
     )
     details["gaussian_transform_gap"] = g_diff
@@ -587,7 +588,7 @@ def suite_oracle_consistency(seed: int) -> SuiteResult:
             f = monomial_seq(2, 4, {n: random_tensor(rng, 2, n, scale=0.5) for n in range(5)})
             exact = exact_expectation(model, f)
             mean, err = mc_expectation(
-                model, lambda xs: eval_polynomial_batch(f, xs), 100_000, seed=seed + i
+                model, lambda xs: eval_monomial_seq(f, xs), 100_000, seed=seed + i
             )
             band = 4 * err + 1e-9
             ok = abs(mean - exact) <= band

@@ -32,7 +32,6 @@ __all__ = [
     "sym_product",
     "pairing",
     "partial_pairing",
-    "eval_power",
     "eval_power_batch",
     "tensor_norm",
     "is_live",
@@ -284,24 +283,15 @@ def partial_pairing(a: SymTensor, b: SymTensor) -> SymTensor:
     return SymTensor(a.dim, a.rank - k, coeffs)
 
 
-def eval_power(a: SymTensor, x) -> float:
-    """Pairing of a against x^{tensor rank}, i.e. the monomial value at x."""
-    x = np.asarray(x, dtype=float)
-    if len(x) != a.dim:
-        raise DimensionMismatchError(f"point has dim {len(x)}, tensor has dim {a.dim}")
-    s = 0.0
-    for idx, v in a.coeffs.items():
-        if v:
-            prod = 1.0
-            for i in idx:
-                prod *= x[i - 1]
-            s += multiplicity(idx) * v * prod
-    return s
+def eval_power_batch(a: SymTensor, xs) -> np.ndarray:
+    """Pairing of a against x^{tensor rank} at each row x of xs.
 
-
-def eval_power_batch(a: SymTensor, xs: np.ndarray) -> np.ndarray:
-    """Vectorized eval_power over rows of xs (shape (count, dim))."""
+    xs holds count points of dimension a.dim, shape (count, dim); a single
+    point z is passed as [z].  The result has length count.
+    """
     xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != a.dim:
+        raise DimensionMismatchError(f"points have shape {xs.shape}, tensor has dim {a.dim}")
     out = np.zeros(xs.shape[0])
     for idx, v in a.coeffs.items():
         if v:

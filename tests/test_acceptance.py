@@ -18,6 +18,7 @@ from appellsys.appell import (
     delta_appell_eval,
     delta_z,
     estimate_sigma_eps,
+    eval_monomial_seq,
     eval_test,
     gen_appell_all,
     g_nabla_apply,
@@ -34,7 +35,6 @@ from appellsys.jets import identity_vjet, jet_mul, log1p_vjet
 from appellsys.measures import DeltaModel, GaussianModel, PoissonModel
 from appellsys.oracle import (
     charlier,
-    eval_polynomial_batch,
     exact_expectation,
     hermite_h,
     hermite_he_coeffs,
@@ -342,7 +342,7 @@ def test_criterion_9_oracle_consistency():
             )
             exact = exact_expectation(model, f)
             mean, err = mc_expectation(
-                model, lambda xs: eval_polynomial_batch(f, xs), 100_000, seed=SEED + i
+                model, lambda xs: eval_monomial_seq(f, xs), 100_000, seed=SEED + i
             )
             gap = abs(mean - exact)
             band = 4 * err + 1e-9

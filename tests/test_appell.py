@@ -24,7 +24,6 @@ from appellsys.appell import (
     eval_monomial_seq,
     eval_test,
     gen_appell_all,
-    gen_appell_eval,
     generating_jet,
     growth_bound_check,
     g_nabla_apply,
@@ -165,20 +164,21 @@ class TestGeneralizedEval:
     def test_identity_alpha_reduces_to_plain(self, gauss2d_basis):
         rng = np.random.default_rng(1)
         z = rng.standard_normal(2)
+        tensors = gen_appell_all(gauss2d_basis, z)
         for n in range(6):
-            a = gen_appell_eval(gauss2d_basis, n, z)
+            a = tensors[n]
             b = appell_eval(gauss2d_basis, n, z)
             assert (a - b).max_abs() < 1e-11
 
     def test_poisson_log1p_gives_charlier(self, poisson1d_log1p_basis):
-        for n in range(7):
-            for x in (0.0, 1.0, 2.5, 4.0):
-                t = gen_appell_eval(poisson1d_log1p_basis, n, [x])
+        for x in (0.0, 1.0, 2.5, 4.0):
+            tensors = gen_appell_all(poisson1d_log1p_basis, [x])
+            for n, t in enumerate(tensors):
                 assert t[(1,) * n] == pytest.approx(charlier(n, x, 1.0), rel=1e-10, abs=1e-10)
 
     def test_charlier2_closed_form(self, poisson1d_log1p_basis):
         x = 3.0
-        t = gen_appell_eval(poisson1d_log1p_basis, 2, [x])
+        t = gen_appell_all(poisson1d_log1p_basis, [x])[2]
         assert t[(1, 1)] == pytest.approx(x * x - 3 * x + 1)
 
     def test_matches_generating_jet(self):
@@ -192,9 +192,8 @@ class TestGeneralizedEval:
         for basis in cases:
             z = rng.standard_normal(basis.dim)
             jet = generating_jet(basis, z)
-            for n in range(basis.degree + 1):
-                got = gen_appell_eval(basis, n, z)
-                assert (got - jet.kernels[n]).max_abs() < 1e-10
+            for got, want in zip(gen_appell_all(basis, z), jet.kernels, strict=True):
+                assert (got - want).max_abs() < 1e-10
 
     def test_delta_model_any_alpha(self):
         # point-mass system: kernels of exp<w, alpha(theta)>
@@ -206,22 +205,8 @@ class TestGeneralizedEval:
         from appellsys.jets import jet_exp
 
         jet = jet_exp(jet_compose_scalar(lin, alpha))
-        for n in range(6):
-            got = gen_appell_eval(basis, n, w)
-            assert (got - jet.kernels[n]).max_abs() < 1e-11
-
-    def test_per_grade_matches_all_grades_exactly(self, poisson2d_log1p_basis):
-        # both routes compose the same plain tensors, so they agree bit for bit
-        rng = np.random.default_rng(4)
-        bases = [
-            poisson2d_log1p_basis,
-            AppellBasis(GaussianModel.standard(2), random_vjet(rng, 2, 5), degree=5),
-        ]
-        for basis in bases:
-            z = rng.uniform(0.0, 3.0, basis.dim)
-            tensors = gen_appell_all(basis, z)
-            for n in range(basis.degree + 1):
-                assert gen_appell_eval(basis, n, z).coeffs == tensors[n].coeffs
+        for got, want in zip(gen_appell_all(basis, w), jet.kernels, strict=True):
+            assert (got - want).max_abs() < 1e-11
 
 
 class TestDeltaAppellEval:
@@ -244,9 +229,10 @@ class TestDeltaAppellEval:
     def test_agrees_with_delta_model_basis(self, poisson1d_log1p_basis):
         dbasis = delta_basis(poisson1d_log1p_basis)
         w = [1.3]
+        tensors = gen_appell_all(dbasis, w)
         for n in range(7):
             a = delta_appell_eval(poisson1d_log1p_basis, n, w)
-            b = gen_appell_eval(dbasis, n, w)
+            b = tensors[n]
             assert (a - b).max_abs() < 1e-12
 
 
@@ -291,11 +277,10 @@ class TestBasisConversion:
         rng = np.random.default_rng(6)
         f = random_pseq(rng, poisson2d_log1p_basis, max_grade=4)
         mono = to_monomial(poisson2d_log1p_basis, f)
-        for _ in range(5):
-            z = rng.standard_normal(2)
-            assert eval_test(poisson2d_log1p_basis, f, z) == pytest.approx(
-                eval_monomial_seq(mono, z), rel=1e-9, abs=1e-9
-            )
+        zs = rng.standard_normal((5, 2))
+        values = eval_monomial_seq(mono, zs)
+        for z, value in zip(zs, values):
+            assert eval_test(poisson2d_log1p_basis, f, z) == pytest.approx(value, rel=1e-9, abs=1e-9)
 
     def test_tag_mismatch_rejected(self, gauss1d_basis):
         f = monomial_seq(1, 6, {0: scalar_tensor(1, 1.0)})
@@ -359,9 +344,9 @@ class TestGradient:
         rng = np.random.default_rng(9)
         f = monomial_seq(1, 6, {n: tensor_1d(n, rng.standard_normal()) for n in range(6)})
         out = g_nabla_apply(poisson1d_log1p_basis, [1.0], f)
-        for x in (-1.0, 0.5, 2.0):
-            direct = eval_monomial_seq(f, [x + 1.0]) - eval_monomial_seq(f, [x])
-            assert eval_monomial_seq(out, [x]) == pytest.approx(direct, rel=1e-10, abs=1e-10)
+        xs = np.array([[-1.0], [0.5], [2.0]])
+        direct = eval_monomial_seq(f, xs + 1.0) - eval_monomial_seq(f, xs)
+        assert eval_monomial_seq(out, xs) == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
     def test_symbol_identity_on_exponential_jet(self):
         # applying the operator to the truncated exponential with small
@@ -382,11 +367,11 @@ class TestGradient:
             {n: power_tensor(theta, n).scale(1.0 / factorial(n)) for n in range(N + 1)},
         )
         out = g_nabla_apply(basis, xi, f)
-        lhs = eval_monomial_seq(out, x)
+        lhs = eval_monomial_seq(out, [x])[0]
 
-        gv = basis.g_alpha.eval(theta)
+        gv = basis.g_alpha.eval_batch([theta])[0]
         symbol = float(np.dot(xi, gv))
-        rhs = symbol * eval_monomial_seq(f, x)
+        rhs = symbol * eval_monomial_seq(f, [x])[0]
         assert lhs == pytest.approx(rhs, rel=1e-7, abs=1e-9)
 
 
@@ -543,7 +528,7 @@ class TestEvaluationFunctionals:
         mono = to_monomial(poisson2d_log1p_basis, phi)
         z = rng.standard_normal(2)
         assert eval_test(poisson2d_log1p_basis, phi, z) == pytest.approx(
-            eval_monomial_seq(mono, z), rel=1e-10
+            eval_monomial_seq(mono, [z])[0], rel=1e-10
         )
 
     def test_delta_z_evaluates(self, poisson2d_log1p_basis):
@@ -657,13 +642,13 @@ class TestConvolution:
         sg = s_transform_of_polynomial(gauss1d_basis.model, f, 6)
         for z in (0.5, 2.0):
             assert convolution(gauss1d_basis, phi_g, [z]) == pytest.approx(
-                sg.eval([z]), rel=1e-10
+                sg.eval_batch([[z]])[0], rel=1e-10
             )
         pbasis = AppellBasis(PoissonModel((1.0,)), degree=6)
         phi_p = to_appell(pbasis, f)
         sp_jet = s_transform_of_polynomial(pbasis.model, f, 6)
         diffs = [
-            abs(convolution(pbasis, phi_p, [z]) - sp_jet.eval([z])) for z in (0.5, 2.0)
+            abs(convolution(pbasis, phi_p, [z]) - sp_jet.eval_batch([[z]])[0]) for z in (0.5, 2.0)
         ]
         assert max(diffs) > 1e-3
 
@@ -674,17 +659,16 @@ class TestStructureIdentities:
         rng = np.random.default_rng(21)
         basis = poisson2d_log1p_basis
         z, w = rng.standard_normal(2), rng.standard_normal(2)
+        tz, tw, tzw = (gen_appell_all(basis, x) for x in (z, w, z + w))
         for n in range(basis.degree + 1):
-            lhs = gen_appell_eval(basis, n, z + w)
+            lhs = tzw[n]
             rhs = zero_tensor(2, n)
             for k in range(n + 1):
                 for l in range(n - k + 1):
                     m = n - k - l
                     coeff = factorial(n) / (factorial(k) * factorial(l) * factorial(m))
                     rhs = rhs + sym_product(
-                        sym_product(
-                            gen_appell_eval(basis, k, z), gen_appell_eval(basis, l, w)
-                        ),
+                        sym_product(tz[k], tw[l]),
                         basis.malpha_jet.kernels[m],
                     ).scale(coeff)
             assert (lhs - rhs).max_abs() < 1e-10
@@ -693,13 +677,12 @@ class TestStructureIdentities:
         rng = np.random.default_rng(22)
         basis = poisson2d_log1p_basis
         z, w = rng.standard_normal(2), rng.standard_normal(2)
+        tz, tzw = gen_appell_all(basis, z), gen_appell_all(basis, z + w)
         for n in range(basis.degree + 1):
-            lhs = gen_appell_eval(basis, n, z + w)
+            lhs = tzw[n]
             rhs = zero_tensor(2, n)
             for k in range(n + 1):
-                rhs = rhs + sym_product(
-                    gen_appell_eval(basis, k, z), delta_appell_eval(basis, n - k, w)
-                ).scale(comb(n, k))
+                rhs = rhs + sym_product(tz[k], delta_appell_eval(basis, n - k, w)).scale(comb(n, k))
             assert (lhs - rhs).max_abs() < 1e-10
 
     def test_p1_binomial_at_translate(self, gauss2d_basis):
@@ -833,6 +816,15 @@ class TestGrowth:
         report = growth_bound_check(gauss1d_basis, phi, 2, 4, 0.5, trials=50, seed=2)
         assert report["passed"]
         assert report["max_ratio"] <= 1.0 + 1e-12
+
+    def test_fixed_seed_report_is_pinned(self, gauss1d_basis):
+        # the trial points are drawn one at a time, direction before radius;
+        # any change to that order or to the arithmetic moves these bits
+        rng = np.random.default_rng(0)
+        phi = random_pseq(rng, gauss1d_basis)
+        report = growth_bound_check(gauss1d_basis, phi, 2, 6, 0.5, trials=300, seed=0)
+        assert float.hex(report["max_ratio"]) == "0x1.5133fc3f8932cp-16"
+        assert float.hex(report["sigma_eps"]) == "0x1.78b56362cef38p-3"
 
     def test_hermite_test_function_bounded(self, gauss1d_basis):
         phi = p_seq(gauss1d_basis, {4: tensor_1d(4, 1.0)})

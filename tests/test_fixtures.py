@@ -175,3 +175,23 @@ def test_section_of_the_wrong_form_raises_format_error(parse, text):
     # it were absent
     with pytest.raises(FixtureFormatError):
         parse(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, lineno",
+    [
+        (parse_scalar_jet, "scalarjet\ndim 1\ndegree 2\nkernel 1\n1 1.0\nkernel 1\n1 3.0\n", 6),
+        (
+            parse_vector_jet,
+            "vectorjet\ndim 1\ndegree 2\nkernel 1 component 1\n1 1.0\nkernel 1 component 1\n1 3.0\n",
+            6,
+        ),
+        (parse_kernel_seq, "kernelseq\ntag monomial\ndim 1\ndegree 2\ngrade 2\n1,1 1.0\ngrade 2\n", 7),
+        (parse_tensor, "symtensor\ndim 2\nrank 1\n1 1.0\n2 2.0\n1 3.0\n", 6),
+    ],
+    ids=["scalarjet-kernel", "vectorjet-kernel-component", "kernelseq-grade", "tensor-entry"],
+)
+def test_duplicate_section_or_entry_raises_format_error(parse, text, lineno):
+    # a repeated section or entry is an error, not a silent overwrite
+    with pytest.raises(FixtureFormatError, match=f"^line {lineno}: "):
+        parse(text)

@@ -1,7 +1,12 @@
-"""Static check of the package sources: every imported name is used."""
+"""Static checks of the package: every imported name is used, and the
+public surface is the one listed here."""
 
 import ast
+import importlib
 from pathlib import Path
+from types import ModuleType
+
+import appellsys
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "appellsys"
 
@@ -26,3 +31,89 @@ def test_no_module_imports_a_name_it_never_uses():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+# The public surface: each module's __all__ and the names the package itself
+# exports.  A change to an export is made on purpose by editing this table.
+SURFACE = {
+    "symtensor": [
+        "DimensionMismatchError", "HilbertScale", "RankMismatchError", "SymTensor",
+        "basis_vector", "eval_power_batch", "is_live", "multi_indices", "multiplicity",
+        "pairing", "partial_pairing", "power_tensor", "random_tensor", "scalar_tensor",
+        "sym_product", "tensor_norm", "vector_tensor", "zero_tensor",
+    ],
+    "jets": [
+        "CompKernels", "ScalarJet", "SingularJetError", "VectorJet", "comp_kernels",
+        "constant_jet", "expm1_vjet", "identity_vjet", "jet_compose_scalar",
+        "jet_compose_vector", "jet_exp", "jet_invert", "jet_log", "jet_mul", "jet_recip",
+        "linear_jet", "log1p_vjet", "random_vjet", "unit_jet",
+    ],
+    "measures": [
+        "DegreeOverflowError", "DeltaModel", "GaussianModel", "MeasureModel", "MomentFileModel",
+        "PoissonModel", "UnsupportedModelError", "moment_kernels", "nondegeneracy_check",
+        "sample_batch",
+    ],
+    "appell": [
+        "AppellBasis", "BasisMismatchError", "KernelSeq", "MONOMIAL", "P_TAG", "Q_TAG",
+        "appell_constants", "appell_eval", "convolution", "delta_appell_eval", "delta_basis",
+        "delta_z", "diff_op", "dist_norm", "estimate_sigma_eps", "eval_monomial_seq",
+        "eval_test", "g_nabla_apply", "gen_appell_all", "generating_jet", "growth_bound_check",
+        "monomial_seq", "p_seq", "pair", "q_kernel_make", "q_seq", "radon_nikodym", "s_inverse",
+        "s_transform", "test_norm", "to_appell", "to_monomial",
+    ],
+    "wick": [
+        "wick_fn", "wick_inv", "wick_mul", "wick_norm_check", "wick_pow", "wick_solve",
+        "wick_unit",
+    ],
+    "remeasure": [
+        "change_alpha_dist", "p_relation", "reorder_test", "transport_dist",
+    ],
+    "oracle": [
+        "charlier", "exact_expectation", "exact_product_expectation", "hermite_h", "hermite_he",
+        "hermite_he_coeffs", "mc_expectation", "pmf_sum", "poly_product", "quad_1d",
+        "s_transform_of_polynomial",
+    ],
+    "fixtures": [
+        "FixtureFormatError", "format_kernel_seq", "format_moment_model", "format_scalar_jet",
+        "format_tensor", "format_vector_jet", "parse_kernel_seq", "parse_moment_model",
+        "parse_scalar_jet", "parse_tensor", "parse_vector_jet",
+    ],
+    "suites": [
+        "SuiteResult", "UnknownSuiteError", "list_suites", "run_suite",
+    ],
+    "cli": [
+        "main",
+    ],
+    "appellsys": [
+        "AppellBasis", "CompKernels", "DeltaModel", "GaussianModel", "HilbertScale",
+        "KernelSeq", "MeasureModel", "MomentFileModel", "PoissonModel", "ScalarJet",
+        "SymTensor", "VectorJet", "appell_constants", "appell_eval", "change_alpha_dist",
+        "comp_kernels", "convolution", "delta_appell_eval", "delta_z", "diff_op", "dist_norm",
+        "eval_power_batch", "eval_test", "exact_expectation", "exact_product_expectation",
+        "g_nabla_apply", "gen_appell_all", "growth_bound_check", "identity_vjet",
+        "jet_compose_scalar", "jet_compose_vector", "jet_exp", "jet_invert", "jet_log",
+        "jet_mul", "jet_recip", "list_suites", "log1p_vjet", "mc_expectation", "moment_kernels",
+        "monomial_seq", "nondegeneracy_check", "p_relation", "p_seq", "pair", "pairing",
+        "partial_pairing", "q_kernel_make", "q_seq", "quad_1d", "radon_nikodym", "reorder_test",
+        "run_suite", "s_transform", "sample_batch", "sym_product", "tensor_norm", "test_norm",
+        "to_appell", "to_monomial", "transport_dist", "wick_fn", "wick_inv", "wick_mul",
+        "wick_norm_check", "wick_pow", "wick_solve",
+    ],
+}
+
+
+def test_public_surface_is_pinned():
+    surface = {}
+    for name in SURFACE:
+        if name == "appellsys":
+            module = appellsys
+            exported = [
+                n for n, v in vars(module).items()
+                if not n.startswith("_") and not isinstance(v, ModuleType)
+            ]
+        else:
+            module = importlib.import_module(f"appellsys.{name}")
+            exported = module.__all__
+        assert all(hasattr(module, n) for n in exported), name
+        surface[name] = sorted(exported)
+    assert surface == SURFACE

@@ -12,7 +12,6 @@ from appellsys.measures import (
     MomentFileModel,
     PoissonModel,
     UnsupportedModelError,
-    density_derivatives,
     moment_kernels,
     nondegeneracy_check,
     sample_batch,
@@ -117,7 +116,7 @@ class TestSampler:
             xs = sample_batch(model, 100_000, seed=23)
             vals = np.exp(xs @ theta)
             mc, stderr = vals.mean(), vals.std(ddof=1) / math.sqrt(len(vals))
-            assert abs(mc - jet.eval(theta)) < 3 * stderr + 1e-6
+            assert abs(mc - jet.eval_batch([theta])[0]) < 3 * stderr + 1e-6
 
 
 class TestDensity:
@@ -129,19 +128,19 @@ class TestDensity:
     def test_first_derivative_identity(self):
         model = GaussianModel.standard(1)
         rho = model.density1d(1.0)
-        d = density_derivatives(model, 1.0, 1)
+        d = model.density_derivatives(1.0, 1)
         assert d[1] == pytest.approx(-1.0 * rho)
 
     def test_second_derivative_at_zero(self):
         model = GaussianModel.standard(1)
-        d = density_derivatives(model, 0.0, 2)
+        d = model.density_derivatives(0.0, 2)
         assert d[2] == pytest.approx(-1.0 / math.sqrt(2 * math.pi))
 
     def test_matches_finite_differences(self):
         model = GaussianModel.standard(1)
         h = 1e-5
         for x in (-1.3, 0.2, 2.1):
-            d = density_derivatives(model, x, 3)
+            d = model.density_derivatives(x, 3)
             fd1 = (model.density1d(x + h) - model.density1d(x - h)) / (2 * h)
             fd2 = (
                 model.density1d(x + h) - 2 * model.density1d(x) + model.density1d(x - h)
@@ -153,13 +152,17 @@ class TestDensity:
         model = GaussianModel.standard(1, sigma2=4.0)
         h = 1e-5
         x = 0.7
-        d = density_derivatives(model, x, 1)
+        d = model.density_derivatives(x, 1)
         fd1 = (model.density1d(x + h) - model.density1d(x - h)) / (2 * h)
         assert d[1] == pytest.approx(fd1, rel=1e-6)
 
     def test_poisson_unsupported(self):
+        # only the Gaussian model has a density
+        assert not hasattr(PoissonModel((1.0,)), "density_derivatives")
+
+    def test_multivariate_gaussian_unsupported(self):
         with pytest.raises(UnsupportedModelError):
-            density_derivatives(PoissonModel((1.0,)), 0.0, 2)
+            GaussianModel.standard(2).density_derivatives(0.0, 2)
 
 
 class TestNondegeneracy:

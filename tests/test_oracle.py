@@ -15,7 +15,6 @@ from appellsys.measures import (
 )
 from appellsys.oracle import (
     charlier,
-    eval_polynomial_batch,
     exact_expectation,
     exact_product_expectation,
     hermite_h,
@@ -60,19 +59,10 @@ class TestPolyProduct:
         g = monomial_seq(2, 2, {n: random_tensor(rng, 2, n) for n in range(3)})
         prod = poly_product(f, g)
         assert prod.degree == 5
-        for _ in range(5):
-            x = rng.standard_normal(2)
-            assert eval_monomial_seq(prod, x) == pytest.approx(
-                eval_monomial_seq(f, x) * eval_monomial_seq(g, x), rel=1e-11
-            )
-
-    def test_batch_eval(self):
-        rng = np.random.default_rng(2)
-        f = monomial_seq(2, 3, {n: random_tensor(rng, 2, n) for n in range(4)})
-        xs = rng.standard_normal((7, 2))
-        vals = eval_polynomial_batch(f, xs)
-        for i in range(7):
-            assert vals[i] == pytest.approx(eval_monomial_seq(f, xs[i]), rel=1e-12)
+        xs = rng.standard_normal((5, 2))
+        assert eval_monomial_seq(prod, xs) == pytest.approx(
+            eval_monomial_seq(f, xs) * eval_monomial_seq(g, xs), rel=1e-11
+        )
 
 
 class TestProductExpectation:
@@ -124,7 +114,7 @@ class TestMonteCarlo:
                 )
                 exact = exact_expectation(model, f)
                 mean, err = mc_expectation(
-                    model, lambda xs: eval_polynomial_batch(f, xs), 100_000, seed=5
+                    model, lambda xs: eval_monomial_seq(f, xs), 100_000, seed=5
                 )
                 assert abs(mean - exact) < 4 * err + 1e-9
 
@@ -137,7 +127,7 @@ class TestMonteCarlo:
         phi = p_seq(basis, {3: tensor_1d(3, 1.0)})
         mono = to_monomial(basis, phi)
         mean, err = mc_expectation(
-            basis.model, lambda xs: eval_polynomial_batch(mono, xs), 200_000, seed=6
+            basis.model, lambda xs: eval_monomial_seq(mono, xs), 200_000, seed=6
         )
         assert abs(mean) < 4 * err
 

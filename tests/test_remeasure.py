@@ -12,7 +12,6 @@ from appellsys.appell import (
     BasisMismatchError,
     delta_z,
     eval_test,
-    gen_appell_eval,
     pair,
     p_seq,
     q_seq,

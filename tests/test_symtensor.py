@@ -5,14 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from appellsys.appell import eval_monomial_seq, monomial_seq
+from appellsys.jets import ScalarJet
 from appellsys.symtensor import (
     DimensionMismatchError,
     HilbertScale,
     RankMismatchError,
     SymTensor,
     basis_vector,
-    eval_power,
     eval_power_batch,
     multi_indices,
     multiplicity,
@@ -196,11 +198,11 @@ class TestPartialPairing:
 
 class TestEvalPower:
     def test_rank_zero(self):
-        assert eval_power(scalar_tensor(2, 4.0), [0.0, 0.0]) == 4.0
+        assert eval_power_batch(scalar_tensor(2, 4.0), [[0.0, 0.0]]).tolist() == [4.0]
 
     def test_coordinate_square(self):
         t = sym_product(basis_vector(2, 1), basis_vector(2, 1))
-        assert eval_power(t, [3.0, 1.0]) == pytest.approx(9.0)
+        assert eval_power_batch(t, [[3.0, 1.0], [-2.0, 5.0]]) == pytest.approx([9.0, 4.0])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(23)
@@ -213,16 +215,55 @@ class TestEvalPower:
                 for i in itertools.product(range(3), repeat=3)
             )
         )
-        assert eval_power(a, x) == pytest.approx(brute, rel=1e-12)
-        assert eval_power(a, x) == pytest.approx(pairing(power_tensor(x, 3), a), rel=1e-12)
+        assert eval_power_batch(a, [x])[0] == pytest.approx(brute, rel=1e-12)
 
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(29)
-        a = random_tensor(rng, 2, 3)
-        xs = rng.standard_normal((6, 2))
-        batch = eval_power_batch(a, xs)
-        for i in range(6):
-            assert batch[i] == pytest.approx(eval_power(a, xs[i]), rel=1e-12)
+    @settings(max_examples=40)
+    @given(
+        d=st.integers(1, 3),
+        degree=st.integers(0, 4),
+        count=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_evaluators_match_pairings(self, d, degree, count, seed):
+        # each evaluator, row by row, against pairings with x^{tensor n}; the
+        # tolerance is relative to the sum of the absolute terms
+        rng = np.random.default_rng(seed)
+        kernels = [
+            random_tensor(rng, d, n) if rng.random() < 0.7 else zero_tensor(d, n)
+            for n in range(degree + 1)
+        ]
+        xs = rng.standard_normal((count, d))
+
+        def graded_sum(x, grades, weight):
+            """The sum over grades n of weight(n) <x^n, kernel n>, and the
+            same sum over absolute values."""
+            want = size = 0.0
+            for n in grades:
+                k = kernels[n]
+                want += weight(n) * pairing(power_tensor(x, n), k)
+                size += weight(n) * pairing(
+                    power_tensor(np.abs(x), n), SymTensor(d, n, {i: abs(v) for i, v in k.coeffs.items()})
+                )
+            return want, size
+
+        grades = range(degree + 1)
+        jet = ScalarJet(d, degree, tuple(kernels))
+        mono = monomial_seq(d, degree, dict(enumerate(kernels)))
+        routes = [(eval_power_batch(kernels[n], xs), [n], lambda n: 1.0) for n in grades] + [
+            (jet.eval_batch(xs), grades, lambda n: 1.0 / math.factorial(n)),
+            (eval_monomial_seq(mono, xs), grades, lambda n: 1.0),
+        ]
+        for got, graded, weight in routes:
+            assert got.shape == (count,)
+            for row, x in zip(got, xs):
+                want, size = graded_sum(x, graded, weight)
+                assert abs(row - want) <= 1e-12 * size
+
+    def test_wrong_column_count_rejected(self):
+        a = random_tensor(np.random.default_rng(29), 2, 3)
+        for xs in (np.ones((4, 3)), np.ones((4, 1)), np.ones(2)):
+            with pytest.raises(DimensionMismatchError):
+                eval_power_batch(a, xs)
 
 
 class TestNorms:
