@@ -64,6 +64,16 @@ class TestPolyProduct:
             eval_monomial_seq(f, xs) * eval_monomial_seq(g, xs), rel=1e-11
         )
 
+    def test_batch_eval(self):
+        # a batch of points gives, row by row, what each point gives alone
+        rng = np.random.default_rng(2)
+        f = monomial_seq(2, 3, {n: random_tensor(rng, 2, n) for n in range(4)})
+        xs = rng.standard_normal((7, 2))
+        vals = eval_monomial_seq(f, xs)
+        assert vals.shape == (7,)
+        for i in range(7):
+            assert vals[i] == pytest.approx(eval_monomial_seq(f, [xs[i]])[0], rel=1e-12)
+
 
 class TestProductExpectation:
     def test_constant_pair(self):

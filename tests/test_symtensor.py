@@ -217,6 +217,16 @@ class TestEvalPower:
         )
         assert eval_power_batch(a, [x])[0] == pytest.approx(brute, rel=1e-12)
 
+    def test_batch_matches_scalar(self):
+        # a batch of points gives, row by row, what each point gives alone
+        rng = np.random.default_rng(29)
+        a = random_tensor(rng, 2, 3)
+        xs = rng.standard_normal((6, 2))
+        batch = eval_power_batch(a, xs)
+        assert batch.shape == (6,)
+        for i in range(6):
+            assert batch[i] == pytest.approx(eval_power_batch(a, [xs[i]])[0], rel=1e-12)
+
     @settings(max_examples=40)
     @given(
         d=st.integers(1, 3),
