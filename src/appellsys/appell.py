@@ -49,6 +49,7 @@ from .symtensor import (
     scalar_tensor,
     tensor_norm,
     vector_tensor,
+    weighted_sum,
     zero_tensor,
 )
 
@@ -96,12 +97,6 @@ class BasisMismatchError(ValueError):
     pass
 
 
-def _vjet_key(a: VectorJet) -> tuple:
-    return tuple(
-        tuple(tuple(sorted(k.coeffs.items())) for k in c.kernels) for c in a.components
-    )
-
-
 class AppellBasis:
     """Cached context for one (measure, alpha, dimension, degree) choice.
 
@@ -134,15 +129,13 @@ class AppellBasis:
         self.malpha_jet = jet_compose_scalar(self.m_jet, alpha, self.A)
         self.u_jet = jet_recip(self.m_jet)
         self.ualpha_jet = jet_recip(self.malpha_jet)
-        key = _vjet_key(alpha)
-        self.alpha_is_identity = key == _vjet_key(identity_vjet(self.dim, degree))
-        self.signature = (model.key(), key, degree)
+        self.alpha_is_identity = alpha == identity_vjet(self.dim, degree)
 
     def same_basis(self, other: "AppellBasis") -> bool:
-        return self.signature == other.signature
+        return self.model.key() == other.model.key() and self.same_alpha(other)
 
     def same_alpha(self, other: "AppellBasis") -> bool:
-        return self.signature[1:] == other.signature[1:]
+        return self.alpha == other.alpha and self.degree == other.degree
 
 
 @dataclass(frozen=True)
@@ -276,12 +269,10 @@ def _contract_inputs(ck: CompKernels, kernels) -> list[SymTensor]:
     slots of ck[n][m].  With ck = A it takes generalized kernels to plain
     ones, with ck = B plain kernels to generalized ones.
     """
-    out = [zero_tensor(ck.dim, 0) + kernels[0]]
+    out = [weighted_sum(ck.dim, 0, [(1, kernels[0])])]
     for m in range(1, ck.degree + 1):
-        acc = zero_tensor(ck.dim, m)
-        for n in range(m, ck.degree + 1):
-            acc = acc + ck.contract_in(n, m, kernels[n])
-        out.append(acc.scale(1.0 / factorial(m)))
+        terms = ((1, ck.contract_in(n, m, kernels[n])) for n in range(m, ck.degree + 1))
+        out.append(weighted_sum(ck.dim, m, terms).scale(1.0 / factorial(m)))
     return out
 
 
@@ -294,14 +285,13 @@ def binomial_contract(kernels, weights) -> list[SymTensor]:
     """
     live = [m for m, t in enumerate(kernels) if is_live(t)]
     w_live = [is_live(w) for w in weights]
-    out = []
-    for k in range(len(weights)):
-        acc = zero_tensor(weights[0].dim, k)
+
+    def terms(k):
         for m in live:
             if m >= k and w_live[m - k]:
-                acc = acc + partial_pairing(kernels[m], weights[m - k]).scale(comb(m, k))
-        out.append(acc)
-    return out
+                yield comb(m, k), partial_pairing(kernels[m], weights[m - k])
+
+    return [weighted_sum(weights[0].dim, k, terms(k)) for k in range(len(weights))]
 
 
 def to_monomial(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
@@ -331,11 +321,10 @@ def diff_op(phi_n: SymTensor, f: KernelSeq) -> KernelSeq:
     """
     _require_tag(f, MONOMIAL)
     n = phi_n.rank
-    out = {}
-    for m in range(n, f.degree + 1):
-        term = partial_pairing(f.kernels[m], phi_n).scale(factorial(m) // factorial(m - n))
-        k = m - n
-        out[k] = term if k not in out else out[k] + term
+    out = {
+        m - n: partial_pairing(f.kernels[m], phi_n).scale(factorial(m) // factorial(m - n))
+        for m in range(n, f.degree + 1)
+    }
     return monomial_seq(f.dim, f.degree, out)
 
 
@@ -349,13 +338,11 @@ def g_nabla_apply(basis: AppellBasis, xi, f: KernelSeq) -> KernelSeq:
     """
     _require_tag(f, MONOMIAL)
     xi = np.asarray(xi, dtype=float)
-    psi = [zero_tensor(f.dim, 0)]
-    for n in range(1, f.degree + 1):
-        acc = zero_tensor(f.dim, n)
-        for j in range(1, basis.dim + 1):
-            if xi[j - 1]:
-                acc = acc + basis.g_alpha.kernel(n, j).scale(xi[j - 1])
-        psi.append(acc)
+    nz = [j for j in range(1, basis.dim + 1) if xi[j - 1]]
+    psi = [zero_tensor(f.dim, 0)] + [
+        weighted_sum(f.dim, n, [(xi[j - 1], basis.g_alpha.kernel(n, j)) for j in nz])
+        for n in range(1, f.degree + 1)
+    ]
     return KernelSeq(MONOMIAL, f.dim, f.degree, tuple(binomial_contract(f.kernels, psi)))
 
 
@@ -426,8 +413,7 @@ def eval_monomial_seq(f: KernelSeq, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     out = np.zeros(len(xs))
     for k in f.kernels:
-        if is_live(k):
-            out += eval_power_batch(k, xs)
+        out += eval_power_batch(k, xs)
     return out
 
 

@@ -30,6 +30,7 @@ from .symtensor import (
     scalar_tensor,
     sym_product,
     vector_tensor,
+    weighted_sum,
     zero_tensor,
 )
 
@@ -116,8 +117,7 @@ class ScalarJet:
         thetas = np.asarray(thetas, dtype=float)
         out = np.zeros(len(thetas))
         for n in range(self.degree + 1):
-            if is_live(self.kernels[n]):
-                out += eval_power_batch(self.kernels[n], thetas) / factorial(n)
+            out += eval_power_batch(self.kernels[n], thetas) / factorial(n)
         return out
 
     def max_abs(self) -> float:
@@ -149,15 +149,13 @@ def graded_product(f, g, grades, weight=comb) -> list[SymTensor]:
     """
     f_live = [is_live(k) for k in f]
     g_live = [is_live(k) for k in g]
-    out = []
-    for n in grades:
-        acc = zero_tensor(f[0].dim, n)
+
+    def terms(n):
         for k in range(n + 1):
             if f_live[k] and g_live[n - k]:
-                t, w = sym_product(f[k], g[n - k]), weight(n, k)
-                acc = acc + (t if w == 1 else t.scale(w))
-        out.append(acc)
-    return out
+                yield weight(n, k), sym_product(f[k], g[n - k])
+
+    return [weighted_sum(f[0].dim, n, terms(n)) for n in grades]
 
 
 def graded_solve(f, h0: SymTensor, post, weight=comb) -> list[SymTensor]:
@@ -309,15 +307,11 @@ class CompKernels:
         """Pair a rank-m tensor against the output slots, leaving rank n."""
         if coeff.rank != m:
             raise ValueError(f"coefficient rank {coeff.rank} != output slots {m}")
-        table = self.tables.get((n, m))
-        acc = zero_tensor(self.dim, n)
-        if table is None:
-            return acc
-        for u, tens in table.items():
-            c = coeff[u]
-            if c:
-                acc = acc + tens.scale(multiplicity(u) * c)
-        return acc
+        c = coeff.coeffs
+        table = self.tables.get((n, m), {})
+        return weighted_sum(
+            self.dim, n, ((multiplicity(u) * c[u], tens) for u, tens in table.items() if c[u])
+        )
 
     def compose(self, n: int, ks) -> SymTensor:
         """Grade n of f(a(theta)) from the kernels ks of f.
@@ -328,10 +322,8 @@ class CompKernels:
         """
         if n == 0:
             return ks[0]
-        acc = zero_tensor(self.dim, n)
-        for m in range(1, n + 1):
-            acc = acc + self.contract_out(n, m, ks[m]).scale(1.0 / factorial(m))
-        return acc
+        terms = ((1.0 / factorial(m), self.contract_out(n, m, ks[m])) for m in range(1, n + 1))
+        return weighted_sum(self.dim, n, terms)
 
     def contract_in(self, n: int, m: int, phi: SymTensor) -> SymTensor:
         """Pair a rank-n tensor against the input slots, leaving rank m (output)."""

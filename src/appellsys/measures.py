@@ -224,16 +224,14 @@ def moment_kernels(model: MeasureModel, degree: int) -> ScalarJet:
 
 
 def sample_batch(model: MeasureModel, count: int, seed: int) -> np.ndarray:
-    """Reproducible i.i.d. draws, shape (count, dim)."""
+    """Reproducible i.i.d. draws, shape (count, dim); count 0 gives no rows."""
+    if count < 0:
+        raise ValueError(f"sample count must be non-negative, got {count}")
+    # count 0 still draws one empty shard, so a model with no sampler raises
     chunks = []
-    got = 0
-    shard = 0
-    while got < count:
-        take = min(_SHARD, count - got)
+    for shard, start in enumerate(range(0, count or 1, _SHARD)):
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(shard))
-        chunks.append(model.sample(rng, take))
-        got += take
-        shard += 1
+        chunks.append(model.sample(rng, min(_SHARD, count - start)))
     return np.concatenate(chunks, axis=0)
 
 

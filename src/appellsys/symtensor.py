@@ -17,8 +17,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import comb, factorial, isfinite, sqrt
+from itertools import combinations_with_replacement, product
+from math import comb, factorial, isfinite, prod, sqrt
 
 import numpy as np
 
@@ -72,30 +72,17 @@ def _splits(idx: tuple[int, ...], m: int) -> tuple[tuple[tuple, tuple, int], ...
     """Distinct splits of the multiset idx into (u, v) with |u| = m.
 
     The weight counts how many of the comb(len(idx), m) position subsets
-    realize the split, i.e. prod_c C(count_idx(c), count_u(c)).
+    realize the split, i.e. prod_c C(count_idx(c), count_u(c)).  Splits
+    come in descending order of the counts taken into u, value by value.
     """
     items = sorted(Counter(idx).items())
-    tail_capacity = [0] * (len(items) + 1)
-    for i in range(len(items) - 1, -1, -1):
-        tail_capacity[i] = tail_capacity[i + 1] + items[i][1]
     out = []
-
-    def rec(i: int, need: int, taken: list[int]) -> None:
-        if need == 0:
-            u, v, ways = [], [], 1
-            for (val, cnt), tk in zip(items, taken + [0] * (len(items) - len(taken))):
-                u += [val] * tk
-                v += [val] * (cnt - tk)
-                ways *= comb(cnt, tk)
-            out.append((tuple(u), tuple(v), ways))
-            return
-        if i == len(items) or need > tail_capacity[i]:
-            return
-        cnt = items[i][1]
-        for tk in range(min(cnt, need), -1, -1):
-            rec(i + 1, need - tk, taken + [tk])
-
-    rec(0, m, [])
+    for taken in product(*(range(cnt, -1, -1) for _, cnt in items)):
+        if sum(taken) == m:
+            u = tuple(val for (val, _), tk in zip(items, taken) for _ in range(tk))
+            v = tuple(val for (val, cnt), tk in zip(items, taken) for _ in range(cnt - tk))
+            ways = prod(comb(cnt, tk) for (_, cnt), tk in zip(items, taken))
+            out.append((u, v, ways))
     return tuple(out)
 
 
@@ -139,7 +126,7 @@ class SymTensor:
         return SymTensor(self.dim, self.rank, {k: c * v for k, v in self.coeffs.items()})
 
     def __add__(self, other: "SymTensor") -> "SymTensor":
-        _check_same_shape(self, other)
+        _check_shape(self.dim, self.rank, other)
         return SymTensor(
             self.dim, self.rank, {k: v + other.coeffs[k] for k, v in self.coeffs.items()}
         )
@@ -164,11 +151,11 @@ class SymTensor:
         return out
 
 
-def _check_same_shape(a: SymTensor, b: SymTensor) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dim mismatch: {a.dim} vs {b.dim}")
-    if a.rank != b.rank:
-        raise RankMismatchError(f"rank mismatch: {a.rank} vs {b.rank}")
+def _check_shape(dim: int, rank: int, t: SymTensor) -> None:
+    if dim != t.dim:
+        raise DimensionMismatchError(f"dim mismatch: {dim} vs {t.dim}")
+    if rank != t.rank:
+        raise RankMismatchError(f"rank mismatch: {rank} vs {t.rank}")
 
 
 def is_live(t: SymTensor) -> bool:
@@ -179,6 +166,28 @@ def is_live(t: SymTensor) -> bool:
     changes nothing.
     """
     return any(t.coeffs.values())
+
+
+def weighted_sum(dim: int, rank: int, terms) -> SymTensor:
+    """The sum of w * t over the pairs (w, t) of terms, in order, from +0.0.
+
+    The graded sums of the jets and the Appell system add their terms here,
+    so a grade builds one tensor, not two per term.  The coefficients are
+    those of adding each t.scale(w) to a zero tensor, bit for bit; a weight
+    of 1 is not applied.  A term of another dim or rank raises as + does.
+    """
+    keys = multi_indices(dim, rank)
+    acc = dict.fromkeys(keys, 0.0)
+    for w, t in terms:
+        _check_shape(dim, rank, t)
+        tc = t.coeffs
+        if w == 1:
+            for k in keys:
+                acc[k] += tc[k]
+        else:
+            for k in keys:
+                acc[k] += w * tc[k]
+    return SymTensor(dim, rank, acc)
 
 
 def zero_tensor(dim: int, rank: int) -> SymTensor:
@@ -248,7 +257,7 @@ def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
 
 def pairing(a: SymTensor, b: SymTensor) -> float:
     """Dual pairing: sum of entrywise products over all ordered index tuples."""
-    _check_same_shape(a, b)
+    _check_shape(a.dim, a.rank, b)
     s = 0.0
     bc = b.coeffs
     for k, av in a.coeffs.items():

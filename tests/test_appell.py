@@ -40,6 +40,8 @@ from appellsys.appell import (
     to_monomial,
 )
 from appellsys.jets import (
+    ScalarJet,
+    VectorJet,
     identity_vjet,
     jet_compose_scalar,
     jet_mul,
@@ -511,6 +513,22 @@ class TestPairing:
         phi = p_seq(poisson1d_log1p_basis, {0: scalar_tensor(1, 1.0)})
         with pytest.raises(BasisMismatchError, match="remeasure"):
             pair(gauss1d_basis, Phi, phi)
+
+    def test_basis_identity_is_model_alpha_and_degree(self):
+        model, d, deg = GaussianModel.standard(2), 2, 3
+        first = AppellBasis(model, random_vjet(np.random.default_rng(5), d, deg), deg)
+        twin = AppellBasis(model, random_vjet(np.random.default_rng(5), d, deg), deg)
+        assert twin.alpha is not first.alpha
+        Phi = q_seq(first, {1: vector_tensor([1.0, 2.0])})
+        phi = p_seq(twin, {1: vector_tensor([0.5, -1.0])})
+        assert pair(first, Phi, phi) == pair(twin, Phi, phi)
+        comps = list(twin.alpha.components)
+        ks = list(comps[1].kernels)
+        ks[2] = SymTensor(d, 2, {**ks[2].coeffs, (1, 2): ks[2].coeffs[(1, 2)] + 2.0**-20})
+        comps[1] = ScalarJet(d, deg, tuple(ks))
+        other = AppellBasis(model, VectorJet(d, deg, tuple(comps)), deg)
+        with pytest.raises(BasisMismatchError):
+            pair(first, Phi, p_seq(other, {1: vector_tensor([0.5, -1.0])}))
 
 
 class TestEvaluationFunctionals:

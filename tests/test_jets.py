@@ -343,6 +343,27 @@ class TestLiveGrades:
         to_monomial(basis, p_seq(basis, {n: random_tensor(rng, d, n) for n in range(deg + 1)}))
         assert len(contractions) == 16
 
+    def test_product_builds_one_tensor_per_grade_and_product(self, monkeypatch):
+        # the terms of a grade add into one accumulator, built once
+        rng = np.random.default_rng(8)
+        d, deg = 2, 5
+        f, g = (
+            ScalarJet(d, deg, tuple(random_tensor(rng, d, n) for n in range(deg + 1)))
+            for _ in range(2)
+        )
+        built = []
+        post_init = SymTensor.__post_init__
+
+        def counted(self):
+            built.append(self.rank)
+            post_init(self)
+
+        products = count_calls(monkeypatch, sym_product)
+        monkeypatch.setattr(SymTensor, "__post_init__", counted)
+        jet_mul(f, g)
+        assert len(products) == sum(n + 1 for n in range(deg + 1)) == 21
+        assert len(built) == (deg + 1) + len(products)
+
 
 class TestCompose:
     def test_identity_returns_f(self):

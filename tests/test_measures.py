@@ -104,8 +104,19 @@ class TestSampler:
 
     def test_momentfile_has_no_sampler(self):
         model = MomentFileModel("fixture", 1, 2, tuple(moment_kernels(DeltaModel(1), 2).kernels))
-        with pytest.raises(UnsupportedModelError):
-            sample_batch(model, 10, seed=0)
+        for count in (10, 0):
+            with pytest.raises(UnsupportedModelError):
+                sample_batch(model, count, seed=0)
+
+    def test_zero_count_gives_no_rows(self):
+        for model in (GaussianModel.standard(2), PoissonModel((1.0, 2.0, 3.0)), DeltaModel(1)):
+            xs = sample_batch(model, 0, seed=4)
+            assert xs.shape == (0, model.dim)
+            assert xs.dtype == sample_batch(model, 3, seed=4).dtype
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="-3"):
+            sample_batch(GaussianModel.standard(1), -3, seed=0)
 
     def test_mc_laplace_matches_jet(self):
         # sampled transform vs truncated jet at small theta, all models

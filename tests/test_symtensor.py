@@ -2,14 +2,16 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from appellsys.appell import eval_monomial_seq, monomial_seq
-from appellsys.jets import ScalarJet
+from appellsys.jets import ScalarJet, VectorJet, constant_jet
 from appellsys.symtensor import (
+    _splits,
     DimensionMismatchError,
     HilbertScale,
     RankMismatchError,
@@ -26,6 +28,7 @@ from appellsys.symtensor import (
     sym_product,
     tensor_norm,
     vector_tensor,
+    weighted_sum,
     zero_tensor,
 )
 
@@ -270,10 +273,106 @@ class TestEvalPower:
                 assert abs(row - want) <= 1e-12 * size
 
     def test_wrong_column_count_rejected(self):
+        # all-zero kernels included: every evaluator checks the points itself
         a = random_tensor(np.random.default_rng(29), 2, 3)
-        for xs in (np.ones((4, 3)), np.ones((4, 1)), np.ones(2)):
-            with pytest.raises(DimensionMismatchError):
-                eval_power_batch(a, xs)
+        zero_jet = constant_jet(2, 3, 0.0)
+        evaluators = [
+            lambda xs: eval_power_batch(a, xs),
+            lambda xs: eval_power_batch(zero_tensor(2, 3), xs),
+            zero_jet.eval_batch,
+            VectorJet(2, 3, (zero_jet, zero_jet)).eval_batch,
+            lambda xs: eval_monomial_seq(monomial_seq(2, 3, {}), xs),
+        ]
+        for evaluate in evaluators:
+            for xs in (np.ones((4, 3)), np.ones((4, 1)), np.ones(2), [1.0, 2.0, 3.0]):
+                with pytest.raises(DimensionMismatchError):
+                    evaluate(xs)
+
+
+def literal_sum(dim, rank, terms):
+    """The hand-written accumulator loop weighted_sum replaces."""
+    acc = zero_tensor(dim, rank)
+    for w, t in terms:
+        acc = acc + (t if w == 1 else t.scale(w))
+    return acc
+
+
+@st.composite
+def weighted_terms(draw):
+    """A shape and up to 5 (weight, tensor) terms of it; entries are random,
+    +0.0 or -0.0, and weights include 1, 1.0, 0.0 and -0.0."""
+    d, rank = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entry = st.sampled_from(("random", 0.0, -0.0))
+    weight = st.one_of(
+        st.sampled_from((1, 1.0, 0.0, -0.0, -1.0, 2, 6)),
+        st.floats(-10.0, 10.0, allow_nan=False),
+    )
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        coeffs = {}
+        for k in multi_indices(d, rank):
+            e = draw(entry)
+            coeffs[k] = float(rng.standard_normal()) if e == "random" else e
+        terms.append((draw(weight), SymTensor(d, rank, coeffs)))
+    return d, rank, terms
+
+
+class TestWeightedSum:
+    @settings(max_examples=120)
+    @given(case=weighted_terms())
+    def test_bit_identical_to_literal_loop(self, case):
+        d, rank, terms = case
+        got, want = weighted_sum(d, rank, terms), literal_sum(d, rank, terms)
+        assert (got.dim, got.rank) == (d, rank)
+        assert {k: v.hex() for k, v in got.coeffs.items()} == {
+            k: v.hex() for k, v in want.coeffs.items()
+        }
+
+    def test_wrong_shape_raises_as_add(self):
+        good = random_tensor(np.random.default_rng(3), 2, 2)
+        for bad in (random_tensor(np.random.default_rng(4), 3, 2), zero_tensor(2, 1)):
+            with pytest.raises(ValueError) as by_add:
+                zero_tensor(2, 2) + bad
+            with pytest.raises(ValueError) as by_sum:
+                weighted_sum(2, 2, [(1, good), (2.0, bad)])
+            assert type(by_sum.value) is type(by_add.value)
+            assert str(by_sum.value) == str(by_add.value)
+
+
+def recursive_splits(idx, m):
+    """The recursive enumerator _splits replaced, kept as its reference."""
+    items = sorted(Counter(idx).items())
+    tail_capacity = [0] * (len(items) + 1)
+    for i in range(len(items) - 1, -1, -1):
+        tail_capacity[i] = tail_capacity[i + 1] + items[i][1]
+    out = []
+
+    def rec(i, need, taken):
+        if need == 0:
+            u, v, ways = [], [], 1
+            for (val, cnt), tk in zip(items, taken + [0] * (len(items) - len(taken))):
+                u += [val] * tk
+                v += [val] * (cnt - tk)
+                ways *= math.comb(cnt, tk)
+            out.append((tuple(u), tuple(v), ways))
+            return
+        if i == len(items) or need > tail_capacity[i]:
+            return
+        cnt = items[i][1]
+        for tk in range(min(cnt, need), -1, -1):
+            rec(i + 1, need - tk, taken + [tk])
+
+    rec(0, m, [])
+    return tuple(out)
+
+
+def test_splits_match_recursive_reference_in_order():
+    for d in range(1, 5):
+        for rank in range(7):
+            for idx in multi_indices(d, rank):
+                for m in range(rank + 1):
+                    assert _splits(idx, m) == recursive_splits(idx, m)
 
 
 class TestNorms:
