@@ -39,6 +39,7 @@ from .jets import (
 )
 from .measures import DeltaModel, MeasureModel, moment_kernels
 from .symtensor import (
+    DimensionMismatchError,
     HilbertScale,
     SymTensor,
     eval_power_batch,
@@ -338,6 +339,8 @@ def g_nabla_apply(basis: AppellBasis, xi, f: KernelSeq) -> KernelSeq:
     """
     _require_tag(f, MONOMIAL)
     xi = np.asarray(xi, dtype=float)
+    if xi.shape != (basis.dim,):
+        raise DimensionMismatchError(f"xi has shape {xi.shape}, basis has dim {basis.dim}")
     nz = [j for j in range(1, basis.dim + 1) if xi[j - 1]]
     psi = [zero_tensor(f.dim, 0)] + [
         weighted_sum(f.dim, n, [(xi[j - 1], basis.g_alpha.kernel(n, j)) for j in nz])

@@ -145,7 +145,8 @@ def graded_product(f, g, grades, weight=comb) -> list[SymTensor]:
     """The given grades of the product h_n = sum_k weight(n, k) f_k sym g_{n-k}.
 
     f and g are graded kernel sequences (kernel k of rank k).  Only products
-    of two live kernels are formed, and a weight of 1 is not applied.
+    of two live kernels are formed, and a weight of 1 is not applied; a
+    grade with no such product is the shared zero tensor, built once.
     """
     f_live = [is_live(k) for k in f]
     g_live = [is_live(k) for k in g]
@@ -318,11 +319,16 @@ class CompKernels:
 
         Grade 0 is ks[0]; grade n >= 1 is sum_{m=1..n} (1/m!) times ks[m]
         paired against the output slots of the power kernels, and reads
-        ks[1..n] only.
+        ks[1..n] only.  An absent table adds nothing: the sum starts at +0.0,
+        so its all-zero term would change no bit.
         """
         if n == 0:
             return ks[0]
-        terms = ((1.0 / factorial(m), self.contract_out(n, m, ks[m])) for m in range(1, n + 1))
+        terms = (
+            (1.0 / factorial(m), self.contract_out(n, m, ks[m]))
+            for m in range(1, n + 1)
+            if (n, m) in self.tables
+        )
         return weighted_sum(self.dim, n, terms)
 
     def contract_in(self, n: int, m: int, phi: SymTensor) -> SymTensor:

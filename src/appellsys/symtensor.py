@@ -90,9 +90,58 @@ def _merge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(a + b))
 
 
+# Positional plans.  Coefficients are stored in multi_indices order, so an
+# operation reads them by list position through integer plans cached per
+# (dim, ranks) instead of hashing tuple keys.
+
+
+@lru_cache(maxsize=None)
+def _key_set(dim: int, rank: int) -> frozenset:
+    return frozenset(multi_indices(dim, rank))
+
+
+@lru_cache(maxsize=None)
+def _multiplicities(dim: int, rank: int) -> tuple[int, ...]:
+    return tuple(multiplicity(k) for k in multi_indices(dim, rank))
+
+
+@lru_cache(maxsize=None)
+def _position(dim: int, rank: int) -> dict[tuple[int, ...], int]:
+    return {k: i for i, k in enumerate(multi_indices(dim, rank))}
+
+
+@lru_cache(maxsize=None)
+def _product_plan(dim: int, m: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """plan[i][j] = (position of t, ways) for u_i of rank m, v_j of rank n.
+
+    t is the merge of u_i and v_j, and ways the weight of the split (u_i, v_j)
+    of t in _splits.  _splits lists the splits of t in ascending order of u,
+    which is the order of the positions i.
+    """
+    pu, pv = _position(dim, m), _position(dim, n)
+    plan = [[None] * len(pv) for _ in pu]
+    for p, t in enumerate(multi_indices(dim, m + n)):
+        for u, v, ways in _splits(t, m):
+            plan[pu[u]][pv[v]] = (p, ways)
+    return tuple(map(tuple, plan))
+
+
+@lru_cache(maxsize=None)
+def _pairing_plan(dim: int, n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """plan[p][j] = position of the merge of s_p (rank n - k) and u_j (rank k)."""
+    pt = _position(dim, n)
+    return tuple(
+        tuple(pt[_merge(s, u)] for u in multi_indices(dim, k)) for s in multi_indices(dim, n - k)
+    )
+
+
 @dataclass(frozen=True)
 class SymTensor:
-    """Immutable symmetric tensor; coeffs holds one entry per multiset index."""
+    """Immutable symmetric tensor; coeffs holds one entry per multiset index.
+
+    The entries are kept in multi_indices order: a table given in another
+    order is reordered once, here.
+    """
 
     dim: int
     rank: int
@@ -104,14 +153,18 @@ class SymTensor:
         if self.rank < 0:
             raise ValueError(f"rank must be non-negative, got {self.rank}")
         keys = multi_indices(self.dim, self.rank)
-        if set(self.coeffs) != set(keys):
+        c = self.coeffs
+        canonical = tuple(c) == keys
+        if not canonical and set(c) != _key_set(self.dim, self.rank):
             raise ValueError(
                 f"coefficient table must have exactly one entry per multiset index "
-                f"(expected {len(keys)}, got {len(self.coeffs)})"
+                f"(expected {len(keys)}, got {len(c)})"
             )
-        for k, v in self.coeffs.items():
-            if not isfinite(v):
-                raise ValueError(f"non-finite coefficient at index {k}: {v}")
+        if not all(map(isfinite, c.values())):
+            k, v = next((k, v) for k, v in c.items() if not isfinite(v))
+            raise ValueError(f"non-finite coefficient at index {k}: {v}")
+        if not canonical:
+            object.__setattr__(self, "coeffs", {k: c[k] for k in keys})
 
     def __getitem__(self, idx: tuple[int, ...]) -> float:
         return self.coeffs[tuple(sorted(idx))]
@@ -175,23 +228,28 @@ def weighted_sum(dim: int, rank: int, terms) -> SymTensor:
     so a grade builds one tensor, not two per term.  The coefficients are
     those of adding each t.scale(w) to a zero tensor, bit for bit; a weight
     of 1 is not applied.  A term of another dim or rank raises as + does.
+    With no term the sum is the shared zero tensor of the shape.
     """
-    keys = multi_indices(dim, rank)
-    acc = dict.fromkeys(keys, 0.0)
+    acc = None
     for w, t in terms:
         _check_shape(dim, rank, t)
-        tc = t.coeffs
+        if acc is None:
+            acc = [0.0] * len(t.coeffs)
         if w == 1:
-            for k in keys:
-                acc[k] += tc[k]
+            acc = [s + x for s, x in zip(acc, t.coeffs.values())]
         else:
-            for k in keys:
-                acc[k] += w * tc[k]
-    return SymTensor(dim, rank, acc)
+            acc = [s + w * x for s, x in zip(acc, t.coeffs.values())]
+    if acc is None:
+        return _zero(dim, rank)
+    return SymTensor(dim, rank, dict(zip(multi_indices(dim, rank), acc)))
 
 
 def zero_tensor(dim: int, rank: int) -> SymTensor:
     return SymTensor(dim, rank, {k: 0.0 for k in multi_indices(dim, rank)})
+
+
+# the shared zero of each shape, for sums with no term; never mutated
+_zero = lru_cache(maxsize=None)(zero_tensor)
 
 
 def scalar_tensor(dim: int, value: float) -> SymTensor:
@@ -240,31 +298,27 @@ def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
         return b.scale(a.item())
     if n == 0:
         return a.scale(b.item())
+    # entry t gets its terms ways * a[u] * b[v] in the order of _splits(t, m),
+    # ascending in u, with a zero factor skipped
+    keys = multi_indices(a.dim, m + n)
+    live_b = [(j, y) for j, y in enumerate(b.coeffs.values()) if y]
+    acc = [0.0] * len(keys)
+    for x, row in zip(a.coeffs.values(), _product_plan(a.dim, m, n)):
+        if x:
+            for j, y in live_b:
+                p, ways = row[j]
+                acc[p] += ways * x * y
     total = comb(m + n, m)
-    ac, bc = a.coeffs, b.coeffs
-    coeffs = {}
-    for t in multi_indices(a.dim, m + n):
-        s = 0.0
-        for u, v, ways in _splits(t, m):
-            au = ac[u]
-            if au:
-                bv = bc[v]
-                if bv:
-                    s += ways * au * bv
-        coeffs[t] = s / total
-    return SymTensor(a.dim, m + n, coeffs)
+    return SymTensor(a.dim, m + n, dict(zip(keys, [s / total for s in acc])))
 
 
 def pairing(a: SymTensor, b: SymTensor) -> float:
     """Dual pairing: sum of entrywise products over all ordered index tuples."""
     _check_shape(a.dim, a.rank, b)
     s = 0.0
-    bc = b.coeffs
-    for k, av in a.coeffs.items():
-        if av:
-            bv = bc[k]
-            if bv:
-                s += multiplicity(k) * av * bv
+    for w, x, y in zip(_multiplicities(a.dim, a.rank), a.coeffs.values(), b.coeffs.values()):
+        if x and y:
+            s += w * x * y
     return s
 
 
@@ -281,15 +335,16 @@ def partial_pairing(a: SymTensor, b: SymTensor) -> SymTensor:
     if b.rank == 0:
         return a.scale(b.item())
     k = b.rank
-    ac = a.coeffs
-    coeffs = {}
-    nz = [(u, multiplicity(u) * bv) for u, bv in b.coeffs.items() if bv]
-    for s in multi_indices(a.dim, a.rank - k):
+    av = list(a.coeffs.values())
+    mult = _multiplicities(a.dim, k)
+    nz = [(j, mult[j] * y) for j, y in enumerate(b.coeffs.values()) if y]
+    out = []
+    for row in _pairing_plan(a.dim, a.rank, k):
         acc = 0.0
-        for u, w in nz:
-            acc += w * ac[_merge(s, u)]
-        coeffs[s] = acc
-    return SymTensor(a.dim, a.rank - k, coeffs)
+        for j, w in nz:
+            acc += w * av[row[j]]
+        out.append(acc)
+    return SymTensor(a.dim, a.rank - k, dict(zip(multi_indices(a.dim, a.rank - k), out)))
 
 
 def eval_power_batch(a: SymTensor, xs) -> np.ndarray:

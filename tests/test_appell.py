@@ -57,6 +57,7 @@ from appellsys.oracle import (
     hermite_he_coeffs,
 )
 from appellsys.symtensor import (
+    DimensionMismatchError,
     SymTensor,
     multi_indices,
     pairing,
@@ -334,6 +335,12 @@ class TestGradient:
         out = g_nabla_apply(gauss1d_basis, [1.0], f)
         assert out.kernels[1][(1,)] == pytest.approx(2.0)
         assert out.max_grade() == 1
+
+    def test_wrong_length_xi_rejected(self, gauss2d_basis):
+        f = monomial_seq(2, 5, {2: power_tensor([1.0, 2.0], 2)})
+        for xi in ([1.0, 2.0, 5.0], [1.0], [[1.0, 2.0]]):
+            with pytest.raises(DimensionMismatchError):
+                g_nabla_apply(gauss2d_basis, xi, f)
 
     def test_poisson_log1p_is_finite_difference(self, poisson1d_log1p_basis):
         # on x^3 the shift difference is 3x^2 + 3x + 1

@@ -43,6 +43,7 @@ from appellsys.jets import (
 from appellsys.measures import GaussianModel, PoissonModel
 from appellsys.remeasure import transport_dist
 from appellsys.symtensor import (
+    _zero,
     multi_indices,
     pairing,
     partial_pairing,
@@ -364,6 +365,22 @@ class TestLiveGrades:
         assert len(products) == sum(n + 1 for n in range(deg + 1)) == 21
         assert len(built) == (deg + 1) + len(products)
 
+    def test_dead_grades_share_one_zero_that_stays_zero(self):
+        # a linear factor times a constant: grades 2..deg have no live term
+        d, deg = 2, 5
+        lin = linear_jet(d, deg, [1.0, -2.0])
+        zeros = [_zero(d, n) for n in range(deg + 1)]
+        before = [[v.hex() for v in z.coeffs.values()] for z in zeros]
+        prod = jet_mul(constant_jet(d, deg, 3.0), lin)
+        for n in range(2, deg + 1):
+            assert prod.kernels[n] is zeros[n]
+        # the shared zeros then flow into further products and sums
+        jet_mul(prod, prod)
+        jet_exp(prod)
+        jet_compose_scalar(prod, random_vjet(np.random.default_rng(2), d, deg))
+        assert [[v.hex() for v in z.coeffs.values()] for z in zeros] == before
+        assert before == [["0x0.0p+0"] * len(multi_indices(d, n)) for n in range(deg + 1)]
+
 
 class TestCompose:
     def test_identity_returns_f(self):
@@ -441,6 +458,24 @@ class TestCompKernels:
                         for n in range(m, N + 1)
                     )
                     assert series == pytest.approx(direct, rel=1e-10, abs=1e-14)
+
+    def test_compose_contracts_present_tables_only(self, monkeypatch):
+        # identity power kernels have the tables (n, n) only
+        d, deg = 3, 8
+        ck = comp_kernels(identity_vjet(d, deg))
+        rng = np.random.default_rng(12)
+        ks = [random_tensor(rng, d, n) for n in range(deg + 1)]
+        calls = []
+        contract_out = CompKernels.contract_out
+
+        def counted(self, n, m, coeff):
+            calls.append((n, m))
+            return contract_out(self, n, m, coeff)
+
+        monkeypatch.setattr(CompKernels, "contract_out", counted)
+        got = ck.compose(deg, ks)
+        assert calls == [(deg, deg)]
+        assert (got - ks[deg]).max_abs() < 1e-12
 
     def test_vanishing_below_diagonal(self):
         ck = comp_kernels(random_vjet(np.random.default_rng(8), 2, 4))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -62,16 +63,36 @@ class TestStorage:
         assert scalar_tensor(2, 3.5).item() == 3.5
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("non-finite coefficient at index (): nan")):
             SymTensor(1, 0, {(): float("nan")})
+        # the first non-finite entry in the given order is named
+        with pytest.raises(ValueError, match=re.escape("non-finite coefficient at index (2,): nan")):
+            SymTensor(2, 1, {(2,): float("nan"), (1,): float("inf")})
+        with pytest.raises(ValueError, match=re.escape("non-finite coefficient at index (1, 2): -inf")):
+            SymTensor(2, 2, {(1, 1): 0.0, (1, 2): float("-inf"), (2, 2): 1.0})
 
     def test_rejects_wrong_key_set(self):
-        with pytest.raises(ValueError):
-            SymTensor(2, 1, {(1,): 1.0})
+        message = "coefficient table must have exactly one entry per multiset index "
+        for rank, coeffs, counts in [
+            (1, {(1,): 1.0}, "(expected 2, got 1)"),
+            (2, {(2, 2): 1.0, (1, 1): 1.0}, "(expected 3, got 2)"),
+            (1, {(2,): 1.0, (1,): 1.0, (3,): 1.0}, "(expected 2, got 3)"),
+            (1, {(2,): 1.0, (2, 1): 1.0}, "(expected 2, got 2)"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message + counts)):
+                SymTensor(2, rank, coeffs)
 
     def test_getitem_sorts(self):
         t = sym_product(basis_vector(2, 1), basis_vector(2, 2))
         assert t[(2, 1)] == t[(1, 2)] == 0.5
+
+    def test_any_key_order_is_stored_in_multi_indices_order(self):
+        keys = multi_indices(3, 2)
+        given = {k: float(i) for i, k in reversed(list(enumerate(keys)))}
+        t = SymTensor(3, 2, given)
+        assert tuple(t.coeffs) == keys
+        assert list(t.coeffs.values()) == [float(i) for i in range(len(keys))]
+        assert t.coeffs == given
 
 
 class TestSymProduct:
@@ -197,6 +218,86 @@ class TestPartialPairing:
                 lhs = pairing(sym_product(a, b), c)
                 rhs = pairing(a, partial_pairing(c, b))
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def dict_sym_product(dim, m, n, ac, bc):
+    """The dict loop sym_product replaces, over canonical coefficient dicts."""
+    total = math.comb(m + n, m)
+    coeffs = {}
+    for t in multi_indices(dim, m + n):
+        s = 0.0
+        for u, v, ways in _splits(t, m):
+            au = ac[u]
+            if au:
+                bv = bc[v]
+                if bv:
+                    s += ways * au * bv
+        coeffs[t] = s / total
+    return coeffs
+
+
+def dict_partial_pairing(dim, n, ac, bc):
+    """The dict loop partial_pairing replaces; bc holds rank k >= 1."""
+    k = len(next(iter(bc)))
+    coeffs = {}
+    nz = [(u, multiplicity(u) * bv) for u, bv in bc.items() if bv]
+    for s in multi_indices(dim, n - k):
+        acc = 0.0
+        for u, w in nz:
+            acc += w * ac[tuple(sorted(s + u))]
+        coeffs[s] = acc
+    return coeffs
+
+
+def dict_pairing(ac, bc):
+    """The dict loop pairing replaces."""
+    s = 0.0
+    for k, av in ac.items():
+        if av:
+            bv = bc[k]
+            if bv:
+                s += multiplicity(k) * av * bv
+    return s
+
+
+@st.composite
+def coefficient_dicts(draw, dim, rank):
+    """A canonical coefficient dict of the shape, entries random, +0.0 or
+    -0.0, and the same dict in a shuffled key order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = multi_indices(dim, rank)
+    entry = st.sampled_from(("random", "random", 0.0, -0.0))
+    canonical = {}
+    for k in keys:
+        e = draw(entry)
+        canonical[k] = float(rng.standard_normal()) if e == "random" else e
+    shuffled = draw(st.permutations(keys))
+    return canonical, {k: canonical[k] for k in shuffled}
+
+
+@st.composite
+def plan_cases(draw):
+    d, m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return d, m, n, *(draw(coefficient_dicts(d, r)) for r in (m, n, m))
+
+
+def hexes(coeffs):
+    return [(k, v.hex()) for k, v in coeffs.items()]
+
+
+class TestPositionalPlans:
+    @settings(max_examples=150)
+    @given(case=plan_cases())
+    def test_bit_identical_to_dict_loops(self, case):
+        d, m, n, (ac, a_shuffled), (bc, b_shuffled), (cc, c_shuffled) = case
+        a, b, c = SymTensor(d, m, a_shuffled), SymTensor(d, n, b_shuffled), SymTensor(d, m, c_shuffled)
+        assert hexes(sym_product(a, b).coeffs) == hexes(dict_sym_product(d, m, n, ac, bc))
+        big, small = (a, b) if m >= n else (b, a)
+        big_c, small_c = (ac, bc) if m >= n else (bc, ac)
+        assert hexes(partial_pairing(big, small).coeffs) == hexes(
+            dict_partial_pairing(d, big.rank, big_c, small_c)
+        )
+        assert pairing(a, c).hex() == dict_pairing(ac, cc).hex()
 
 
 class TestEvalPower:
