@@ -175,6 +175,8 @@ def _filled(dim: int, degree: int, entries: dict[int, SymTensor]) -> tuple[SymTe
     over = [n for n in entries if n > degree]
     if over:
         raise ValueError(f"grade {max(over)} exceeds truncation degree {degree}")
+    if any(n < 0 for n in entries):
+        raise ValueError(f"grade {min(entries)} is negative")
     ks = []
     for n in range(degree + 1):
         t = entries.get(n)

@@ -17,8 +17,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
-from math import comb, factorial, isfinite, prod, sqrt
+from itertools import combinations_with_replacement
+from math import comb, factorial, isfinite, sqrt
+from types import MappingProxyType
 
 import numpy as np
 
@@ -67,25 +68,6 @@ def multiplicity(idx: tuple[int, ...]) -> int:
     return m
 
 
-@lru_cache(maxsize=None)
-def _splits(idx: tuple[int, ...], m: int) -> tuple[tuple[tuple, tuple, int], ...]:
-    """Distinct splits of the multiset idx into (u, v) with |u| = m.
-
-    The weight counts how many of the comb(len(idx), m) position subsets
-    realize the split, i.e. prod_c C(count_idx(c), count_u(c)).  Splits
-    come in descending order of the counts taken into u, value by value.
-    """
-    items = sorted(Counter(idx).items())
-    out = []
-    for taken in product(*(range(cnt, -1, -1) for _, cnt in items)):
-        if sum(taken) == m:
-            u = tuple(val for (val, _), tk in zip(items, taken) for _ in range(tk))
-            v = tuple(val for (val, cnt), tk in zip(items, taken) for _ in range(cnt - tk))
-            ways = prod(comb(cnt, tk) for (_, cnt), tk in zip(items, taken))
-            out.append((u, v, ways))
-    return tuple(out)
-
-
 def _merge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(a + b))
 
@@ -114,16 +96,51 @@ def _position(dim: int, rank: int) -> dict[tuple[int, ...], int]:
 def _product_plan(dim: int, m: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """plan[i][j] = (position of t, ways) for u_i of rank m, v_j of rank n.
 
-    t is the merge of u_i and v_j, and ways the weight of the split (u_i, v_j)
-    of t in _splits.  _splits lists the splits of t in ascending order of u,
-    which is the order of the positions i.
+    t is the merge of u_i and v_j, and ways the number of the comb(m+n, m)
+    position subsets of t that u_i fills, prod_c C(count_t(c), count_u(c)).
+    That is the exact integer comb(m+n, m) * mult(u_i) * mult(v_j) / mult(t).
     """
-    pu, pv = _position(dim, m), _position(dim, n)
-    plan = [[None] * len(pv) for _ in pu]
-    for p, t in enumerate(multi_indices(dim, m + n)):
-        for u, v, ways in _splits(t, m):
-            plan[pu[u]][pv[v]] = (p, ways)
-    return tuple(map(tuple, plan))
+    pt, mt = _position(dim, m + n), _multiplicities(dim, m + n)
+    total = comb(m + n, m)
+    vs = tuple(zip(multi_indices(dim, n), _multiplicities(dim, n)))
+    plan = []
+    for u, mu in zip(multi_indices(dim, m), _multiplicities(dim, m)):
+        row = []
+        for v, mv in vs:
+            p = pt[_merge(u, v)]
+            row.append((p, total * mu * mv // mt[p]))
+        plan.append(tuple(row))
+    return tuple(plan)
+
+
+@lru_cache(maxsize=None)
+def _product_arrays(dim: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_product_plan as arrays: the positions T, flat and row-major over
+    (i, j), and the float weights W of shape (i, j)."""
+    plan = _product_plan(dim, m, n)
+    T = np.array([p for row in plan for p, _ in row], dtype=np.intp)
+    W = np.array([[ways for _, ways in row] for row in plan], dtype=float)
+    return T, W
+
+
+# A product with at least this many terms (live entries of b times entries
+# of a) is scattered by numpy; below it the Python loop is faster.  On the
+# products of a basis build the two cost the same at 56 to 63 terms.
+_SCATTER_MIN_TERMS = 64
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _scatter(a: SymTensor, b: SymTensor, size: int) -> np.ndarray:
+    """The sums of sym_product(a, b) before the division, by np.bincount.
+
+    bincount adds each entry's terms (ways * a[u]) * b[v] in the order of
+    the flat plan, ascending in u, from +0.0.  An overflow gives an inf or
+    nan entry, not a warning.
+    """
+    T, W = _product_arrays(a.dim, a.rank, b.rank)
+    x = np.fromiter(a.coeffs.values(), float, len(a.coeffs))
+    y = np.fromiter(b.coeffs.values(), float, len(b.coeffs))
+    return np.bincount(T, weights=((W * x[:, None]) * y).ravel(), minlength=size)
 
 
 @lru_cache(maxsize=None)
@@ -248,8 +265,16 @@ def zero_tensor(dim: int, rank: int) -> SymTensor:
     return SymTensor(dim, rank, {k: 0.0 for k in multi_indices(dim, rank)})
 
 
-# the shared zero of each shape, for sums with no term; never mutated
-_zero = lru_cache(maxsize=None)(zero_tensor)
+@lru_cache(maxsize=None)
+def _zero(dim: int, rank: int) -> SymTensor:
+    """The zero of the shape that every sum with no term shares.
+
+    Its coefficients are a read-only view, so no write through one grade
+    reaches the others.
+    """
+    z = zero_tensor(dim, rank)
+    object.__setattr__(z, "coeffs", MappingProxyType(z.coeffs))
+    return z
 
 
 def scalar_tensor(dim: int, value: float) -> SymTensor:
@@ -298,17 +323,24 @@ def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
         return b.scale(a.item())
     if n == 0:
         return a.scale(b.item())
-    # entry t gets its terms ways * a[u] * b[v] in the order of _splits(t, m),
-    # ascending in u, with a zero factor skipped
+    # entry t gets its terms ways * a[u] * b[v] in ascending u, from +0.0;
+    # the loop skips a zero factor, which numpy adds as a signed zero term
+    # that cannot change a sum that is never -0.0
     keys = multi_indices(a.dim, m + n)
+    total = comb(m + n, m)
     live_b = [(j, y) for j, y in enumerate(b.coeffs.values()) if y]
+    if len(live_b) * len(a.coeffs) >= _SCATTER_MIN_TERMS:
+        acc = _scatter(a, b, len(keys)) / total
+        try:
+            return SymTensor(a.dim, m + n, dict(zip(keys, acc.tolist())))
+        except ValueError:
+            pass  # an overflow: the loop below, which skips zero factors, decides
     acc = [0.0] * len(keys)
     for x, row in zip(a.coeffs.values(), _product_plan(a.dim, m, n)):
         if x:
             for j, y in live_b:
                 p, ways = row[j]
                 acc[p] += ways * x * y
-    total = comb(m + n, m)
     return SymTensor(a.dim, m + n, dict(zip(keys, [s / total for s in acc])))
 
 

@@ -259,6 +259,20 @@ class TestBasisConversion:
         got = [mono.kernels[n][(1,) * n] for n in range(7)]
         assert got == pytest.approx([-1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], abs=1e-12)
 
+    def test_grade_outside_zero_to_degree_rejected(self, gauss1d_basis):
+        makers = (
+            lambda entries: monomial_seq(1, 6, entries),
+            lambda entries: p_seq(gauss1d_basis, entries),
+            lambda entries: q_seq(gauss1d_basis, entries),
+        )
+        for make in makers:
+            with pytest.raises(ValueError, match="grade -1 is negative"):
+                make({-1: scalar_tensor(1, 5.0)})
+            with pytest.raises(ValueError, match="grade -2 is negative"):
+                make({0: scalar_tensor(1, 1.0), -1: scalar_tensor(1, 5.0), -2: scalar_tensor(1, 5.0)})
+            with pytest.raises(ValueError, match="grade 7 exceeds truncation degree 6"):
+                make({7: tensor_1d(7, 1.0)})
+
     def test_round_trip_identity(self, gauss2d_basis, poisson2d_log1p_basis):
         rng = np.random.default_rng(4)
         for basis in (gauss2d_basis, poisson2d_log1p_basis):

@@ -381,6 +381,16 @@ class TestLiveGrades:
         assert [[v.hex() for v in z.coeffs.values()] for z in zeros] == before
         assert before == [["0x0.0p+0"] * len(multi_indices(d, n)) for n in range(deg + 1)]
 
+    def test_shared_zero_is_read_only(self):
+        p = jet_mul(constant_jet(2, 4, 3.0), linear_jet(2, 4, [1.0, 2.0]))
+        assert p.kernels[3] is _zero(2, 3)
+        with pytest.raises(TypeError):
+            p.kernels[3].coeffs[(1, 1, 1)] = float("nan")
+        later = jet_mul(constant_jet(2, 4, 1.0), linear_jet(2, 4, [3.0, 4.0]))
+        assert all(np.isfinite(list(t.coeffs.values())).all() for t in later.kernels)
+        # a tensor that is not the shared zero keeps a plain dict
+        assert type(p.kernels[1].coeffs) is dict
+
 
 class TestCompose:
     def test_identity_returns_f(self):

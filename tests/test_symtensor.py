@@ -1,18 +1,23 @@
 """Tensor algebra checked entry-by-entry against dense numpy oracles."""
 
+import contextlib
 import itertools
 import math
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import appellsys.symtensor
 from appellsys.appell import eval_monomial_seq, monomial_seq
 from appellsys.jets import ScalarJet, VectorJet, constant_jet
 from appellsys.symtensor import (
-    _splits,
+    _SCATTER_MIN_TERMS,
+    _position,
+    _product_plan,
     DimensionMismatchError,
     HilbertScale,
     RankMismatchError,
@@ -226,7 +231,7 @@ def dict_sym_product(dim, m, n, ac, bc):
     coeffs = {}
     for t in multi_indices(dim, m + n):
         s = 0.0
-        for u, v, ways in _splits(t, m):
+        for u, v, ways in recursive_splits(t, m):
             au = ac[u]
             if au:
                 bv = bc[v]
@@ -285,19 +290,112 @@ def hexes(coeffs):
     return [(k, v.hex()) for k, v in coeffs.items()]
 
 
+@contextlib.contextmanager
+def scatter_from(terms):
+    """Run sym_product with the numpy kernel from the given term count."""
+    saved = appellsys.symtensor._SCATTER_MIN_TERMS
+    appellsys.symtensor._SCATTER_MIN_TERMS = terms
+    try:
+        yield
+    finally:
+        appellsys.symtensor._SCATTER_MIN_TERMS = saved
+
+
+def both_kernels(a, b):
+    """sym_product(a, b) by the Python loop and by the numpy scatter."""
+    with scatter_from(math.inf):
+        loop = sym_product(a, b)
+    with scatter_from(0):
+        scatter = sym_product(a, b)
+    return loop, scatter
+
+
+def live_coefficients(rng, dim, rank, live, negative_zeros=0):
+    """Coefficients in multi_indices order: `live` random entries at random
+    positions, then -0.0 at `negative_zeros` of the others, +0.0 elsewhere."""
+    keys = multi_indices(dim, rank)
+    order = rng.permutation(len(keys))
+    vals = [0.0] * len(keys)
+    for i in order[:live]:
+        vals[i] = float(rng.standard_normal())
+    for i in order[live : live + negative_zeros]:
+        vals[i] = -0.0
+    return dict(zip(keys, vals))
+
+
 class TestPositionalPlans:
     @settings(max_examples=150)
     @given(case=plan_cases())
     def test_bit_identical_to_dict_loops(self, case):
         d, m, n, (ac, a_shuffled), (bc, b_shuffled), (cc, c_shuffled) = case
         a, b, c = SymTensor(d, m, a_shuffled), SymTensor(d, n, b_shuffled), SymTensor(d, m, c_shuffled)
-        assert hexes(sym_product(a, b).coeffs) == hexes(dict_sym_product(d, m, n, ac, bc))
+        want = hexes(dict_sym_product(d, m, n, ac, bc))
+        assert hexes(sym_product(a, b).coeffs) == want
+        for got in both_kernels(a, b):
+            assert hexes(got.coeffs) == want
         big, small = (a, b) if m >= n else (b, a)
         big_c, small_c = (ac, bc) if m >= n else (bc, ac)
         assert hexes(partial_pairing(big, small).coeffs) == hexes(
             dict_partial_pairing(d, big.rank, big_c, small_c)
         )
         assert pairing(a, c).hex() == dict_pairing(ac, cc).hex()
+
+    # (dim, m, n, live entries of a, live entries of b): terms are live
+    # entries of b times entries of a; one live entry is identity-like
+    THRESHOLD_CASES = [
+        (4, 1, 3, 4, 15),  # 60 terms
+        (4, 1, 3, 4, 16),  # 64
+        (4, 3, 1, 20, 3),  # 60
+        (4, 3, 1, 20, 4),  # 80
+        (2, 7, 7, 8, 7),  # 56
+        (2, 7, 7, 8, 8),  # 64
+        (5, 4, 2, 70, 1),  # 70, b identity-like
+        (4, 5, 1, 56, 1),  # 56, b identity-like
+        (3, 3, 4, 1, 15),  # 150, a identity-like
+        (5, 1, 1, 1, 1),  # 5, both identity-like
+        (3, 4, 4, 0, 15),  # a all zeros
+        (3, 4, 4, 15, 0),  # b all zeros
+    ]
+
+    @pytest.mark.parametrize("d, m, n, live_a, live_b", THRESHOLD_CASES)
+    def test_kernel_choice_and_bits_at_threshold(self, monkeypatch, d, m, n, live_a, live_b):
+        rng = np.random.default_rng(1000 * d + 10 * m + n)
+        ac = live_coefficients(rng, d, m, live_a, negative_zeros=2)
+        bc = live_coefficients(rng, d, n, live_b, negative_zeros=2)
+        scattered = []
+        scatter = appellsys.symtensor._scatter
+        monkeypatch.setattr(appellsys.symtensor, "_scatter", lambda *args: scattered.append(1) or scatter(*args))
+        got = sym_product(SymTensor(d, m, ac), SymTensor(d, n, bc))
+        assert bool(scattered) == (live_b * len(ac) >= _SCATTER_MIN_TERMS)
+        assert hexes(got.coeffs) == hexes(dict_sym_product(d, m, n, ac, bc))
+        for got in both_kernels(SymTensor(d, m, ac), SymTensor(d, n, bc)):
+            assert hexes(got.coeffs) == hexes(dict_sym_product(d, m, n, ac, bc))
+
+    @pytest.mark.parametrize("d, m, n", [(1, 2, 3), (2, 1, 1), (4, 2, 3), (3, 3, 3)])
+    def test_overflow_raises_the_same_error_on_both_kernels(self, d, m, n):
+        rng = np.random.default_rng(7)
+        a = random_tensor(rng, d, m, scale=1e200)
+        b = random_tensor(rng, d, n, scale=1e200)
+        want = dict_sym_product(d, m, n, a.coeffs, b.coeffs)
+        with pytest.raises(ValueError, match="non-finite coefficient") as by_dict_loop:
+            SymTensor(d, m + n, want)
+        messages = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for terms in (math.inf, 0, _SCATTER_MIN_TERMS):
+                with scatter_from(terms), pytest.raises(ValueError) as err:
+                    sym_product(a, b)
+                messages.append(str(err.value))
+        assert messages == [str(by_dict_loop.value)] * 3
+
+    def test_zero_factor_beside_an_overflowing_weight_is_skipped(self):
+        # ways * a[u] overflows only where b[v] is zero, a term the loop skips
+        a = SymTensor(2, 1, {(1,): 1e308, (2,): 0.0})
+        b = SymTensor(2, 1, {(1,): 0.0, (2,): 1.0})
+        want = hexes(dict_sym_product(2, 1, 1, a.coeffs, b.coeffs))
+        assert want == [((1, 1), "0x0.0p+0"), ((1, 2), (1e308 / 2).hex()), ((2, 2), "0x0.0p+0")]
+        for got in both_kernels(a, b):
+            assert hexes(got.coeffs) == want
 
 
 class TestEvalPower:
@@ -442,7 +540,8 @@ class TestWeightedSum:
 
 
 def recursive_splits(idx, m):
-    """The recursive enumerator _splits replaced, kept as its reference."""
+    """Distinct splits (u, v, ways) of the multiset idx with |u| = m, where
+    ways = prod_c C(count_idx(c), count_u(c)); the reference for the plans."""
     items = sorted(Counter(idx).items())
     tail_capacity = [0] * (len(items) + 1)
     for i in range(len(items) - 1, -1, -1):
@@ -468,12 +567,27 @@ def recursive_splits(idx, m):
     return tuple(out)
 
 
-def test_splits_match_recursive_reference_in_order():
-    for d in range(1, 5):
-        for rank in range(7):
-            for idx in multi_indices(d, rank):
-                for m in range(rank + 1):
-                    assert _splits(idx, m) == recursive_splits(idx, m)
+def plan_shapes():
+    """(d, m, n) with d <= 5 and at most 5000 (u, v) pairs up to m + n = 12,
+    and d = 1 up to m + n = 18."""
+    for d in range(1, 6):
+        top = 18 if d == 1 else 12
+        for m in range(1, top):
+            for n in range(1, top - m + 1):
+                if d == 1 or len(multi_indices(d, m)) * len(multi_indices(d, n)) <= 5000:
+                    yield d, m, n
+
+
+def test_product_plan_matches_recursive_splits():
+    shapes = list(plan_shapes())
+    assert len(shapes) == 380
+    for d, m, n in shapes:
+        pu, pv = _position(d, m), _position(d, n)
+        want = [[None] * len(pv) for _ in pu]
+        for p, t in enumerate(multi_indices(d, m + n)):
+            for u, v, ways in recursive_splits(t, m):
+                want[pu[u]][pv[v]] = (p, ways)
+        assert _product_plan(d, m, n) == tuple(map(tuple, want)), (d, m, n)
 
 
 class TestNorms:
