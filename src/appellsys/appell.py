@@ -37,7 +37,7 @@ from .jets import (
     jet_recip,
     linear_jet,
 )
-from .measures import DeltaModel, MeasureModel, moment_kernels
+from .measures import MeasureModel, moment_kernels
 from .symtensor import (
     DimensionMismatchError,
     HilbertScale,
@@ -79,7 +79,6 @@ __all__ = [
     "eval_test",
     "eval_monomial_seq",
     "delta_z",
-    "delta_basis",
     "radon_nikodym",
     "convolution",
     "test_norm",
@@ -133,7 +132,7 @@ class AppellBasis:
         self.alpha_is_identity = alpha == identity_vjet(self.dim, degree)
 
     def same_basis(self, other: "AppellBasis") -> bool:
-        return self.model.key() == other.model.key() and self.same_alpha(other)
+        return self.model == other.model and self.same_alpha(other)
 
     def same_alpha(self, other: "AppellBasis") -> bool:
         return self.alpha == other.alpha and self.degree == other.degree
@@ -577,8 +576,3 @@ def growth_bound_check(
         "passed": bool(worst <= c_theory),
         "trials": trials,
     }
-
-
-def delta_basis(basis: AppellBasis) -> AppellBasis:
-    """Companion basis for the point mass at zero with the same alpha."""
-    return AppellBasis(DeltaModel(basis.dim), basis.alpha, basis.degree, basis.scale)

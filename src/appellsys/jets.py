@@ -141,6 +141,20 @@ def linear_jet(dim: int, degree: int, vec) -> ScalarJet:
     return ScalarJet(dim, degree, tuple(ks[: degree + 1]))
 
 
+def jet_from_entries(dim: int, degree: int, entries) -> ScalarJet:
+    """The jet whose kernels hold a {multi-index: value} table.
+
+    Every other coefficient is 0.0, and an entry of rank above the degree is
+    left out; SymTensor rejects an index that is not weakly increasing over
+    1..dim.
+    """
+    tables = [dict.fromkeys(multi_indices(dim, n), 0.0) for n in range(degree + 1)]
+    for idx, value in entries.items():
+        if len(idx) <= degree:
+            tables[len(idx)][idx] = value
+    return ScalarJet(dim, degree, tuple(SymTensor(dim, n, t) for n, t in enumerate(tables)))
+
+
 def graded_product(f, g, grades, weight=comb) -> list[SymTensor]:
     """The given grades of the product h_n = sum_k weight(n, k) f_k sym g_{n-k}.
 
@@ -255,15 +269,11 @@ def identity_vjet(dim: int, degree: int) -> VectorJet:
 
 
 def _diagonal_vjet(dim: int, degree: int, coeff_of_n) -> VectorJet:
-    comps = []
-    for j in range(1, dim + 1):
-        ks = [scalar_tensor(dim, 0.0)]
-        for n in range(1, degree + 1):
-            t = {k: 0.0 for k in multi_indices(dim, n)}
-            t[(j,) * n] = coeff_of_n(n)
-            ks.append(SymTensor(dim, n, t))
-        comps.append(ScalarJet(dim, degree, tuple(ks)))
-    return VectorJet(dim, degree, tuple(comps))
+    comps = tuple(
+        jet_from_entries(dim, degree, {(j,) * n: coeff_of_n(n) for n in range(1, degree + 1)})
+        for j in range(1, dim + 1)
+    )
+    return VectorJet(dim, degree, comps)
 
 
 def log1p_vjet(dim: int, degree: int) -> VectorJet:

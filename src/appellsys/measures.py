@@ -3,7 +3,9 @@
 Each model knows the jet of its normalized exponential-moment transform
 (the kernels of which are the symmetric moment tensors), can draw
 reproducible samples when a sampler exists, and in one dimension may
-expose its density with exact derivatives for quadrature checks.
+expose its density with exact derivatives for quadrature checks.  A model
+given by its cumulants supplies only their table: the transform is the
+exponential of the cumulant jet.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from math import exp, sqrt, pi
 
 import numpy as np
 
-from .jets import ScalarJet, jet_exp, unit_jet
-from .symtensor import SymTensor, multi_indices, scalar_tensor, zero_tensor
+from .jets import ScalarJet, jet_exp, jet_from_entries
+from .symtensor import SymTensor, multi_indices
 
 __all__ = [
     "MeasureModel",
@@ -43,20 +45,23 @@ class DegreeOverflowError(ValueError):
 
 
 class MeasureModel:
-    """Base class; concrete models define laplace_jet and optionally a sampler."""
+    """Base class; concrete models define cumulants (or laplace_jet) and
+    optionally a sampler.  Two models are the same measure when they are
+    equal: frozen dataclasses of one class with equal fields."""
 
     name: str = "abstract"
     dim: int = 0
 
-    def laplace_jet(self, degree: int) -> ScalarJet:
+    def cumulants(self, degree: int) -> dict[tuple[int, ...], float]:
+        """The cumulant tensors as {multi-index: value}; absent entries are 0."""
         raise NotImplementedError
+
+    def laplace_jet(self, degree: int) -> ScalarJet:
+        """The moment jet, exp of the cumulant jet."""
+        return jet_exp(jet_from_entries(self.dim, degree, self.cumulants(degree)))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         raise UnsupportedModelError(f"model {self.name!r} has no sampler")
-
-    def key(self) -> tuple:
-        """Hashable identity used to detect basis mismatches."""
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,7 @@ class GaussianModel(MeasureModel):
     """Centered Gaussian with covariance matrix cov (d x d)."""
 
     cov: tuple[tuple[float, ...], ...]
+    name = "gaussian"
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.cov, dtype=float)
@@ -81,27 +87,12 @@ class GaussianModel(MeasureModel):
         ))
 
     @property
-    def name(self) -> str:
-        return "gaussian"
-
-    @property
     def dim(self) -> int:
         return len(self.cov)
 
-    def key(self) -> tuple:
-        return ("gaussian", self.cov)
-
-    def laplace_jet(self, degree: int) -> ScalarJet:
-        d = self.dim
-        ks = [scalar_tensor(d, 0.0), zero_tensor(d, 1)]
-        if degree >= 2:
-            q = {k: 0.0 for k in multi_indices(d, 2)}
-            for i in range(1, d + 1):
-                for j in range(i, d + 1):
-                    q[(i, j)] = float(self.cov[i - 1][j - 1])
-            ks.append(SymTensor(d, 2, q))
-        ks += [zero_tensor(d, n) for n in range(3, degree + 1)]
-        return jet_exp(ScalarJet(d, degree, tuple(ks[: degree + 1])))
+    def cumulants(self, degree: int) -> dict[tuple[int, ...], float]:
+        """kappa_2 = cov; no other cumulant."""
+        return {(i, j): float(self.cov[i - 1][j - 1]) for i, j in multi_indices(self.dim, 2)}
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         chol = np.linalg.cholesky(np.asarray(self.cov))
@@ -131,31 +122,21 @@ class PoissonModel(MeasureModel):
     """Independent Poisson coordinates with intensities nu_i."""
 
     nu: tuple[float, ...]
+    name = "poisson"
 
     def __post_init__(self) -> None:
         if not self.nu or any(v <= 0 for v in self.nu):
             raise ValueError("intensities must be positive")
 
     @property
-    def name(self) -> str:
-        return "poisson"
-
-    @property
     def dim(self) -> int:
         return len(self.nu)
 
-    def key(self) -> tuple:
-        return ("poisson", self.nu)
-
-    def laplace_jet(self, degree: int) -> ScalarJet:
-        d = self.dim
-        ks = [scalar_tensor(d, 0.0)]
-        for n in range(1, degree + 1):
-            t = {k: 0.0 for k in multi_indices(d, n)}
-            for i in range(1, d + 1):
-                t[(i,) * n] = float(self.nu[i - 1])
-            ks.append(SymTensor(d, n, t))
-        return jet_exp(ScalarJet(d, degree, tuple(ks)))
+    def cumulants(self, degree: int) -> dict[tuple[int, ...], float]:
+        """kappa_n = nu_i at (i, ..., i) for every n >= 1."""
+        return {
+            (i,) * n: float(v) for n in range(1, degree + 1) for i, v in enumerate(self.nu, 1)
+        }
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.poisson(lam=self.nu, size=(count, self.dim)).astype(float)
@@ -163,23 +144,17 @@ class PoissonModel(MeasureModel):
 
 @dataclass(frozen=True)
 class DeltaModel(MeasureModel):
-    """Point mass at the origin; transform identically 1."""
+    """Point mass at the origin: no cumulant, transform identically 1."""
 
     d: int = 1
-
-    @property
-    def name(self) -> str:
-        return "delta"
+    name = "delta"
 
     @property
     def dim(self) -> int:
         return self.d
 
-    def key(self) -> tuple:
-        return ("delta", self.d)
-
-    def laplace_jet(self, degree: int) -> ScalarJet:
-        return unit_jet(self.d, degree)
+    def cumulants(self, degree: int) -> dict[tuple[int, ...], float]:
+        return {}
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return np.zeros((count, self.d))
@@ -201,10 +176,6 @@ class MomentFileModel(MeasureModel):
     @property
     def dim(self) -> int:
         return self.d
-
-    def key(self) -> tuple:
-        entries = tuple(tuple(sorted(m.coeffs.items())) for m in self.moments)
-        return ("momentfile", self.label, entries)
 
     def laplace_jet(self, degree: int) -> ScalarJet:
         if degree > self.max_degree:

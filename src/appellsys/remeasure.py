@@ -111,7 +111,7 @@ def change_alpha_dist(
     same measure, matching scalar transforms."""
     if Phi.tag != Q_TAG:
         raise ValueError("change_alpha_dist expects a Q-tagged sequence")
-    if basis_src.model.key() != basis_dst.model.key():
+    if basis_src.model != basis_dst.model:
         raise BasisMismatchError(
             "alpha change keeps the measure fixed; use transport_dist for measure changes"
         )

@@ -257,22 +257,18 @@ def weighted_sum(dim: int, rank: int, terms) -> SymTensor:
         else:
             acc = [s + w * x for s, x in zip(acc, t.coeffs.values())]
     if acc is None:
-        return _zero(dim, rank)
+        return zero_tensor(dim, rank)
     return SymTensor(dim, rank, dict(zip(multi_indices(dim, rank), acc)))
 
 
-def zero_tensor(dim: int, rank: int) -> SymTensor:
-    return SymTensor(dim, rank, {k: 0.0 for k in multi_indices(dim, rank)})
-
-
 @lru_cache(maxsize=None)
-def _zero(dim: int, rank: int) -> SymTensor:
-    """The zero of the shape that every sum with no term shares.
+def zero_tensor(dim: int, rank: int) -> SymTensor:
+    """The zero tensor of the shape, one shared instance per shape.
 
-    Its coefficients are a read-only view, so no write through one grade
+    Its coefficients are a read-only view, so no write through one user
     reaches the others.
     """
-    z = zero_tensor(dim, rank)
+    z = SymTensor(dim, rank, dict.fromkeys(multi_indices(dim, rank), 0.0))
     object.__setattr__(z, "coeffs", MappingProxyType(z.coeffs))
     return z
 

@@ -19,7 +19,7 @@ from .appell import (
     q_seq,
 )
 from .jets import graded_product, graded_solve
-from .symtensor import random_tensor, scalar_tensor
+from .symtensor import random_tensor, scalar_tensor, weighted_sum
 
 __all__ = [
     "wick_mul",
@@ -74,22 +74,15 @@ def wick_fn(coeffs, Phi: KernelSeq) -> KernelSeq:
     """
     _require_q(Phi)
     basis = Phi.basis
-    centered_kernels = dict(enumerate(Phi.kernels))
-    centered_kernels[0] = scalar_tensor(basis.dim, 0.0)
-    centered = q_seq(basis, centered_kernels)
-    coeffs = list(coeffs)
-    acc = q_seq(basis, {0: scalar_tensor(basis.dim, float(coeffs[0]) if coeffs else 0.0)})
-    power = wick_unit(basis)
-    for k in range(1, min(len(coeffs), basis.degree + 1)):
-        power = wick_mul(power, centered)
-        if coeffs[k]:
-            acc = _axpy(acc, float(coeffs[k]), power)
-    return acc
-
-
-def _axpy(acc: KernelSeq, a: float, x: KernelSeq) -> KernelSeq:
-    out = {n: acc.kernels[n] + x.kernels[n].scale(a) for n in range(acc.degree + 1)}
-    return q_seq(acc.basis, out)
+    centered = q_seq(basis, dict(enumerate(Phi.kernels[1:], start=1)))
+    a = [float(c) for c in list(coeffs)[: basis.degree + 1]]
+    powers = [wick_unit(basis)]
+    for _ in a[1:]:
+        powers.append(wick_mul(powers[-1], centered))
+    return q_seq(basis, {
+        n: weighted_sum(basis.dim, n, ((ak, p.kernels[n]) for ak, p in zip(a, powers) if ak))
+        for n in range(basis.degree + 1)
+    })
 
 
 def wick_inv(Phi: KernelSeq) -> KernelSeq:

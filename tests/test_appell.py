@@ -16,7 +16,6 @@ from appellsys.appell import (
     appell_eval,
     convolution,
     delta_appell_eval,
-    delta_basis,
     delta_z,
     diff_op,
     dist_norm,
@@ -230,7 +229,8 @@ class TestDeltaAppellEval:
             assert t[(1,) * n] == pytest.approx(expected[n], abs=1e-10)
 
     def test_agrees_with_delta_model_basis(self, poisson1d_log1p_basis):
-        dbasis = delta_basis(poisson1d_log1p_basis)
+        basis = poisson1d_log1p_basis
+        dbasis = AppellBasis(DeltaModel(1), basis.alpha, basis.degree)
         w = [1.3]
         tensors = gen_appell_all(dbasis, w)
         for n in range(7):

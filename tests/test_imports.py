@@ -55,7 +55,7 @@ SURFACE = {
     ],
     "appell": [
         "AppellBasis", "BasisMismatchError", "KernelSeq", "MONOMIAL", "P_TAG", "Q_TAG",
-        "appell_constants", "appell_eval", "convolution", "delta_appell_eval", "delta_basis",
+        "appell_constants", "appell_eval", "convolution", "delta_appell_eval",
         "delta_z", "diff_op", "dist_norm", "estimate_sigma_eps", "eval_monomial_seq",
         "eval_test", "g_nabla_apply", "gen_appell_all", "generating_jet", "growth_bound_check",
         "monomial_seq", "p_seq", "pair", "q_kernel_make", "q_seq", "radon_nikodym", "s_inverse",

@@ -30,6 +30,7 @@ from appellsys.jets import (
     jet_compose_scalar,
     jet_compose_vector,
     jet_exp,
+    jet_from_entries,
     jet_invert,
     jet_log,
     jet_mul,
@@ -43,7 +44,6 @@ from appellsys.jets import (
 from appellsys.measures import GaussianModel, PoissonModel
 from appellsys.remeasure import transport_dist
 from appellsys.symtensor import (
-    _zero,
     multi_indices,
     pairing,
     partial_pairing,
@@ -369,7 +369,7 @@ class TestLiveGrades:
         # a linear factor times a constant: grades 2..deg have no live term
         d, deg = 2, 5
         lin = linear_jet(d, deg, [1.0, -2.0])
-        zeros = [_zero(d, n) for n in range(deg + 1)]
+        zeros = [zero_tensor(d, n) for n in range(deg + 1)]
         before = [[v.hex() for v in z.coeffs.values()] for z in zeros]
         prod = jet_mul(constant_jet(d, deg, 3.0), lin)
         for n in range(2, deg + 1):
@@ -383,13 +383,39 @@ class TestLiveGrades:
 
     def test_shared_zero_is_read_only(self):
         p = jet_mul(constant_jet(2, 4, 3.0), linear_jet(2, 4, [1.0, 2.0]))
-        assert p.kernels[3] is _zero(2, 3)
+        assert p.kernels[3] is zero_tensor(2, 3)
         with pytest.raises(TypeError):
             p.kernels[3].coeffs[(1, 1, 1)] = float("nan")
         later = jet_mul(constant_jet(2, 4, 1.0), linear_jet(2, 4, [3.0, 4.0]))
         assert all(np.isfinite(list(t.coeffs.values())).all() for t in later.kernels)
         # a tensor that is not the shared zero keeps a plain dict
         assert type(p.kernels[1].coeffs) is dict
+
+    def test_zero_kernels_of_built_jets_are_the_shared_zero(self):
+        with pytest.raises(TypeError):
+            constant_jet(2, 3, 1.0).kernels[2].coeffs[(1, 1)] = 1.0
+        assert constant_jet(2, 3, 1.0).kernels[3] is zero_tensor(2, 3)
+        assert linear_jet(2, 3, [1.0, 2.0]).kernels[2] is zero_tensor(2, 2)
+
+
+class TestFromEntries:
+    def test_entries_fill_their_kernels_and_the_rest_is_zero(self):
+        jet = jet_from_entries(2, 3, {(): 0.5, (1, 2): -2.0, (2, 2, 2): 3.0})
+        assert bits(jet) == [
+            [0.5.hex()],
+            ["0x0.0p+0"] * 2,
+            ["0x0.0p+0", (-2.0).hex(), "0x0.0p+0"],
+            ["0x0.0p+0"] * 3 + [3.0.hex()],
+        ]
+
+    def test_entry_above_the_degree_is_left_out(self):
+        jet = jet_from_entries(2, 2, {(1,): 1.0, (1, 1, 1): 7.0})
+        assert bits(jet) == bits(linear_jet(2, 2, [1.0, 0.0]))
+
+    @pytest.mark.parametrize("idx", [(2, 1), (3,)])
+    def test_bad_index_rejected(self, idx):
+        with pytest.raises(ValueError):
+            jet_from_entries(2, 3, {idx: 1.0})
 
 
 class TestCompose:

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from appellsys.appell import AppellBasis, BasisMismatchError, q_seq
+from appellsys.jets import ScalarJet, jet_exp, unit_jet
 from appellsys.measures import (
     DeltaModel,
     DegreeOverflowError,
@@ -16,7 +18,8 @@ from appellsys.measures import (
     nondegeneracy_check,
     sample_batch,
 )
-from appellsys.symtensor import power_tensor, pairing
+from appellsys.remeasure import change_alpha_dist
+from appellsys.symtensor import SymTensor, multi_indices, pairing, power_tensor, scalar_tensor
 
 BELL = [1, 1, 2, 5, 15, 52, 203]
 
@@ -66,6 +69,72 @@ class TestMomentKernels:
         assert kernels_1d(moment_kernels(model, 3)) == pytest.approx([1, 0, 1, 0])
         with pytest.raises(DegreeOverflowError):
             model.laplace_jet(5)
+
+
+def zeros(d, n):
+    return SymTensor(d, n, {k: 0.0 for k in multi_indices(d, n)})
+
+
+def hand_built_gaussian_jet(model, degree):
+    """The Gaussian moment jet with its cumulant kernels written out."""
+    d = model.dim
+    ks = [scalar_tensor(d, 0.0), zeros(d, 1)]
+    if degree >= 2:
+        q = {k: 0.0 for k in multi_indices(d, 2)}
+        for i in range(1, d + 1):
+            for j in range(i, d + 1):
+                q[(i, j)] = float(model.cov[i - 1][j - 1])
+        ks.append(SymTensor(d, 2, q))
+    ks += [zeros(d, n) for n in range(3, degree + 1)]
+    return jet_exp(ScalarJet(d, degree, tuple(ks[: degree + 1])))
+
+
+def hand_built_poisson_jet(model, degree):
+    """The Poisson moment jet with its cumulant kernels written out."""
+    d = model.dim
+    ks = [scalar_tensor(d, 0.0)]
+    for n in range(1, degree + 1):
+        t = {k: 0.0 for k in multi_indices(d, n)}
+        for i in range(1, d + 1):
+            t[(i,) * n] = float(model.nu[i - 1])
+        ks.append(SymTensor(d, n, t))
+    return jet_exp(ScalarJet(d, degree, tuple(ks)))
+
+
+def bits(jet):
+    return [[v.hex() for v in k.coeffs.values()] for k in jet.kernels]
+
+
+class TestCumulantRoute:
+    @pytest.mark.parametrize("degree", range(7))
+    def test_laplace_jet_matches_hand_built_kernels(self, degree):
+        a = np.random.default_rng(3).standard_normal((3, 3))
+        cov = a @ a.T + 0.5 * np.eye(3)
+        gauss = GaussianModel(tuple(tuple(float(x) for x in row) for row in cov))
+        poisson = PoissonModel((0.5, 1.0, 2.5))
+        assert bits(gauss.laplace_jet(degree)) == bits(hand_built_gaussian_jet(gauss, degree))
+        assert bits(poisson.laplace_jet(degree)) == bits(hand_built_poisson_jet(poisson, degree))
+        assert bits(DeltaModel(2).laplace_jet(degree)) == bits(unit_jet(2, degree))
+
+    def test_models_are_compared_by_value(self):
+        src = moment_kernels(PoissonModel((1.0, 2.0)), 4).kernels
+        forward = tuple(SymTensor(2, n, dict(k.coeffs)) for n, k in enumerate(src))
+        backward = tuple(
+            SymTensor(2, n, dict(reversed(list(k.coeffs.items())))) for n, k in enumerate(src)
+        )
+        first = MomentFileModel("fixture", 2, 4, forward)
+        second = MomentFileModel("fixture", 2, 4, backward)
+        assert first == second
+        assert AppellBasis(first, degree=4).same_basis(AppellBasis(second, degree=4))
+
+    def test_a_moment_file_is_not_the_model_it_was_read_from(self):
+        gauss = GaussianModel.standard(1)
+        carried = MomentFileModel("gaussian", 1, 4, tuple(moment_kernels(gauss, 4).kernels))
+        by_model = AppellBasis(gauss, degree=4)
+        by_file = AppellBasis(carried, degree=4)
+        assert not by_model.same_basis(by_file)
+        with pytest.raises(BasisMismatchError):
+            change_alpha_dist(by_model, by_file, q_seq(by_model, {0: scalar_tensor(1, 1.0)}))
 
 
 class TestSampler:

@@ -14,7 +14,7 @@ from appellsys.appell import (
     s_transform,
 )
 from appellsys.jets import jet_mul
-from appellsys.measures import GaussianModel
+from appellsys.measures import GaussianModel, PoissonModel
 from appellsys.symtensor import (
     SymTensor,
     power_tensor,
@@ -183,6 +183,52 @@ class TestWickFn:
         back = wick_fn(exp_coeffs, L)
         for n in range(basis.degree + 1):
             assert (back.kernels[n] - Phi.kernels[n]).max_abs() < 1e-10
+
+
+def accumulating_wick_fn(coeffs, Phi):
+    """wick_fn as an accumulating loop: the reference for the graded sums."""
+    basis = Phi.basis
+    centered_kernels = dict(enumerate(Phi.kernels))
+    centered_kernels[0] = scalar_tensor(basis.dim, 0.0)
+    centered = q_seq(basis, centered_kernels)
+    coeffs = list(coeffs)
+    acc = q_seq(basis, {0: scalar_tensor(basis.dim, float(coeffs[0]) if coeffs else 0.0)})
+    power = wick_unit(basis)
+    for k in range(1, min(len(coeffs), basis.degree + 1)):
+        power = wick_mul(power, centered)
+        if coeffs[k]:
+            a = float(coeffs[k])
+            acc = q_seq(basis, {
+                n: acc.kernels[n] + power.kernels[n].scale(a) for n in range(basis.degree + 1)
+            })
+    return acc
+
+
+def hex_kernels(seq):
+    return [[v.hex() for v in k.coeffs.values()] for k in seq.kernels]
+
+
+def test_wick_fn_bit_identical_to_accumulating_loop():
+    # a constant coefficient of -0.0 is the one input whose bits differ: the
+    # loop starts grade 0 from it and keeps -0.0, the graded sum gives +0.0
+    rng = np.random.default_rng(21)
+    degree = 4
+    fixed = [[], [0.0], [1.5], [2, 0, -1, 3], [0, 0, 0, 1], [1] * (degree + 4)]
+    cases = 0
+    for d in (1, 2, 3):
+        models = (GaussianModel.standard(d), PoissonModel(tuple(0.5 + i for i in range(d))))
+        for model in models:
+            basis = AppellBasis(model, degree=degree)
+            Phi = random_qseq(rng, basis, scale=0.7)
+            drawn = [
+                [float(x) if rng.random() < 0.7 else 0.0 for x in rng.standard_normal(length)]
+                for length in rng.integers(1, degree + 5, size=15)
+            ]
+            for coeffs in fixed + drawn:
+                expected = hex_kernels(accumulating_wick_fn(coeffs, Phi))
+                assert hex_kernels(wick_fn(coeffs, Phi)) == expected
+                cases += 1
+    assert cases == 126
 
 
 class TestWickInverse:
