@@ -13,14 +13,18 @@ compositional inverse and the basis conversions downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 from math import comb, exp, factorial, log
+from types import SimpleNamespace
 
 import numpy as np
 
 from .symtensor import (
     DimensionMismatchError,
     SymTensor,
+    _position,
     is_live,
     multi_indices,
     multiplicity,
@@ -155,12 +159,11 @@ def jet_from_entries(dim: int, degree: int, entries) -> ScalarJet:
     return ScalarJet(dim, degree, tuple(SymTensor(dim, n, t) for n, t in enumerate(tables)))
 
 
-def graded_product(f, g, grades, weight=comb) -> list[SymTensor]:
-    """The given grades of the product h_n = sum_k weight(n, k) f_k sym g_{n-k}.
+def _graded_terms(f, g, grades, weight) -> list[SymTensor]:
+    """graded_product term by term: one sym_product per pair of live kernels.
 
-    f and g are graded kernel sequences (kernel k of rank k).  Only products
-    of two live kernels are formed, and a weight of 1 is not applied; a
-    grade with no such product is the shared zero tensor, built once.
+    Only products of two live kernels are formed, and a weight of 1 is not
+    applied; a grade with no such product is the shared zero tensor.
     """
     f_live = [is_live(k) for k in f]
     g_live = [is_live(k) for k in g]
@@ -173,16 +176,120 @@ def graded_product(f, g, grades, weight=comb) -> list[SymTensor]:
     return [weighted_sum(f[0].dim, n, terms(n)) for n in grades]
 
 
+@lru_cache(maxsize=None)
+def _graded_plan(dim: int, grades: tuple[int, ...]) -> SimpleNamespace:
+    """The bilinear plan of graded_product over the given grades.
+
+    f and g are read as one vector each, kernels 0..max(grades) in turn
+    (starts: where each begins; shapes: their (dim, rank)).  The columns are
+    the entries of the grades, grade after grade, widths of them a grade.
+    Term (u_i, v_j) of f_k sym g_{n-k} is ways * f[f_at] * g[g_at], added
+    into cells, the flat index of (k, column of merge(u_i, v_j)).  The terms
+    of each product come in sym_product's order, ascending in i, then in j.
+    All are indexed at once from the count vectors of the multi-indices:
+    ways = prod_c C(t_c, u_c) as in symtensor._product_plan, and t's
+    position in multi_indices order (descending lexicographic in the counts)
+    is sum_{p<dim} C(s_p + dim-p-1, dim-p), where s_p counts the entries of
+    t above p.  combs holds C(n, k) at (k, column), 1 where k > n.
+    """
+    top = max(grades) + 1
+    sizes = [len(multi_indices(dim, n)) for n in range(top)]
+    start = np.cumsum([0, *sizes])
+    widths = [sizes[n] for n in grades]
+    column = np.cumsum([0, *widths])
+    n_of, k_of = np.array([(n, k) for n in grades for k in range(n + 1)]).T
+    # block (n, k) has sizes[k] * sizes[n-k] terms; its term e reads f at
+    # start[k] + e // sizes[n-k] and g at start[n-k] + e % sizes[n-k]
+    cols = start[n_of - k_of + 1] - start[n_of - k_of]
+    terms = (start[k_of + 1] - start[k_of]) * cols
+    e = np.arange(terms.sum()) - np.repeat(np.cumsum(terms) - terms, terms)
+    f_at = np.repeat(start[k_of], terms) + e // np.repeat(cols, terms)
+    g_at = np.repeat(start[n_of - k_of], terms) + e % np.repeat(cols, terms)
+    counts = np.array(
+        [[idx.count(c) for c in range(1, dim + 1)] for n in range(top) for idx in multi_indices(dim, n)]
+    )
+    u, t = counts[f_at], counts[f_at] + counts[g_at]
+    # only C(a, b) with b < top or a - b < top is read; the rest, which can
+    # outgrow int64 at large dim, stays 0
+    size = top + dim
+    binom = np.array([[comb(a, b) if min(b, a - b) < top else 0 for b in range(size)] for a in range(size)])
+    above = np.cumsum(t[:, :0:-1], axis=1)[:, ::-1]  # s_p for p = 1..dim-1
+    position = binom[above + np.arange(dim - 2, -1, -1), np.arange(dim - 1, 0, -1)].sum(axis=1)
+    block_grade = np.repeat(np.arange(len(grades)), [n + 1 for n in grades])
+    combs = [[comb(n, k) if k <= n else 1 for n in grades] for k in range(top)]
+    return SimpleNamespace(
+        shapes=[(dim, n) for n in range(top)],
+        starts=start,
+        widths=widths,
+        f_at=f_at,
+        g_at=g_at,
+        cells=np.repeat(k_of * column[-1] + column[block_grade], terms) + position,
+        ways=binom[t, u].prod(axis=1).astype(float),
+        combs=np.repeat(np.array(combs, dtype=float), widths, axis=1),
+        columns=[(n, multi_indices(dim, n), column[i]) for i, n in enumerate(grades)],
+    )
+
+
+def _stacked(kernels, plan: SimpleNamespace):
+    """The coefficients of kernels 0, 1, ... as one vector, with whether
+    each kernel is live, or None when a kernel has another shape."""
+    if [(t.dim, t.rank) for t in kernels] != plan.shapes:
+        return None, None
+    x = np.fromiter(chain.from_iterable([t.coeffs.values() for t in kernels]), float, plan.starts[-1])
+    return x, np.logical_or.reduceat(x != 0, plan.starts[:-1])
+
+
+def graded_product(f, g, grades, weight=comb) -> list[SymTensor]:
+    """The given grades of the product h_n = sum_k weight(n, k) f_k sym g_{n-k}.
+
+    f and g are graded kernel sequences (kernel k of rank k).  The sums run
+    through one cached plan per (dim, grades): one bincount forms every
+    product, each is divided by C(n, k) and weighted, and a cumsum over k
+    adds them in order from +0.0.  That is the term-by-term sum bit for
+    bit: a skipped product of a dead kernel adds only signed zeros.  A grade
+    with no product of two live kernels is the shared zero tensor.  A
+    non-finite entry of a live grade, or a kernel of the wrong shape, goes
+    to the term route, which raises as before and skips a zero factor
+    beside an overflow.
+    """
+    grades = tuple(grades)
+    if not grades:
+        return []
+    dim, top = f[0].dim, max(grades) + 1
+    plan = _graded_plan(dim, grades)
+    (x, f_live), (y, g_live) = _stacked(f[:top], plan), _stacked(g[:top], plan)
+    if x is None or y is None:
+        return _graded_terms(f, g, grades, weight)
+    weights = plan.combs
+    if weight is not comb:
+        ws = [[weight(n, k) if k <= n else 0 for n in grades] for k in range(top)]
+        weights = np.repeat(np.array(ws, dtype=float), plan.widths, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = np.bincount(plan.cells, (plan.ways * x[plan.f_at]) * y[plan.g_at], minlength=weights.size)
+        acc = acc.reshape(weights.shape) / plan.combs * weights
+        values = (np.add.accumulate(acc)[-1] + 0.0).tolist()
+    live = np.convolve(f_live, g_live).tolist()  # grade n: is some f_k and g_{n-k} live
+    try:
+        return [
+            SymTensor(dim, n, dict(zip(keys, values[col : col + len(keys)])))
+            if live[n]
+            else zero_tensor(dim, n)
+            for n, keys, col in plan.columns
+        ]
+    except ValueError:
+        return _graded_terms(f, g, grades, weight)  # an overflow: SymTensor rejects it
+
+
 def graded_solve(f, h0: SymTensor, post, weight=comb) -> list[SymTensor]:
     """Kernels h_0 = h0 and h_n = post * sum_{k=1..n} weight(n, k) f_k sym h_{n-k}.
 
-    Grade n is the graded_product of f without its constant and h_0..h_{n-1};
-    with kernel 0 of the first factor dead, the product never reads h_n.
+    Grade n is the term-by-term graded product of f without its constant and
+    h_0..h_{n-1}; with kernel 0 of the first factor dead, it never reads h_n.
     """
     tail = [zero_tensor(h0.dim, 0), *f[1:]]
     h = [h0]
     for n in range(1, len(f)):
-        acc = graded_product(tail, h, [n], weight)[0]
+        acc = _graded_terms(tail, h, [n], weight)[0]
         h.append(acc if post == 1 else acc.scale(post))
     return h
 
@@ -313,6 +420,8 @@ class CompKernels:
     dim: int
     degree: int
     tables: dict[tuple[int, int], dict[tuple[int, ...], SymTensor]]
+    # compose's plan per grade, built on first use
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def contract_out(self, n: int, m: int, coeff: SymTensor) -> SymTensor:
         """Pair a rank-m tensor against the output slots, leaving rank n."""
@@ -329,11 +438,59 @@ class CompKernels:
 
         Grade 0 is ks[0]; grade n >= 1 is sum_{m=1..n} (1/m!) times ks[m]
         paired against the output slots of the power kernels, and reads
-        ks[1..n] only.  An absent table adds nothing: the sum starts at +0.0,
-        so its all-zero term would change no bit.
+        ks[1..n] only.  The sums run through one linear plan per grade,
+        cached on the instance: the tables' rows, weighted by
+        multiplicity(u) * ks[m][u], add by a cumsum over the rows, then the
+        blocks, weighted by 1/m!, by a cumsum over m.  That is
+        _compose_terms bit for bit, which a non-finite entry or a kernel of
+        the wrong shape falls back to.  With no table the grade is the
+        shared zero tensor.
         """
         if n == 0:
             return ks[0]
+        plan = self._plans.get(n)
+        if plan is None:
+            plan = self._plans[n] = self._compose_plan(n)
+        ms, count, at, mult, rows, inv_fact = plan
+        if not ms:
+            return zero_tensor(self.dim, n)
+        if any(ks[m].dim != self.dim or ks[m].rank != m for m in ms):
+            return self._compose_terms(n, ks)
+        x = np.fromiter(chain.from_iterable([ks[m].coeffs.values() for m in ms]), float, count)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a signed zero of a block sum reaches h only where h is zero,
+            # and the final + 0.0 makes every zero of h +0.0
+            blocks = np.add.accumulate((mult * x[at])[:, :, None] * rows, axis=1)[:, -1]
+            h = np.add.accumulate(inv_fact[:, None] * blocks)[-1] + 0.0
+        try:
+            return SymTensor(self.dim, n, dict(zip(multi_indices(self.dim, n), h.tolist())))
+        except ValueError:
+            return self._compose_terms(n, ks)  # an overflow: SymTensor rejects it
+
+    def _compose_plan(self, n: int):
+        """compose's plan for grade n: the present tables (n, m) stacked into
+        a zero-padded (m, row, column) array, with each row's position in
+        ks[m] (the present ks[m] read as one vector) and multiplicity(u)."""
+        ms = tuple(m for m in range(1, n + 1) if (n, m) in self.tables)
+        depth = max((len(self.tables[(n, m)]) for m in ms), default=0)
+        rows = np.zeros((len(ms), depth, len(multi_indices(self.dim, n))))
+        at = np.zeros((len(ms), depth), dtype=np.intp)
+        mult = np.zeros((len(ms), depth))
+        start = 0
+        for i, m in enumerate(ms):
+            table, position = self.tables[(n, m)], _position(self.dim, m)
+            used = len(table)
+            at[i, :used] = [start + position[u] for u in table]
+            mult[i, :used] = [multiplicity(u) for u in table]
+            rows[i, :used] = [list(t.coeffs.values()) for t in table.values()]
+            start += len(position)
+        inv_fact = np.array([1.0 / factorial(m) for m in ms])
+        return ms, start, at, mult, rows, inv_fact
+
+    def _compose_terms(self, n: int, ks) -> SymTensor:
+        """compose term by term: one contract_out per present table.  An
+        absent table adds nothing: the sum starts at +0.0, so its all-zero
+        term would change no bit."""
         terms = (
             (1.0 / factorial(m), self.contract_out(n, m, ks[m]))
             for m in range(1, n + 1)

@@ -77,6 +77,12 @@ class GaussianModel(MeasureModel):
             raise ValueError("covariance must be a square matrix")
         if not np.allclose(mat, mat.T, atol=1e-12):
             raise ValueError("covariance must be symmetric")
+        eigs = np.linalg.eigvalsh(mat)
+        # a rounding-level negative eigenvalue of a singular PSD matrix passes
+        if eigs[0] < -len(mat) * np.finfo(float).eps * np.abs(eigs).max():
+            raise ValueError(
+                f"covariance must be positive semidefinite; smallest eigenvalue {eigs[0]:.6g}"
+            )
 
     @staticmethod
     def standard(dim: int, sigma2: float = 1.0) -> "GaussianModel":
@@ -168,6 +174,19 @@ class MomentFileModel(MeasureModel):
     d: int
     max_degree: int
     moments: tuple[SymTensor, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.moments) != self.max_degree + 1:
+            raise ValueError(
+                f"max_degree {self.max_degree} needs {self.max_degree + 1} moment tensors, "
+                f"got {len(self.moments)}"
+            )
+        for n, t in enumerate(self.moments):
+            if t.rank != n or t.dim != self.d:
+                raise ValueError(
+                    f"moment tensor {n} has dim {t.dim} and rank {t.rank}, "
+                    f"expected dim {self.d} and rank {n}"
+                )
 
     @property
     def name(self) -> str:

@@ -210,16 +210,6 @@ class SymTensor:
     def max_abs(self) -> float:
         return max(abs(v) for v in self.coeffs.values())
 
-    def full(self) -> np.ndarray:
-        """Expand to the dense (dim,)*rank array (oracle-sized ranks only)."""
-        out = np.zeros((self.dim,) * self.rank)
-        for idx, v in self.coeffs.items():
-            from itertools import permutations
-
-            for p in set(permutations(idx)):
-                out[tuple(i - 1 for i in p)] = v
-        return out
-
 
 def _check_shape(dim: int, rank: int, t: SymTensor) -> None:
     if dim != t.dim:

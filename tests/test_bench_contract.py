@@ -1,14 +1,22 @@
 """The benchmark's tracer binds package functions by name; every name it
-traces must still exist and be bound, so a rename fails here first."""
+traces must still exist and be bound, so a rename fails here first.  A traced
+run must also reach every layer the benchmark lists for its workload."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import appellsys
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -29,3 +37,17 @@ def test_every_traced_function_is_bound():
     finally:
         tracer.uninstall()
     assert unbound == []
+
+
+@pytest.mark.parametrize("workload", ["build", "query"])
+def test_traced_run_reaches_every_layer(workload):
+    # run.py exits nonzero when a traced layer of the workload has no call;
+    # one pass of each op, with no bytecode written into the checkout
+    argv = ["--workload", workload, "--seed", "5", "--seconds", "0", "--trace", "1"]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+    assert json.loads(run.stdout.splitlines()[-1])["correct"] is True

@@ -20,6 +20,7 @@ from appellsys.appell import (
 )
 from appellsys.jets import (
     CompKernels,
+    graded_product,
     ScalarJet,
     SingularJetError,
     VectorJet,
@@ -44,7 +45,10 @@ from appellsys.jets import (
 from appellsys.measures import GaussianModel, PoissonModel
 from appellsys.remeasure import transport_dist
 from appellsys.symtensor import (
+    _product_plan,
+    is_live,
     multi_indices,
+    multiplicity,
     pairing,
     partial_pairing,
     power_tensor,
@@ -260,9 +264,14 @@ def shared_alpha_bases(d, deg):
     )
 
 
+def hexes(t):
+    """Every coefficient of a tensor as its exact hex form, so -0.0 and +0.0 differ."""
+    return [v.hex() for v in t.coeffs.values()]
+
+
 def bits(jet):
-    """Every coefficient as its exact hex form, so -0.0 and +0.0 differ."""
-    return [[v.hex() for v in k.coeffs.values()] for k in jet.kernels]
+    """hexes of every kernel."""
+    return [hexes(k) for k in jet.kernels]
 
 
 def count_calls(monkeypatch, fn):
@@ -277,6 +286,32 @@ def count_calls(monkeypatch, fn):
         if name.startswith("appellsys.") and vars(mod).get(fn.__name__) is fn:
             monkeypatch.setattr(mod, fn.__name__, counted)
     return calls
+
+
+def count_method(monkeypatch, cls, name):
+    """Record every call of the method cls.name."""
+    calls = []
+    method = getattr(cls, name)
+
+    def counted(*args):
+        calls.append(args)
+        return method(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def count_tensors(monkeypatch):
+    """Record the rank of every SymTensor built."""
+    built = []
+    post_init = SymTensor.__post_init__
+
+    def counted(self):
+        built.append(self.rank)
+        post_init(self)
+
+    monkeypatch.setattr(SymTensor, "__post_init__", counted)
+    return built
 
 
 @st.composite
@@ -316,35 +351,43 @@ class TestLiveGrades:
             Phi_t = q_seq(src, dict(enumerate(f.kernels)))
             assert bits(transport_dist(src, gauss, Phi_t)) == bits(dense_transport(src, gauss, Phi_t))
 
-    def test_identity_power_kernels_cost_one_product_each(self, monkeypatch):
-        calls = []
-
-        def counted(a, b):
-            calls.append((a.rank, b.rank))
-            return sym_product(a, b)
-
-        monkeypatch.setattr(appellsys.jets, "sym_product", counted)
+    def test_identity_power_kernels_cost_one_plan(self, monkeypatch):
+        # one tensor per live grade: each product of linear jets has one
         d, deg = 3, 6
-        ck = comp_kernels(identity_vjet(d, deg))
-        assert len(calls) == sum(comb(d + m - 1, m) for m in range(2, deg + 1)) == 80
+        a = identity_vjet(d, deg)
+        for n in range(deg + 1):
+            zero_tensor(d, n)
+        products = count_calls(monkeypatch, sym_product)
+        built = count_tensors(monkeypatch)
+        appellsys.jets._graded_plan.cache_clear()
+        ck = comp_kernels(a)
+        assert products == []
+        assert len(built) == sum(comb(d + m - 1, m) for m in range(2, deg + 1)) == 80
+        assert appellsys.jets._graded_plan.cache_info().misses == 1
         assert sorted(ck.tables) == [(n, n) for n in range(1, deg + 1)]
+        comp_kernels(a)
+        assert appellsys.jets._graded_plan.cache_info().misses == 1
 
-    def test_plain_tensors_cost_one_product_per_live_kernel(self, monkeypatch):
+    def test_plain_tensors_cost_one_plan_per_shape(self, monkeypatch):
         # the constants u_jet of a centred Gaussian are live at even grades only
         d, deg, z = 2, 6, [0.3, -0.7]
         basis = AppellBasis(GaussianModel.standard(d), degree=deg)
         products = count_calls(monkeypatch, sym_product)
-        appell_eval(basis, deg, z)
-        assert len(products) == 4
-        products.clear()
-        gen_appell_all(basis, z)
-        assert len(products) == 16
+        contract_outs = count_method(monkeypatch, CompKernels, "contract_out")
+        appellsys.jets._graded_plan.cache_clear()
+        for _ in range(2):
+            appell_eval(basis, deg, z)
+            gen_appell_all(basis, z)
+        assert products == [] and contract_outs == []
+        # one plan for grade deg alone, one for all grades; the second
+        # round builds none
+        assert appellsys.jets._graded_plan.cache_info().misses == 2
         contractions = count_calls(monkeypatch, partial_pairing)
         rng = np.random.default_rng(0)
         to_monomial(basis, p_seq(basis, {n: random_tensor(rng, d, n) for n in range(deg + 1)}))
         assert len(contractions) == 16
 
-    def test_product_builds_one_tensor_per_grade_and_product(self, monkeypatch):
+    def test_product_builds_one_tensor_per_live_grade(self, monkeypatch):
         # the terms of a grade add into one accumulator, built once
         rng = np.random.default_rng(8)
         d, deg = 2, 5
@@ -352,18 +395,18 @@ class TestLiveGrades:
             ScalarJet(d, deg, tuple(random_tensor(rng, d, n) for n in range(deg + 1)))
             for _ in range(2)
         )
-        built = []
-        post_init = SymTensor.__post_init__
-
-        def counted(self):
-            built.append(self.rank)
-            post_init(self)
-
+        const, lin = constant_jet(d, deg, 3.0), linear_jet(d, deg, [1.0, -2.0])
+        zeros = [zero_tensor(d, n) for n in range(deg + 1)]
         products = count_calls(monkeypatch, sym_product)
-        monkeypatch.setattr(SymTensor, "__post_init__", counted)
+        built = count_tensors(monkeypatch)
         jet_mul(f, g)
-        assert len(products) == sum(n + 1 for n in range(deg + 1)) == 21
-        assert len(built) == (deg + 1) + len(products)
+        assert products == []
+        assert built == list(range(deg + 1))
+        built.clear()
+        # a constant times a linear factor: grades 0 and 2..deg are dead
+        prod = jet_mul(const, lin)
+        assert built == [1]
+        assert [prod.kernels[n] is zeros[n] for n in range(deg + 1)] == [True, False] + [True] * (deg - 1)
 
     def test_dead_grades_share_one_zero_that_stays_zero(self):
         # a linear factor times a constant: grades 2..deg have no live term
@@ -495,28 +538,152 @@ class TestCompKernels:
                     )
                     assert series == pytest.approx(direct, rel=1e-10, abs=1e-14)
 
-    def test_compose_contracts_present_tables_only(self, monkeypatch):
+    def test_compose_runs_one_plan_per_grade(self, monkeypatch):
         # identity power kernels have the tables (n, n) only
         d, deg = 3, 8
         ck = comp_kernels(identity_vjet(d, deg))
+        assert sorted(ck.tables) == [(n, n) for n in range(1, deg + 1)]
         rng = np.random.default_rng(12)
         ks = [random_tensor(rng, d, n) for n in range(deg + 1)]
-        calls = []
-        contract_out = CompKernels.contract_out
-
-        def counted(self, n, m, coeff):
-            calls.append((n, m))
-            return contract_out(self, n, m, coeff)
-
-        monkeypatch.setattr(CompKernels, "contract_out", counted)
+        contract_outs = count_method(monkeypatch, CompKernels, "contract_out")
+        plans = count_method(monkeypatch, CompKernels, "_compose_plan")
+        built = count_tensors(monkeypatch)
         got = ck.compose(deg, ks)
-        assert calls == [(deg, deg)]
+        again = ck.compose(deg, ks)
+        assert contract_outs == [] and plans == [(ck, deg)] and built == [deg, deg]
+        assert hexes(again) == hexes(got)
         assert (got - ks[deg]).max_abs() < 1e-12
 
     def test_vanishing_below_diagonal(self):
         ck = comp_kernels(random_vjet(np.random.default_rng(8), 2, 4))
         assert (1, 2) not in ck.tables
         assert (3, 4) not in ck.tables
+
+
+def literal_product(f, g, grades, weight):
+    """graded_product as a literal loop over every pair, dead kernels included."""
+    out = []
+    for n in grades:
+        acc = zero_tensor(f[0].dim, n)
+        for k in range(n + 1):
+            acc = acc + sym_product(f[k], g[n - k]).scale(weight(n, k))
+        out.append(acc)
+    return out
+
+
+def literal_compose(ck, n, ks):
+    """CompKernels.compose as a literal loop over every table row."""
+    if n == 0:
+        return ks[0]
+    acc = zero_tensor(ck.dim, n)
+    for m in range(1, n + 1):
+        inner = zero_tensor(ck.dim, n)
+        for u, tens in ck.tables.get((n, m), {}).items():
+            inner = inner + tens.scale(multiplicity(u) * ks[m][u])
+        acc = acc + inner.scale(1.0 / factorial(m))
+    return acc
+
+
+@st.composite
+def kernel_seqs(draw, d, deg):
+    """Kernels 0..deg, each random, random with entries of +0.0 and -0.0,
+    all +0.0 or all -0.0; live kernels are drawn most often."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ks = []
+    for n in range(deg + 1):
+        t = random_tensor(rng, d, n)
+        kind = draw(st.sampled_from(("live", "live", "holes", "+0", "-0")))
+        if kind == "holes":
+            signs = rng.choice([1.0, 0.0, -0.0], size=len(t.coeffs))
+            t = SymTensor(d, n, {k: s * v for (k, v), s in zip(t.coeffs.items(), signs)})
+        ks.append({"+0": t.scale(0.0), "-0": t.scale(-0.0)}.get(kind, t))
+    return ks
+
+
+class TestPlans:
+    """The cached plans against literal term-by-term sums, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), deg=st.integers(0, 7),
+           weight=st.sampled_from((comb, lambda n, k: 1, lambda n, k: -1)))
+    def test_graded_product_matches_literal_sum(self, data, d, deg, weight):
+        # a weight of -1 turns a zero sum to -0.0, which the sums must not return
+        f, g = data.draw(kernel_seqs(d, deg)), data.draw(kernel_seqs(d, deg))
+        grades = data.draw(st.lists(st.integers(0, deg), min_size=1, unique=True))
+        got = graded_product(f, g, grades, weight) if weight is not comb else graded_product(f, g, grades)
+        want = literal_product(f, g, grades, weight)
+        assert [hexes(t) for t in got] == [hexes(t) for t in want]
+        for n, t in zip(grades, got):
+            dead = not any(is_live(f[k]) and is_live(g[n - k]) for k in range(n + 1))
+            assert (t is zero_tensor(d, n)) == dead
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), deg=st.integers(1, 5),
+           kind=st.sampled_from(("identity", "log1p", "random")))
+    def test_compose_matches_literal_sum(self, data, d, deg, kind):
+        if kind == "identity":
+            alpha = identity_vjet(d, deg)
+        elif kind == "log1p":
+            alpha = log1p_vjet(d, deg)
+        else:
+            alpha = random_vjet(np.random.default_rng(data.draw(st.integers(0, 99))), d, deg)
+        ck = comp_kernels(alpha)
+        ks = data.draw(kernel_seqs(d, deg))
+        for n in range(deg + 1):
+            assert hexes(ck.compose(n, ks)) == hexes(literal_compose(ck, n, ks))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_graded_plan_indexes_like_product_plan(self, dim):
+        # the plan's vectorised indices against sym_product's own plans
+        for grades in ((0,), (0, 1, 2, 3, 4, 5), (5, 2), (4,)):
+            plan = appellsys.jets._graded_plan(dim, grades)
+            starts, width = plan.starts, sum(plan.widths)
+            want, col = [], 0
+            for n in grades:
+                for k in range(n + 1):
+                    for i, row in enumerate(_product_plan(dim, k, n - k)):
+                        for j, (p, w) in enumerate(row):
+                            want.append((starts[k] + i, starts[n - k] + j, k * width + col + p, w))
+                col += len(multi_indices(dim, n))
+            got = zip(plan.f_at.tolist(), plan.g_at.tolist(), plan.cells.tolist(), plan.ways.tolist())
+            assert list(got) == want
+
+    def test_a_zero_sum_is_positive_zero(self):
+        # every term of entry (1, 1) is -0.0; the literal sum from +0.0 is +0.0
+        f = [scalar_tensor(2, 1.0), SymTensor(2, 1, {(1,): 1.0, (2,): 0.0}), zero_tensor(2, 2)]
+        g = [scalar_tensor(2, 1.0), SymTensor(2, 1, {(1,): 0.0, (2,): 1.0}), zero_tensor(2, 2)]
+        got = graded_product(f, g, [2], lambda n, k: -1)[0]
+        assert got[(1, 1)].hex() == "0x0.0p+0"
+        assert hexes(got) == hexes(literal_product(f, g, [2], lambda n, k: -1)[0])
+        ck = comp_kernels(identity_vjet(2, 2))
+        ks = [scalar_tensor(2, 0.0), zero_tensor(2, 1), SymTensor(2, 2, {(1, 1): -0.0, (1, 2): -1.0, (2, 2): -1.0})]
+        got = ck.compose(2, ks)
+        assert got[(1, 1)].hex() == "0x0.0p+0"
+        assert hexes(got) == hexes(literal_compose(ck, 2, ks))
+
+    def test_overflow_raises_as_the_term_route(self):
+        big = SymTensor(2, 1, {(1,): 1e308, (2,): 1e308})
+        one = [scalar_tensor(2, 1.0), big, zero_tensor(2, 2)]
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            graded_product(one, one, [2])
+        ck = comp_kernels(identity_vjet(2, 2))
+        huge = SymTensor(2, 2, dict.fromkeys(multi_indices(2, 2), 1e308))
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            ck.compose(2, [scalar_tensor(2, 0.0), big, huge])
+
+    def test_zero_factor_beside_an_overflow_is_skipped(self, monkeypatch):
+        # ways * 1e308 overflows in the dead product f_1 g_1; the plan gives
+        # a nan there, and the term route, which skips it, decides
+        big = SymTensor(2, 1, {(1,): 1e308, (2,): 1e308})
+        dead = SymTensor(2, 1, {(1,): 0.0, (2,): -0.0})
+        f = [scalar_tensor(2, 1.0), big, zero_tensor(2, 2)]
+        g = [scalar_tensor(2, 1.0), dead, random_tensor(np.random.default_rng(4), 2, 2)]
+        want = appellsys.jets._graded_terms(f, g, [0, 1, 2], comb)
+        terms = count_calls(monkeypatch, appellsys.jets._graded_terms)
+        got = graded_product(f, g, [0, 1, 2])
+        assert len(terms) == 1
+        assert [hexes(t) for t in got] == [hexes(t) for t in want]
+        assert all(np.isfinite(list(t.coeffs.values())).all() for t in got)
 
 
 class TestInversion:

@@ -71,6 +71,42 @@ class TestMomentKernels:
             model.laplace_jet(5)
 
 
+class TestModelValidation:
+    @pytest.mark.parametrize(
+        "cov, smallest", [(((-1.0,),), "-1"), (((1.0, 2.0), (2.0, 1.0)), "-1")]
+    )
+    def test_gaussian_rejects_a_negative_eigenvalue(self, cov, smallest):
+        # the second one used to build a basis and fail in sample_batch
+        with pytest.raises(ValueError, match=f"smallest eigenvalue {smallest}$"):
+            GaussianModel(cov)
+
+    def test_gaussian_accepts_singular_psd_covariances(self):
+        # v v^T has rounding-level eigenvalues on either side of zero
+        rng = np.random.default_rng(3)
+        negative = 0
+        for d in (2, 3, 5):
+            for _ in range(20):
+                v = rng.standard_normal((d, 1))
+                cov = v @ v.T
+                negative += np.linalg.eigvalsh(cov)[0] < 0
+                GaussianModel(tuple(tuple(float(x) for x in row) for row in cov))
+        assert negative > 0
+        GaussianModel(((0.0, 0.0), (0.0, 0.0)))
+
+    def test_moment_file_needs_one_tensor_per_degree(self):
+        src = moment_kernels(GaussianModel.standard(1), 2)
+        with pytest.raises(ValueError, match="max_degree 4 needs 5 moment tensors, got 3"):
+            MomentFileModel("x", 1, 4, tuple(src.kernels))
+
+    def test_moment_file_tensor_shapes_are_checked(self):
+        two = moment_kernels(GaussianModel.standard(2), 2).kernels
+        one = moment_kernels(GaussianModel.standard(1), 2).kernels
+        with pytest.raises(ValueError, match="moment tensor 1 has dim 2 and rank 1"):
+            MomentFileModel("x", 1, 2, (one[0], two[1], one[2]))
+        with pytest.raises(ValueError, match="moment tensor 2 has dim 1 and rank 1"):
+            MomentFileModel("x", 1, 2, (one[0], one[1], one[1]))
+
+
 def zeros(d, n):
     return SymTensor(d, n, {k: 0.0 for k in multi_indices(d, n)})
 

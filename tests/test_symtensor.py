@@ -39,14 +39,23 @@ from appellsys.symtensor import (
 )
 
 
+def full(t: SymTensor) -> np.ndarray:
+    """Expand to the dense (dim,)*rank array (oracle-sized ranks only)."""
+    out = np.zeros((t.dim,) * t.rank)
+    for idx, v in t.coeffs.items():
+        for p in set(itertools.permutations(idx)):
+            out[tuple(i - 1 for i in p)] = v
+    return out
+
+
 def full_outer(a: SymTensor, b: SymTensor) -> np.ndarray:
     """Dense symmetrized outer product, averaging over all permutations."""
     m, n = a.rank, b.rank
-    raw = np.multiply.outer(a.full(), b.full()) if m and n else None
+    raw = np.multiply.outer(full(a), full(b)) if m and n else None
     if m == 0:
-        return a.item() * b.full()
+        return a.item() * full(b)
     if n == 0:
-        return b.item() * a.full()
+        return b.item() * full(a)
     d = a.dim
     out = np.zeros((d,) * (m + n))
     perms = list(itertools.permutations(range(m + n)))
@@ -56,7 +65,7 @@ def full_outer(a: SymTensor, b: SymTensor) -> np.ndarray:
 
 
 def dense_pairing(a: SymTensor, b: SymTensor) -> float:
-    return float((a.full() * b.full()).sum())
+    return float((full(a) * full(b)).sum())
 
 
 class TestStorage:
@@ -203,7 +212,7 @@ class TestPartialPairing:
         rng = np.random.default_rng(13)
         a = random_tensor(rng, 3, 4)
         b = random_tensor(rng, 3, 2)
-        dense = np.tensordot(a.full(), b.full(), axes=([2, 3], [0, 1]))
+        dense = np.tensordot(full(a), full(b), axes=([2, 3], [0, 1]))
         got = partial_pairing(a, b)
         for idx in multi_indices(3, 2):
             assert got[idx] == pytest.approx(dense[tuple(i - 1 for i in idx)], rel=1e-11)
@@ -412,7 +421,7 @@ class TestEvalPower:
         x = rng.standard_normal(3)
         brute = float(
             sum(
-                a.full()[i]
+                full(a)[i]
                 * x[list(i)].prod()
                 for i in itertools.product(range(3), repeat=3)
             )
@@ -605,7 +614,7 @@ class TestNorms:
         brute = 0.0
         for i, j in itertools.product(range(2), repeat=2):
             w = scale.weights[i] * scale.weights[j]
-            brute += (w * a.full()[i, j]) ** 2
+            brute += (w * full(a)[i, j]) ** 2
         assert tensor_norm(a, 1.0, scale) == pytest.approx(math.sqrt(brute), rel=1e-12)
 
     def test_cross_norm_property(self):
