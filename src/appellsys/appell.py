@@ -225,10 +225,16 @@ def _plain_tensors(basis: AppellBasis, z, grades) -> list[SymTensor]:
     return graded_product(powers, basis.u_jet.kernels, grades)
 
 
-def appell_eval(basis: AppellBasis, n: int, z) -> SymTensor:
-    """Rank-n tensor of the plain system at z."""
+def _check_grade(basis: AppellBasis, n: int) -> None:
     if n > basis.degree:
         raise ValueError(f"grade {n} exceeds truncation degree {basis.degree}")
+    if n < 0:
+        raise ValueError(f"grade {n} is negative")
+
+
+def appell_eval(basis: AppellBasis, n: int, z) -> SymTensor:
+    """Rank-n tensor of the plain system at z."""
+    _check_grade(basis, n)
     return _plain_tensors(basis, z, [n])[0]
 
 
@@ -247,8 +253,10 @@ def gen_appell_all(basis: AppellBasis, z) -> list[SymTensor]:
 
 def delta_appell_eval(basis: AppellBasis, n: int, w) -> SymTensor:
     """Rank-n tensor of the point-mass system at w (kernels of exp<w, alpha(.)>)."""
-    if n > basis.degree:
-        raise ValueError(f"grade {n} exceeds truncation degree {basis.degree}")
+    _check_grade(basis, n)
+    w = np.asarray(w, dtype=float)
+    if w.shape != (basis.dim,):
+        raise DimensionMismatchError(f"w has shape {w.shape}, basis has dim {basis.dim}")
     return basis.A.compose(n, [power_tensor(w, m) for m in range(n + 1)])
 
 

@@ -25,6 +25,7 @@ from .symtensor import (
     DimensionMismatchError,
     SymTensor,
     _position,
+    _product_arrays,
     is_live,
     multi_indices,
     multiplicity,
@@ -427,6 +428,8 @@ class CompKernels:
         """Pair a rank-m tensor against the output slots, leaving rank n."""
         if coeff.rank != m:
             raise ValueError(f"coefficient rank {coeff.rank} != output slots {m}")
+        if coeff.dim != self.dim:
+            raise DimensionMismatchError(f"dim mismatch: {self.dim} vs {coeff.dim}")
         c = coeff.coeffs
         table = self.tables.get((n, m), {})
         return weighted_sum(
@@ -533,6 +536,52 @@ def comp_kernels(a: VectorJet) -> CompKernels:
     return CompKernels(a.dim, N, tables)
 
 
+def _linear_power_kernels(inv: np.ndarray, degree: int) -> CompKernels:
+    """comp_kernels of the linear jets of the rows of inv, bit for bit, with no jet.
+
+    Only the tables (m, m) are present.  Layer m holds the live rows of rank
+    m: row u' + (j,) is grade m of the product of row u' with
+    linear_jet(inv[j-1]) in graded_product's arithmetic, the terms
+    (W * x_i) * inv[j-1, j'] of _product_arrays(d, m-1, 1) added in plan
+    order from +0.0, then / m * m + 0.0.  One bincount per last coordinate j
+    forms them, so the terms of a call are a few times the layer's table.  A
+    dead row drops every row that extends it, and a non-finite entry raises
+    through SymTensor.
+    """
+    d = len(inv)
+    table = {(j,): t for j, t in enumerate(map(vector_tensor, inv), 1) if is_live(t)}
+    x = np.array([list(t.coeffs.values()) for t in table.values()])
+    tables = {}
+    for m in range(1, degree + 1):
+        if m > 1:
+            T, W = _product_arrays(d, m - 1, 1)
+            size = len(multi_indices(d, m))
+            prev, us, blocks = list(table), [], []
+            last = np.array([u[-1] for u in prev])
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j, row in enumerate(inv, 1):
+                    rows = np.flatnonzero(last <= j)
+                    cells = (np.arange(len(rows))[:, None] * size + T).ravel()
+                    terms = ((W * x[rows, :, None]) * row).ravel()
+                    sums = np.bincount(cells, terms, minlength=len(rows) * size)
+                    blocks.append(sums.reshape(-1, size) / m * m + 0.0)
+                    us += [prev[r] + (j,) for r in rows]
+            position = _position(d, m)
+            order = np.argsort([position[u] for u in us])
+            values = np.concatenate(blocks)[order]
+            live = values.any(axis=1)
+            x = values[live]
+            keys = multi_indices(d, m)
+            table = {
+                us[r]: SymTensor(d, m, dict(zip(keys, row)))
+                for r, row in zip(order[live].tolist(), x.tolist())
+            }
+        if not table:
+            break
+        tables[(m, m)] = table
+    return CompKernels(d, degree, tables)
+
+
 def jet_compose_scalar(f: ScalarJet, a: VectorJet, ck: CompKernels | None = None) -> ScalarJet:
     """Composite jet f(a(theta)); a must vanish at zero."""
     _check_compatible(f, a)
@@ -581,7 +630,7 @@ def jet_invert(a: VectorJet, ck: CompKernels | None = None) -> VectorJet:
     d, N = a.dim, a.degree
     if ck is None:
         ck = comp_kernels(a)
-    pull = comp_kernels(VectorJet(d, N, tuple(linear_jet(d, N, row) for row in inv)))
+    pull = _linear_power_kernels(inv, N)
     g_kernels = [[scalar_tensor(d, 0.0), vector_tensor(row)] for row in inv]
     for n in range(2, N + 1):
         for ks in g_kernels:

@@ -161,6 +161,10 @@ class TestPlainEval:
         with pytest.raises(ValueError):
             appell_eval(gauss1d_basis, 7, [0.0])
 
+    def test_negative_grade_rejected(self, gauss1d_basis):
+        with pytest.raises(ValueError, match="grade -1 is negative"):
+            appell_eval(gauss1d_basis, -1, [0.0])
+
 
 class TestGeneralizedEval:
     def test_identity_alpha_reduces_to_plain(self, gauss2d_basis):
@@ -227,6 +231,17 @@ class TestDeltaAppellEval:
         for n in range(7):
             t = delta_appell_eval(poisson1d_log1p_basis, n, [w])
             assert t[(1,) * n] == pytest.approx(expected[n], abs=1e-10)
+
+    def test_negative_grade_rejected(self, gauss1d_basis):
+        with pytest.raises(ValueError, match="grade -1 is negative"):
+            delta_appell_eval(gauss1d_basis, -1, [0.5])
+
+    def test_wrong_length_w_rejected(self, gauss2d_basis):
+        # grade 0 reads no power kernel, so the check must not rely on one
+        for n in (0, 2):
+            for w in ([1.0, 2.0, 5.0], [1.0], [[1.0, 2.0]]):
+                with pytest.raises(DimensionMismatchError):
+                    delta_appell_eval(gauss2d_basis, n, w)
 
     def test_agrees_with_delta_model_basis(self, poisson1d_log1p_basis):
         basis = poisson1d_log1p_basis

@@ -39,6 +39,12 @@ def test_every_traced_function_is_bound():
     assert unbound == []
 
 
+# The seed-5 output fingerprints.  The build digest covers g_alpha of every
+# ladder basis, so a change of any output bit fails here; a change that moves
+# these bits on purpose updates them and says so.
+FINGERPRINTS = {"build": "c1d97c6f404c3c51", "query": "190aa540c25e76f6"}
+
+
 @pytest.mark.parametrize("workload", ["build", "query"])
 def test_traced_run_reaches_every_layer(workload):
     # run.py exits nonzero when a traced layer of the workload has no call;
@@ -51,3 +57,4 @@ def test_traced_run_reaches_every_layer(workload):
     )
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
     assert json.loads(run.stdout.splitlines()[-1])["correct"] is True
+    assert f"fingerprint {FINGERPRINTS[workload]}" in run.stdout.splitlines()

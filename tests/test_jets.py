@@ -1,6 +1,7 @@
 """Jet arithmetic against sympy series and composition-sum oracles."""
 
 import sys
+import warnings
 from functools import lru_cache
 from math import comb, exp, factorial, log
 
@@ -20,6 +21,7 @@ from appellsys.appell import (
 )
 from appellsys.jets import (
     CompKernels,
+    _linear_power_kernels,
     graded_product,
     ScalarJet,
     SingularJetError,
@@ -45,6 +47,7 @@ from appellsys.jets import (
 from appellsys.measures import GaussianModel, PoissonModel
 from appellsys.remeasure import transport_dist
 from appellsys.symtensor import (
+    DimensionMismatchError,
     _product_plan,
     is_live,
     multi_indices,
@@ -559,6 +562,16 @@ class TestCompKernels:
         assert (1, 2) not in ck.tables
         assert (3, 4) not in ck.tables
 
+    def test_coefficient_of_another_dim_rejected(self):
+        ck = comp_kernels(random_vjet(np.random.default_rng(13), 2, 4))
+        rng = np.random.default_rng(14)
+        for dim in (1, 3):
+            with pytest.raises(DimensionMismatchError):
+                ck.contract_out(3, 2, random_tensor(rng, dim, 2))
+            # compose sends kernels of another dim to the term route
+            with pytest.raises(DimensionMismatchError):
+                ck.compose(3, [random_tensor(rng, dim, n) for n in range(5)])
+
 
 def literal_product(f, g, grades, weight):
     """graded_product as a literal loop over every pair, dead kernels included."""
@@ -684,6 +697,80 @@ class TestPlans:
         assert len(terms) == 1
         assert [hexes(t) for t in got] == [hexes(t) for t in want]
         assert all(np.isfinite(list(t.coeffs.values())).all() for t in got)
+
+
+def linear_route(inv, deg):
+    """The pull-back kernels through comp_kernels of the linear jets of the rows."""
+    d = len(inv)
+    return comp_kernels(VectorJet(d, deg, tuple(linear_jet(d, deg, row) for row in inv)))
+
+
+def table_bits(ck):
+    """Every table in order, each row in order with the hex form of its entries."""
+    return [(key, [(u, hexes(t)) for u, t in table.items()]) for key, table in ck.tables.items()]
+
+
+@st.composite
+def pullback_matrices(draw):
+    """Identity, signed diagonal, sparse random or the inverse of one, with
+    -0.0 holes and row scalings that underflow, so that rows die."""
+    d, deg = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["identity", "signed diagonal", "random", "inverse"]))
+    if kind == "identity":
+        mat = np.eye(d)
+    elif kind == "signed diagonal":
+        mat = np.diag(rng.choice([-1.0, 1.0], d) * rng.uniform(0.5, 2.0, d))
+    else:
+        mat = rng.standard_normal((d, d))
+        mat[rng.random((d, d)) < 0.3] = 0.0
+        if kind == "inverse":
+            mat = np.linalg.inv(mat + d * np.eye(d))
+    mat[(mat == 0) & (rng.random((d, d)) < 0.5)] = -0.0
+    scales = draw(st.lists(st.sampled_from([1.0, -3.0, 1e-30, 1e-100, 1e-160]), min_size=d, max_size=d))
+    return mat * np.array(scales)[:, None], deg
+
+
+class TestLinearPowerKernels:
+    """jet_invert's pull-back kernels, built layer by layer from L^-1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=pullback_matrices())
+    def test_matches_linear_route(self, case):
+        inv, deg = case
+        assert table_bits(_linear_power_kernels(inv, deg)) == table_bits(linear_route(inv, deg))
+
+    def test_matches_linear_route_at_8_4(self):
+        inv = np.random.default_rng(16).standard_normal((8, 8))
+        assert table_bits(_linear_power_kernels(inv, 4)) == table_bits(linear_route(inv, 4))
+
+    def test_dead_row_drops_its_extensions(self):
+        # 1e-200 squared underflows: row (2, 2) dies at rank 2
+        inv = np.diag([1.0, 1e-200])
+        ck = _linear_power_kernels(inv, 4)
+        assert table_bits(ck) == table_bits(linear_route(inv, 4))
+        assert list(ck.tables[(2, 2)]) == [(1, 1), (1, 2)]
+        assert list(ck.tables[(4, 4)]) == [(1, 1, 1, 1), (1, 1, 1, 2)]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_overflow_raises_as_before(self, d):
+        # L^-1 = 1e30 I: rank 11 of the pull-back overflows
+        a = VectorJet(d, 12, tuple(linear_jet(d, 12, 1e-30 * row) for row in np.eye(d)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                jet_invert(a)
+        assert str(err.value) == f"non-finite coefficient at index {(1,) * 11}: inf"
+
+    def test_inversion_builds_no_jet(self, monkeypatch):
+        a = random_vjet(np.random.default_rng(17), 3, 5)
+        ck = comp_kernels(a)
+        builds = count_calls(monkeypatch, comp_kernels)
+        products = count_calls(monkeypatch, jet_mul)
+        jet_invert(a, ck)
+        assert builds == [] and products == []
+        AppellBasis(GaussianModel.standard(3), a, degree=5)
+        assert len(builds) == 2
 
 
 class TestInversion:
