@@ -80,6 +80,8 @@ class ScalarJet:
     dim: int
     degree: int
     kernels: tuple[SymTensor, ...]
+    # the kernels stacked as by _stack, built on first use or by jet_mul
+    _stacked: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.kernels) != self.degree + 1:
@@ -87,6 +89,14 @@ class ScalarJet:
         for n, k in enumerate(self.kernels):
             if k.rank != n or k.dim != self.dim:
                 raise ValueError(f"kernel {n} has wrong shape")
+
+    def _view(self) -> tuple[np.ndarray, np.ndarray]:
+        """Kernels 0..N as one read-only vector in multi_indices order, and
+        whether each kernel is live."""
+        if self._stacked is None:
+            plan = _graded_plan(self.dim, tuple(range(self.degree + 1)))
+            object.__setattr__(self, "_stacked", _stack(self.kernels, plan.starts))
+        return self._stacked
 
     def kernel(self, n: int) -> SymTensor:
         return self.kernels[n]
@@ -177,6 +187,21 @@ def _graded_terms(f, g, grades, weight) -> list[SymTensor]:
     return [weighted_sum(f[0].dim, n, terms(n)) for n in grades]
 
 
+def _stack(kernels, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of kernels 0, 1, ... as one vector, with whether
+    each kernel is live, both read-only."""
+    x = np.fromiter(chain.from_iterable([t.coeffs.values() for t in kernels]), float, starts[-1])
+    return _frozen(x, starts)
+
+
+def _frozen(x: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x, kernels read as one vector that starts them at starts, with
+    whether each kernel is live; both made read-only."""
+    live = np.logical_or.reduceat(x != 0, starts[:-1])
+    x.flags.writeable = live.flags.writeable = False
+    return x, live
+
+
 @lru_cache(maxsize=None)
 def _graded_plan(dim: int, grades: tuple[int, ...]) -> SimpleNamespace:
     """The bilinear plan of graded_product over the given grades.
@@ -231,15 +256,6 @@ def _graded_plan(dim: int, grades: tuple[int, ...]) -> SimpleNamespace:
     )
 
 
-def _stacked(kernels, plan: SimpleNamespace):
-    """The coefficients of kernels 0, 1, ... as one vector, with whether
-    each kernel is live, or None when a kernel has another shape."""
-    if [(t.dim, t.rank) for t in kernels] != plan.shapes:
-        return None, None
-    x = np.fromiter(chain.from_iterable([t.coeffs.values() for t in kernels]), float, plan.starts[-1])
-    return x, np.logical_or.reduceat(x != 0, plan.starts[:-1])
-
-
 def graded_product(f, g, grades, weight=comb) -> list[SymTensor]:
     """The given grades of the product h_n = sum_k weight(n, k) f_k sym g_{n-k}.
 
@@ -256,29 +272,38 @@ def graded_product(f, g, grades, weight=comb) -> list[SymTensor]:
     grades = tuple(grades)
     if not grades:
         return []
-    dim, top = f[0].dim, max(grades) + 1
-    plan = _graded_plan(dim, grades)
-    (x, f_live), (y, g_live) = _stacked(f[:top], plan), _stacked(g[:top], plan)
-    if x is None or y is None:
+    plan = _graded_plan(f[0].dim, grades)
+    top = len(plan.shapes)
+    if any([(t.dim, t.rank) for t in s[:top]] != plan.shapes for s in (f, g)):
         return _graded_terms(f, g, grades, weight)
+    stacks = _stack(f[:top], plan.starts), _stack(g[:top], plan.starts)
+    return _apply_graded_plan(plan, grades, f, g, *stacks, weight)[0]
+
+
+def _apply_graded_plan(plan, grades, f, g, fx, gy, weight):
+    """graded_product of f and g, read as fx = (vector, live) and gy, through
+    plan: the kernels of the grades, and their columns as one vector, or None
+    when an overflow sent the product to the term route."""
+    (x, f_live), (y, g_live) = fx, gy
     weights = plan.combs
     if weight is not comb:
+        top = len(plan.shapes)
         ws = [[weight(n, k) if k <= n else 0 for n in grades] for k in range(top)]
         weights = np.repeat(np.array(ws, dtype=float), plan.widths, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         acc = np.bincount(plan.cells, (plan.ways * x[plan.f_at]) * y[plan.g_at], minlength=weights.size)
         acc = acc.reshape(weights.shape) / plan.combs * weights
-        values = (np.add.accumulate(acc)[-1] + 0.0).tolist()
+        values = np.add.accumulate(acc)[-1] + 0.0
     live = np.convolve(f_live, g_live).tolist()  # grade n: is some f_k and g_{n-k} live
+    vals, dim = values.tolist(), plan.shapes[0][0]
     try:
-        return [
-            SymTensor(dim, n, dict(zip(keys, values[col : col + len(keys)])))
-            if live[n]
-            else zero_tensor(dim, n)
+        ks = [
+            SymTensor(dim, n, dict(zip(keys, vals[col : col + len(keys)]))) if live[n] else zero_tensor(dim, n)
             for n, keys, col in plan.columns
         ]
     except ValueError:
-        return _graded_terms(f, g, grades, weight)  # an overflow: SymTensor rejects it
+        return _graded_terms(f, g, grades, weight), None  # an overflow: SymTensor rejects it
+    return ks, values
 
 
 def graded_solve(f, h0: SymTensor, post, weight=comb) -> list[SymTensor]:
@@ -296,10 +321,19 @@ def graded_solve(f, h0: SymTensor, post, weight=comb) -> list[SymTensor]:
 
 
 def jet_mul(f: ScalarJet, g: ScalarJet) -> ScalarJet:
-    """Product of jets: h_n = sum_k C(n,k) f_k sym g_{n-k}."""
+    """Product of jets: h_n = sum_k C(n,k) f_k sym g_{n-k}.
+
+    graded_product of the views of f and g, whose values, when finite, are
+    the product's view: a dead grade's are +0.0 but for an overflow's nan.
+    """
     _check_compatible(f, g)
-    ks = graded_product(f.kernels, g.kernels, range(f.degree + 1))
-    return ScalarJet(f.dim, f.degree, tuple(ks))
+    grades = tuple(range(f.degree + 1))
+    plan = _graded_plan(f.dim, grades)
+    ks, values = _apply_graded_plan(plan, grades, f.kernels, g.kernels, f._view(), g._view(), comb)
+    h = ScalarJet(f.dim, f.degree, tuple(ks))
+    if values is not None and np.isfinite(values).all():
+        object.__setattr__(h, "_stacked", _frozen(values, plan.starts))
+    return h
 
 
 def jet_exp(f: ScalarJet) -> ScalarJet:
@@ -421,20 +455,34 @@ class CompKernels:
     dim: int
     degree: int
     tables: dict[tuple[int, int], dict[tuple[int, ...], SymTensor]]
-    # compose's plan per grade, built on first use
+    # compose's plan per grade n and contract_out's per (n, m), built on first use
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def contract_out(self, n: int, m: int, coeff: SymTensor) -> SymTensor:
-        """Pair a rank-m tensor against the output slots, leaving rank n."""
+        """Pair a rank-m tensor against the output slots, leaving rank n.
+
+        The sum runs through one linear plan per (n, m), cached on the
+        instance: the table's rows, weighted by multiplicity(u) * coeff[u],
+        add by a cumsum, then + 0.0.  That is the weighted_sum of the rows
+        with coeff[u] != 0 from +0.0, bit for bit: a row of zero weight adds
+        only signed zeros.  With no such row the result is the shared zero.
+        """
         if coeff.rank != m:
             raise ValueError(f"coefficient rank {coeff.rank} != output slots {m}")
         if coeff.dim != self.dim:
             raise DimensionMismatchError(f"dim mismatch: {self.dim} vs {coeff.dim}")
-        c = coeff.coeffs
-        table = self.tables.get((n, m), {})
-        return weighted_sum(
-            self.dim, n, ((multiplicity(u) * c[u], tens) for u, tens in table.items() if c[u])
-        )
+        plan = self._plans.get((n, m))
+        if plan is None:
+            table = self.tables.get((n, m), {})
+            rows = np.array([list(t.coeffs.values()) for t in table.values()])
+            plan = self._plans[(n, m)] = _contract_plan(self.dim, m, table, rows)
+        at, mult, rows = plan
+        c = np.fromiter(coeff.coeffs.values(), float, len(coeff.coeffs))[at]
+        if not c.any():
+            return zero_tensor(self.dim, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = np.add.accumulate((mult * c)[:, None] * rows)[-1] + 0.0
+        return SymTensor(self.dim, n, dict(zip(multi_indices(self.dim, n), h.tolist())))
 
     def compose(self, n: int, ks) -> SymTensor:
         """Grade n of f(a(theta)) from the kernels ks of f.
@@ -513,6 +561,14 @@ class CompKernels:
         return SymTensor(self.dim, m, out)
 
 
+def _contract_plan(dim: int, m: int, us, rows: np.ndarray):
+    """contract_out's plan for the table whose rows, of keys us, are rows:
+    each row's position in the coefficient and multiplicity(u)."""
+    position = _position(dim, m)
+    at = np.array([position[u] for u in us], dtype=np.intp)
+    return at, np.array([multiplicity(u) for u in us], dtype=float), rows
+
+
 def comp_kernels(a: VectorJet) -> CompKernels:
     """Build the power kernels of a by iterated graded products of components.
 
@@ -524,15 +580,18 @@ def comp_kernels(a: VectorJet) -> CompKernels:
     tables: dict[tuple[int, int], dict[tuple[int, ...], SymTensor]] = {}
     prods: dict[tuple[int, ...], ScalarJet] = {}
     for m in range(1, N + 1):
+        layer = {}
         for u in multi_indices(a.dim, m):
             if m == 1:
                 jet = a.components[u[0] - 1]
             else:
                 jet = jet_mul(prods[u[:-1]], a.components[u[-1] - 1])
-            prods[u] = jet
+            layer[u] = jet
+            live = jet._view()[1].tolist()
             for n in range(m, N + 1):
-                if is_live(jet.kernels[n]):
+                if live[n]:
                     tables.setdefault((n, m), {})[u] = jet.kernels[n]
+        prods = layer
     return CompKernels(a.dim, N, tables)
 
 
@@ -546,12 +605,13 @@ def _linear_power_kernels(inv: np.ndarray, degree: int) -> CompKernels:
     order from +0.0, then / m * m + 0.0.  One bincount per last coordinate j
     forms them, so the terms of a call are a few times the layer's table.  A
     dead row drops every row that extends it, and a non-finite entry raises
-    through SymTensor.
+    through SymTensor.  The rows of each layer, already one array, seed
+    contract_out's plan of its table.
     """
     d = len(inv)
     table = {(j,): t for j, t in enumerate(map(vector_tensor, inv), 1) if is_live(t)}
     x = np.array([list(t.coeffs.values()) for t in table.values()])
-    tables = {}
+    tables, plans = {}, {}
     for m in range(1, degree + 1):
         if m > 1:
             T, W = _product_arrays(d, m - 1, 1)
@@ -579,7 +639,10 @@ def _linear_power_kernels(inv: np.ndarray, degree: int) -> CompKernels:
         if not table:
             break
         tables[(m, m)] = table
-    return CompKernels(d, degree, tables)
+        plans[(m, m)] = _contract_plan(d, m, table, x)
+    pull = CompKernels(d, degree, tables)
+    pull._plans.update(plans)
+    return pull
 
 
 def jet_compose_scalar(f: ScalarJet, a: VectorJet, ck: CompKernels | None = None) -> ScalarJet:
@@ -618,6 +681,8 @@ def jet_invert(a: VectorJet, ck: CompKernels | None = None) -> VectorJet:
     is ck.compose(n, g), whose only term holding g_n is g_n pulled back
     through L, so g_n is minus the rest pulled back through L^{-1}.
     """
+    if a.degree < 1:
+        raise ValueError(f"degree must be at least 1, got {a.degree}")
     mat = linear_part(a)
     try:
         inv = np.linalg.inv(mat)

@@ -40,12 +40,13 @@ def test_every_traced_function_is_bound():
 
 
 # The seed-5 output fingerprints.  The build digest covers g_alpha of every
-# ladder basis, so a change of any output bit fails here; a change that moves
-# these bits on purpose updates them and says so.
-FINGERPRINTS = {"build": "c1d97c6f404c3c51", "query": "190aa540c25e76f6"}
+# ladder basis and the verify digest the suites' results, so a change of any
+# output bit fails here; a change that moves these bits on purpose updates
+# them and says so.
+FINGERPRINTS = {"build": "c1d97c6f404c3c51", "query": "190aa540c25e76f6", "verify": "a4400d961da0f608"}
 
 
-@pytest.mark.parametrize("workload", ["build", "query"])
+@pytest.mark.parametrize("workload", ["build", "query", "verify"])
 def test_traced_run_reaches_every_layer(workload):
     # run.py exits nonzero when a traced layer of the workload has no call;
     # one pass of each op, with no bytecode written into the checkout

@@ -773,7 +773,180 @@ class TestLinearPowerKernels:
         assert len(builds) == 2
 
 
+def plain_power_kernels(a):
+    """comp_kernels through graded_product on plain kernel lists, with
+    is_live per grade."""
+    tables, prods = {}, {}
+    for m in range(1, a.degree + 1):
+        for u in multi_indices(a.dim, m):
+            last = list(a.components[u[-1] - 1].kernels)
+            ks = last if m == 1 else graded_product(prods[u[:-1]], last, range(a.degree + 1))
+            prods[u] = ks
+            for n in range(m, a.degree + 1):
+                if is_live(ks[n]):
+                    tables.setdefault((n, m), {})[u] = ks[n]
+    return CompKernels(a.dim, a.degree, tables)
+
+
+@st.composite
+def chain_alphas(draw):
+    """Identity, log1p or random alphas with d <= 4 and N <= 8, each output
+    coordinate scaled by 1, -3, 1e-30, 1e-100 or 1e-160, so that products
+    underflow and grades die, and with +0.0 and -0.0 holes."""
+    d, deg = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["identity", "log1p", "random"]))
+    a = {"identity": identity_vjet, "log1p": log1p_vjet}.get(kind, lambda d, deg: random_vjet(rng, d, deg))(d, deg)
+    scales = draw(st.lists(st.sampled_from([1.0, -3.0, 1e-30, 1e-100, 1e-160]), min_size=d, max_size=d))
+    holes = draw(st.booleans())
+    comps = []
+    for c, scale in zip(a.components, scales):
+        ks = [c.kernels[0]]
+        for t in c.kernels[1:]:
+            v = np.array(list(t.coeffs.values())) * scale
+            if holes:
+                v[rng.random(len(v)) < 0.4] = 0.0
+                v[(v == 0) & (rng.random(len(v)) < 0.5)] = -0.0
+            ks.append(SymTensor(d, t.rank, dict(zip(t.coeffs, v.tolist()))))
+        comps.append(ScalarJet(d, deg, tuple(ks)))
+    return VectorJet(d, deg, tuple(comps))
+
+
+def view_bits(jet):
+    """The hex form of a jet's stacked view, and its live flags."""
+    x, live = jet._view()
+    return [v.hex() for v in x.tolist()], live.tolist()
+
+
+def assert_view_matches(jet):
+    x, live = jet._view()
+    assert view_bits(jet) == ([h for t in jet.kernels for h in hexes(t)], [is_live(t) for t in jet.kernels])
+    with pytest.raises(ValueError, match="read-only"):
+        x[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        live[0] = not live[0]
+
+
+def literal_contract_out(ck, n, m, coeff):
+    """CompKernels.contract_out as a literal loop over the table rows of
+    nonzero coefficient; with no such row, the shared zero."""
+    acc = None
+    for u, tens in ck.tables.get((n, m), {}).items():
+        if coeff[u]:
+            term = tens.scale(multiplicity(u) * coeff[u])
+            acc = term + zero_tensor(ck.dim, n) if acc is None else acc + term
+    return zero_tensor(ck.dim, n) if acc is None else acc
+
+
+class TestStackedViews:
+    """jet_mul reads the stacked views of its factors and seeds its
+    product's; contract_out runs one cached plan per (n, m)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=chain_alphas(), data=st.data())
+    def test_jet_mul_chain_matches_plain_routes(self, a, data):
+        # one chain as comp_kernels forms it: the last product times a component
+        u = data.draw(st.lists(st.integers(1, a.dim), min_size=a.degree, max_size=a.degree))
+        jet = a.components[u[0] - 1]
+        plain = terms = list(jet.kernels)
+        for j in u[1:]:
+            comp = a.components[j - 1]
+            jet = jet_mul(jet, comp)
+            plain = graded_product(plain, list(comp.kernels), range(a.degree + 1))
+            terms = appellsys.jets._graded_terms(terms, list(comp.kernels), range(a.degree + 1), comb)
+            assert bits(jet) == [hexes(t) for t in plain] == [hexes(t) for t in terms]
+            assert_view_matches(jet)
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=chain_alphas())
+    def test_power_kernels_match_plain_route(self, a):
+        assert table_bits(comp_kernels(a)) == table_bits(plain_power_kernels(a))
+
+    def test_near_overflow_chain_raises_as_before(self):
+        # (1e80)^4 overflows at the fourth factor, in grade 4 only
+        a = linear_jet(2, 4, [1e80, -1e80])
+        jet = a
+        for _ in range(2):
+            jet = jet_mul(jet, a)
+            assert_view_matches(jet)
+        with pytest.raises(ValueError) as err:
+            jet_mul(jet, a)
+        with pytest.raises(ValueError) as want:
+            appellsys.jets._graded_terms(jet.kernels, a.kernels, range(5), comb)
+        assert str(err.value) == str(want.value) == "non-finite coefficient at index (1, 1, 1, 1): inf"
+
+    def test_nan_of_a_dead_grade_stays_out_of_the_view(self):
+        # f_1 g_1 is dead, but 2 * 1e308 overflows, so the plan leaves a nan
+        # in grade 2, which is the shared zero
+        f = jet_1d([0.0, 1e308, 0.0])
+        g = jet_1d([1.0, -0.0, 0.0])
+        h = jet_mul(f, g)
+        assert h.kernels[2] is zero_tensor(1, 2)
+        assert_view_matches(h)
+        assert bits(h) == bits(dense_mul(f, g))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 4), deg=st.integers(0, 8))
+    def test_views_of_fresh_products_and_inverses(self, data, d, deg):
+        f, g = (ScalarJet(d, deg, tuple(data.draw(kernel_seqs(d, deg)))) for _ in range(2))
+        for jet in (f, g, jet_mul(f, g), jet_mul(jet_mul(f, g), g)):
+            assert_view_matches(jet)
+        if deg >= 1:
+            a = random_vjet(np.random.default_rng(data.draw(st.integers(0, 99))), d, deg)
+            for c in jet_invert(a).components:
+                assert_view_matches(c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 4), deg=st.integers(1, 6),
+           kind=st.sampled_from(("identity", "log1p", "random", "pull-back")))
+    def test_contract_out_matches_literal_loop(self, data, d, deg, kind):
+        # the pull-back's plans are seeded by the builder, the others built on use
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "pull-back":
+            ck = _linear_power_kernels(np.linalg.inv(rng.standard_normal((d, d)) + d * np.eye(d)), deg)
+        else:
+            alpha = {"identity": identity_vjet, "log1p": log1p_vjet}.get(kind, lambda d, deg: random_vjet(rng, d, deg))
+            ck = comp_kernels(alpha(d, deg))
+        ks = data.draw(kernel_seqs(d, deg))
+        for n in range(1, deg + 1):
+            for m in range(1, deg + 1):
+                want = literal_contract_out(ck, n, m, ks[m])
+                for _ in range(2):
+                    got = ck.contract_out(n, m, ks[m])
+                    assert hexes(got) == hexes(want)
+                    assert (got is zero_tensor(d, n)) == (want is zero_tensor(d, n))
+
+    def test_contract_out_of_zero_coefficients_is_the_shared_zero(self):
+        ck = comp_kernels(random_vjet(np.random.default_rng(18), 2, 4))
+        for coeff in (zero_tensor(2, 2), SymTensor(2, 2, dict.fromkeys(multi_indices(2, 2), -0.0))):
+            assert ck.contract_out(4, 2, coeff) is zero_tensor(2, 4)
+        # a zero sum is +0.0: every term of entry (1, 1) is -0.0
+        ck = comp_kernels(identity_vjet(2, 2))
+        got = ck.contract_out(2, 2, SymTensor(2, 2, {(1, 1): -0.0, (1, 2): -1.0, (2, 2): -1.0}))
+        assert got[(1, 1)].hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_contract_out_rejects_a_wrong_shape(self, seeded):
+        if seeded:
+            ck = _linear_power_kernels(np.array([[2.0, 1.0], [0.0, 1.0]]), 3)
+        else:
+            ck = comp_kernels(random_vjet(np.random.default_rng(19), 2, 3))
+        rng = np.random.default_rng(20)
+        ck.contract_out(3, 3, random_tensor(rng, 2, 3))  # builds or reads the plan
+        with pytest.raises(ValueError, match="coefficient rank 2 != output slots 3"):
+            ck.contract_out(3, 3, random_tensor(rng, 2, 2))
+        for dim in (1, 3):
+            with pytest.raises(DimensionMismatchError):
+                ck.contract_out(3, 3, random_tensor(rng, dim, 3))
+
+
 class TestInversion:
+    def test_degree_zero_rejected(self):
+        a = VectorJet(2, 0, (constant_jet(2, 0, 0.0),) * 2)
+        assert comp_kernels(a).tables == {}
+        with pytest.raises(ValueError, match="degree must be at least 1, got 0"):
+            jet_invert(a)
+
     def test_identity_inverts_to_identity(self):
         g = jet_invert(identity_vjet(2, 4))
         ident = identity_vjet(2, 4)
