@@ -14,7 +14,7 @@ compositional inverse and the basis conversions downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import comb, exp, factorial, log
 from types import SimpleNamespace
@@ -73,9 +73,13 @@ def _check_compatible(a, b) -> None:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalarJet:
-    """Degree-N scalar jet; kernels[n] is the rank-n coefficient tensor."""
+    """Degree-N scalar jet; kernels[n] is the rank-n coefficient tensor.
+
+    A product of jet_mul is born from its stacked view alone: its kernels
+    are built from the view when first read.
+    """
 
     dim: int
     degree: int
@@ -89,6 +93,29 @@ class ScalarJet:
         for n, k in enumerate(self.kernels):
             if k.rank != n or k.dim != self.dim:
                 raise ValueError(f"kernel {n} has wrong shape")
+
+    @classmethod
+    def _from_view(cls, dim: int, degree: int, stacked) -> "ScalarJet":
+        """The jet whose view is stacked, with its kernels slot left unset."""
+        jet = object.__new__(cls)
+        for name, value in (("dim", dim), ("degree", degree), ("_stacked", stacked)):
+            object.__setattr__(jet, name, value)
+        return jet
+
+    def __getattr__(self, name: str):
+        # called only for an unset slot; that of kernels is built from the
+        # view, a live grade a SymTensor and a dead one the shared zero
+        if name != "kernels":
+            raise AttributeError(name)
+        (x, live), dim = self._stacked, self.dim
+        starts, vals = _graded_plan(dim, tuple(range(self.degree + 1))).starts.tolist(), x.tolist()
+        ks = tuple(
+            SymTensor(dim, n, dict(zip(multi_indices(dim, n), vals[starts[n] : starts[n + 1]])))
+            if on else zero_tensor(dim, n)
+            for n, on in enumerate(live.tolist())
+        )
+        object.__setattr__(self, "kernels", ks)
+        return ks
 
     def _view(self) -> tuple[np.ndarray, np.ndarray]:
         """Kernels 0..N as one read-only vector in multi_indices order, and
@@ -276,15 +303,14 @@ def graded_product(f, g, grades, weight=comb) -> list[SymTensor]:
     top = len(plan.shapes)
     if any([(t.dim, t.rank) for t in s[:top]] != plan.shapes for s in (f, g)):
         return _graded_terms(f, g, grades, weight)
-    stacks = _stack(f[:top], plan.starts), _stack(g[:top], plan.starts)
-    return _apply_graded_plan(plan, grades, f, g, *stacks, weight)[0]
+    fx, gy = _stack(f[:top], plan.starts), _stack(g[:top], plan.starts)
+    values = _plan_values(plan, grades, fx[0], gy[0], weight)
+    return _plan_kernels(plan, grades, f, g, fx, gy, weight, values)
 
 
-def _apply_graded_plan(plan, grades, f, g, fx, gy, weight):
-    """graded_product of f and g, read as fx = (vector, live) and gy, through
-    plan: the kernels of the grades, and their columns as one vector, or None
-    when an overflow sent the product to the term route."""
-    (x, f_live), (y, g_live) = fx, gy
+def _plan_values(plan, grades, x, y, weight) -> np.ndarray:
+    """The sums of graded_product of the vectors x and y through plan: the
+    columns of the grades as one vector."""
     weights = plan.combs
     if weight is not comb:
         top = len(plan.shapes)
@@ -293,17 +319,21 @@ def _apply_graded_plan(plan, grades, f, g, fx, gy, weight):
     with np.errstate(over="ignore", invalid="ignore"):
         acc = np.bincount(plan.cells, (plan.ways * x[plan.f_at]) * y[plan.g_at], minlength=weights.size)
         acc = acc.reshape(weights.shape) / plan.combs * weights
-        values = np.add.accumulate(acc)[-1] + 0.0
-    live = np.convolve(f_live, g_live).tolist()  # grade n: is some f_k and g_{n-k} live
+        return np.add.accumulate(acc)[-1] + 0.0
+
+
+def _plan_kernels(plan, grades, f, g, fx, gy, weight, values) -> list[SymTensor]:
+    """graded_product of f and g, read as fx = (vector, live) and gy, from
+    the plan's values; an overflow goes to the term route."""
+    live = np.convolve(fx[1], gy[1]).tolist()  # grade n: is some f_k and g_{n-k} live
     vals, dim = values.tolist(), plan.shapes[0][0]
     try:
-        ks = [
+        return [
             SymTensor(dim, n, dict(zip(keys, vals[col : col + len(keys)]))) if live[n] else zero_tensor(dim, n)
             for n, keys, col in plan.columns
         ]
     except ValueError:
-        return _graded_terms(f, g, grades, weight), None  # an overflow: SymTensor rejects it
-    return ks, values
+        return _graded_terms(f, g, grades, weight)  # an overflow: SymTensor rejects it
 
 
 def graded_solve(f, h0: SymTensor, post, weight=comb) -> list[SymTensor]:
@@ -323,17 +353,20 @@ def graded_solve(f, h0: SymTensor, post, weight=comb) -> list[SymTensor]:
 def jet_mul(f: ScalarJet, g: ScalarJet) -> ScalarJet:
     """Product of jets: h_n = sum_k C(n,k) f_k sym g_{n-k}.
 
-    graded_product of the views of f and g, whose values, when finite, are
-    the product's view: a dead grade's are +0.0 but for an overflow's nan.
+    graded_product of the views of f and g.  When its values are all finite
+    they are the product's view, and its kernels are built on first read: a
+    dead grade's values are +0.0 but for an overflow's nan.  Otherwise the
+    kernels are built at once, or the term route raises.
     """
     _check_compatible(f, g)
     grades = tuple(range(f.degree + 1))
     plan = _graded_plan(f.dim, grades)
-    ks, values = _apply_graded_plan(plan, grades, f.kernels, g.kernels, f._view(), g._view(), comb)
-    h = ScalarJet(f.dim, f.degree, tuple(ks))
-    if values is not None and np.isfinite(values).all():
-        object.__setattr__(h, "_stacked", _frozen(values, plan.starts))
-    return h
+    fx, gy = f._view(), g._view()
+    values = _plan_values(plan, grades, fx[0], gy[0], comb)
+    if np.isfinite(values).all():
+        return ScalarJet._from_view(f.dim, f.degree, _frozen(values, plan.starts))
+    ks = _plan_kernels(plan, grades, f.kernels, g.kernels, fx, gy, comb, values)
+    return ScalarJet(f.dim, f.degree, tuple(ks))
 
 
 def jet_exp(f: ScalarJet) -> ScalarJet:
@@ -446,17 +479,32 @@ def random_vjet(
 class CompKernels:
     """Power kernels of a vector jet a: a(theta)^{tensor m} expanded in theta.
 
-    tables[(n, m)] maps a sorted m-tuple of output coordinates to the rank-n
-    input tensor.  Only live (not all-zero) kernels are stored, so entries
-    with n < m, which vanish identically, are absent, and a missing entry
-    or table reads as zero.
+    rows[(n, m)] = (us, R): the sorted m-tuples u of output coordinates
+    whose rank-n input tensor is live (not all-zero), and those tensors'
+    coefficients as the rows of one read-only array.  Entries with n < m,
+    which vanish identically, are absent, and a missing entry or table reads
+    as zero.  tables, the same as {(n, m): {u: SymTensor}}, is built on
+    first read.
     """
 
     dim: int
     degree: int
-    tables: dict[tuple[int, int], dict[tuple[int, ...], SymTensor]]
+    rows: dict[tuple[int, int], tuple[tuple[tuple[int, ...], ...], np.ndarray]]
     # compose's plan per grade n and contract_out's per (n, m), built on first use
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def tables(self) -> dict[tuple[int, int], dict[tuple[int, ...], SymTensor]]:
+        """tables[(n, m)] maps u to the rank-n input tensor of row u."""
+        return {
+            (n, m): {u: SymTensor(self.dim, n, dict(zip(multi_indices(self.dim, n), r))) for u, r in zip(us, R.tolist())}
+            for (n, m), (us, R) in self.rows.items()
+        }
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CompKernels):
+            return NotImplemented
+        return (self.dim, self.degree, self.tables) == (other.dim, other.degree, other.tables)
 
     def contract_out(self, n: int, m: int, coeff: SymTensor) -> SymTensor:
         """Pair a rank-m tensor against the output slots, leaving rank n.
@@ -473,9 +521,8 @@ class CompKernels:
             raise DimensionMismatchError(f"dim mismatch: {self.dim} vs {coeff.dim}")
         plan = self._plans.get((n, m))
         if plan is None:
-            table = self.tables.get((n, m), {})
-            rows = np.array([list(t.coeffs.values()) for t in table.values()])
-            plan = self._plans[(n, m)] = _contract_plan(self.dim, m, table, rows)
+            us, R = self.rows.get((n, m), ((), None))
+            plan = self._plans[(n, m)] = (*_contract_plan(self.dim, m, us), R)
         at, mult, rows = plan
         c = np.fromiter(coeff.coeffs.values(), float, len(coeff.coeffs))[at]
         if not c.any():
@@ -492,21 +539,31 @@ class CompKernels:
         ks[1..n] only.  The sums run through one linear plan per grade,
         cached on the instance: the tables' rows, weighted by
         multiplicity(u) * ks[m][u], add by a cumsum over the rows, then the
-        blocks, weighted by 1/m!, by a cumsum over m.  That is
-        _compose_terms bit for bit, which a non-finite entry or a kernel of
-        the wrong shape falls back to.  With no table the grade is the
-        shared zero tensor.
+        blocks, weighted by 1/m!, by a cumsum over m.  The block of a dead
+        ks[m] is skipped: its rows are finite, so it adds only signed zeros.
+        That is _compose_terms bit for bit, which a non-finite entry or a
+        kernel of the wrong shape falls back to.  With no table, or no live
+        kernel, the grade is the shared zero tensor.
         """
         if n == 0:
             return ks[0]
         plan = self._plans.get(n)
         if plan is None:
             plan = self._plans[n] = self._compose_plan(n)
-        ms, count, at, mult, rows, inv_fact = plan
+        ms, count, at, mult, rows, used, inv_fact = plan
         if not ms:
             return zero_tensor(self.dim, n)
-        if any(ks[m].dim != self.dim or ks[m].rank != m for m in ms):
-            return self._compose_terms(n, ks)
+        live = []
+        for m in ms:
+            if ks[m].dim != self.dim or ks[m].rank != m:
+                return self._compose_terms(n, ks)
+            live.append(is_live(ks[m]))
+        if not all(live):
+            if not any(live):
+                return zero_tensor(self.dim, n)
+            keep = np.flatnonzero(live)
+            depth = used[keep].max()
+            at, mult, rows, inv_fact = at[keep, :depth], mult[keep, :depth], rows[keep, :depth], inv_fact[keep]
         x = np.fromiter(chain.from_iterable([ks[m].coeffs.values() for m in ms]), float, count)
         with np.errstate(over="ignore", invalid="ignore"):
             # a signed zero of a block sum reaches h only where h is zero,
@@ -519,24 +576,24 @@ class CompKernels:
             return self._compose_terms(n, ks)  # an overflow: SymTensor rejects it
 
     def _compose_plan(self, n: int):
-        """compose's plan for grade n: the present tables (n, m) stacked into
-        a zero-padded (m, row, column) array, with each row's position in
-        ks[m] (the present ks[m] read as one vector) and multiplicity(u)."""
-        ms = tuple(m for m in range(1, n + 1) if (n, m) in self.tables)
-        depth = max((len(self.tables[(n, m)]) for m in ms), default=0)
+        """compose's plan for grade n: the rows of the present tables (n, m)
+        stacked into a zero-padded (m, row, column) array, with each row's
+        position in ks[m] (the present ks[m] read as one vector),
+        multiplicity(u), and the number of rows of each table."""
+        ms = tuple(m for m in range(1, n + 1) if (n, m) in self.rows)
+        used = np.array([len(self.rows[(n, m)][0]) for m in ms], dtype=np.intp)
+        depth = used.max(initial=0)
         rows = np.zeros((len(ms), depth, len(multi_indices(self.dim, n))))
         at = np.zeros((len(ms), depth), dtype=np.intp)
         mult = np.zeros((len(ms), depth))
         start = 0
         for i, m in enumerate(ms):
-            table, position = self.tables[(n, m)], _position(self.dim, m)
-            used = len(table)
-            at[i, :used] = [start + position[u] for u in table]
-            mult[i, :used] = [multiplicity(u) for u in table]
-            rows[i, :used] = [list(t.coeffs.values()) for t in table.values()]
-            start += len(position)
+            us, rows[i, : used[i]] = self.rows[(n, m)]
+            at_m, mult[i, : used[i]] = _contract_plan(self.dim, m, us)
+            at[i, : used[i]] = start + at_m
+            start += len(multi_indices(self.dim, m))
         inv_fact = np.array([1.0 / factorial(m) for m in ms])
-        return ms, start, at, mult, rows, inv_fact
+        return ms, start, at, mult, rows, used, inv_fact
 
     def _compose_terms(self, n: int, ks) -> SymTensor:
         """compose term by term: one contract_out per present table.  An
@@ -545,7 +602,7 @@ class CompKernels:
         terms = (
             (1.0 / factorial(m), self.contract_out(n, m, ks[m]))
             for m in range(1, n + 1)
-            if (n, m) in self.tables
+            if (n, m) in self.rows
         )
         return weighted_sum(self.dim, n, terms)
 
@@ -561,12 +618,19 @@ class CompKernels:
         return SymTensor(self.dim, m, out)
 
 
-def _contract_plan(dim: int, m: int, us, rows: np.ndarray):
-    """contract_out's plan for the table whose rows, of keys us, are rows:
-    each row's position in the coefficient and multiplicity(u)."""
+def _contract_plan(dim: int, m: int, us) -> tuple[np.ndarray, np.ndarray]:
+    """The position of each rank-m key of us in a coefficient, and its
+    multiplicity: contract_out's plan of a table with the rows of us."""
     position = _position(dim, m)
     at = np.array([position[u] for u in us], dtype=np.intp)
-    return at, np.array([multiplicity(u) for u in us], dtype=float), rows
+    return at, np.array([multiplicity(u) for u in us], dtype=float)
+
+
+def _frozen_rows(us, x) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The keys us and the rows x of a table, x made one read-only array."""
+    x = np.asarray(x, dtype=float)
+    x.flags.writeable = False
+    return tuple(us), x
 
 
 def comp_kernels(a: VectorJet) -> CompKernels:
@@ -575,24 +639,31 @@ def comp_kernels(a: VectorJet) -> CompKernels:
     The degree-n kernel of the product of scalar jets a_{u_1} ... a_{u_m}
     equals the multinomial composition sum over (l_1, ..., l_m), each
     l_i >= 1; the iterated product computes it in O(N^2) tensor products.
+    The rows of each table are sliced from the stacked views of the
+    products, so no tensor is built.
     """
     N = a.degree
-    tables: dict[tuple[int, int], dict[tuple[int, ...], SymTensor]] = {}
+    starts = _graded_plan(a.dim, tuple(range(N + 1))).starts.tolist()
+    rows: dict[tuple[int, int], tuple] = {}
     prods: dict[tuple[int, ...], ScalarJet] = {}
     for m in range(1, N + 1):
-        layer = {}
+        layer, found = {}, {}
         for u in multi_indices(a.dim, m):
             if m == 1:
                 jet = a.components[u[0] - 1]
             else:
                 jet = jet_mul(prods[u[:-1]], a.components[u[-1] - 1])
             layer[u] = jet
-            live = jet._view()[1].tolist()
+            x, live = jet._view()
+            live = live.tolist()
             for n in range(m, N + 1):
                 if live[n]:
-                    tables.setdefault((n, m), {})[u] = jet.kernels[n]
+                    us, xs = found.setdefault(n, ([], []))
+                    us.append(u)
+                    xs.append(x[starts[n] : starts[n + 1]])
+        rows.update({(n, m): _frozen_rows(us, xs) for n, (us, xs) in found.items()})
         prods = layer
-    return CompKernels(a.dim, N, tables)
+    return CompKernels(a.dim, N, rows)
 
 
 def _linear_power_kernels(inv: np.ndarray, degree: int) -> CompKernels:
@@ -605,44 +676,39 @@ def _linear_power_kernels(inv: np.ndarray, degree: int) -> CompKernels:
     order from +0.0, then / m * m + 0.0.  One bincount per last coordinate j
     forms them, so the terms of a call are a few times the layer's table.  A
     dead row drops every row that extends it, and a non-finite entry raises
-    through SymTensor.  The rows of each layer, already one array, seed
-    contract_out's plan of its table.
+    as SymTensor does.
     """
     d = len(inv)
-    table = {(j,): t for j, t in enumerate(map(vector_tensor, inv), 1) if is_live(t)}
-    x = np.array([list(t.coeffs.values()) for t in table.values()])
-    tables, plans = {}, {}
+    live = inv.any(axis=1)
+    us, x = [(j,) for j in (np.flatnonzero(live) + 1).tolist()], inv[live]
+    rows = {}
     for m in range(1, degree + 1):
         if m > 1:
             T, W = _product_arrays(d, m - 1, 1)
             size = len(multi_indices(d, m))
-            prev, us, blocks = list(table), [], []
+            prev, us, blocks = us, [], []
             last = np.array([u[-1] for u in prev])
             with np.errstate(over="ignore", invalid="ignore"):
                 for j, row in enumerate(inv, 1):
-                    rows = np.flatnonzero(last <= j)
-                    cells = (np.arange(len(rows))[:, None] * size + T).ravel()
-                    terms = ((W * x[rows, :, None]) * row).ravel()
-                    sums = np.bincount(cells, terms, minlength=len(rows) * size)
+                    at = np.flatnonzero(last <= j)
+                    cells = (np.arange(len(at))[:, None] * size + T).ravel()
+                    terms = ((W * x[at, :, None]) * row).ravel()
+                    sums = np.bincount(cells, terms, minlength=len(at) * size)
                     blocks.append(sums.reshape(-1, size) / m * m + 0.0)
-                    us += [prev[r] + (j,) for r in rows]
+                    us += [prev[r] + (j,) for r in at]
             position = _position(d, m)
             order = np.argsort([position[u] for u in us])
             values = np.concatenate(blocks)[order]
             live = values.any(axis=1)
             x = values[live]
-            keys = multi_indices(d, m)
-            table = {
-                us[r]: SymTensor(d, m, dict(zip(keys, row)))
-                for r, row in zip(order[live].tolist(), x.tolist())
-            }
-        if not table:
+            us = [us[r] for r in order[live].tolist()]
+        if not us:
             break
-        tables[(m, m)] = table
-        plans[(m, m)] = _contract_plan(d, m, table, x)
-    pull = CompKernels(d, degree, tables)
-    pull._plans.update(plans)
-    return pull
+        bad = ~np.isfinite(x).all(axis=1)
+        if bad.any():  # the first row with a non-finite entry raises
+            SymTensor(d, m, dict(zip(multi_indices(d, m), x[bad.argmax()].tolist())))
+        rows[(m, m)] = _frozen_rows(us, x)
+    return CompKernels(d, degree, rows)
 
 
 def jet_compose_scalar(f: ScalarJet, a: VectorJet, ck: CompKernels | None = None) -> ScalarJet:

@@ -57,5 +57,13 @@ def test_traced_run_reaches_every_layer(workload):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
-    assert json.loads(run.stdout.splitlines()[-1])["correct"] is True
+    last = json.loads(run.stdout.splitlines()[-1])
+    assert last["correct"] is True
     assert f"fingerprint {FINGERPRINTS[workload]}" in run.stdout.splitlines()
+    if workload == "build":
+        # the products that REACHES needs, and the tensors a build may make:
+        # product jets and power-kernel tables stay stacked arrays
+        metrics = {name: m["value"] for name, m in last["metrics"].items()}
+        assert metrics["jets.jet_mul.calls"] == 1556
+        assert metrics["symtensor.sym_product.calls"] == 1389
+        assert metrics["symtensor.SymTensor.constructed"] <= 3000

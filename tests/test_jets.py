@@ -2,6 +2,7 @@
 
 import sys
 import warnings
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from math import comb, exp, factorial, log
 
@@ -304,6 +305,29 @@ def count_method(monkeypatch, cls, name):
     return calls
 
 
+def spy_accumulate(monkeypatch):
+    """Record the shape of every array that appellsys.jets adds up by
+    np.add.accumulate."""
+    shapes = []
+
+    class Add:
+        def __getattr__(self, name):
+            return getattr(np.add, name)
+
+        def accumulate(self, x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return np.add.accumulate(x, *args, **kwargs)
+
+    class Numpy:
+        add = Add()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(appellsys.jets, "np", Numpy())
+    return shapes
+
+
 def count_tensors(monkeypatch):
     """Record the rank of every SymTensor built."""
     built = []
@@ -355,7 +379,8 @@ class TestLiveGrades:
             assert bits(transport_dist(src, gauss, Phi_t)) == bits(dense_transport(src, gauss, Phi_t))
 
     def test_identity_power_kernels_cost_one_plan(self, monkeypatch):
-        # one tensor per live grade: each product of linear jets has one
+        # the rows are sliced from the products' views: no tensor is built
+        # until the tables are read, then one per row
         d, deg = 3, 6
         a = identity_vjet(d, deg)
         for n in range(deg + 1):
@@ -364,10 +389,11 @@ class TestLiveGrades:
         built = count_tensors(monkeypatch)
         appellsys.jets._graded_plan.cache_clear()
         ck = comp_kernels(a)
-        assert products == []
-        assert len(built) == sum(comb(d + m - 1, m) for m in range(2, deg + 1)) == 80
+        assert products == [] and built == []
         assert appellsys.jets._graded_plan.cache_info().misses == 1
+        assert sorted(ck.rows) == [(n, n) for n in range(1, deg + 1)]
         assert sorted(ck.tables) == [(n, n) for n in range(1, deg + 1)]
+        assert len(built) == sum(comb(d + m - 1, m) for m in range(1, deg + 1)) == 83
         comp_kernels(a)
         assert appellsys.jets._graded_plan.cache_info().misses == 1
 
@@ -402,14 +428,17 @@ class TestLiveGrades:
         zeros = [zero_tensor(d, n) for n in range(deg + 1)]
         products = count_calls(monkeypatch, sym_product)
         built = count_tensors(monkeypatch)
-        jet_mul(f, g)
-        assert products == []
+        prod = jet_mul(f, g)
+        assert products == [] and built == []
+        # the first read of the kernels builds them, the second none
+        assert prod.kernels is prod.kernels
         assert built == list(range(deg + 1))
         built.clear()
         # a constant times a linear factor: grades 0 and 2..deg are dead
         prod = jet_mul(const, lin)
-        assert built == [1]
+        assert built == []
         assert [prod.kernels[n] is zeros[n] for n in range(deg + 1)] == [True, False] + [True] * (deg - 1)
+        assert built == [1]
 
     def test_dead_grades_share_one_zero_that_stays_zero(self):
         # a linear factor times a constant: grades 2..deg have no live term
@@ -556,6 +585,25 @@ class TestCompKernels:
         assert contract_outs == [] and plans == [(ck, deg)] and built == [deg, deg]
         assert hexes(again) == hexes(got)
         assert (got - ks[deg]).max_abs() < 1e-12
+
+    def test_compose_skips_the_block_of_a_dead_kernel(self, monkeypatch):
+        # jet_invert composes grade n while kernel n is zero: the (n, n)
+        # block, the largest, is left out, and the bits hold
+        d, deg = 3, 5
+        ck = comp_kernels(random_vjet(np.random.default_rng(21), d, deg))
+        assert [len(ck.rows[(deg, m)][0]) for m in range(1, deg + 1)] == [3, 6, 10, 15, 21]
+        rng = np.random.default_rng(22)
+        ks = [random_tensor(rng, d, n) for n in range(deg)] + [zero_tensor(d, deg)]
+        shapes = spy_accumulate(monkeypatch)
+        got = ck.compose(deg, ks)
+        assert hexes(got) == hexes(literal_compose(ck, deg, ks))
+        assert [s for s in shapes if len(s) == 3] == [(4, 15, 21)]
+        # with no block left, the grade is the shared zero
+        shapes.clear()
+        zeros = [zero_tensor(d, n) for n in range(deg)] + [SymTensor(d, deg, dict.fromkeys(multi_indices(d, deg), -0.0))]
+        assert ck.compose(deg, zeros) is zero_tensor(d, deg)
+        assert hexes(literal_compose(ck, deg, zeros)) == hexes(zero_tensor(d, deg))
+        assert shapes == []
 
     def test_vanishing_below_diagonal(self):
         ck = comp_kernels(random_vjet(np.random.default_rng(8), 2, 4))
@@ -773,9 +821,9 @@ class TestLinearPowerKernels:
         assert len(builds) == 2
 
 
-def plain_power_kernels(a):
-    """comp_kernels through graded_product on plain kernel lists, with
-    is_live per grade."""
+def plain_tables(a):
+    """The tables of comp_kernels through graded_product on plain kernel
+    lists, with is_live per grade."""
     tables, prods = {}, {}
     for m in range(1, a.degree + 1):
         for u in multi_indices(a.dim, m):
@@ -785,7 +833,17 @@ def plain_power_kernels(a):
             for n in range(m, a.degree + 1):
                 if is_live(ks[n]):
                     tables.setdefault((n, m), {})[u] = ks[n]
-    return CompKernels(a.dim, a.degree, tables)
+    return tables
+
+
+def stacked_table(table):
+    """A {u: tensor} table as its keys and the tensors' coefficients as rows."""
+    return tuple(table), np.array([list(t.coeffs.values()) for t in table.values()])
+
+
+def plain_power_kernels(a):
+    """comp_kernels from plain_tables, the rows of each table stacked."""
+    return CompKernels(a.dim, a.degree, {key: stacked_table(t) for key, t in plain_tables(a).items()})
 
 
 @st.composite
@@ -938,6 +996,83 @@ class TestStackedViews:
         for dim in (1, 3):
             with pytest.raises(DimensionMismatchError):
                 ck.contract_out(3, 3, random_tensor(rng, dim, 3))
+
+
+def is_view_born(jet):
+    """Whether the kernels slot of jet is still unset."""
+    try:
+        ScalarJet.__dict__["kernels"].__get__(jet)
+    except AttributeError:
+        return True
+    return False
+
+
+def hex_rows(x):
+    return [[v.hex() for v in row] for row in x.tolist()]
+
+
+def assert_read_only(*arrays):
+    for x in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            x.flat[0] = 1.0
+
+
+class TestViewBornJets:
+    """jet_mul's products and comp_kernels' tables stay stacked arrays; their
+    tensors are built on first read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=chain_alphas(), data=st.data())
+    def test_kernels_built_from_the_view_match_the_term_route(self, a, data):
+        u = data.draw(st.lists(st.integers(1, a.dim), min_size=2, max_size=a.degree + 1))
+        jet = a.components[u[0] - 1]
+        for j in u[1:]:
+            comp = a.components[j - 1]
+            terms = appellsys.jets._graded_terms(jet.kernels, comp.kernels, range(a.degree + 1), comb)
+            prod = jet_mul(jet, comp)
+            assert is_view_born(prod)
+            assert_read_only(*prod._view())
+            ks = prod.kernels
+            assert not is_view_born(prod) and prod.kernels is ks
+            assert bits(prod) == [hexes(t) for t in terms]
+            # a dead grade is the shared zero, a live one a tensor of its own
+            assert [t is zero_tensor(a.dim, n) for n, t in enumerate(ks)] == [not is_live(t) for t in ks]
+            assert_view_matches(prod)
+            jet = prod
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=chain_alphas())
+    def test_tables_and_rows_match_plain_tables(self, a):
+        ck, tables = comp_kernels(a), plain_tables(a)
+        assert list(ck.rows) == list(tables)
+        for key, (us, x) in ck.rows.items():
+            want_us, want_x = stacked_table(tables[key])
+            assert us == want_us and hex_rows(x) == hex_rows(want_x)
+            assert_read_only(x)
+        assert table_bits(ck) == [(key, [(u, hexes(t)) for u, t in table.items()]) for key, table in tables.items()]
+        assert ck.tables is ck.tables
+        assert ck == plain_power_kernels(a)
+        with pytest.raises(FrozenInstanceError):
+            ck.tables = {}
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), deg=st.integers(0, 6))
+    def test_lazy_jet_compares_as_its_eager_twin(self, data, d, deg):
+        f, g = (ScalarJet(d, deg, tuple(data.draw(kernel_seqs(d, deg)))) for _ in range(2))
+        lazy, twin = jet_mul(f, g), jet_mul(f, g)
+        eager = ScalarJet(d, deg, twin.kernels)
+        assert is_view_born(lazy)
+        assert lazy == eager and eager == lazy
+        assert repr(jet_mul(f, g)) == repr(eager)
+        for jet in (jet_mul(f, g), eager):
+            for name, value in (("kernels", eager.kernels), ("dim", d), ("_stacked", None)):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(jet, name, value)
+            with pytest.raises(TypeError):
+                hash(jet)
+        with pytest.raises(AttributeError):
+            jet_mul(f, g).coeffs
+        assert_read_only(*lazy._view(), *eager._view())
 
 
 class TestInversion:
