@@ -14,7 +14,7 @@ compositional inverse and the basis conversions downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from math import comb, exp, factorial, log
 from types import SimpleNamespace
@@ -24,13 +24,13 @@ import numpy as np
 from .symtensor import (
     DimensionMismatchError,
     SymTensor,
+    _multiplicities,
     _position,
     _product_arrays,
     is_live,
     multi_indices,
     multiplicity,
     eval_power_batch,
-    pairing,
     random_tensor,
     scalar_tensor,
     sym_product,
@@ -475,7 +475,7 @@ def random_vjet(
     return VectorJet(dim, degree, tuple(comps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompKernels:
     """Power kernels of a vector jet a: a(theta)^{tensor m} expanded in theta.
 
@@ -483,28 +483,22 @@ class CompKernels:
     whose rank-n input tensor is live (not all-zero), and those tensors'
     coefficients as the rows of one read-only array.  Entries with n < m,
     which vanish identically, are absent, and a missing entry or table reads
-    as zero.  tables, the same as {(n, m): {u: SymTensor}}, is built on
-    first read.
+    as zero.  Instances compare by identity.
     """
 
     dim: int
     degree: int
     rows: dict[tuple[int, int], tuple[tuple[tuple[int, ...], ...], np.ndarray]]
-    # compose's plan per grade n and contract_out's per (n, m), built on first use
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # compose's plan per grade n, contract_out's per (n, m) and contract_in's
+    # per ("in", n, m), built on first use
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
-    def tables(self) -> dict[tuple[int, int], dict[tuple[int, ...], SymTensor]]:
-        """tables[(n, m)] maps u to the rank-n input tensor of row u."""
-        return {
-            (n, m): {u: SymTensor(self.dim, n, dict(zip(multi_indices(self.dim, n), r))) for u, r in zip(us, R.tolist())}
-            for (n, m), (us, R) in self.rows.items()
-        }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CompKernels):
-            return NotImplemented
-        return (self.dim, self.degree, self.tables) == (other.dim, other.degree, other.tables)
+    def _check_slots(self, m: int, coeff: SymTensor) -> None:
+        """Reject a coefficient of the m output slots of the wrong rank or dim."""
+        if coeff.rank != m:
+            raise ValueError(f"coefficient rank {coeff.rank} != output slots {m}")
+        if coeff.dim != self.dim:
+            raise DimensionMismatchError(f"dim mismatch: {self.dim} vs {coeff.dim}")
 
     def contract_out(self, n: int, m: int, coeff: SymTensor) -> SymTensor:
         """Pair a rank-m tensor against the output slots, leaving rank n.
@@ -515,10 +509,7 @@ class CompKernels:
         with coeff[u] != 0 from +0.0, bit for bit: a row of zero weight adds
         only signed zeros.  With no such row the result is the shared zero.
         """
-        if coeff.rank != m:
-            raise ValueError(f"coefficient rank {coeff.rank} != output slots {m}")
-        if coeff.dim != self.dim:
-            raise DimensionMismatchError(f"dim mismatch: {self.dim} vs {coeff.dim}")
+        self._check_slots(m, coeff)
         plan = self._plans.get((n, m))
         if plan is None:
             us, R = self.rows.get((n, m), ((), None))
@@ -541,9 +532,10 @@ class CompKernels:
         multiplicity(u) * ks[m][u], add by a cumsum over the rows, then the
         blocks, weighted by 1/m!, by a cumsum over m.  The block of a dead
         ks[m] is skipped: its rows are finite, so it adds only signed zeros.
-        That is _compose_terms bit for bit, which a non-finite entry or a
-        kernel of the wrong shape falls back to.  With no table, or no live
-        kernel, the grade is the shared zero tensor.
+        That is contract_out per present table, weighted by 1/m! and added
+        from +0.0, bit for bit.  A kernel of the wrong shape raises as in
+        contract_out, and a non-finite grade as SymTensor does.  With no
+        table, or no live kernel, the grade is the shared zero tensor.
         """
         if n == 0:
             return ks[0]
@@ -555,8 +547,7 @@ class CompKernels:
             return zero_tensor(self.dim, n)
         live = []
         for m in ms:
-            if ks[m].dim != self.dim or ks[m].rank != m:
-                return self._compose_terms(n, ks)
+            self._check_slots(m, ks[m])
             live.append(is_live(ks[m]))
         if not all(live):
             if not any(live):
@@ -570,10 +561,7 @@ class CompKernels:
             # and the final + 0.0 makes every zero of h +0.0
             blocks = np.add.accumulate((mult * x[at])[:, :, None] * rows, axis=1)[:, -1]
             h = np.add.accumulate(inv_fact[:, None] * blocks)[-1] + 0.0
-        try:
-            return SymTensor(self.dim, n, dict(zip(multi_indices(self.dim, n), h.tolist())))
-        except ValueError:
-            return self._compose_terms(n, ks)  # an overflow: SymTensor rejects it
+        return SymTensor(self.dim, n, dict(zip(multi_indices(self.dim, n), h.tolist())))
 
     def _compose_plan(self, n: int):
         """compose's plan for grade n: the rows of the present tables (n, m)
@@ -595,26 +583,33 @@ class CompKernels:
         inv_fact = np.array([1.0 / factorial(m) for m in ms])
         return ms, start, at, mult, rows, used, inv_fact
 
-    def _compose_terms(self, n: int, ks) -> SymTensor:
-        """compose term by term: one contract_out per present table.  An
-        absent table adds nothing: the sum starts at +0.0, so its all-zero
-        term would change no bit."""
-        terms = (
-            (1.0 / factorial(m), self.contract_out(n, m, ks[m]))
-            for m in range(1, n + 1)
-            if (n, m) in self.rows
-        )
-        return weighted_sum(self.dim, n, terms)
-
     def contract_in(self, n: int, m: int, phi: SymTensor) -> SymTensor:
-        """Pair a rank-n tensor against the input slots, leaving rank m (output)."""
+        """Pair a rank-n tensor against the input slots, leaving rank m (output).
+
+        Entry u is pairing(row u, phi), bit for bit: the terms w * x * y
+        with x and y nonzero, added in order from +0.0.  The plan per (n, m),
+        cached on the instance, holds each row's nonzero entries w * x with
+        their positions, as lists; on the small tables of a query a numpy
+        sum costs more than it saves.  An absent row reads as zero.
+        """
         if phi.rank != n:
             raise ValueError(f"kernel rank {phi.rank} != input rank {n}")
-        table = self.tables.get((n, m))
-        out = {u: 0.0 for u in multi_indices(self.dim, m)}
-        if table is not None:
-            for u, tens in table.items():
-                out[u] = pairing(tens, phi)
+        if phi.dim != self.dim:
+            raise DimensionMismatchError(f"dim mismatch: {self.dim} vs {phi.dim}")
+        plan = self._plans.get(("in", n, m))
+        if plan is None:
+            us, R = self.rows.get((n, m), ((), None))
+            rows = [] if R is None else (np.array(_multiplicities(self.dim, n), float) * R).tolist()
+            plan = self._plans[("in", n, m)] = [(u, [(j, x) for j, x in enumerate(r) if x]) for u, r in zip(us, rows)]
+        out = dict.fromkeys(multi_indices(self.dim, m), 0.0)
+        ys = list(phi.coeffs.values())
+        for u, row in plan:
+            s = 0.0
+            for j, x in row:
+                y = ys[j]
+                if y:
+                    s += x * y
+            out[u] = s
         return SymTensor(self.dim, m, out)
 
 

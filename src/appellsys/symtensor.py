@@ -15,6 +15,7 @@ norm.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -157,12 +158,15 @@ class SymTensor:
     """Immutable symmetric tensor; coeffs holds one entry per multiset index.
 
     The entries are kept in multi_indices order: a table given in another
-    order is reordered once, here.
+    order is reordered once, here.  coeffs is a read-only view, so a write
+    through it raises TypeError.  A table given in order is viewed, not
+    copied: a caller that keeps and then writes to the dict it passed in
+    changes the tensor.
     """
 
     dim: int
     rank: int
-    coeffs: dict[tuple[int, ...], float]
+    coeffs: Mapping[tuple[int, ...], float]
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -180,8 +184,7 @@ class SymTensor:
         if not all(map(isfinite, c.values())):
             k, v = next((k, v) for k, v in c.items() if not isfinite(v))
             raise ValueError(f"non-finite coefficient at index {k}: {v}")
-        if not canonical:
-            object.__setattr__(self, "coeffs", {k: c[k] for k in keys})
+        object.__setattr__(self, "coeffs", MappingProxyType(c if canonical else {k: c[k] for k in keys}))
 
     def __getitem__(self, idx: tuple[int, ...]) -> float:
         return self.coeffs[tuple(sorted(idx))]
@@ -253,14 +256,8 @@ def weighted_sum(dim: int, rank: int, terms) -> SymTensor:
 
 @lru_cache(maxsize=None)
 def zero_tensor(dim: int, rank: int) -> SymTensor:
-    """The zero tensor of the shape, one shared instance per shape.
-
-    Its coefficients are a read-only view, so no write through one user
-    reaches the others.
-    """
-    z = SymTensor(dim, rank, dict.fromkeys(multi_indices(dim, rank), 0.0))
-    object.__setattr__(z, "coeffs", MappingProxyType(z.coeffs))
-    return z
+    """The zero tensor of the shape, one shared instance per shape."""
+    return SymTensor(dim, rank, dict.fromkeys(multi_indices(dim, rank), 0.0))
 
 
 def scalar_tensor(dim: int, value: float) -> SymTensor:

@@ -1,8 +1,11 @@
-"""Static checks of the package: every imported name is used, and the
-public surface is the one listed here."""
+"""Static checks of the package: every imported name is used, every
+private function is referenced, and the public surface is the one listed
+here."""
 
 import ast
 import importlib
+from collections import Counter
+from itertools import chain
 from pathlib import Path
 from types import ModuleType
 
@@ -31,6 +34,36 @@ def test_no_module_imports_a_name_it_never_uses():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def referenced_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def private_definitions(tree):
+    """The private top-level functions of a module and the private methods
+    of its classes, dunders aside."""
+    for node in tree.body:
+        for d in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(d, ast.FunctionDef) and d.name.startswith("_") and not d.name.endswith("__"):
+                yield d
+
+
+def test_every_private_function_is_referenced():
+    # a private helper that nothing else in src/ calls is a dead twin of a route
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    refs = Counter(chain.from_iterable(referenced_names(t) for t in trees.values()))
+    unreferenced = [
+        f"{module}:{d.name}"
+        for module, tree in trees.items()
+        for d in private_definitions(tree)
+        if refs[d.name] == Counter(referenced_names(d))[d.name]
+    ]
+    assert unreferenced == []
 
 
 # The public surface: each module's __all__ and the names the package itself

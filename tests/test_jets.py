@@ -1,5 +1,6 @@
 """Jet arithmetic against sympy series and composition-sum oracles."""
 
+import re
 import sys
 import warnings
 from dataclasses import FrozenInstanceError
@@ -380,7 +381,6 @@ class TestLiveGrades:
 
     def test_identity_power_kernels_cost_one_plan(self, monkeypatch):
         # the rows are sliced from the products' views: no tensor is built
-        # until the tables are read, then one per row
         d, deg = 3, 6
         a = identity_vjet(d, deg)
         for n in range(deg + 1):
@@ -392,8 +392,6 @@ class TestLiveGrades:
         assert products == [] and built == []
         assert appellsys.jets._graded_plan.cache_info().misses == 1
         assert sorted(ck.rows) == [(n, n) for n in range(1, deg + 1)]
-        assert sorted(ck.tables) == [(n, n) for n in range(1, deg + 1)]
-        assert len(built) == sum(comb(d + m - 1, m) for m in range(1, deg + 1)) == 83
         comp_kernels(a)
         assert appellsys.jets._graded_plan.cache_info().misses == 1
 
@@ -463,8 +461,9 @@ class TestLiveGrades:
             p.kernels[3].coeffs[(1, 1, 1)] = float("nan")
         later = jet_mul(constant_jet(2, 4, 1.0), linear_jet(2, 4, [3.0, 4.0]))
         assert all(np.isfinite(list(t.coeffs.values())).all() for t in later.kernels)
-        # a tensor that is not the shared zero keeps a plain dict
-        assert type(p.kernels[1].coeffs) is dict
+        # a tensor that is not the shared zero is read-only too
+        with pytest.raises(TypeError):
+            p.kernels[1].coeffs[(1,)] = 5.0
 
     def test_zero_kernels_of_built_jets_are_the_shared_zero(self):
         with pytest.raises(TypeError):
@@ -530,9 +529,7 @@ class TestCompKernels:
     def test_identity_power_kernels(self):
         ck = comp_kernels(identity_vjet(2, 3))
         # A[n][m] vanishes off the diagonal; on it, contraction is the identity
-        assert (2, 1) not in ck.tables or all(
-            t.max_abs() == 0 for t in ck.tables[(2, 1)].values()
-        )
+        assert (2, 1) not in ck.rows
         rng = np.random.default_rng(6)
         p = random_tensor(rng, 2, 3)
         out = ck.contract_out(3, 3, p).scale(1.0 / factorial(3))
@@ -541,12 +538,12 @@ class TestCompKernels:
     def test_log1p_a32_composition_sum(self):
         # two output slots at degree three: sum over (1,2) and (2,1) splits
         ck = comp_kernels(log1p_vjet(1, 4))
-        a32 = ck.tables[(3, 2)][(1, 1)][(1, 1, 1)]
+        a32 = row_tables(ck)[(3, 2)][(1, 1)][(1, 1, 1)]
         assert a32 == pytest.approx(-6.0)
 
     def test_expm1_b32_composition_sum(self):
         ck = comp_kernels(expm1_vjet(1, 4))
-        b32 = ck.tables[(3, 2)][(1, 1)][(1, 1, 1)]
+        b32 = row_tables(ck)[(3, 2)][(1, 1)][(1, 1, 1)]
         assert b32 == pytest.approx(6.0)
 
     def test_power_kernels_match_pointwise_powers(self):
@@ -556,7 +553,7 @@ class TestCompKernels:
         rng = np.random.default_rng(7)
         for d in (1, 2, 3):
             a = random_vjet(rng, d, N)
-            ck = comp_kernels(a)
+            tables = row_tables(comp_kernels(a))
             theta = 0.02 * rng.standard_normal(d)
             av = a.eval_batch([theta])[0]
             for m in (1, 2, 3):
@@ -565,7 +562,7 @@ class TestCompKernels:
                     for j in u:
                         direct *= av[j - 1]
                     series = sum(
-                        pairing(ck.tables[(n, m)][u], power_tensor(theta, n)) / factorial(n)
+                        pairing(tables[(n, m)][u], power_tensor(theta, n)) / factorial(n)
                         for n in range(m, N + 1)
                     )
                     assert series == pytest.approx(direct, rel=1e-10, abs=1e-14)
@@ -574,7 +571,7 @@ class TestCompKernels:
         # identity power kernels have the tables (n, n) only
         d, deg = 3, 8
         ck = comp_kernels(identity_vjet(d, deg))
-        assert sorted(ck.tables) == [(n, n) for n in range(1, deg + 1)]
+        assert sorted(ck.rows) == [(n, n) for n in range(1, deg + 1)]
         rng = np.random.default_rng(12)
         ks = [random_tensor(rng, d, n) for n in range(deg + 1)]
         contract_outs = count_method(monkeypatch, CompKernels, "contract_out")
@@ -607,8 +604,8 @@ class TestCompKernels:
 
     def test_vanishing_below_diagonal(self):
         ck = comp_kernels(random_vjet(np.random.default_rng(8), 2, 4))
-        assert (1, 2) not in ck.tables
-        assert (3, 4) not in ck.tables
+        assert (1, 2) not in ck.rows
+        assert (3, 4) not in ck.rows
 
     def test_coefficient_of_another_dim_rejected(self):
         ck = comp_kernels(random_vjet(np.random.default_rng(13), 2, 4))
@@ -616,9 +613,42 @@ class TestCompKernels:
         for dim in (1, 3):
             with pytest.raises(DimensionMismatchError):
                 ck.contract_out(3, 2, random_tensor(rng, dim, 2))
-            # compose sends kernels of another dim to the term route
-            with pytest.raises(DimensionMismatchError):
+            # compose checks the shape of each kernel it reads, as contract_out does
+            with pytest.raises(DimensionMismatchError, match=f"dim mismatch: 2 vs {dim}"):
                 ck.compose(3, [random_tensor(rng, dim, n) for n in range(5)])
+        ks = [random_tensor(rng, 2, n) for n in range(5)]
+        ks[2] = random_tensor(rng, 2, 1)
+        with pytest.raises(ValueError, match=re.escape("coefficient rank 1 != output slots 2")):
+            ck.compose(3, ks)
+
+    def test_contract_in_rejects_a_wrong_shape(self):
+        ck = comp_kernels(random_vjet(np.random.default_rng(23), 2, 4))
+        rng = np.random.default_rng(24)
+        # (1, 3) is absent, (3, 1) present; both plans are built first or not at all
+        for n, m in ((1, 3), (3, 1), (1, 3), (3, 1)):
+            with pytest.raises(DimensionMismatchError, match="dim mismatch: 2 vs 3"):
+                ck.contract_in(n, m, random_tensor(rng, 3, n))
+            with pytest.raises(ValueError, match=f"kernel rank {n + 1} != input rank {n}"):
+                ck.contract_in(n, m, random_tensor(rng, 2, n + 1))
+            ck.contract_in(n, m, random_tensor(rng, 2, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), deg=st.integers(1, 6),
+           kind=st.sampled_from(("identity", "log1p", "random")))
+    def test_contract_in_matches_literal_pairing(self, data, d, deg, kind):
+        # phi has +0.0 and -0.0 holes or is all zeros; absent tables read as
+        # zero; each plan is read cold, then warm
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        alpha = {"identity": identity_vjet, "log1p": log1p_vjet}.get(kind, lambda d, deg: random_vjet(rng, d, deg))
+        ck = comp_kernels(alpha(d, deg))
+        tables = row_tables(ck)
+        phis = data.draw(kernel_seqs(d, deg))
+        for n in range(1, deg + 1):
+            for m in range(1, deg + 1):
+                table = tables.get((n, m), {})
+                want = [pairing(table[u], phis[n]).hex() if u in table else "0x0.0p+0" for u in multi_indices(d, m)]
+                for _ in range(2):
+                    assert hexes(ck.contract_in(n, m, phis[n])) == want
 
 
 def literal_product(f, g, grades, weight):
@@ -636,10 +666,10 @@ def literal_compose(ck, n, ks):
     """CompKernels.compose as a literal loop over every table row."""
     if n == 0:
         return ks[0]
-    acc = zero_tensor(ck.dim, n)
+    acc, tables = zero_tensor(ck.dim, n), row_tables(ck)
     for m in range(1, n + 1):
         inner = zero_tensor(ck.dim, n)
-        for u, tens in ck.tables.get((n, m), {}).items():
+        for u, tens in tables.get((n, m), {}).items():
             inner = inner + tens.scale(multiplicity(u) * ks[m][u])
         acc = acc + inner.scale(1.0 / factorial(m))
     return acc
@@ -753,9 +783,17 @@ def linear_route(inv, deg):
     return comp_kernels(VectorJet(d, deg, tuple(linear_jet(d, deg, row) for row in inv)))
 
 
+def row_tables(ck):
+    """The rows of ck as {(n, m): {u: rank-n SymTensor}}, in order."""
+    return {
+        (n, m): {u: SymTensor(ck.dim, n, dict(zip(multi_indices(ck.dim, n), r))) for u, r in zip(us, R.tolist())}
+        for (n, m), (us, R) in ck.rows.items()
+    }
+
+
 def table_bits(ck):
     """Every table in order, each row in order with the hex form of its entries."""
-    return [(key, [(u, hexes(t)) for u, t in table.items()]) for key, table in ck.tables.items()]
+    return [(key, [(u, hexes(t)) for u, t in table.items()]) for key, table in row_tables(ck).items()]
 
 
 @st.composite
@@ -797,8 +835,8 @@ class TestLinearPowerKernels:
         inv = np.diag([1.0, 1e-200])
         ck = _linear_power_kernels(inv, 4)
         assert table_bits(ck) == table_bits(linear_route(inv, 4))
-        assert list(ck.tables[(2, 2)]) == [(1, 1), (1, 2)]
-        assert list(ck.tables[(4, 4)]) == [(1, 1, 1, 1), (1, 1, 1, 2)]
+        assert ck.rows[(2, 2)][0] == ((1, 1), (1, 2))
+        assert ck.rows[(4, 4)][0] == ((1, 1, 1, 1), (1, 1, 1, 2))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_overflow_raises_as_before(self, d):
@@ -889,7 +927,7 @@ def literal_contract_out(ck, n, m, coeff):
     """CompKernels.contract_out as a literal loop over the table rows of
     nonzero coefficient; with no such row, the shared zero."""
     acc = None
-    for u, tens in ck.tables.get((n, m), {}).items():
+    for u, tens in row_tables(ck).get((n, m), {}).items():
         if coeff[u]:
             term = tens.scale(multiplicity(u) * coeff[u])
             acc = term + zero_tensor(ck.dim, n) if acc is None else acc + term
@@ -919,6 +957,15 @@ class TestStackedViews:
     @given(a=chain_alphas())
     def test_power_kernels_match_plain_route(self, a):
         assert table_bits(comp_kernels(a)) == table_bits(plain_power_kernels(a))
+
+    def test_a_write_through_coeffs_raises(self):
+        # a write would leave the cached views of f and its kernels stale
+        f = linear_jet(2, 2, [1.0, 2.0])
+        before = bits(jet_mul(f, f))
+        with pytest.raises(TypeError):
+            f.kernels[1].coeffs[(1,)] = 5.0
+        assert bits(jet_mul(f, f)) == before
+        assert_view_matches(f)
 
     def test_near_overflow_chain_raises_as_before(self):
         # (1e80)^4 overflows at the fourth factor, in grade 4 only
@@ -1018,8 +1065,8 @@ def assert_read_only(*arrays):
 
 
 class TestViewBornJets:
-    """jet_mul's products and comp_kernels' tables stay stacked arrays; their
-    tensors are built on first read."""
+    """jet_mul's products and comp_kernels' tables stay stacked arrays; a
+    product's tensors are built on first read."""
 
     @settings(max_examples=60, deadline=None)
     @given(a=chain_alphas(), data=st.data())
@@ -1050,10 +1097,8 @@ class TestViewBornJets:
             assert us == want_us and hex_rows(x) == hex_rows(want_x)
             assert_read_only(x)
         assert table_bits(ck) == [(key, [(u, hexes(t)) for u, t in table.items()]) for key, table in tables.items()]
-        assert ck.tables is ck.tables
-        assert ck == plain_power_kernels(a)
         with pytest.raises(FrozenInstanceError):
-            ck.tables = {}
+            ck.rows = {}
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), d=st.integers(1, 3), deg=st.integers(0, 6))
@@ -1078,7 +1123,7 @@ class TestViewBornJets:
 class TestInversion:
     def test_degree_zero_rejected(self):
         a = VectorJet(2, 0, (constant_jet(2, 0, 0.0),) * 2)
-        assert comp_kernels(a).tables == {}
+        assert comp_kernels(a).rows == {}
         with pytest.raises(ValueError, match="degree must be at least 1, got 0"):
             jet_invert(a)
 
@@ -1178,13 +1223,13 @@ class TestPowerDuality:
         d = 2
         a = random_vjet(rng, d, N)
         g = jet_invert(a)
-        ck = comp_kernels(a)
+        tables = row_tables(comp_kernels(a))
         for m in (1, 2):
             for u in multi_indices(d, m):
                 ks = [zero_tensor(d, n) for n in range(N + 1)]
                 ks[0] = scalar_tensor(d, 0.0)
                 for n in range(m, N + 1):
-                    ks[n] = ck.tables[(n, m)][u]
+                    ks[n] = tables[(n, m)][u]
                 jet_u = ScalarJet(d, N, tuple(ks))
                 back = jet_compose_scalar(jet_u, g)
                 # expected kernels: the degree-m monomial prod theta_{u_i}

@@ -108,6 +108,20 @@ class TestStorage:
         assert list(t.coeffs.values()) == [float(i) for i in range(len(keys))]
         assert t.coeffs == given
 
+    @pytest.mark.parametrize("reordered", [False, True])
+    def test_coefficients_are_read_only(self, reordered):
+        keys = multi_indices(2, 2)
+        t = SymTensor(2, 2, {k: 1.0 for k in (reversed(keys) if reordered else keys)})
+        for write in (
+            lambda c: c.__setitem__((1, 1), 5.0),
+            lambda c: c.__delitem__((1, 1)),
+            lambda c: c.update({(1, 1): 5.0}),
+            lambda c: c.pop((1, 1)),
+        ):
+            with pytest.raises((TypeError, AttributeError)):
+                write(t.coeffs)
+        assert list(t.coeffs.values()) == [1.0, 1.0, 1.0]
+
 
 class TestSymProduct:
     def test_e1_e2_half(self):
