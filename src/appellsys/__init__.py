@@ -55,6 +55,7 @@ from .appell import (
     dist_norm,
     eval_test,
     gen_appell_all,
+    gen_appell_batch,
     g_nabla_apply,
     growth_bound_check,
     monomial_seq,

@@ -19,6 +19,7 @@ operate on these sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, exp, factorial, sqrt
 
 import numpy as np
@@ -27,8 +28,11 @@ from .jets import (
     CompKernels,
     ScalarJet,
     VectorJet,
+    _by_blocks,
+    _check_rows,
+    _row_tensors,
     comp_kernels,
-    graded_product,
+    graded_rows,
     identity_vjet,
     jet_compose_scalar,
     jet_exp,
@@ -44,10 +48,10 @@ from .symtensor import (
     SymTensor,
     eval_power_batch,
     is_live,
+    multi_indices,
     pairing,
     partial_pairing,
     power_tensor,
-    scalar_tensor,
     tensor_norm,
     vector_tensor,
     weighted_sum,
@@ -67,6 +71,7 @@ __all__ = [
     "appell_constants",
     "appell_eval",
     "gen_appell_all",
+    "gen_appell_batch",
     "delta_appell_eval",
     "to_monomial",
     "to_appell",
@@ -217,12 +222,47 @@ def appell_constants(basis: AppellBasis) -> list[SymTensor]:
     return list(basis.u_jet.kernels)
 
 
-def _plain_tensors(basis: AppellBasis, z, grades) -> list[SymTensor]:
-    """The given grades of the plain tensors at z, the kernels of
-    exp<z, theta> / l(theta): binomial sums of z-powers against the
-    constants at zero."""
-    powers = [power_tensor(z, k) for k in range(max(grades) + 1)]
-    return graded_product(powers, basis.u_jet.kernels, grades)
+@lru_cache(maxsize=None)
+def _power_plan(dim: int, top: int) -> np.ndarray:
+    """The factors of the columns of z^{tensor k}, k = 0..top, stacked as a
+    jet's view: row j lists the coordinates of column j's index, 1-based,
+    after enough 0s, which read 1.0, to fill max(top, 1) places."""
+    width = max(top, 1)
+    keys = [idx for k in range(top + 1) for idx in multi_indices(dim, k)]
+    return np.array([(0,) * (width - len(idx)) + idx for idx in keys], dtype=np.intp)
+
+
+def _plain_rows(basis: AppellBasis, zs: np.ndarray, grades) -> np.ndarray:
+    """The given grades of the plain tensors at each row z of zs, the
+    kernels of exp<z, theta> / l(theta), one row of columns per point:
+    binomial sums of z-powers against the constants at zero.
+
+    A power column is the running product of its factors from 1.0, left to
+    right: each column of grade k is its prefix column of grade k - 1 times
+    the last factor, as power_tensor multiplies.  A non-finite power or sum
+    raises as SymTensor does, at the first row that holds one.
+    """
+    grades = tuple(grades)
+    top = max(grades)
+    factors = _power_plan(basis.dim, top)
+
+    def products(zs):
+        table = np.concatenate([np.ones((len(zs), 1)), zs], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.multiply.accumulate(table[:, factors], axis=-1)[..., -1]
+
+    powers = _by_blocks(factors.size, products, zs)
+    _check_rows(basis.dim, range(top + 1), powers)
+    values = graded_rows(basis.dim, grades, powers, basis.u_jet._view()[0], comb)
+    _check_rows(basis.dim, grades, values)
+    return values
+
+
+def _point(basis: AppellBasis, z) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    if z.shape != (basis.dim,):
+        raise DimensionMismatchError(f"z has shape {z.shape}, basis has dim {basis.dim}")
+    return z
 
 
 def _check_grade(basis: AppellBasis, n: int) -> None:
@@ -235,20 +275,35 @@ def _check_grade(basis: AppellBasis, n: int) -> None:
 def appell_eval(basis: AppellBasis, n: int, z) -> SymTensor:
     """Rank-n tensor of the plain system at z."""
     _check_grade(basis, n)
-    return _plain_tensors(basis, z, [n])[0]
+    return _row_tensors(basis.dim, [n], _plain_rows(basis, _point(basis, z)[None], [n])[0])[0]
+
+
+def gen_appell_batch(basis: AppellBasis, zs) -> list[np.ndarray]:
+    """The generalized tensors at each row of zs, for n = 0..N.
+
+    zs has shape (count, dim).  Grade n is a (count, C(dim+n-1, n)) array
+    whose row k holds the coefficients of the tensor at row k of zs in
+    multi_indices order: grade n contracts the plain tensors of grades up
+    to n against the power kernels of alpha, through one plan for all rows.
+    A non-finite entry raises ValueError as SymTensor does, at the first row
+    that holds one.
+    """
+    zs = np.asarray(zs, dtype=float)
+    if zs.ndim != 2 or zs.shape[1] != basis.dim:
+        raise DimensionMismatchError(f"points have shape {zs.shape}, basis has dim {basis.dim}")
+    plain = _plain_rows(basis, zs, range(basis.degree + 1))
+    out = [np.ones((len(zs), 1))] + [basis.A.compose_rows(n, plain) for n in range(1, basis.degree + 1)]
+    _check_rows(basis.dim, range(basis.degree + 1), np.concatenate(out, axis=1))
+    return out
 
 
 def gen_appell_all(basis: AppellBasis, z) -> list[SymTensor]:
-    """The generalized tensors at z for n = 0..N.
-
-    Grade n contracts the plain tensors at z of grades up to n against the
-    power kernels of alpha; it reduces to appell_eval when alpha is the
+    """The generalized tensors at z for n = 0..N: row 0 of gen_appell_batch
+    at [z], as tensors.  Grade n reduces to appell_eval when alpha is the
     identity.
     """
-    plain = _plain_tensors(basis, z, range(basis.degree + 1))
-    return [scalar_tensor(basis.dim, 1.0)] + [
-        basis.A.compose(n, plain) for n in range(1, basis.degree + 1)
-    ]
+    rows = gen_appell_batch(basis, _point(basis, z)[None])
+    return _row_tensors(basis.dim, range(basis.degree + 1), np.concatenate([r[0] for r in rows]))
 
 
 def delta_appell_eval(basis: AppellBasis, n: int, w) -> SymTensor:

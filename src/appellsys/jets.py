@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from math import comb, exp, factorial, log
+from math import comb, exp, factorial, log, prod
 from types import SimpleNamespace
 
 import numpy as np
@@ -107,13 +107,7 @@ class ScalarJet:
         # view, a live grade a SymTensor and a dead one the shared zero
         if name != "kernels":
             raise AttributeError(name)
-        (x, live), dim = self._stacked, self.dim
-        starts, vals = _graded_plan(dim, tuple(range(self.degree + 1))).starts.tolist(), x.tolist()
-        ks = tuple(
-            SymTensor(dim, n, dict(zip(multi_indices(dim, n), vals[starts[n] : starts[n + 1]])))
-            if on else zero_tensor(dim, n)
-            for n, on in enumerate(live.tolist())
-        )
+        ks = tuple(_row_tensors(self.dim, range(self.degree + 1), self._stacked[0]))
         object.__setattr__(self, "kernels", ks)
         return ks
 
@@ -214,6 +208,26 @@ def _graded_terms(f, g, grades, weight) -> list[SymTensor]:
     return [weighted_sum(f[0].dim, n, terms(n)) for n in grades]
 
 
+def _row_tensors(dim: int, grades, row) -> list[SymTensor]:
+    """The kernels of the grades whose coefficients, grade after grade, are
+    row: the shared zero where a grade is all zero, else a SymTensor, which
+    raises on a non-finite entry."""
+    vals, col, out = row.tolist(), 0, []
+    for n in grades:
+        keys = multi_indices(dim, n)
+        part = vals[col : col + len(keys)]
+        out.append(SymTensor(dim, n, dict(zip(keys, part))) if any(part) else zero_tensor(dim, n))
+        col += len(keys)
+    return out
+
+
+def _check_rows(dim: int, grades, values: np.ndarray) -> None:
+    """Raise as SymTensor does on the first row of values, the coefficients
+    of the grades, that holds a non-finite entry."""
+    if not np.isfinite(values).all():
+        _row_tensors(dim, grades, values[np.isfinite(values).all(axis=1).argmin()])
+
+
 def _stack(kernels, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients of kernels 0, 1, ... as one vector, with whether
     each kernel is live, both read-only."""
@@ -308,18 +322,70 @@ def graded_product(f, g, grades, weight=comb) -> list[SymTensor]:
     return _plan_kernels(plan, grades, f, g, fx, gy, weight, values)
 
 
+def graded_rows(dim: int, grades, x, y, weight) -> np.ndarray:
+    """graded_product over stacks of kernels, one product per row.
+
+    x and y each hold kernels 0, 1, ... read as one vector, as a jet's view
+    does: either one vector per row of a (rows, len) array, or one vector
+    shared by every row.  Row r of the result holds the columns of the
+    grades of the product of row r of x and row r of y, grade after grade,
+    bit for bit those of graded_product; with no rows axis it is 1-D.
+    Nothing is checked: an overflow gives an inf or nan entry.
+    """
+    grades = tuple(grades)
+    return _plan_values(_graded_plan(dim, grades), grades, np.asarray(x), np.asarray(y), weight)
+
+
+# The batched routes work through their rows in blocks whose largest
+# temporary holds about this many floats, so memory stays flat in the rows.
+_BLOCK_FLOATS = 1 << 15
+
+
+def _by_blocks(per_row: int, fn, *stacks) -> np.ndarray:
+    """fn(*stacks), run on blocks of the rows of the 2-D stacks (1-D ones
+    are shared by every block), the blocks' results stacked again."""
+    count = max(len(s) for s in stacks if s.ndim == 2)
+    step = max(1, _BLOCK_FLOATS // max(per_row, 1))
+    if count <= step:
+        return fn(*stacks)
+    cut = [[s[i : i + step] if s.ndim == 2 else s for s in stacks] for i in range(0, count, step)]
+    return np.concatenate([fn(*block) for block in cut])
+
+
+def _columns(x: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """x[at] of a vector, or of each row of a stack; a vector takes numpy's
+    fast path for one index array."""
+    return x[at] if x.ndim == 1 else x[:, at]
+
+
 def _plan_values(plan, grades, x, y, weight) -> np.ndarray:
-    """The sums of graded_product of the vectors x and y through plan: the
-    columns of the grades as one vector."""
+    """The sums of graded_product of x and y through plan: the columns of
+    the grades as one vector, or one row of them per row of x or y.
+
+    The rows share one bincount over cells + size * row, so each cell adds
+    its terms in the order of the 1-D call; a 1-D call offsets no cell.
+    """
     weights = plan.combs
     if weight is not comb:
         top = len(plan.shapes)
         ws = [[weight(n, k) if k <= n else 0 for n in grades] for k in range(top)]
         weights = np.repeat(np.array(ws, dtype=float), plan.widths, axis=1)
+
+    if x.ndim == y.ndim == 1:
+        return _plan_sums(plan, weights, x, y)
+    return _by_blocks(len(plan.cells), lambda x, y: _plan_sums(plan, weights, x, y), x, y)
+
+
+def _plan_sums(plan, weights, x, y) -> np.ndarray:
+    """_plan_values' sums of x and y, at most one of them shared."""
     with np.errstate(over="ignore", invalid="ignore"):
-        acc = np.bincount(plan.cells, (plan.ways * x[plan.f_at]) * y[plan.g_at], minlength=weights.size)
-        acc = acc.reshape(weights.shape) / plan.combs * weights
-        return np.add.accumulate(acc)[-1] + 0.0
+        terms = (plan.ways * _columns(x, plan.f_at)) * _columns(y, plan.g_at)
+        cells, shape = plan.cells, weights.shape
+        if terms.ndim == 2:
+            cells = (cells + weights.size * np.arange(len(terms))[:, None]).ravel()
+            shape = (len(terms), *shape)
+        acc = np.bincount(cells, terms.ravel(), minlength=prod(shape)).reshape(shape) / plan.combs * weights
+        return np.add.accumulate(acc, axis=-2)[..., -1, :] + 0.0
 
 
 def _plan_kernels(plan, grades, f, g, fx, gy, weight, values) -> list[SymTensor]:
@@ -489,8 +555,9 @@ class CompKernels:
     dim: int
     degree: int
     rows: dict[tuple[int, int], tuple[tuple[tuple[int, ...], ...], np.ndarray]]
-    # compose's plan per grade n, contract_out's per (n, m) and contract_in's
-    # per ("in", n, m), built on first use
+    # compose's plan per grade n, compose_rows' positions per ("rows", n),
+    # contract_out's plan per (n, m) and contract_in's per ("in", n, m), built
+    # on first use
     _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def _check_slots(self, m: int, coeff: SymTensor) -> None:
@@ -536,12 +603,11 @@ class CompKernels:
         from +0.0, bit for bit.  A kernel of the wrong shape raises as in
         contract_out, and a non-finite grade as SymTensor does.  With no
         table, or no live kernel, the grade is the shared zero tensor.
+        This is the one-row case of compose_rows.
         """
         if n == 0:
             return ks[0]
-        plan = self._plans.get(n)
-        if plan is None:
-            plan = self._plans[n] = self._compose_plan(n)
+        plan = self._plans.get(n) or self._plans.setdefault(n, self._compose_plan(n))
         ms, count, at, mult, rows, used, inv_fact = plan
         if not ms:
             return zero_tensor(self.dim, n)
@@ -556,12 +622,29 @@ class CompKernels:
             depth = used[keep].max()
             at, mult, rows, inv_fact = at[keep, :depth], mult[keep, :depth], rows[keep, :depth], inv_fact[keep]
         x = np.fromiter(chain.from_iterable([ks[m].coeffs.values() for m in ms]), float, count)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # a signed zero of a block sum reaches h only where h is zero,
-            # and the final + 0.0 makes every zero of h +0.0
-            blocks = np.add.accumulate((mult * x[at])[:, :, None] * rows, axis=1)[:, -1]
-            h = np.add.accumulate(inv_fact[:, None] * blocks)[-1] + 0.0
+        h = _compose_sums(x, at, mult, rows, inv_fact)
         return SymTensor(self.dim, n, dict(zip(multi_indices(self.dim, n), h.tolist())))
+
+    def compose_rows(self, n: int, x: np.ndarray) -> np.ndarray:
+        """compose(n, ks), n >= 1, for the kernels ks of one f per row of x.
+
+        x has shape (rows, len) and holds kernels 0..n (or more) of each f
+        read as one vector, as a jet's view does.  Row r of the result, of
+        shape (rows, len(multi_indices(dim, n))), is grade n of the r-th f
+        bit for bit: a dead block adds only signed zeros, which the final
+        + 0.0 clears.  A non-finite entry is not checked.
+        """
+        plan = self._plans.get(n) or self._plans.setdefault(n, self._compose_plan(n))
+        ms, _, at, mult, rows, _, inv_fact = plan
+        if not ms:
+            return np.zeros((len(x), len(multi_indices(self.dim, n))))
+        at_stack = self._plans.get(("rows", n))
+        if at_stack is None:
+            # block i reads ks[ms[i]] at its start in the stack, not in ms's
+            sizes = [len(multi_indices(self.dim, m)) for m in range(n + 1)]
+            starts, ms_starts = np.cumsum([0, *sizes]), np.cumsum([0, *(sizes[m] for m in ms)])
+            at_stack = self._plans[("rows", n)] = at + (starts[list(ms)] - ms_starts[:-1])[:, None]
+        return _by_blocks(rows.size, lambda x: _compose_sums(x, at_stack, mult, rows, inv_fact), x)
 
     def _compose_plan(self, n: int):
         """compose's plan for grade n: the rows of the present tables (n, m)
@@ -611,6 +694,18 @@ class CompKernels:
                     s += x * y
             out[u] = s
         return SymTensor(self.dim, m, out)
+
+
+def _compose_sums(x, at, mult, rows, inv_fact) -> np.ndarray:
+    """compose's sums over the blocks of a plan for the kernels x, one
+    vector or one per row: each block's rows, weighted by
+    multiplicity(u) * x[at], add by a cumsum, then the blocks, weighted by
+    1/m!, by a cumsum over m, then + 0.0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a signed zero of a block sum reaches h only where h is zero,
+        # and the final + 0.0 makes every zero of h +0.0
+        blocks = np.add.accumulate((mult * _columns(x, at))[..., None] * rows, axis=-2)[..., -1, :]
+        return np.add.accumulate(inv_fact[:, None] * blocks, axis=-2)[..., -1, :] + 0.0
 
 
 def _contract_plan(dim: int, m: int, us) -> tuple[np.ndarray, np.ndarray]:
@@ -699,9 +794,7 @@ def _linear_power_kernels(inv: np.ndarray, degree: int) -> CompKernels:
             us = [us[r] for r in order[live].tolist()]
         if not us:
             break
-        bad = ~np.isfinite(x).all(axis=1)
-        if bad.any():  # the first row with a non-finite entry raises
-            SymTensor(d, m, dict(zip(multi_indices(d, m), x[bad.argmax()].tolist())))
+        _check_rows(d, [m], x)
         rows[(m, m)] = _frozen_rows(us, x)
     return CompKernels(d, degree, rows)
 

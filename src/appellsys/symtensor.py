@@ -407,6 +407,13 @@ class HilbertScale:
         return w
 
 
+@lru_cache(maxsize=None)
+def _norm_weights(scale: HilbertScale, rank: int, p: float) -> tuple[float, ...]:
+    """The weight of each entry of a rank-`rank` tensor in |.|_p^2, in
+    multi_indices order: multiplicity(idx) * scale.tuple_weight(idx, 2p)."""
+    return tuple(multiplicity(idx) * scale.tuple_weight(idx, 2.0 * p) for idx in multi_indices(scale.dim, rank))
+
+
 def tensor_norm(a: SymTensor, p: float, scale: HilbertScale | None = None) -> float:
     """Weighted l2 norm over ordered tuples; negative p gives the dual norm."""
     if scale is None:
@@ -414,7 +421,22 @@ def tensor_norm(a: SymTensor, p: float, scale: HilbertScale | None = None) -> fl
     if scale.dim != a.dim:
         raise DimensionMismatchError(f"scale dim {scale.dim} != tensor dim {a.dim}")
     s = 0.0
-    for idx, v in a.coeffs.items():
+    for c, v in zip(_norm_weights(scale, a.rank, p), a.coeffs.values()):
         if v:
-            s += multiplicity(idx) * scale.tuple_weight(idx, 2.0 * p) * v * v
+            s += c * v * v
     return sqrt(s)
+
+
+def norm_rows(values: np.ndarray, rank: int, p: float, scale: HilbertScale) -> np.ndarray:
+    """tensor_norm of each row of values, the coefficients of one rank-`rank`
+    tensor of dim scale.dim per row in multi_indices order.
+
+    Each column adds (c * v) * v from +0.0, then the square root: that is
+    tensor_norm's sum bit for bit, as a zero entry adds +0.0 to a sum that
+    is never negative.
+    """
+    s = np.zeros(len(values))
+    for j, c in enumerate(_norm_weights(scale, rank, p)):
+        v = values[:, j]
+        s = s + (c * v) * v
+    return np.sqrt(s)

@@ -90,7 +90,8 @@ SURFACE = {
         "AppellBasis", "BasisMismatchError", "KernelSeq", "MONOMIAL", "P_TAG", "Q_TAG",
         "appell_constants", "appell_eval", "convolution", "delta_appell_eval",
         "delta_z", "diff_op", "dist_norm", "estimate_sigma_eps", "eval_monomial_seq",
-        "eval_test", "g_nabla_apply", "gen_appell_all", "generating_jet", "growth_bound_check",
+        "eval_test", "g_nabla_apply", "gen_appell_all", "gen_appell_batch", "generating_jet",
+        "growth_bound_check",
         "monomial_seq", "p_seq", "pair", "q_kernel_make", "q_seq", "radon_nikodym", "s_inverse",
         "s_transform", "test_norm", "to_appell", "to_monomial",
     ],
@@ -123,7 +124,7 @@ SURFACE = {
         "SymTensor", "VectorJet", "appell_constants", "appell_eval", "change_alpha_dist",
         "comp_kernels", "convolution", "delta_appell_eval", "delta_z", "diff_op", "dist_norm",
         "eval_power_batch", "eval_test", "exact_expectation", "exact_product_expectation",
-        "g_nabla_apply", "gen_appell_all", "growth_bound_check", "identity_vjet",
+        "g_nabla_apply", "gen_appell_all", "gen_appell_batch", "growth_bound_check", "identity_vjet",
         "jet_compose_scalar", "jet_compose_vector", "jet_exp", "jet_invert", "jet_log",
         "jet_mul", "jet_recip", "list_suites", "log1p_vjet", "mc_expectation", "moment_kernels",
         "monomial_seq", "nondegeneracy_check", "p_relation", "p_seq", "pair", "pairing",

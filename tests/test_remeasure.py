@@ -12,6 +12,7 @@ from appellsys.appell import (
     BasisMismatchError,
     delta_z,
     eval_test,
+    gen_appell_all,
     pair,
     p_seq,
     q_seq,
@@ -19,7 +20,7 @@ from appellsys.appell import (
     to_monomial,
     monomial_seq,
 )
-from appellsys.jets import identity_vjet, log1p_vjet, random_vjet
+from appellsys.jets import graded_product, identity_vjet, jet_mul, log1p_vjet, random_vjet
 from appellsys.measures import DeltaModel, GaussianModel, PoissonModel
 from appellsys.oracle import exact_expectation
 from appellsys.remeasure import (
@@ -153,6 +154,31 @@ class TestPRelation:
         report = p_relation(bp, bg, 3, (np.array([x]) for x in (0.5, 1.5, 2.5)))
         assert report["points"] == 3
         assert report["max_discrepancy"] < 1e-10
+
+    def test_equals_the_point_loop(self):
+        # the points go through one batch per basis; the report is that of
+        # the loop over points, bit for bit
+        def point_loop(mu, mut, n, points):
+            ratio = jet_mul(mu.ualpha_jet, mut.malpha_jet)
+            worst = 0.0
+            for x in points:
+                rhs = graded_product(gen_appell_all(mut, x), ratio.kernels, [n])[0]
+                worst = max(worst, (gen_appell_all(mu, x)[n] - rhs).max_abs())
+            return {"n": n, "max_discrepancy": worst, "points": len(points)}
+
+        rng = np.random.default_rng(1)
+        cases = [
+            (make_basis("gaussian", "id"), make_basis("delta", "id"), [np.array([1.3]), np.array([-0.4])]),
+            (make_basis("poisson", "log1p"), make_basis("gaussian", "log1p"), [rng.standard_normal(1) for _ in range(3)]),
+            (make_basis("poisson", "log1p", dim=2), make_basis("gaussian", "log1p", dim=2), list(rng.standard_normal((4, 2)))),
+            (make_basis("poisson", "random", dim=2), make_basis("gaussian", "random", dim=2), list(rng.standard_normal((30, 2)))),
+            (make_basis("poisson", "log1p"), make_basis("gaussian", "log1p"), []),
+        ]
+        for mu, mut, points in cases:
+            for n in range(N + 1):
+                got = p_relation(mu, mut, n, points)
+                want = point_loop(mu, mut, n, points)
+                assert got == want and got["max_discrepancy"].hex() == want["max_discrepancy"].hex()
 
 
 class TestReorderTest:
