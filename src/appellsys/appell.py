@@ -28,7 +28,6 @@ from .jets import (
     CompKernels,
     ScalarJet,
     VectorJet,
-    _by_blocks,
     _check_rows,
     _row_tensors,
     comp_kernels,
@@ -46,12 +45,12 @@ from .symtensor import (
     DimensionMismatchError,
     HilbertScale,
     SymTensor,
+    _by_blocks,
     eval_power_batch,
     is_live,
     multi_indices,
     pairing,
     partial_pairing,
-    power_tensor,
     tensor_norm,
     vector_tensor,
     weighted_sum,
@@ -232,19 +231,12 @@ def _power_plan(dim: int, top: int) -> np.ndarray:
     return np.array([(0,) * (width - len(idx)) + idx for idx in keys], dtype=np.intp)
 
 
-def _plain_rows(basis: AppellBasis, zs: np.ndarray, grades) -> np.ndarray:
-    """The given grades of the plain tensors at each row z of zs, the
-    kernels of exp<z, theta> / l(theta), one row of columns per point:
-    binomial sums of z-powers against the constants at zero.
-
-    A power column is the running product of its factors from 1.0, left to
-    right: each column of grade k is its prefix column of grade k - 1 times
-    the last factor, as power_tensor multiplies.  A non-finite power or sum
-    raises as SymTensor does, at the first row that holds one.
-    """
-    grades = tuple(grades)
-    top = max(grades)
-    factors = _power_plan(basis.dim, top)
+def _power_rows(dim: int, zs: np.ndarray, top: int) -> np.ndarray:
+    """z^{tensor k}, k = 0..top, at each row z of zs, grade after grade: each
+    column is its prefix column times the last factor, as power_tensor
+    multiplies.  A non-finite power raises as SymTensor does, at the first
+    row that holds one, with no warning."""
+    factors = _power_plan(dim, top)
 
     def products(zs):
         table = np.concatenate([np.ones((len(zs), 1)), zs], axis=1)
@@ -252,7 +244,17 @@ def _plain_rows(basis: AppellBasis, zs: np.ndarray, grades) -> np.ndarray:
             return np.multiply.accumulate(table[:, factors], axis=-1)[..., -1]
 
     powers = _by_blocks(factors.size, products, zs)
-    _check_rows(basis.dim, range(top + 1), powers)
+    _check_rows(dim, range(top + 1), powers)
+    return powers
+
+
+def _plain_rows(basis: AppellBasis, zs: np.ndarray, grades) -> np.ndarray:
+    """The given grades of the plain tensors at each row z of zs, the
+    kernels of exp<z, theta> / l(theta), one row of columns per point:
+    binomial sums of z-powers against the constants at zero.  A non-finite
+    power raises before the sums, then a non-finite sum."""
+    grades = tuple(grades)
+    powers = _power_rows(basis.dim, zs, max(grades))
     values = graded_rows(basis.dim, grades, powers, basis.u_jet._view()[0], comb)
     _check_rows(basis.dim, grades, values)
     return values
@@ -312,7 +314,8 @@ def delta_appell_eval(basis: AppellBasis, n: int, w) -> SymTensor:
     w = np.asarray(w, dtype=float)
     if w.shape != (basis.dim,):
         raise DimensionMismatchError(f"w has shape {w.shape}, basis has dim {basis.dim}")
-    return basis.A.compose(n, [power_tensor(w, m) for m in range(n + 1)])
+    powers = _power_rows(basis.dim, w[None], n)[0]
+    return basis.A.compose(n, _row_tensors(basis.dim, range(n + 1), powers))
 
 
 def generating_jet(basis: AppellBasis, z) -> ScalarJet:
@@ -477,11 +480,7 @@ def eval_monomial_seq(f: KernelSeq, xs) -> np.ndarray:
     result has length count.
     """
     _require_tag(f, MONOMIAL)
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros(len(xs))
-    for k in f.kernels:
-        out += eval_power_batch(k, xs)
-    return out
+    return eval_power_batch(f.kernels, xs)
 
 
 def delta_z(basis: AppellBasis, z) -> KernelSeq:
@@ -499,9 +498,9 @@ def radon_nikodym(basis: AppellBasis, z) -> KernelSeq:
     Grade-n kernel is (1/n!) times the point-mass-system tensor at -z: the
     distribution whose transform is exp<-z, theta>.
     """
-    z = np.asarray(z, dtype=float)
-    powers = tuple(power_tensor(-z, m) for m in range(basis.degree + 1))
-    return s_inverse(basis, ScalarJet(basis.dim, basis.degree, powers))
+    powers = _power_rows(basis.dim, -_point(basis, z)[None], basis.degree)[0]
+    kernels = _row_tensors(basis.dim, range(basis.degree + 1), powers)
+    return s_inverse(basis, ScalarJet(basis.dim, basis.degree, tuple(kernels)))
 
 
 def convolution(basis: AppellBasis, phi: KernelSeq, z) -> float:

@@ -24,6 +24,7 @@ import numpy as np
 from .symtensor import (
     DimensionMismatchError,
     SymTensor,
+    _by_blocks,
     _multiplicities,
     _position,
     _product_arrays,
@@ -334,22 +335,6 @@ def graded_rows(dim: int, grades, x, y, weight) -> np.ndarray:
     """
     grades = tuple(grades)
     return _plan_values(_graded_plan(dim, grades), grades, np.asarray(x), np.asarray(y), weight)
-
-
-# The batched routes work through their rows in blocks whose largest
-# temporary holds about this many floats, so memory stays flat in the rows.
-_BLOCK_FLOATS = 1 << 15
-
-
-def _by_blocks(per_row: int, fn, *stacks) -> np.ndarray:
-    """fn(*stacks), run on blocks of the rows of the 2-D stacks (1-D ones
-    are shared by every block), the blocks' results stacked again."""
-    count = max(len(s) for s in stacks if s.ndim == 2)
-    step = max(1, _BLOCK_FLOATS // max(per_row, 1))
-    if count <= step:
-        return fn(*stacks)
-    cut = [[s[i : i + step] if s.ndim == 2 else s for s in stacks] for i in range(0, count, step)]
-    return np.concatenate([fn(*block) for block in cut])
 
 
 def _columns(x: np.ndarray, at: np.ndarray) -> np.ndarray:

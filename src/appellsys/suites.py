@@ -211,13 +211,13 @@ def suite_hermite_gaussian(seed: int) -> SuiteResult:
     quad_rows = []
     for n in range(7):
         for m in range(7):
-            def integrand(x, n=n, m=m):
+            terms = list(enumerate(hermite_he_coeffs(m)))
+
+            # ders[0] is the density bit for bit: 1.0 * 1.0 * rho
+            def integrand(x, n=n, terms=terms):
                 ders = model.density_derivatives(x, n)
-                qn = (-1.0) ** n * ders[n] / model.density1d(x)
-                pm = sum(
-                    c * x**k for k, c in enumerate(hermite_he_coeffs(m))
-                )
-                return qn * pm
+                qn = (-1.0) ** n * ders[n] / ders[0]
+                return qn * sum(c * x**k for k, c in terms)
 
             val = quad_1d(model, integrand)
             expected = factorial(n) if n == m else 0.0

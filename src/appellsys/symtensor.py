@@ -362,23 +362,60 @@ def partial_pairing(a: SymTensor, b: SymTensor) -> SymTensor:
     return SymTensor(a.dim, a.rank - k, dict(zip(multi_indices(a.dim, a.rank - k), out)))
 
 
-def eval_power_batch(a: SymTensor, xs) -> np.ndarray:
-    """Pairing of a against x^{tensor rank} at each row x of xs.
+# The batched routes work through their rows in blocks whose largest
+# temporary holds about this many floats, so memory stays flat in the rows.
+_BLOCK_FLOATS = 1 << 15
 
-    xs holds count points of dimension a.dim, shape (count, dim); a single
-    point z is passed as [z].  The result has length count.
+
+def _by_blocks(per_row: int, fn, *stacks) -> np.ndarray:
+    """fn(*stacks), run on blocks of the rows of the 2-D stacks (1-D ones
+    are shared by every block), the blocks' results stacked again."""
+    count = max(len(s) for s in stacks if s.ndim == 2)
+    step = max(1, _BLOCK_FLOATS // max(per_row, 1))
+    if count <= step:
+        return fn(*stacks)
+    cut = [[s[i : i + step] if s.ndim == 2 else s for s in stacks] for i in range(0, count, step)]
+    return np.concatenate([fn(*block) for block in cut])
+
+
+def eval_power_batch(a, xs) -> np.ndarray:
+    """Sum over the tensors t of a, one SymTensor or a sequence of one dim,
+    of the pairing of t against x^{tensor t.rank}, at each row x of xs.
+
+    xs has shape (count, dim); a single point z is passed as [z].  The rows
+    go through in blocks, each reading its coordinates once as columns.  A
+    power is its prefix power, shared across grades, times one coordinate,
+    as power_tensor multiplies.  Each grade adds its nonzero terms
+    (multiplicity(u) * v) * x^u from +0.0 in coeffs order, and the grade
+    sums are added in order into +0.0: a grade sum is never -0.0, so one
+    tensor gives its grade sum bit for bit.
     """
+    grades = [a] if isinstance(a, SymTensor) else list(a)
+    dims = sorted({t.dim for t in grades})
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"tensors have dims {dims}, need one dim")
+    dim = dims[0]
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != a.dim:
-        raise DimensionMismatchError(f"points have shape {xs.shape}, tensor has dim {a.dim}")
-    out = np.zeros(xs.shape[0])
-    for idx, v in a.coeffs.items():
-        if v:
-            prod = np.ones(xs.shape[0])
-            for i in idx:
-                prod *= xs[:, i - 1]
-            out += multiplicity(idx) * v * prod
-    return out
+    if xs.ndim != 2 or xs.shape[1] != dim:
+        raise DimensionMismatchError(f"points have shape {xs.shape}, tensor has dim {dim}")
+    terms = [[(multiplicity(u) * v, u) for u, v in t.coeffs.items() if v] for t in grades]
+    # the powers of rank 2 and up that the terms need; sorted, a prefix comes first
+    chain = sorted({u[:k] for grade in terms for _, u in grade for k in range(2, len(u) + 1)})
+
+    def block(x):
+        cols = x.T.copy()
+        powers = {(): 1.0} | {(i + 1,): c for i, c in enumerate(cols)}
+        for u in chain:
+            powers[u] = powers[u[:-1]] * cols[u[-1] - 1]
+        out = np.zeros(len(x))
+        for grade in terms:
+            s = np.zeros(len(x))
+            for w, u in grade:
+                s += w * powers[u]
+            out += s
+        return out
+
+    return _by_blocks(dim, block, xs)
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from appellsys import jets, suites
+from appellsys import suites, symtensor
 from appellsys.appell import (
     AppellBasis,
     appell_eval,
+    delta_appell_eval,
     dist_norm,
     gen_appell_all,
     gen_appell_batch,
     q_seq,
+    radon_nikodym,
+    s_inverse,
 )
-from appellsys.jets import graded_product, graded_rows, identity_vjet, log1p_vjet, random_vjet
+from appellsys.jets import ScalarJet, graded_product, graded_rows, identity_vjet, log1p_vjet, random_vjet
 from appellsys.measures import GaussianModel, PoissonModel
 from appellsys.symtensor import (
     DimensionMismatchError,
@@ -126,7 +129,7 @@ class TestGenAppellBatch:
         zs = np.random.default_rng(4).standard_normal((50, 2)) * 2
         whole = gen_appell_batch(basis, zs)
         for floats in (1, 200):
-            monkeypatch.setattr(jets, "_BLOCK_FLOATS", floats)
+            monkeypatch.setattr(symtensor, "_BLOCK_FLOATS", floats)
             cut = gen_appell_batch(basis, zs)
             assert [r.tobytes() for r in cut] == [r.tobytes() for r in whole]
 
@@ -168,6 +171,41 @@ class TestPointShapes:
             # the first row holding a non-finite entry raises
             with pytest.raises(ValueError, match="non-finite coefficient at " + message):
                 gen_appell_batch(basis, [[0.5, -1.0], z, [np.nan, np.nan]])
+
+    def test_shift_kernel_points_raise_dimension_mismatch(self):
+        basis = make_basis("gaussian", "log1p", 2, 4)
+        for z, shape in (([1.0, 2.0, 3.0], r"\(3,\)"), ([[1.0, 2.0]], r"\(1, 2\)"), (3.0, r"\(\)")):
+            with pytest.raises(DimensionMismatchError, match="shape " + shape):
+                radon_nikodym(basis, z)
+
+    @pytest.mark.parametrize(
+        "z, message",
+        [
+            ([float("nan"), 1.0], r"index \(1,\): nan"),
+            ([1e200, 1.0], r"index \(1, 1\): inf"),
+            ([1e100, 1e100], r"index \(1, 1, 1, 1\): inf"),
+        ],
+    )
+    def test_point_mass_powers_raise_without_warning(self, z, message):
+        basis = make_basis("gaussian", "log1p", 2, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite coefficient at " + message):
+                delta_appell_eval(basis, 5, z)
+            with pytest.raises(ValueError, match="non-finite coefficient at " + message):
+                radon_nikodym(basis, z)
+
+    @pytest.mark.parametrize("measure, alpha_kind, d, N", [("gaussian", "log1p", 2, 5), ("poisson", "random", 3, 4)])
+    def test_point_mass_routes_keep_the_power_tensor_bits(self, measure, alpha_kind, d, N):
+        # the literal routes build their powers with power_tensor
+        basis = make_basis(measure, alpha_kind, d, N)
+        rng = np.random.default_rng(8)
+        for w in [np.zeros(d), -np.zeros(d), *(rng.standard_normal(d) * 3 for _ in range(5))]:
+            for n in range(N + 1):
+                want = basis.A.compose(n, [power_tensor(w, m) for m in range(n + 1)])
+                assert tensor_hexes([delta_appell_eval(basis, n, w)]) == tensor_hexes([want])
+            jet = ScalarJet(d, N, tuple(power_tensor(-w, m) for m in range(N + 1)))
+            assert tensor_hexes(radon_nikodym(basis, w).kernels) == tensor_hexes(s_inverse(basis, jet).kernels)
 
     def test_an_overflowing_power_raises_before_the_sums(self):
         # z^2 overflows to inf, and 2 z u_1 = -2e309 makes the plain sum

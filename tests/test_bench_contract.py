@@ -60,10 +60,13 @@ def test_traced_run_reaches_every_layer(workload):
     last = json.loads(run.stdout.splitlines()[-1])
     assert last["correct"] is True
     assert f"fingerprint {FINGERPRINTS[workload]}" in run.stdout.splitlines()
+    metrics = {name: m["value"] for name, m in last["metrics"].items()}
+    if workload == "verify":
+        # one evaluation per polynomial, not one per grade
+        assert metrics["symtensor.eval_power_batch.calls"] == 864
     if workload == "build":
         # the products that REACHES needs, and the tensors a build may make:
         # product jets and power-kernel tables stay stacked arrays
-        metrics = {name: m["value"] for name, m in last["metrics"].items()}
         assert metrics["jets.jet_mul.calls"] == 1556
         assert metrics["symtensor.sym_product.calls"] == 1389
         assert metrics["symtensor.SymTensor.constructed"] <= 3000

@@ -1,6 +1,7 @@
 """Tensor algebra checked entry-by-entry against dense numpy oracles."""
 
 import contextlib
+import gc
 import itertools
 import math
 import re
@@ -494,6 +495,94 @@ class TestEvalPower:
                 want, size = graded_sum(x, graded, weight)
                 assert abs(row - want) <= 1e-12 * size
 
+    @settings(max_examples=100)
+    @given(
+        d=st.integers(1, 3),
+        degree=st.integers(0, 8),
+        count=st.integers(0, 9),
+        special=st.sampled_from((0.0, 0.1, 0.4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_evaluators_match_the_literal_loop_bit_for_bit(self, d, degree, count, special, seed):
+        # every evaluator equals the term-by-term loop through int64 views,
+        # with the same warnings, whole and in blocks of 1 and 3 floats
+        rng = np.random.default_rng(seed)
+        kernels = []
+        for n in range(degree + 1):
+            vals = rng.standard_normal(len(multi_indices(d, n))) * 10.0 ** rng.integers(-3, 4)
+            vals[rng.random(len(vals)) < 0.3] = rng.choice((0.0, -0.0))
+            if rng.random() < 0.2:
+                vals[:] = 0.0
+            kernels.append(SymTensor(d, n, dict(zip(multi_indices(d, n), vals.tolist()))))
+        xs = rng.standard_normal((count, d)) * 2.0
+        hole = rng.random(xs.shape) < special
+        xs[hole] = rng.choice((0.0, -0.0, -1.5, 1e200, -1e200, np.inf, -np.inf, np.nan), hole.sum())
+        xs[rng.random(xs.shape) < 0.1] = 0.0
+
+        def literal(a):
+            """eval_power_batch of one tensor as one column product per term."""
+            out = np.zeros(count)
+            for idx, v in a.coeffs.items():
+                if v:
+                    prod = np.ones(count)
+                    for i in idx:
+                        prod *= xs[:, i - 1]
+                    out += multiplicity(idx) * v * prod
+            return out
+
+        def literal_sum(ks, weight=lambda n: None):
+            out = np.zeros(count)
+            for k in ks:
+                w = weight(k.rank)
+                out += literal(k) if w is None else literal(k) / w
+            return out
+
+        jet = ScalarJet(d, degree, tuple(kernels))
+        components = tuple(
+            ScalarJet(d, degree, (scalar_tensor(d, 0.0), *kernels[1:])) if j == d - 1 else constant_jet(d, degree, 0.0)
+            for j in range(d)
+        )
+        mono = monomial_seq(d, degree, dict(enumerate(kernels)))
+        routes = [(lambda k=k: eval_power_batch(k, xs), lambda k=k: literal(k)) for k in kernels] + [
+            (lambda: eval_power_batch(kernels, xs), lambda: literal_sum(kernels)),
+            (lambda: eval_power_batch(kernels[::-1], xs), lambda: literal_sum(kernels[::-1])),
+            (lambda: eval_monomial_seq(mono, xs), lambda: literal_sum(kernels)),
+            (lambda: jet.eval_batch(xs), lambda: literal_sum(kernels, math.factorial)),
+            (
+                lambda: VectorJet(d, degree, components).eval_batch(xs),
+                lambda: np.stack([literal_sum(c.kernels, math.factorial) for c in components], axis=1),
+            ),
+        ]
+
+        def run(evaluate):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = evaluate()
+            return got.shape, got.view(np.int64).tolist(), {(w.category, str(w.message)) for w in caught}
+
+        wants = [run(want) for _, want in routes]
+        for floats in (None, 1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                if floats:
+                    mp.setattr(appellsys.symtensor, "_BLOCK_FLOATS", floats)
+                assert [run(got) for got, _ in routes] == wants
+
+    def test_blocks_leave_no_reference_cycle(self):
+        # a cycle would hold each block's powers until the collector runs,
+        # and a 100 000-row batch would grow memory block by block
+        rng = np.random.default_rng(31)
+        kernels = [random_tensor(rng, 2, n) for n in range(5)]
+        xs = rng.standard_normal((50, 2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(appellsys.symtensor, "_BLOCK_FLOATS", 8)
+            gc.collect()
+            gc.disable()
+            try:
+                eval_power_batch(kernels, xs)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+
     def test_wrong_column_count_rejected(self):
         # all-zero kernels included: every evaluator checks the points itself
         a = random_tensor(np.random.default_rng(29), 2, 3)
@@ -504,11 +593,18 @@ class TestEvalPower:
             zero_jet.eval_batch,
             VectorJet(2, 3, (zero_jet, zero_jet)).eval_batch,
             lambda xs: eval_monomial_seq(monomial_seq(2, 3, {}), xs),
+            lambda xs: eval_power_batch([zero_tensor(2, 0), a], xs),
         ]
         for evaluate in evaluators:
             for xs in (np.ones((4, 3)), np.ones((4, 1)), np.ones(2), [1.0, 2.0, 3.0]):
                 with pytest.raises(DimensionMismatchError):
                     evaluate(xs)
+
+    def test_tensors_of_two_dims_rejected(self):
+        a, b = zero_tensor(2, 1), random_tensor(np.random.default_rng(3), 3, 2)
+        for xs in (np.ones((4, 2)), np.ones((4, 3))):
+            with pytest.raises(DimensionMismatchError, match=r"dims \[2, 3\]"):
+                eval_power_batch([a, b], xs)
 
 
 def literal_sum(dim, rank, terms):
