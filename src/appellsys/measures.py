@@ -11,7 +11,7 @@ exponential of the cumulant jet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, sqrt, pi
+from math import exp, inf, sqrt, pi
 
 import numpy as np
 
@@ -75,6 +75,10 @@ class GaussianModel(MeasureModel):
         mat = np.asarray(self.cov, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError("covariance must be a square matrix")
+        bad = np.argwhere(~np.isfinite(mat))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"covariance must be finite; entry ({i}, {j}) is {mat[i, j]}")
         if not np.allclose(mat, mat.T, atol=1e-12):
             raise ValueError("covariance must be symmetric")
         eigs = np.linalg.eigvalsh(mat)
@@ -131,8 +135,11 @@ class PoissonModel(MeasureModel):
     name = "poisson"
 
     def __post_init__(self) -> None:
-        if not self.nu or any(v <= 0 for v in self.nu):
+        if not self.nu:
             raise ValueError("intensities must be positive")
+        for v in self.nu:
+            if not 0 < v < inf:
+                raise ValueError(f"intensities must be positive and finite, got {v}")
 
     @property
     def dim(self) -> int:
@@ -154,6 +161,10 @@ class DeltaModel(MeasureModel):
 
     d: int = 1
     name = "delta"
+
+    def __post_init__(self) -> None:
+        if self.d < 1:
+            raise ValueError(f"dimension must be positive, got {self.d}")
 
     @property
     def dim(self) -> int:

@@ -10,6 +10,7 @@ from the kernel machinery they validate.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import exp, sqrt
 
 import numpy as np
@@ -117,6 +118,15 @@ def mc_expectation(model: MeasureModel, evaluator, count: int, seed: int) -> tup
     return mean, stderr
 
 
+@lru_cache(maxsize=None)
+def _legendre_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """The QUAD_NODES Gauss-Legendre nodes and weights on [-1, 1], read-only
+    and computed once."""
+    x0, w0 = np.polynomial.legendre.leggauss(QUAD_NODES)
+    x0.flags.writeable = w0.flags.writeable = False
+    return x0, w0
+
+
 def quad_1d(model: MeasureModel, integrand) -> float:
     """Integrate integrand(x) * density(x) over the real line (d = 1).
 
@@ -129,7 +139,7 @@ def quad_1d(model: MeasureModel, integrand) -> float:
             raise UnsupportedModelError("quad_1d needs d = 1")
         s = sqrt(model.cov[0][0])
         L = QUAD_SIGMAS * s
-        x0, w0 = np.polynomial.legendre.leggauss(QUAD_NODES)
+        x0, w0 = _legendre_nodes()
 
         def estimate(panels: int) -> float:
             edges = np.linspace(-L, L, panels + 1)

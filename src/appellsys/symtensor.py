@@ -124,33 +124,11 @@ def _product_arrays(dim: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return T, W
 
 
-# A product with at least this many terms (live entries of b times entries
-# of a) is scattered by numpy; below it the Python loop is faster.  On the
-# products of a basis build the two cost the same at 56 to 63 terms.
-_SCATTER_MIN_TERMS = 64
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _scatter(a: SymTensor, b: SymTensor, size: int) -> np.ndarray:
-    """The sums of sym_product(a, b) before the division, by np.bincount.
-
-    bincount adds each entry's terms (ways * a[u]) * b[v] in the order of
-    the flat plan, ascending in u, from +0.0.  An overflow gives an inf or
-    nan entry, not a warning.
-    """
-    T, W = _product_arrays(a.dim, a.rank, b.rank)
-    x = np.fromiter(a.coeffs.values(), float, len(a.coeffs))
-    y = np.fromiter(b.coeffs.values(), float, len(b.coeffs))
-    return np.bincount(T, weights=((W * x[:, None]) * y).ravel(), minlength=size)
-
-
 @lru_cache(maxsize=None)
 def _pairing_plan(dim: int, n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """plan[p][j] = position of the merge of s_p (rank n - k) and u_j (rank k)."""
-    pt = _position(dim, n)
-    return tuple(
-        tuple(pt[_merge(s, u)] for u in multi_indices(dim, k)) for s in multi_indices(dim, n - k)
-    )
+    """plan[p][j] = position of the merge of s_p (rank n - k) and u_j (rank k):
+    the positions of _product_plan(dim, n - k, k) without the ways."""
+    return tuple(tuple(p for p, _ in row) for row in _product_plan(dim, n - k, k))
 
 
 @dataclass(frozen=True)
@@ -307,17 +285,11 @@ def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
     if n == 0:
         return a.scale(b.item())
     # entry t gets its terms ways * a[u] * b[v] in ascending u, from +0.0;
-    # the loop skips a zero factor, which numpy adds as a signed zero term
-    # that cannot change a sum that is never -0.0
+    # a zero factor is skipped: its signed zero term cannot change a sum
+    # that is never -0.0, and its ways * a[u] may overflow
     keys = multi_indices(a.dim, m + n)
     total = comb(m + n, m)
     live_b = [(j, y) for j, y in enumerate(b.coeffs.values()) if y]
-    if len(live_b) * len(a.coeffs) >= _SCATTER_MIN_TERMS:
-        acc = _scatter(a, b, len(keys)) / total
-        try:
-            return SymTensor(a.dim, m + n, dict(zip(keys, acc.tolist())))
-        except ValueError:
-            pass  # an overflow: the loop below, which skips zero factors, decides
     acc = [0.0] * len(keys)
     for x, row in zip(a.coeffs.values(), _product_plan(a.dim, m, n)):
         if x:

@@ -1,9 +1,10 @@
 """Static checks of the package: every imported name is used, every
-private function is referenced, and the public surface is the one listed
-here."""
+private function is referenced, every private constant is read, and the
+public surface is the one listed here."""
 
 import ast
 import importlib
+import re
 from collections import Counter
 from itertools import chain
 from pathlib import Path
@@ -64,6 +65,33 @@ def test_every_private_function_is_referenced():
         if refs[d.name] == Counter(referenced_names(d))[d.name]
     ]
     assert unreferenced == []
+
+
+def private_constants(tree):
+    """The names of a module's private module-level constants, _UPPER_CASE."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for t in targets:
+            if isinstance(t, ast.Name) and re.fullmatch(r"_[A-Z][A-Z0-9_]*", t.id):
+                yield t.id
+
+
+def test_every_private_constant_is_read():
+    # a tuning constant that outlives its reader is a dead knob
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in private_constants(tree)
+        if name not in read
+    ]
+    assert unread == []
 
 
 # The public surface: each module's __all__ and the names the package itself

@@ -93,6 +93,36 @@ class TestModelValidation:
         assert negative > 0
         GaussianModel(((0.0, 0.0), (0.0, 0.0)))
 
+    @pytest.mark.parametrize(
+        "cov, entry",
+        [
+            (((math.inf,),), r"entry \(0, 0\) is inf"),
+            (((-math.inf,),), r"entry \(0, 0\) is -inf"),
+            (((1.0, math.nan), (math.nan, 1.0)), r"entry \(0, 1\) is nan"),
+            (((1.0, 0.0), (0.0, math.inf)), r"entry \(1, 1\) is inf"),
+        ],
+    )
+    def test_gaussian_rejects_a_non_finite_covariance(self, cov, entry):
+        # inf used to be accepted; nan was called asymmetric
+        with pytest.raises(ValueError, match=f"covariance must be finite; {entry}$"):
+            GaussianModel(cov)
+
+    @pytest.mark.parametrize("sigma2", [math.inf, math.nan])
+    def test_standard_gaussian_rejects_a_non_finite_variance(self, sigma2):
+        with pytest.raises(ValueError, match=f"covariance must be finite; entry \\(0, 0\\) is {sigma2}$"):
+            GaussianModel.standard(2, sigma2)
+
+    @pytest.mark.parametrize("nu", [(math.nan,), (math.inf,), (1.0, math.nan), (2.0, -math.inf), (0.0,)])
+    def test_poisson_rejects_a_non_finite_or_non_positive_intensity(self, nu):
+        bad = next(v for v in nu if not 0 < v < math.inf)
+        with pytest.raises(ValueError, match=f"intensities must be positive and finite, got {bad}$"):
+            PoissonModel(nu)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_delta_rejects_a_non_positive_dimension(self, d):
+        with pytest.raises(ValueError, match=f"dimension must be positive, got {d}$"):
+            DeltaModel(d)
+
     def test_moment_file_needs_one_tensor_per_degree(self):
         src = moment_kernels(GaussianModel.standard(1), 2)
         with pytest.raises(ValueError, match="max_degree 4 needs 5 moment tensors, got 3"):

@@ -14,6 +14,8 @@ from appellsys.measures import (
     UnsupportedModelError,
 )
 from appellsys.oracle import (
+    QUAD_NODES,
+    _legendre_nodes,
     charlier,
     exact_expectation,
     exact_product_expectation,
@@ -168,6 +170,22 @@ class TestQuad1d:
     def test_unsupported(self):
         with pytest.raises(UnsupportedModelError):
             quad_1d(DeltaModel(1), lambda x: 1.0)
+
+    def test_nodes_are_computed_once_and_read_only(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or leggauss(n))
+        _legendre_nodes.cache_clear()
+        try:
+            for _ in range(2):
+                quad_1d(GaussianModel.standard(1), lambda x: 1.0)
+            x0, w0 = _legendre_nodes()
+        finally:
+            _legendre_nodes.cache_clear()
+        assert calls == [QUAD_NODES]
+        assert not x0.flags.writeable and not w0.flags.writeable
+        want = leggauss(QUAD_NODES)
+        assert x0.tobytes() == want[0].tobytes() and w0.tobytes() == want[1].tobytes()
 
 
 class TestClassicalPolynomials:

@@ -1,6 +1,5 @@
 """Tensor algebra checked entry-by-entry against dense numpy oracles."""
 
-import contextlib
 import gc
 import itertools
 import math
@@ -16,7 +15,6 @@ import appellsys.symtensor
 from appellsys.appell import eval_monomial_seq, monomial_seq
 from appellsys.jets import ScalarJet, VectorJet, constant_jet
 from appellsys.symtensor import (
-    _SCATTER_MIN_TERMS,
     _position,
     _product_plan,
     DimensionMismatchError,
@@ -314,26 +312,6 @@ def hexes(coeffs):
     return [(k, v.hex()) for k, v in coeffs.items()]
 
 
-@contextlib.contextmanager
-def scatter_from(terms):
-    """Run sym_product with the numpy kernel from the given term count."""
-    saved = appellsys.symtensor._SCATTER_MIN_TERMS
-    appellsys.symtensor._SCATTER_MIN_TERMS = terms
-    try:
-        yield
-    finally:
-        appellsys.symtensor._SCATTER_MIN_TERMS = saved
-
-
-def both_kernels(a, b):
-    """sym_product(a, b) by the Python loop and by the numpy scatter."""
-    with scatter_from(math.inf):
-        loop = sym_product(a, b)
-    with scatter_from(0):
-        scatter = sym_product(a, b)
-    return loop, scatter
-
-
 def live_coefficients(rng, dim, rank, live, negative_zeros=0):
     """Coefficients in multi_indices order: `live` random entries at random
     positions, then -0.0 at `negative_zeros` of the others, +0.0 elsewhere."""
@@ -355,8 +333,6 @@ class TestPositionalPlans:
         a, b, c = SymTensor(d, m, a_shuffled), SymTensor(d, n, b_shuffled), SymTensor(d, m, c_shuffled)
         want = hexes(dict_sym_product(d, m, n, ac, bc))
         assert hexes(sym_product(a, b).coeffs) == want
-        for got in both_kernels(a, b):
-            assert hexes(got.coeffs) == want
         big, small = (a, b) if m >= n else (b, a)
         big_c, small_c = (ac, bc) if m >= n else (bc, ac)
         assert hexes(partial_pairing(big, small).coeffs) == hexes(
@@ -365,7 +341,9 @@ class TestPositionalPlans:
         assert pairing(a, c).hex() == dict_pairing(ac, cc).hex()
 
     # (dim, m, n, live entries of a, live entries of b): terms are live
-    # entries of b times entries of a; one live entry is identity-like
+    # entries of b times entries of a; one live entry is identity-like.  The
+    # cases straddle 64 terms, and the dense d = 8 case has 1 296: small and
+    # large products take the one loop.
     THRESHOLD_CASES = [
         (4, 1, 3, 4, 15),  # 60 terms
         (4, 1, 3, 4, 16),  # 64
@@ -379,38 +357,32 @@ class TestPositionalPlans:
         (5, 1, 1, 1, 1),  # 5, both identity-like
         (3, 4, 4, 0, 15),  # a all zeros
         (3, 4, 4, 15, 0),  # b all zeros
+        (8, 2, 2, 36, 36),  # 1 296, dense
     ]
 
     @pytest.mark.parametrize("d, m, n, live_a, live_b", THRESHOLD_CASES)
-    def test_kernel_choice_and_bits_at_threshold(self, monkeypatch, d, m, n, live_a, live_b):
+    def test_kernel_choice_and_bits_at_threshold(self, d, m, n, live_a, live_b):
+        # one kernel at every size: the loop's bits are the dict loop's
         rng = np.random.default_rng(1000 * d + 10 * m + n)
         ac = live_coefficients(rng, d, m, live_a, negative_zeros=2)
         bc = live_coefficients(rng, d, n, live_b, negative_zeros=2)
-        scattered = []
-        scatter = appellsys.symtensor._scatter
-        monkeypatch.setattr(appellsys.symtensor, "_scatter", lambda *args: scattered.append(1) or scatter(*args))
         got = sym_product(SymTensor(d, m, ac), SymTensor(d, n, bc))
-        assert bool(scattered) == (live_b * len(ac) >= _SCATTER_MIN_TERMS)
         assert hexes(got.coeffs) == hexes(dict_sym_product(d, m, n, ac, bc))
-        for got in both_kernels(SymTensor(d, m, ac), SymTensor(d, n, bc)):
-            assert hexes(got.coeffs) == hexes(dict_sym_product(d, m, n, ac, bc))
 
     @pytest.mark.parametrize("d, m, n", [(1, 2, 3), (2, 1, 1), (4, 2, 3), (3, 3, 3)])
     def test_overflow_raises_the_same_error_on_both_kernels(self, d, m, n):
+        # sym_product and the dict loop raise one message, with no warning
         rng = np.random.default_rng(7)
         a = random_tensor(rng, d, m, scale=1e200)
         b = random_tensor(rng, d, n, scale=1e200)
         want = dict_sym_product(d, m, n, a.coeffs, b.coeffs)
         with pytest.raises(ValueError, match="non-finite coefficient") as by_dict_loop:
             SymTensor(d, m + n, want)
-        messages = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for terms in (math.inf, 0, _SCATTER_MIN_TERMS):
-                with scatter_from(terms), pytest.raises(ValueError) as err:
-                    sym_product(a, b)
-                messages.append(str(err.value))
-        assert messages == [str(by_dict_loop.value)] * 3
+            with pytest.raises(ValueError) as err:
+                sym_product(a, b)
+        assert str(err.value) == str(by_dict_loop.value)
 
     def test_zero_factor_beside_an_overflowing_weight_is_skipped(self):
         # ways * a[u] overflows only where b[v] is zero, a term the loop skips
@@ -418,8 +390,7 @@ class TestPositionalPlans:
         b = SymTensor(2, 1, {(1,): 0.0, (2,): 1.0})
         want = hexes(dict_sym_product(2, 1, 1, a.coeffs, b.coeffs))
         assert want == [((1, 1), "0x0.0p+0"), ((1, 2), (1e308 / 2).hex()), ((2, 2), "0x0.0p+0")]
-        for got in both_kernels(a, b):
-            assert hexes(got.coeffs) == want
+        assert hexes(sym_product(a, b).coeffs) == want
 
 
 class TestEvalPower:
