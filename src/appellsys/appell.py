@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import comb, exp, factorial, sqrt
 
 import numpy as np
@@ -285,18 +286,25 @@ def gen_appell_batch(basis: AppellBasis, zs) -> list[np.ndarray]:
 
     zs has shape (count, dim).  Grade n is a (count, C(dim+n-1, n)) array
     whose row k holds the coefficients of the tensor at row k of zs in
-    multi_indices order: grade n contracts the plain tensors of grades up
-    to n against the power kernels of alpha, through one plan for all rows.
-    A non-finite entry raises ValueError as SymTensor does, at the first row
+    multi_indices order: the plain tensors of every grade go through one
+    composition with the power kernels of alpha, for all rows.  A
+    non-finite entry raises ValueError as SymTensor does, at the first row
     that holds one.
     """
     zs = np.asarray(zs, dtype=float)
     if zs.ndim != 2 or zs.shape[1] != basis.dim:
         raise DimensionMismatchError(f"points have shape {zs.shape}, basis has dim {basis.dim}")
-    plain = _plain_rows(basis, zs, range(basis.degree + 1))
-    out = [np.ones((len(zs), 1))] + [basis.A.compose_rows(n, plain) for n in range(1, basis.degree + 1)]
-    _check_rows(basis.dim, range(basis.degree + 1), np.concatenate(out, axis=1))
-    return out
+    starts = np.cumsum([len(multi_indices(basis.dim, n)) for n in range(basis.degree)])
+    return np.split(_generalized_rows(basis, zs), starts, axis=1)
+
+
+def _generalized_rows(basis: AppellBasis, zs: np.ndarray) -> np.ndarray:
+    """gen_appell_batch's grades at each row of zs, grade after grade, with
+    grade 0 one, checked."""
+    values = basis.A.compose_stack(_plain_rows(basis, zs, range(basis.degree + 1)))
+    values[:, 0] = 1.0
+    _check_rows(basis.dim, range(basis.degree + 1), values)
+    return values
 
 
 def gen_appell_all(basis: AppellBasis, z) -> list[SymTensor]:
@@ -304,8 +312,8 @@ def gen_appell_all(basis: AppellBasis, z) -> list[SymTensor]:
     at [z], as tensors.  Grade n reduces to appell_eval when alpha is the
     identity.
     """
-    rows = gen_appell_batch(basis, _point(basis, z)[None])
-    return _row_tensors(basis.dim, range(basis.degree + 1), np.concatenate([r[0] for r in rows]))
+    row = _generalized_rows(basis, _point(basis, z)[None])[0]
+    return _row_tensors(basis.dim, range(basis.degree + 1), row)
 
 
 def delta_appell_eval(basis: AppellBasis, n: int, w) -> SymTensor:
@@ -315,7 +323,7 @@ def delta_appell_eval(basis: AppellBasis, n: int, w) -> SymTensor:
     if w.shape != (basis.dim,):
         raise DimensionMismatchError(f"w has shape {w.shape}, basis has dim {basis.dim}")
     powers = _power_rows(basis.dim, w[None], n)[0]
-    return basis.A.compose(n, _row_tensors(basis.dim, range(n + 1), powers))
+    return _row_tensors(basis.dim, [n], basis.A.compose_stack(powers, n))[0]
 
 
 def generating_jet(basis: AppellBasis, z) -> ScalarJet:
@@ -433,20 +441,32 @@ def s_transform(basis: AppellBasis, Phi: KernelSeq) -> ScalarJet:
     """
     _require_tag(Phi, Q_TAG)
     _require_same_basis(basis, Phi.basis)
-    coeffs = [k.scale(factorial(n)) for n, k in enumerate(Phi.kernels)]
-    ks = tuple(basis.B.compose(m, coeffs) for m in range(basis.degree + 1))
-    return ScalarJet(basis.dim, basis.degree, ks)
+    grades, fact = range(basis.degree + 1), _factorials(basis.dim, basis.degree)
+    coeffs = np.fromiter(chain.from_iterable([k.coeffs.values() for k in Phi.kernels]), float, len(fact)) * fact
+    _check_rows(basis.dim, grades, coeffs[None])
+    return ScalarJet(basis.dim, basis.degree, tuple(_row_tensors(basis.dim, grades, basis.B.compose_stack(coeffs))))
 
 
 def s_inverse(basis: AppellBasis, jet: ScalarJet) -> KernelSeq:
     """Kernels of the distribution whose transform is the given jet."""
     if jet.dim != basis.dim or jet.degree != basis.degree:
         raise ValueError("jet shape does not match the basis")
-    out = {
-        n: basis.A.compose(n, jet.kernels).scale(1.0 / factorial(n))
-        for n in range(basis.degree + 1)
-    }
-    return q_seq(basis, out)
+    return _q_of_grades(basis, basis.A.compose_stack(jet._view()[0]))
+
+
+def _q_of_grades(basis: AppellBasis, row: np.ndarray) -> KernelSeq:
+    """The distribution with kernel n (1/n!) times grade n of row."""
+    row = row * (1.0 / _factorials(basis.dim, basis.degree))
+    return q_seq(basis, dict(enumerate(_row_tensors(basis.dim, range(basis.degree + 1), row))))
+
+
+@lru_cache(maxsize=None)
+def _factorials(dim: int, degree: int) -> np.ndarray:
+    """n! at each column of grade n, n = 0..degree, as a jet's view reads them; read-only."""
+    sizes = [len(multi_indices(dim, n)) for n in range(degree + 1)]
+    fact = np.repeat([float(factorial(n)) for n in range(degree + 1)], sizes)
+    fact.flags.writeable = False
+    return fact
 
 
 def pair(basis: AppellBasis, Phi: KernelSeq, phi: KernelSeq) -> float:
@@ -487,9 +507,7 @@ def delta_z(basis: AppellBasis, z) -> KernelSeq:
     """Evaluation functional at z: grade-n kernel (1/n!) times the
     generalized tensor at z; pairing against any test function of degree
     at most N returns its value at z."""
-    tensors = gen_appell_all(basis, z)
-    out = {n: tensors[n].scale(1.0 / factorial(n)) for n in range(basis.degree + 1)}
-    return q_seq(basis, out)
+    return _q_of_grades(basis, _generalized_rows(basis, _point(basis, z)[None])[0])
 
 
 def radon_nikodym(basis: AppellBasis, z) -> KernelSeq:
@@ -499,8 +517,7 @@ def radon_nikodym(basis: AppellBasis, z) -> KernelSeq:
     distribution whose transform is exp<-z, theta>.
     """
     powers = _power_rows(basis.dim, -_point(basis, z)[None], basis.degree)[0]
-    kernels = _row_tensors(basis.dim, range(basis.degree + 1), powers)
-    return s_inverse(basis, ScalarJet(basis.dim, basis.degree, tuple(kernels)))
+    return _q_of_grades(basis, basis.A.compose_stack(powers))
 
 
 def convolution(basis: AppellBasis, phi: KernelSeq, z) -> float:

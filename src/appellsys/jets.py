@@ -13,10 +13,11 @@ compositional inverse and the basis conversions downstream.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from math import comb, exp, factorial, log, prod
+from math import comb, copysign, exp, factorial, log, prod
 from types import SimpleNamespace
 
 import numpy as np
@@ -211,13 +212,14 @@ def _graded_terms(f, g, grades, weight) -> list[SymTensor]:
 
 def _row_tensors(dim: int, grades, row) -> list[SymTensor]:
     """The kernels of the grades whose coefficients, grade after grade, are
-    row: the shared zero where a grade is all zero, else a SymTensor, which
+    row: the shared zero where a grade is all +0.0, else a SymTensor, which
     raises on a non-finite entry."""
     vals, col, out = row.tolist(), 0, []
     for n in grades:
         keys = multi_indices(dim, n)
         part = vals[col : col + len(keys)]
-        out.append(SymTensor(dim, n, dict(zip(keys, part))) if any(part) else zero_tensor(dim, n))
+        signed = any(part) or any(copysign(1.0, v) < 0 for v in part)
+        out.append(SymTensor(dim, n, dict(zip(keys, part))) if signed else zero_tensor(dim, n))
         col += len(keys)
     return out
 
@@ -365,12 +367,17 @@ def _plan_sums(plan, weights, x, y) -> np.ndarray:
     """_plan_values' sums of x and y, at most one of them shared."""
     with np.errstate(over="ignore", invalid="ignore"):
         terms = (plan.ways * _columns(x, plan.f_at)) * _columns(y, plan.g_at)
-        cells, shape = plan.cells, weights.shape
-        if terms.ndim == 2:
-            cells = (cells + weights.size * np.arange(len(terms))[:, None]).ravel()
-            shape = (len(terms), *shape)
-        acc = np.bincount(cells, terms.ravel(), minlength=prod(shape)).reshape(shape) / plan.combs * weights
+        acc = _cell_sums(plan.cells, terms, weights.shape) / plan.combs * weights
         return np.add.accumulate(acc, axis=-2)[..., -1, :] + 0.0
+
+
+def _cell_sums(cells: np.ndarray, terms: np.ndarray, shape) -> np.ndarray:
+    """The terms added into cells of an array of the shape, each cell's in
+    order from +0.0; a 2-D terms fills one such array per row."""
+    if terms.ndim == 2:
+        cells = (cells + prod(shape) * np.arange(len(terms))[:, None]).ravel()
+        shape = (len(terms), *shape)
+    return np.bincount(cells, terms.ravel(), minlength=prod(shape)).reshape(shape)
 
 
 def _plan_kernels(plan, grades, f, g, fx, gy, weight, values) -> list[SymTensor]:
@@ -540,9 +547,8 @@ class CompKernels:
     dim: int
     degree: int
     rows: dict[tuple[int, int], tuple[tuple[tuple[int, ...], ...], np.ndarray]]
-    # compose's plan per grade n, compose_rows' positions per ("rows", n),
-    # contract_out's plan per (n, m) and contract_in's per ("in", n, m), built
-    # on first use
+    # compose's plan of every grade under "compose", contract_out's plan per
+    # (n, m) and contract_in's per ("in", n, m), built on first use
     _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def _check_slots(self, m: int, coeff: SymTensor) -> None:
@@ -565,7 +571,8 @@ class CompKernels:
         plan = self._plans.get((n, m))
         if plan is None:
             us, R = self.rows.get((n, m), ((), None))
-            plan = self._plans[(n, m)] = (*_contract_plan(self.dim, m, us), R)
+            at = np.array([_position(self.dim, m)[u] for u in us], dtype=np.intp)
+            plan = self._plans[(n, m)] = (at, np.array([multiplicity(u) for u in us], dtype=float), R)
         at, mult, rows = plan
         c = np.fromiter(coeff.coeffs.values(), float, len(coeff.coeffs))[at]
         if not c.any():
@@ -579,77 +586,57 @@ class CompKernels:
 
         Grade 0 is ks[0]; grade n >= 1 is sum_{m=1..n} (1/m!) times ks[m]
         paired against the output slots of the power kernels, and reads
-        ks[1..n] only.  The sums run through one linear plan per grade,
-        cached on the instance: the tables' rows, weighted by
-        multiplicity(u) * ks[m][u], add by a cumsum over the rows, then the
-        blocks, weighted by 1/m!, by a cumsum over m.  The block of a dead
-        ks[m] is skipped: its rows are finite, so it adds only signed zeros.
-        That is contract_out per present table, weighted by 1/m! and added
-        from +0.0, bit for bit.  A kernel of the wrong shape raises as in
+        ks[1..n] only, through grade n's slice of compose_stack's plan.  The
+        last block is left out when its kernel is dead, as ks[n] is while
+        jet_invert solves for it: its rows are finite, so it would add only
+        signed zeros.  A kernel of the wrong shape raises as in
         contract_out, and a non-finite grade as SymTensor does.  With no
         table, or no live kernel, the grade is the shared zero tensor.
-        This is the one-row case of compose_rows.
         """
         if n == 0:
             return ks[0]
-        plan = self._plans.get(n) or self._plans.setdefault(n, self._compose_plan(n))
-        ms, count, at, mult, rows, used, inv_fact = plan
-        if not ms:
-            return zero_tensor(self.dim, n)
+        plan = self._plan
+        ms, edges = plan.grades.get(n, ((), [0]))
         live = []
         for m in ms:
             self._check_slots(m, ks[m])
             live.append(is_live(ks[m]))
-        if not all(live):
-            if not any(live):
-                return zero_tensor(self.dim, n)
-            keep = np.flatnonzero(live)
-            depth = used[keep].max()
-            at, mult, rows, inv_fact = at[keep, :depth], mult[keep, :depth], rows[keep, :depth], inv_fact[keep]
-        x = np.fromiter(chain.from_iterable([ks[m].coeffs.values() for m in ms]), float, count)
-        h = _compose_sums(x, at, mult, rows, inv_fact)
+        if not any(live):
+            return zero_tensor(self.dim, n)
+        parts = [(ks[m] if m in ms else zero_tensor(self.dim, m)).coeffs.values() for m in range(n + 1)]
+        x = np.fromiter(chain.from_iterable(parts), float, plan.starts[n + 1])
+        h = _flat_sums(plan, x, edges[0], edges[-1] if live[-1] else edges[-2], n, n)
         return SymTensor(self.dim, n, dict(zip(multi_indices(self.dim, n), h.tolist())))
 
-    def compose_rows(self, n: int, x: np.ndarray) -> np.ndarray:
-        """compose(n, ks), n >= 1, for the kernels ks of one f per row of x.
+    def compose_stack(self, x, n: int | None = None) -> np.ndarray:
+        """Grades 0..N of f(a(theta)), or grade n alone, from kernels 0..N
+        (0..n) of f read as one vector x, as a jet's view does, or of one f
+        per row of a 2-D x.  The result reads as x does, with grade 0 copied
+        from x.  Each row is compose of that row's kernels bit for bit, a
+        grade with no live kernel all +0.0; a non-finite entry is not checked.
 
-        x has shape (rows, len) and holds kernels 0..n (or more) of each f
-        read as one vector, as a jet's view does.  Row r of the result, of
-        shape (rows, len(multi_indices(dim, n))), is grade n of the r-th f
-        bit for bit: a dead block adds only signed zeros, which the final
-        + 0.0 clears.  A non-finite entry is not checked.
+        The sums run through one plan per instance, built on first use from
+        rows.  Term (u, c) of table (n, m) is (multiplicity(u) * x[at]) *
+        R[u, c], where at is u's place in kernel m of x; the terms come
+        grade by grade, block m by block m, row by row.  One bincount forms
+        each (column, m) block sum in row order from +0.0, then the blocks,
+        weighted by 1/m!, add by a cumsum over m.  That is contract_out per
+        table, weighted by 1/m! and added from +0.0, bit for bit: the sums
+        can differ only in the sign of a zero, and none is -0.0 here, as a
+        sum from +0.0 never is, and the cumsum starts at block m = 1.
         """
-        plan = self._plans.get(n) or self._plans.setdefault(n, self._compose_plan(n))
-        ms, _, at, mult, rows, _, inv_fact = plan
-        if not ms:
-            return np.zeros((len(x), len(multi_indices(self.dim, n))))
-        at_stack = self._plans.get(("rows", n))
-        if at_stack is None:
-            # block i reads ks[ms[i]] at its start in the stack, not in ms's
-            sizes = [len(multi_indices(self.dim, m)) for m in range(n + 1)]
-            starts, ms_starts = np.cumsum([0, *sizes]), np.cumsum([0, *(sizes[m] for m in ms)])
-            at_stack = self._plans[("rows", n)] = at + (starts[list(ms)] - ms_starts[:-1])[:, None]
-        return _by_blocks(rows.size, lambda x: _compose_sums(x, at_stack, mult, rows, inv_fact), x)
+        plan = self._plan
+        first, last = (0, self.degree) if n is None else (n, n)
+        lo, hi = plan.grades[first][1][0], plan.grades[last][1][-1]
+        per_row, x = plan.offsets[hi] - plan.offsets[lo], np.asarray(x, dtype=float)
+        out = _by_blocks(per_row, lambda x: _flat_sums(plan, x, lo, hi, first, last), x)
+        if first == 0:
+            out[..., 0] = x[..., 0]
+        return out
 
-    def _compose_plan(self, n: int):
-        """compose's plan for grade n: the rows of the present tables (n, m)
-        stacked into a zero-padded (m, row, column) array, with each row's
-        position in ks[m] (the present ks[m] read as one vector),
-        multiplicity(u), and the number of rows of each table."""
-        ms = tuple(m for m in range(1, n + 1) if (n, m) in self.rows)
-        used = np.array([len(self.rows[(n, m)][0]) for m in ms], dtype=np.intp)
-        depth = used.max(initial=0)
-        rows = np.zeros((len(ms), depth, len(multi_indices(self.dim, n))))
-        at = np.zeros((len(ms), depth), dtype=np.intp)
-        mult = np.zeros((len(ms), depth))
-        start = 0
-        for i, m in enumerate(ms):
-            us, rows[i, : used[i]] = self.rows[(n, m)]
-            at_m, mult[i, : used[i]] = _contract_plan(self.dim, m, us)
-            at[i, : used[i]] = start + at_m
-            start += len(multi_indices(self.dim, m))
-        inv_fact = np.array([1.0 / factorial(m) for m in ms])
-        return ms, start, at, mult, rows, used, inv_fact
+    @property
+    def _plan(self) -> SimpleNamespace:
+        return self._plans.get("compose") or self._plans.setdefault("compose", _flat_plan(self))
 
     def contract_in(self, n: int, m: int, phi: SymTensor) -> SymTensor:
         """Pair a rank-n tensor against the input slots, leaving rank m (output).
@@ -681,24 +668,51 @@ class CompKernels:
         return SymTensor(self.dim, m, out)
 
 
-def _compose_sums(x, at, mult, rows, inv_fact) -> np.ndarray:
-    """compose's sums over the blocks of a plan for the kernels x, one
-    vector or one per row: each block's rows, weighted by
-    multiplicity(u) * x[at], add by a cumsum, then the blocks, weighted by
-    1/m!, by a cumsum over m, then + 0.0."""
+def _flat_plan(ck: CompKernels) -> SimpleNamespace:
+    """compose_stack's plan of ck.  Per row u of table (n, m): at, its place
+    in kernel m of the stack, multiplicity(u), its width and the offset of
+    its first term; per term, R[u, c] and its cell (starts[n] + c) * stride
+    + m - 1 of the (column, m) block sums; per grade n, the m of its blocks
+    and their edges in the rows."""
+    dim, N, keys = ck.dim, ck.degree, sorted(ck.rows)
+    starts, stride = _graded_plan(dim, tuple(range(N + 1))).starts, max(N, 1)
+    table = [
+        (starts[m] + _position(dim, m)[u], multiplicity(u), starts[n + 1] - starts[n], starts[n] * stride + m - 1)
+        for n, m in keys
+        for u in ck.rows[(n, m)][0]
+    ]
+    at, mult, widths, cells = np.array(table, dtype=np.intp).reshape(-1, 4).T
+    offsets = np.cumsum([0, *widths])
+    column = np.arange(offsets[-1]) - np.repeat(offsets[:-1], widths)
+    ends = np.cumsum([0] + [len(ck.rows[k][0]) for k in keys]).tolist()
+    grades = {}
+    for n in range(N + 1):
+        i, j = bisect_left(keys, (n,)), bisect_left(keys, (n + 1,))
+        grades[n] = (tuple(m for _, m in keys[i:j]), ends[i : j + 1])
+    return SimpleNamespace(
+        starts=starts,
+        stride=stride,
+        at=at,
+        mult=mult.astype(float),
+        widths=widths,
+        offsets=offsets.tolist(),
+        rows=np.concatenate([np.zeros(0)] + [ck.rows[k][1].ravel() for k in keys]),
+        cells=np.repeat(cells, widths) + column * stride,
+        grades=grades,
+        inv_fact=np.array([1.0 / factorial(m) for m in range(1, stride + 1)]),
+    )
+
+
+def _flat_sums(plan, x, lo, hi, first: int, last: int) -> np.ndarray:
+    """compose_stack's sums of grades first..last over the rows lo:hi of
+    plan, for the kernels x: one vector, or one per row of x."""
+    start, stop = plan.offsets[lo], plan.offsets[hi]
     with np.errstate(over="ignore", invalid="ignore"):
-        # a signed zero of a block sum reaches h only where h is zero,
-        # and the final + 0.0 makes every zero of h +0.0
-        blocks = np.add.accumulate((mult * _columns(x, at))[..., None] * rows, axis=-2)[..., -1, :]
-        return np.add.accumulate(inv_fact[:, None] * blocks, axis=-2)[..., -1, :] + 0.0
-
-
-def _contract_plan(dim: int, m: int, us) -> tuple[np.ndarray, np.ndarray]:
-    """The position of each rank-m key of us in a coefficient, and its
-    multiplicity: contract_out's plan of a table with the rows of us."""
-    position = _position(dim, m)
-    at = np.array([position[u] for u in us], dtype=np.intp)
-    return at, np.array([multiplicity(u) for u in us], dtype=float)
+        weights = plan.mult[lo:hi] * _columns(x, plan.at[lo:hi])
+        terms = np.repeat(weights, plan.widths[lo:hi], axis=-1) * plan.rows[start:stop]
+        shape = (plan.starts[last + 1] - plan.starts[first], plan.stride)
+        blocks = _cell_sums(plan.cells[start:stop] - plan.starts[first] * plan.stride, terms, shape)
+        return np.add.accumulate(plan.inv_fact * blocks, axis=-1)[..., -1]
 
 
 def _frozen_rows(us, x) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
@@ -785,12 +799,13 @@ def _linear_power_kernels(inv: np.ndarray, degree: int) -> CompKernels:
 
 
 def jet_compose_scalar(f: ScalarJet, a: VectorJet, ck: CompKernels | None = None) -> ScalarJet:
-    """Composite jet f(a(theta)); a must vanish at zero."""
+    """Composite jet f(a(theta)) through one compose_stack call over the
+    view of f; a must vanish at zero, and ck holds its power kernels."""
     _check_compatible(f, a)
     if ck is None:
         ck = comp_kernels(a)
-    ks = tuple(ck.compose(n, f.kernels) for n in range(f.degree + 1))
-    return ScalarJet(f.dim, f.degree, ks)
+    ks = _row_tensors(f.dim, range(f.degree + 1), ck.compose_stack(f._view()[0]))
+    return ScalarJet(f.dim, f.degree, tuple(ks))
 
 
 def jet_compose_vector(a: VectorJet, b: VectorJet, ck: CompKernels | None = None) -> VectorJet:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, inf, sqrt, pi
+from numbers import Integral
 
 import numpy as np
 
@@ -155,6 +156,14 @@ class PoissonModel(MeasureModel):
         return rng.poisson(lam=self.nu, size=(count, self.dim)).astype(float)
 
 
+def _check_dimension(d) -> None:
+    """Reject a dimension that is not a positive integer; a bool is not one."""
+    if isinstance(d, bool) or not isinstance(d, Integral):
+        raise ValueError(f"dimension must be an integer, got {d!r}")
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+
+
 @dataclass(frozen=True)
 class DeltaModel(MeasureModel):
     """Point mass at the origin: no cumulant, transform identically 1."""
@@ -163,8 +172,7 @@ class DeltaModel(MeasureModel):
     name = "delta"
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"dimension must be positive, got {self.d}")
+        _check_dimension(self.d)
 
     @property
     def dim(self) -> int:
@@ -187,6 +195,7 @@ class MomentFileModel(MeasureModel):
     moments: tuple[SymTensor, ...]
 
     def __post_init__(self) -> None:
+        _check_dimension(self.d)
         if len(self.moments) != self.max_degree + 1:
             raise ValueError(
                 f"max_degree {self.max_degree} needs {self.max_degree + 1} moment tensors, "

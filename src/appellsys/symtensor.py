@@ -341,8 +341,9 @@ _BLOCK_FLOATS = 1 << 15
 
 def _by_blocks(per_row: int, fn, *stacks) -> np.ndarray:
     """fn(*stacks), run on blocks of the rows of the 2-D stacks (1-D ones
-    are shared by every block), the blocks' results stacked again."""
-    count = max(len(s) for s in stacks if s.ndim == 2)
+    are shared by every block), the blocks' results stacked again; with no
+    2-D stack, one call."""
+    count = max((len(s) for s in stacks if s.ndim == 2), default=0)
     step = max(1, _BLOCK_FLOATS // max(per_row, 1))
     if count <= step:
         return fn(*stacks)

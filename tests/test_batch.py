@@ -16,26 +16,38 @@ from appellsys.appell import (
     AppellBasis,
     appell_eval,
     delta_appell_eval,
+    delta_z,
     dist_norm,
     gen_appell_all,
     gen_appell_batch,
     q_seq,
     radon_nikodym,
     s_inverse,
+    s_transform,
 )
-from appellsys.jets import ScalarJet, graded_product, graded_rows, identity_vjet, log1p_vjet, random_vjet
+from appellsys.jets import (
+    ScalarJet,
+    graded_product,
+    graded_rows,
+    identity_vjet,
+    jet_compose_scalar,
+    log1p_vjet,
+    random_vjet,
+)
 from appellsys.measures import GaussianModel, PoissonModel
 from appellsys.symtensor import (
     DimensionMismatchError,
     HilbertScale,
     SymTensor,
     multi_indices,
+    multiplicity,
     norm_rows,
     power_tensor,
     random_tensor,
     scalar_tensor,
     tensor_norm,
     vector_tensor,
+    zero_tensor,
 )
 from appellsys.wick import _dist_norm_rows, wick_mul, wick_norm_check
 
@@ -70,6 +82,20 @@ def literal_gen_appell_all(basis, z):
     N = basis.degree
     plain = literal_plain(basis, z, range(N + 1))
     return [scalar_tensor(basis.dim, 1.0)] + [basis.A.compose(n, plain) for n in range(1, N + 1)]
+
+
+def literal_compose(ck, n, ks):
+    """CompKernels.compose as a literal loop over every row of every table."""
+    if n == 0:
+        return ks[0]
+    acc = zero_tensor(ck.dim, n)
+    for m in range(1, n + 1):
+        inner = zero_tensor(ck.dim, n)
+        for u, row in zip(*ck.rows.get((n, m), ((), []))):
+            tens = SymTensor(ck.dim, n, dict(zip(multi_indices(ck.dim, n), row.tolist())))
+            inner = inner + tens.scale(multiplicity(u) * ks[m][u])
+        acc = acc + inner.scale(1.0 / factorial(m))
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -244,17 +270,69 @@ class TestBatchedPlans:
             assert hexes(right[r]) == tensor_hexes(graded_product(f0, g, grades, weight))
         assert hexes(graded_rows(d, grades, X[0], Y[0], weight)) == hexes(both[0])
 
+    @settings(max_examples=80)
+    @given(
+        data=st.data(),
+        d=st.integers(1, 3),
+        N=st.integers(1, 6),
+        alpha_kind=st.sampled_from(["id", "log1p", "random"]),
+        side=st.sampled_from(["A", "B"]),
+        rows=st.sampled_from([0, 1, 5]),
+    )
+    def test_compose_stack_is_literal_compose(self, data, d, N, alpha_kind, side, rows):
+        # the kernels have +0.0 and -0.0 holes, dead grades of either sign,
+        # and now and then a grade of +-1e308 that overflows in the sums
+        ck = getattr(make_basis("poisson", alpha_kind, d, N), side)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        X = random_stack(rng, d, N, rows) * rng.choice([1.0, -1.0], (rows, 1))
+        X[rng.random(X.shape) < 0.1] = -0.0
+        starts = np.cumsum([0] + [len(multi_indices(d, n)) for n in range(N + 1)])
+        if rows and data.draw(st.booleans()):
+            m = data.draw(st.integers(1, N))
+            X[0, starts[m] : starts[m + 1]] = rng.choice([1e308, -1e308], starts[m + 1] - starts[m])
+        got = ck.compose_stack(X)
+        assert got.shape == X.shape
+        for r in range(rows):
+            ks = as_tensors(d, X[r], N)
+            assert hexes(ck.compose_stack(X[r])) == hexes(got[r])
+            for n in range(N + 1):
+                grade = got[r, starts[n] : starts[n + 1]]
+                assert hexes(ck.compose_stack(X[r, : starts[n + 1]], n)) == hexes(grade)
+                try:
+                    want = tensor_hexes([literal_compose(ck, n, ks)])
+                except ValueError:
+                    assert not np.isfinite(grade).all()
+                    with pytest.raises(ValueError, match="non-finite coefficient"):
+                        ck.compose(n, ks)
+                    continue
+                assert hexes(grade) == want
+                assert tensor_hexes([ck.compose(n, ks)]) == want
+
     @settings(max_examples=40)
-    @given(data=st.data(), case=point_batches())
-    def test_compose_rows_are_compose(self, data, case):
-        basis, _ = case
+    @given(data=st.data(), case=point_batches(), scale=st.sampled_from([1.0, 1e-320, -1e-322]))
+    def test_one_call_routes_are_the_per_grade_routes(self, data, case, scale):
+        # the per-grade routes as they were: one compose per grade, then a
+        # scale per tensor; kernel 0 is often -0.0, and a tiny scale puts
+        # grades below the smallest subnormal after 1/n!, where a -0.0
+        # grade must stay a tensor of -0.0, not become the shared +0.0
+        basis, zs = case
         d, N = basis.dim, basis.degree
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        X = random_stack(rng, d, N, 4)
-        for n in range(1, N + 1):
-            got = basis.A.compose_rows(n, X)
-            for r in range(len(X)):
-                assert hexes(got[r]) == tensor_hexes([basis.A.compose(n, as_tensors(d, X[r], N))])
+        ks = as_tensors(d, random_stack(rng, d, N, 1)[0] * scale, N)
+        if data.draw(st.booleans()):
+            ks[0] = scalar_tensor(d, -0.0)
+        jet = ScalarJet(d, N, tuple(ks))
+        Phi = q_seq(basis, dict(enumerate(ks)))
+        coeffs = [k.scale(factorial(n)) for n, k in enumerate(ks)]
+        want = [basis.B.compose(n, coeffs) for n in range(N + 1)]
+        assert tensor_hexes(s_transform(basis, Phi).kernels) == tensor_hexes(want)
+        want = [basis.A.compose(n, ks).scale(1.0 / factorial(n)) for n in range(N + 1)]
+        assert tensor_hexes(s_inverse(basis, jet).kernels) == tensor_hexes(want)
+        want = [basis.A.compose(n, ks) for n in range(N + 1)]
+        assert tensor_hexes(jet_compose_scalar(jet, basis.alpha, basis.A).kernels) == tensor_hexes(want)
+        for z in zs * scale:
+            want = [t.scale(1.0 / factorial(n)) for n, t in enumerate(literal_gen_appell_all(basis, z))]
+            assert tensor_hexes(delta_z(basis, z).kernels) == tensor_hexes(want)
 
     @settings(max_examples=40)
     @given(data=st.data(), d=st.integers(1, 3), rank=st.integers(0, 6), p=st.sampled_from([-2, -1.0, 0, 1, 2.5]))

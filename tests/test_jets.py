@@ -306,29 +306,6 @@ def count_method(monkeypatch, cls, name):
     return calls
 
 
-def spy_accumulate(monkeypatch):
-    """Record the shape of every array that appellsys.jets adds up by
-    np.add.accumulate."""
-    shapes = []
-
-    class Add:
-        def __getattr__(self, name):
-            return getattr(np.add, name)
-
-        def accumulate(self, x, *args, **kwargs):
-            shapes.append(np.shape(x))
-            return np.add.accumulate(x, *args, **kwargs)
-
-    class Numpy:
-        add = Add()
-
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-    monkeypatch.setattr(appellsys.jets, "np", Numpy())
-    return shapes
-
-
 def count_tensors(monkeypatch):
     """Record the rank of every SymTensor built."""
     built = []
@@ -567,7 +544,7 @@ class TestCompKernels:
                     )
                     assert series == pytest.approx(direct, rel=1e-10, abs=1e-14)
 
-    def test_compose_runs_one_plan_per_grade(self, monkeypatch):
+    def test_compose_builds_one_plan_per_instance(self, monkeypatch):
         # identity power kernels have the tables (n, n) only
         d, deg = 3, 8
         ck = comp_kernels(identity_vjet(d, deg))
@@ -575,32 +552,46 @@ class TestCompKernels:
         rng = np.random.default_rng(12)
         ks = [random_tensor(rng, d, n) for n in range(deg + 1)]
         contract_outs = count_method(monkeypatch, CompKernels, "contract_out")
-        plans = count_method(monkeypatch, CompKernels, "_compose_plan")
+        plans = count_calls(monkeypatch, appellsys.jets._flat_plan)
         built = count_tensors(monkeypatch)
         got = ck.compose(deg, ks)
         again = ck.compose(deg, ks)
-        assert contract_outs == [] and plans == [(ck, deg)] and built == [deg, deg]
+        low = ck.compose(3, ks)
+        stack = ck.compose_stack(np.concatenate([list(k.coeffs.values()) for k in ks]))
+        assert contract_outs == [] and plans == [(ck,)] and built == [deg, deg, 3]
         assert hexes(again) == hexes(got)
-        assert (got - ks[deg]).max_abs() < 1e-12
+        assert [v.hex() for v in stack[-len(got.coeffs) :]] == hexes(got)
+        assert (got - ks[deg]).max_abs() < 1e-12 and (low - ks[3]).max_abs() < 1e-12
+        # another instance builds its own
+        other = comp_kernels(identity_vjet(d, deg))
+        assert hexes(other.compose(deg, ks)) == hexes(got)
+        assert plans == [(ck,), (other,)]
 
     def test_compose_skips_the_block_of_a_dead_kernel(self, monkeypatch):
-        # jet_invert composes grade n while kernel n is zero: the (n, n)
-        # block, the largest, is left out, and the bits hold
+        # jet_invert composes grade n while kernel n is zero: the terms of
+        # the (n, n) block, the largest, are left out, and the bits hold
         d, deg = 3, 5
         ck = comp_kernels(random_vjet(np.random.default_rng(21), d, deg))
         assert [len(ck.rows[(deg, m)][0]) for m in range(1, deg + 1)] == [3, 6, 10, 15, 21]
         rng = np.random.default_rng(22)
         ks = [random_tensor(rng, d, n) for n in range(deg)] + [zero_tensor(d, deg)]
-        shapes = spy_accumulate(monkeypatch)
+        sums = count_calls(monkeypatch, appellsys.jets._flat_sums)
         got = ck.compose(deg, ks)
         assert hexes(got) == hexes(literal_compose(ck, deg, ks))
-        assert [s for s in shapes if len(s) == 3] == [(4, 15, 21)]
+        # grade deg's 55 rows come last in the plan, the (deg, deg) block's 21 last of all
+        plan = sums[0][0]
+        assert [args[2:] for args in sums] == [(len(plan.at) - 55, len(plan.at) - 21, deg, deg)]
+        # a live kernel deg brings its block back
+        sums.clear()
+        ks[deg] = random_tensor(rng, d, deg)
+        assert hexes(ck.compose(deg, ks)) == hexes(literal_compose(ck, deg, ks))
+        assert [args[2:] for args in sums] == [(len(plan.at) - 55, len(plan.at), deg, deg)]
         # with no block left, the grade is the shared zero
-        shapes.clear()
+        sums.clear()
         zeros = [zero_tensor(d, n) for n in range(deg)] + [SymTensor(d, deg, dict.fromkeys(multi_indices(d, deg), -0.0))]
         assert ck.compose(deg, zeros) is zero_tensor(d, deg)
         assert hexes(literal_compose(ck, deg, zeros)) == hexes(zero_tensor(d, deg))
-        assert shapes == []
+        assert sums == []
 
     def test_vanishing_below_diagonal(self):
         ck = comp_kernels(random_vjet(np.random.default_rng(8), 2, 4))

@@ -1,6 +1,7 @@
 """Measure models: frozen moment values, samplers, densities, Gram checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,21 @@ class TestModelValidation:
     def test_delta_rejects_a_non_positive_dimension(self, d):
         with pytest.raises(ValueError, match=f"dimension must be positive, got {d}$"):
             DeltaModel(d)
+
+    @pytest.mark.parametrize("d, shown", [(1.5, "1.5"), (2.0, "2.0"), (True, "True"), ("2", "'2'")])
+    def test_delta_and_moment_file_reject_a_non_integer_dimension(self, d, shown):
+        # DeltaModel(1.5) used to build and fail in moment_kernels with a
+        # TypeError; DeltaModel(True) built with dim True
+        src = moment_kernels(GaussianModel.standard(1), 2)
+        with pytest.raises(ValueError, match=f"dimension must be an integer, got {re.escape(shown)}$"):
+            DeltaModel(d)
+        with pytest.raises(ValueError, match=f"dimension must be an integer, got {re.escape(shown)}$"):
+            MomentFileModel("x", d, 2, tuple(src.kernels))
+
+    def test_integer_dimensions_of_numpy_are_accepted(self):
+        assert DeltaModel(np.int64(2)).dim == 2
+        src = moment_kernels(GaussianModel.standard(1), 2)
+        assert MomentFileModel("x", np.int32(1), 2, tuple(src.kernels)).dim == 1
 
     def test_moment_file_needs_one_tensor_per_degree(self):
         src = moment_kernels(GaussianModel.standard(1), 2)
