@@ -26,7 +26,6 @@ from math import comb, exp, factorial, sqrt
 import numpy as np
 
 from .jets import (
-    CompKernels,
     ScalarJet,
     VectorJet,
     _check_rows,
@@ -338,20 +337,6 @@ def generating_jet(basis: AppellBasis, z) -> ScalarJet:
 # basis conversion
 
 
-def _contract_inputs(ck: CompKernels, kernels) -> list[SymTensor]:
-    """Test-side change of parametrization through the power kernels ck.
-
-    Grade m is (1/m!) sum_{n>=m} of kernel n paired against the input
-    slots of ck[n][m].  With ck = A it takes generalized kernels to plain
-    ones, with ck = B plain kernels to generalized ones.
-    """
-    out = [weighted_sum(ck.dim, 0, [(1, kernels[0])])]
-    for m in range(1, ck.degree + 1):
-        terms = ((1, ck.contract_in(n, m, kernels[n])) for n in range(m, ck.degree + 1))
-        out.append(weighted_sum(ck.dim, m, terms).scale(1.0 / factorial(m)))
-    return out
-
-
 def binomial_contract(kernels, weights) -> list[SymTensor]:
     """out_k = sum_{m>=k} C(m, k) times kernel m with weight kernel m-k
     contracted into its last m-k slots, over live kernels and weights.
@@ -374,14 +359,16 @@ def to_monomial(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
     """Re-express a P-tagged test function in monomial kernels (same function)."""
     _require_tag(f, P_TAG)
     _require_same_basis(basis, f.basis)
-    mono = binomial_contract(_contract_inputs(basis.A, f.kernels), basis.u_jet.kernels)
+    plain = basis.A.contract_in(_stacked(basis, f.kernels))
+    mono = binomial_contract(_row_tensors(basis.dim, range(basis.degree + 1), plain), basis.u_jet.kernels)
     return KernelSeq(MONOMIAL, basis.dim, basis.degree, tuple(mono))
 
 
 def to_appell(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
     """Inverse of to_monomial: expand monomial kernels in the P basis."""
     _require_tag(f, MONOMIAL)
-    gen = _contract_inputs(basis.B, binomial_contract(f.kernels, basis.m_jet.kernels))
+    plain = binomial_contract(f.kernels, basis.m_jet.kernels)
+    gen = _row_tensors(basis.dim, range(basis.degree + 1), basis.B.contract_in(_stacked(basis, plain)))
     return KernelSeq(P_TAG, basis.dim, basis.degree, tuple(gen), basis)
 
 
@@ -441,8 +428,8 @@ def s_transform(basis: AppellBasis, Phi: KernelSeq) -> ScalarJet:
     """
     _require_tag(Phi, Q_TAG)
     _require_same_basis(basis, Phi.basis)
-    grades, fact = range(basis.degree + 1), _factorials(basis.dim, basis.degree)
-    coeffs = np.fromiter(chain.from_iterable([k.coeffs.values() for k in Phi.kernels]), float, len(fact)) * fact
+    grades = range(basis.degree + 1)
+    coeffs = _stacked(basis, Phi.kernels) * _factorials(basis.dim, basis.degree)
     _check_rows(basis.dim, grades, coeffs[None])
     return ScalarJet(basis.dim, basis.degree, tuple(_row_tensors(basis.dim, grades, basis.B.compose_stack(coeffs))))
 
@@ -458,6 +445,12 @@ def _q_of_grades(basis: AppellBasis, row: np.ndarray) -> KernelSeq:
     """The distribution with kernel n (1/n!) times grade n of row."""
     row = row * (1.0 / _factorials(basis.dim, basis.degree))
     return q_seq(basis, dict(enumerate(_row_tensors(basis.dim, range(basis.degree + 1), row))))
+
+
+def _stacked(basis: AppellBasis, kernels) -> np.ndarray:
+    """Kernels 0..N of the basis's shape as one vector, as a jet's view reads them."""
+    size = len(_factorials(basis.dim, basis.degree))
+    return np.fromiter(chain.from_iterable([k.coeffs.values() for k in kernels]), float, size)
 
 
 @lru_cache(maxsize=None)

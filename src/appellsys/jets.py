@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import comb, copysign, exp, factorial, log, prod
 from types import SimpleNamespace
@@ -79,14 +79,14 @@ def _check_compatible(a, b) -> None:
 class ScalarJet:
     """Degree-N scalar jet; kernels[n] is the rank-n coefficient tensor.
 
-    A product of jet_mul is born from its stacked view alone: its kernels
-    are built from the view when first read.
+    A product of jet_mul, or a component of jet_invert, is born from its
+    stacked view alone: its kernels are built from the view when first read.
     """
 
     dim: int
     degree: int
     kernels: tuple[SymTensor, ...]
-    # the kernels stacked as by _stack, built on first use or by jet_mul
+    # the kernels stacked as by _stack, built on first use or by jet_mul or jet_invert
     _stacked: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -373,11 +373,12 @@ def _plan_sums(plan, weights, x, y) -> np.ndarray:
 
 def _cell_sums(cells: np.ndarray, terms: np.ndarray, shape) -> np.ndarray:
     """The terms added into cells of an array of the shape, each cell's in
-    order from +0.0; a 2-D terms fills one such array per row."""
+    order from +0.0; a 2-D terms fills one such array per row.  With no
+    terms bincount gives integers, so the sums are cast to float."""
     if terms.ndim == 2:
         cells = (cells + prod(shape) * np.arange(len(terms))[:, None]).ravel()
         shape = (len(terms), *shape)
-    return np.bincount(cells, terms.ravel(), minlength=prod(shape)).reshape(shape)
+    return np.bincount(cells, terms.ravel(), minlength=prod(shape)).astype(float, copy=False).reshape(shape)
 
 
 def _plan_kernels(plan, grades, f, g, fx, gy, weight, values) -> list[SymTensor]:
@@ -542,153 +543,135 @@ class CompKernels:
     coefficients as the rows of one read-only array.  Entries with n < m,
     which vanish identically, are absent, and a missing entry or table reads
     as zero.  Instances compare by identity.
+
+    The tables are one block-triangular operator M on kernels 0..N read as
+    one vector, as a jet's view does: grade n >= 1 of M x is the sum over
+    m = 1..n of (1/m!) times kernel m of x paired against the output slots
+    of table (n, m), and grade 0 is kernel 0.  compose_stack reads M
+    forward, contract_in reads its transpose and contract_out one block,
+    all through one plan per instance, built on first use from rows.
     """
 
     dim: int
     degree: int
     rows: dict[tuple[int, int], tuple[tuple[tuple[int, ...], ...], np.ndarray]]
-    # compose's plan of every grade under "compose", contract_out's plan per
-    # (n, m) and contract_in's per ("in", n, m), built on first use
-    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
-    def _check_slots(self, m: int, coeff: SymTensor) -> None:
-        """Reject a coefficient of the m output slots of the wrong rank or dim."""
-        if coeff.rank != m:
-            raise ValueError(f"coefficient rank {coeff.rank} != output slots {m}")
-        if coeff.dim != self.dim:
-            raise DimensionMismatchError(f"dim mismatch: {self.dim} vs {coeff.dim}")
+    @cached_property
+    def _plan(self) -> SimpleNamespace:
+        return _flat_plan(self)
 
-    def contract_out(self, n: int, m: int, coeff: SymTensor) -> SymTensor:
-        """Pair a rank-m tensor against the output slots, leaving rank n.
+    def contract_out(self, n: int, m: int, rows) -> np.ndarray:
+        """Pair the coefficients of rank-m tensors against the output slots
+        of table (n, m), leaving rank n.
 
-        The sum runs through one linear plan per (n, m), cached on the
-        instance: the table's rows, weighted by multiplicity(u) * coeff[u],
-        add by a cumsum, then + 0.0.  That is the weighted_sum of the rows
-        with coeff[u] != 0 from +0.0, bit for bit: a row of zero weight adds
-        only signed zeros.  With no such row the result is the shared zero.
+        rows holds one tensor's coefficients in multi_indices order, or one
+        per row of a 2-D array, and the result reads as rows does.  This is
+        block (n, m) of the plan, unweighted: the table's rows, weighted by
+        multiplicity(u) * coefficient u, added in order from +0.0.  That is
+        the weighted_sum of the rows of nonzero weight, bit for bit: a row of
+        zero weight adds only signed zeros.  With no table, or no nonzero
+        coefficient, the result is +0.0 at once; a non-finite entry is not
+        checked.
         """
-        self._check_slots(m, coeff)
-        plan = self._plans.get((n, m))
-        if plan is None:
-            us, R = self.rows.get((n, m), ((), None))
-            at = np.array([_position(self.dim, m)[u] for u in us], dtype=np.intp)
-            plan = self._plans[(n, m)] = (at, np.array([multiplicity(u) for u in us], dtype=float), R)
-        at, mult, rows = plan
-        c = np.fromiter(coeff.coeffs.values(), float, len(coeff.coeffs))[at]
-        if not c.any():
-            return zero_tensor(self.dim, n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = np.add.accumulate((mult * c)[:, None] * rows)[-1] + 0.0
-        return SymTensor(self.dim, n, dict(zip(multi_indices(self.dim, n), h.tolist())))
+        plan, rows = self._plan, np.asarray(rows, dtype=float)
+        if rows.shape[-1] != plan.starts[m + 1] - plan.starts[m]:
+            raise ValueError(f"rows of width {rows.shape[-1]} are not rank-{m} tensors of dim {self.dim}")
+        lo, hi = plan.blocks.get((n, m), (0, 0))
+        shape, base = (plan.starts[n + 1] - plan.starts[n], plan.stride), plan.starts[n] * plan.stride + m - 1
+        if lo == hi or not rows.any():
+            return np.zeros(rows.shape[:-1] + shape[:1])
 
-    def compose(self, n: int, ks) -> SymTensor:
-        """Grade n of f(a(theta)) from the kernels ks of f.
+        def block(rows):
+            return _term_sums(plan, rows, lo, hi, plan.starts[m], base, shape)[..., 0]
 
-        Grade 0 is ks[0]; grade n >= 1 is sum_{m=1..n} (1/m!) times ks[m]
-        paired against the output slots of the power kernels, and reads
-        ks[1..n] only, through grade n's slice of compose_stack's plan.  The
-        last block is left out when its kernel is dead, as ks[n] is while
-        jet_invert solves for it: its rows are finite, so it would add only
-        signed zeros.  A kernel of the wrong shape raises as in
-        contract_out, and a non-finite grade as SymTensor does.  With no
-        table, or no live kernel, the grade is the shared zero tensor.
-        """
-        if n == 0:
-            return ks[0]
-        plan = self._plan
-        ms, edges = plan.grades.get(n, ((), [0]))
-        live = []
-        for m in ms:
-            self._check_slots(m, ks[m])
-            live.append(is_live(ks[m]))
-        if not any(live):
-            return zero_tensor(self.dim, n)
-        parts = [(ks[m] if m in ms else zero_tensor(self.dim, m)).coeffs.values() for m in range(n + 1)]
-        x = np.fromiter(chain.from_iterable(parts), float, plan.starts[n + 1])
-        h = _flat_sums(plan, x, edges[0], edges[-1] if live[-1] else edges[-2], n, n)
-        return SymTensor(self.dim, n, dict(zip(multi_indices(self.dim, n), h.tolist())))
+        return _by_blocks(plan.offsets[hi] - plan.offsets[lo], block, rows)
 
     def compose_stack(self, x, n: int | None = None) -> np.ndarray:
         """Grades 0..N of f(a(theta)), or grade n alone, from kernels 0..N
         (0..n) of f read as one vector x, as a jet's view does, or of one f
         per row of a 2-D x.  The result reads as x does, with grade 0 copied
-        from x.  Each row is compose of that row's kernels bit for bit, a
-        grade with no live kernel all +0.0; a non-finite entry is not checked.
+        from x.  Each row is the term-by-term sum bit for bit, a grade with
+        no live kernel all +0.0; a non-finite entry is not checked.
 
-        The sums run through one plan per instance, built on first use from
-        rows.  Term (u, c) of table (n, m) is (multiplicity(u) * x[at]) *
-        R[u, c], where at is u's place in kernel m of x; the terms come
-        grade by grade, block m by block m, row by row.  One bincount forms
-        each (column, m) block sum in row order from +0.0, then the blocks,
-        weighted by 1/m!, add by a cumsum over m.  That is contract_out per
-        table, weighted by 1/m! and added from +0.0, bit for bit: the sums
-        can differ only in the sign of a zero, and none is -0.0 here, as a
-        sum from +0.0 never is, and the cumsum starts at block m = 1.
+        x may end before the kernel of the top grade, and that kernel's
+        block is then left out: jet_invert solves for the kernel, so it is
+        dead, and as the rows are finite its block would add only signed
+        zeros.  Each (column, m) block sum of terms (multiplicity(u) *
+        x[at]) * R[u, c] is added in row order from +0.0, then the blocks,
+        weighted by 1/m!, add by a cumsum over m from m = 1.  That is
+        contract_out per table, weighted by 1/m! and added from +0.0, bit for
+        bit: the sums can differ only in the sign of a zero, and neither is
+        ever -0.0.
         """
-        plan = self._plan
+        plan, x = self._plan, np.asarray(x, dtype=float)
         first, last = (0, self.degree) if n is None else (n, n)
-        lo, hi = plan.grades[first][1][0], plan.grades[last][1][-1]
-        per_row, x = plan.offsets[hi] - plan.offsets[lo], np.asarray(x, dtype=float)
-        out = _by_blocks(per_row, lambda x: _flat_sums(plan, x, lo, hi, first, last), x)
+        widths = plan.starts[max(last, 1) :]
+        if x.shape[-1] not in widths:
+            raise ValueError(f"stack width {x.shape[-1]} is not one of {widths}, the widths of kernels 0..k")
+        lo, hi = plan.grade_rows[first], plan.grade_rows[last + 1]
+        if x.shape[-1] == plan.starts[last]:
+            hi = plan.blocks.get((last, last), (hi,))[0]
+        shape = (plan.starts[last + 1] - plan.starts[first], plan.stride)
+
+        def grades(x):
+            blocks = _term_sums(plan, x, lo, hi, 0, plan.starts[first] * plan.stride, shape)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.add.accumulate(plan.inv_fact * blocks, axis=-1)[..., -1]
+
+        # with no block, as for a grade of identity power kernels, all is +0.0
+        per_row = plan.offsets[hi] - plan.offsets[lo]
+        out = _by_blocks(per_row, grades, x) if lo < hi else np.zeros(x.shape[:-1] + shape[:1])
         if first == 0:
             out[..., 0] = x[..., 0]
         return out
 
-    @property
-    def _plan(self) -> SimpleNamespace:
-        return self._plans.get("compose") or self._plans.setdefault("compose", _flat_plan(self))
+    def contract_in(self, x) -> np.ndarray:
+        """The transpose of compose_stack: from kernels 0..N of phi read as
+        one vector x, grade m >= 1 is (1/m!) times the sum over n = m..N, in
+        order from +0.0, of kernel n paired against the input slots of table
+        (n, m); grade 0 is kernel 0 plus +0.0.  The grades come as one vector.
 
-    def contract_in(self, n: int, m: int, phi: SymTensor) -> SymTensor:
-        """Pair a rank-n tensor against the input slots, leaving rank m (output).
-
-        Entry u is pairing(row u, phi), bit for bit: the terms w * x * y
-        with x and y nonzero, added in order from +0.0.  The plan per (n, m),
-        cached on the instance, holds each row's nonzero entries w * x with
-        their positions, as lists; on the small tables of a query a numpy
-        sum costs more than it saves.  An absent row reads as zero.
+        Entry u of a pairing is pairing(row u, kernel n) bit for bit: the
+        terms (multiplicity(c) * R[u, c]) * x[c] added in column order from
+        +0.0, where a zero term, skipped there, adds nothing.  An absent row
+        reads as +0.0.  A non-finite pairing or grade raises as SymTensor
+        does, at the first in grade, then table, then entry order.
         """
-        if phi.rank != n:
-            raise ValueError(f"kernel rank {phi.rank} != input rank {n}")
-        if phi.dim != self.dim:
-            raise DimensionMismatchError(f"dim mismatch: {self.dim} vs {phi.dim}")
-        plan = self._plans.get(("in", n, m))
-        if plan is None:
-            us, R = self.rows.get((n, m), ((), None))
-            rows = [] if R is None else (np.array(_multiplicities(self.dim, n), float) * R).tolist()
-            plan = self._plans[("in", n, m)] = [(u, [(j, x) for j, x in enumerate(r) if x]) for u, r in zip(us, rows)]
-        out = dict.fromkeys(multi_indices(self.dim, m), 0.0)
-        ys = list(phi.coeffs.values())
-        for u, row in plan:
-            s = 0.0
-            for j, x in row:
-                y = ys[j]
-                if y:
-                    s += x * y
-            out[u] = s
-        return SymTensor(self.dim, m, out)
+        plan, x = self._plan, np.asarray(x, dtype=float)
+        if x.shape != (plan.starts[-1],):
+            raise ValueError(f"contract_in takes one stack of width {plan.starts[-1]}, got shape {x.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights, y = plan.col_mult[plan.cols] * plan.rows, x[plan.cols]
+            terms = weights * y
+            if not np.isfinite(terms).all():
+                terms[(weights == 0) | (y == 0)] = 0.0  # pairing skips them
+            sums = _cell_sums(np.repeat(np.arange(len(plan.at)), plan.widths), terms, (len(plan.at),))
+            out = _cell_sums(plan.at, sums, x.shape)
+            out[0] += x[0]
+            out *= plan.inv_cols
+        if not np.isfinite(out).all():
+            _check_pairings(self, sums, out)
+        return out
 
 
 def _flat_plan(ck: CompKernels) -> SimpleNamespace:
-    """compose_stack's plan of ck.  Per row u of table (n, m): at, its place
-    in kernel m of the stack, multiplicity(u), its width and the offset of
-    its first term; per term, R[u, c] and its cell (starts[n] + c) * stride
-    + m - 1 of the (column, m) block sums; per grade n, the m of its blocks
-    and their edges in the rows."""
+    """The plan of ck.  Per row u of table (n, m): at, its place in kernel
+    m of the stack, multiplicity(u), its width and the offset of its first
+    term.  Per term: R[u, c], its column starts[n] + c of the stack and its
+    cell column * stride + m - 1 of the (column, m) block sums.  The rows of
+    each table (n, m), and where each grade n starts in the rows.  Per
+    column of the stack: its multiplicity and 1/n! of its grade n."""
     dim, N, keys = ck.dim, ck.degree, sorted(ck.rows)
-    starts, stride = _graded_plan(dim, tuple(range(N + 1))).starts, max(N, 1)
+    starts, stride = _graded_plan(dim, tuple(range(N + 1))).starts.tolist(), max(N, 1)
     table = [
-        (starts[m] + _position(dim, m)[u], multiplicity(u), starts[n + 1] - starts[n], starts[n] * stride + m - 1)
+        (starts[m] + _position(dim, m)[u], multiplicity(u), starts[n + 1] - starts[n], starts[n], m - 1)
         for n, m in keys
         for u in ck.rows[(n, m)][0]
     ]
-    at, mult, widths, cells = np.array(table, dtype=np.intp).reshape(-1, 4).T
-    offsets = np.cumsum([0, *widths])
-    column = np.arange(offsets[-1]) - np.repeat(offsets[:-1], widths)
+    at, mult, widths, first, block = np.array(table, dtype=np.intp).reshape(-1, 5).T
+    offsets = np.cumsum(np.append(0, widths))
+    cols = np.repeat(first - offsets[:-1], widths) + np.arange(offsets[-1])
     ends = np.cumsum([0] + [len(ck.rows[k][0]) for k in keys]).tolist()
-    grades = {}
-    for n in range(N + 1):
-        i, j = bisect_left(keys, (n,)), bisect_left(keys, (n + 1,))
-        grades[n] = (tuple(m for _, m in keys[i:j]), ends[i : j + 1])
     return SimpleNamespace(
         starts=starts,
         stride=stride,
@@ -697,22 +680,40 @@ def _flat_plan(ck: CompKernels) -> SimpleNamespace:
         widths=widths,
         offsets=offsets.tolist(),
         rows=np.concatenate([np.zeros(0)] + [ck.rows[k][1].ravel() for k in keys]),
-        cells=np.repeat(cells, widths) + column * stride,
-        grades=grades,
+        cols=cols,
+        cells=cols * stride + np.repeat(block, widths),
+        blocks=dict(zip(keys, zip(ends, ends[1:]))),
+        grade_rows=[ends[bisect_left(keys, (n,))] for n in range(N + 2)],
         inv_fact=np.array([1.0 / factorial(m) for m in range(1, stride + 1)]),
+        col_mult=np.array([w for n in range(N + 1) for w in _multiplicities(dim, n)], dtype=float),
+        inv_cols=np.repeat([1.0 / factorial(n) for n in range(N + 1)], np.diff(starts)),
     )
 
 
-def _flat_sums(plan, x, lo, hi, first: int, last: int) -> np.ndarray:
-    """compose_stack's sums of grades first..last over the rows lo:hi of
-    plan, for the kernels x: one vector, or one per row of x."""
+def _term_sums(plan, x, lo, hi, shift, base, shape) -> np.ndarray:
+    """The terms (multiplicity(u) * x[at - shift]) * R[u, c] of the rows
+    lo:hi of plan, added into their cells less base, each in row order from
+    +0.0, in an array of the shape: for one vector x, or one per row of x."""
     start, stop = plan.offsets[lo], plan.offsets[hi]
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = plan.mult[lo:hi] * _columns(x, plan.at[lo:hi])
+        weights = plan.mult[lo:hi] * _columns(x, plan.at[lo:hi] - shift)
         terms = np.repeat(weights, plan.widths[lo:hi], axis=-1) * plan.rows[start:stop]
-        shape = (plan.starts[last + 1] - plan.starts[first], plan.stride)
-        blocks = _cell_sums(plan.cells[start:stop] - plan.starts[first] * plan.stride, terms, shape)
-        return np.add.accumulate(plan.inv_fact * blocks, axis=-1)[..., -1]
+    return _cell_sums(plan.cells[start:stop] - base, terms, shape)
+
+
+def _check_pairings(ck: CompKernels, sums: np.ndarray, out: np.ndarray) -> None:
+    """Raise as contract_in per table did: at the first non-finite pairing
+    of table (n, m), n = m..N, then of grade m in out, for m = 1..N; sums
+    holds the pairing of each row of the plan."""
+    plan = ck._plan
+    for m in range(1, ck.degree + 1):
+        lo, hi = plan.starts[m], plan.starts[m + 1]
+        for n in range(m, ck.degree + 1):
+            first, last = plan.blocks.get((n, m), (0, 0))
+            table = np.zeros(hi - lo)
+            table[plan.at[first:last] - lo] = sums[first:last]
+            _row_tensors(ck.dim, [m], table)
+        _row_tensors(ck.dim, [m], out[lo:hi])
 
 
 def _frozen_rows(us, x) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
@@ -819,11 +820,7 @@ def jet_compose_vector(a: VectorJet, b: VectorJet, ck: CompKernels | None = None
 
 def linear_part(a: VectorJet) -> np.ndarray:
     """The d x d matrix of the degree-1 kernels, row j = output coordinate j."""
-    mat = np.zeros((a.dim, a.dim))
-    for j in range(1, a.dim + 1):
-        for i in range(1, a.dim + 1):
-            mat[j - 1, i - 1] = a.kernel(1, j)[(i,)]
-    return mat
+    return np.array([list(c.kernels[1].coeffs.values()) for c in a.components], dtype=float)
 
 
 def jet_invert(a: VectorJet, ck: CompKernels | None = None) -> VectorJet:
@@ -832,8 +829,11 @@ def jet_invert(a: VectorJet, ck: CompKernels | None = None) -> VectorJet:
     This is the left inverse; for jets with an invertible linear part L it
     is also the right inverse, a(g(theta)) = theta.  Kernel n >= 2 of g is
     solved in one pass through the power kernels ck of a: grade n of g(a)
-    is ck.compose(n, g), whose only term holding g_n is g_n pulled back
-    through L, so g_n is minus the rest pulled back through L^{-1}.
+    is ck.compose_stack of g, whose only term holding g_n is g_n pulled
+    back through L, so g_n is minus the rest pulled back through L^{-1}.
+    The d components of g are the rows of one stack, and each grade solves
+    them all at once; a non-finite entry raises as SymTensor does, at the
+    first component that holds one, in the rest before its pull-back.
     """
     if a.degree < 1:
         raise ValueError(f"degree must be at least 1, got {a.degree}")
@@ -850,10 +850,13 @@ def jet_invert(a: VectorJet, ck: CompKernels | None = None) -> VectorJet:
     if ck is None:
         ck = comp_kernels(a)
     pull = _linear_power_kernels(inv, N)
-    g_kernels = [[scalar_tensor(d, 0.0), vector_tensor(row)] for row in inv]
+    starts = _graded_plan(d, tuple(range(N + 1))).starts.tolist()
+    g = np.zeros((d, starts[-1]))
+    g[:, starts[1] : starts[2]] = inv
     for n in range(2, N + 1):
-        for ks in g_kernels:
-            # kernel n stays zero while compose forms the rest of grade n
-            ks.append(zero_tensor(d, n))
-            ks[n] = pull.contract_out(n, n, ck.compose(n, ks)).scale(-1.0 / factorial(n))
-    return VectorJet(d, N, tuple(ScalarJet(d, N, tuple(ks)) for ks in g_kernels))
+        # the stack ends before kernel n, which compose_stack leaves out
+        rest = ck.compose_stack(g[:, : starts[n]], n)
+        pulled = pull.contract_out(n, n, rest)
+        _check_rows(d, [n, n], np.hstack([rest, pulled]))
+        g[:, starts[n] : starts[n + 1]] = pulled * (-1.0 / factorial(n))
+    return VectorJet(d, N, tuple(ScalarJet._from_view(d, N, _frozen(row, starts)) for row in g))

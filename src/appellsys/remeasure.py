@@ -11,7 +11,7 @@ transform.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .appell import (
     KernelSeq,
     P_TAG,
     Q_TAG,
+    _factorials,
     binomial_contract,
     gen_appell_batch,
     p_seq,
@@ -28,7 +29,7 @@ from .appell import (
     s_inverse,
     s_transform,
 )
-from .jets import ScalarJet, graded_product, graded_rows, jet_mul
+from .jets import ScalarJet, _row_tensors, graded_product, graded_rows, jet_mul
 
 __all__ = [
     "p_relation",
@@ -100,9 +101,9 @@ def transport_dist(
     if not basis_mut.same_basis(Phi_t.basis):
         raise BasisMismatchError("distribution does not live in the source basis")
     _require_shared_alpha(basis_mu, basis_mut)
-    ratio = _ratio_jet(basis_mu, basis_mut)
-    weights = [r.scale(1.0 / factorial(j)) for j, r in enumerate(ratio.kernels)]
-    out = graded_product(Phi_t.kernels, weights, range(basis_mu.degree + 1), lambda n, k: 1)
+    grades = range(basis_mu.degree + 1)
+    ratio = _ratio_jet(basis_mu, basis_mut)._view()[0] * (1.0 / _factorials(basis_mu.dim, basis_mu.degree))
+    out = graded_product(Phi_t.kernels, _row_tensors(basis_mu.dim, grades, ratio), grades, lambda n, k: 1)
     return q_seq(basis_mu, dict(enumerate(out)))
 
 

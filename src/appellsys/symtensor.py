@@ -253,8 +253,9 @@ def vector_tensor(x) -> SymTensor:
 
 
 def power_tensor(x, n: int) -> SymTensor:
-    """x^{tensor n}: full entries are products of coordinates."""
-    x = np.asarray(x, dtype=float)
+    """x^{tensor n}: full entries are products of coordinates, as Python
+    floats, so that an overflow gives inf without a numpy warning."""
+    x = np.asarray(x, dtype=float).tolist()
     d = len(x)
     coeffs = {}
     for idx in multi_indices(d, n):

@@ -164,6 +164,16 @@ SURFACE = {
 }
 
 
+# The public methods of CompKernels, pinned for the same reason: a removal
+# or a rename of one is a change of the public surface.
+COMP_KERNELS_METHODS = ["compose_stack", "contract_in", "contract_out"]
+
+
+def test_comp_kernels_methods_are_pinned():
+    methods = [n for n, v in vars(appellsys.CompKernels).items() if callable(v) and not n.startswith("_")]
+    assert sorted(methods) == COMP_KERNELS_METHODS
+
+
 def test_public_surface_is_pinned():
     surface = {}
     for name in SURFACE:

@@ -61,6 +61,8 @@ from appellsys.symtensor import (
     scalar_tensor,
     SymTensor,
     sym_product,
+    vector_tensor,
+    weighted_sum,
     zero_tensor,
 )
 from appellsys.wick import wick_inv, wick_mul
@@ -277,6 +279,25 @@ def hexes(t):
 def bits(jet):
     """hexes of every kernel."""
     return [hexes(k) for k in jet.kernels]
+
+
+def hex_list(x):
+    return [v.hex() for v in np.asarray(x).ravel().tolist()]
+
+
+def values(t):
+    """The coefficients of a tensor as a vector, in multi_indices order."""
+    return np.array(list(t.coeffs.values()))
+
+
+def stack_of(ks):
+    """Kernels 0, 1, ... as one vector, as a jet's view reads them."""
+    return np.concatenate([values(t) for t in ks])
+
+
+def stack_starts(d, deg):
+    """Where each kernel 0..deg begins in a stack, and where the stack ends."""
+    return np.cumsum([0] + [len(multi_indices(d, n)) for n in range(deg + 1)]).tolist()
 
 
 def count_calls(monkeypatch, fn):
@@ -508,9 +529,9 @@ class TestCompKernels:
         # A[n][m] vanishes off the diagonal; on it, contraction is the identity
         assert (2, 1) not in ck.rows
         rng = np.random.default_rng(6)
-        p = random_tensor(rng, 2, 3)
-        out = ck.contract_out(3, 3, p).scale(1.0 / factorial(3))
-        assert (out - p).max_abs() < 1e-12
+        p = values(random_tensor(rng, 2, 3))
+        out = ck.contract_out(3, 3, p) / factorial(3)
+        assert np.abs(out - p).max() < 1e-12
 
     def test_log1p_a32_composition_sum(self):
         # two output slots at degree three: sum over (1,2) and (2,1) splits
@@ -545,53 +566,56 @@ class TestCompKernels:
                     assert series == pytest.approx(direct, rel=1e-10, abs=1e-14)
 
     def test_compose_builds_one_plan_per_instance(self, monkeypatch):
-        # identity power kernels have the tables (n, n) only
+        # compose_stack, contract_in and contract_out all read one plan
         d, deg = 3, 8
         ck = comp_kernels(identity_vjet(d, deg))
         assert sorted(ck.rows) == [(n, n) for n in range(1, deg + 1)]
         rng = np.random.default_rng(12)
-        ks = [random_tensor(rng, d, n) for n in range(deg + 1)]
-        contract_outs = count_method(monkeypatch, CompKernels, "contract_out")
+        x = stack_of([random_tensor(rng, d, n) for n in range(deg + 1)])
+        starts = stack_starts(d, deg)
         plans = count_calls(monkeypatch, appellsys.jets._flat_plan)
         built = count_tensors(monkeypatch)
-        got = ck.compose(deg, ks)
-        again = ck.compose(deg, ks)
-        low = ck.compose(3, ks)
-        stack = ck.compose_stack(np.concatenate([list(k.coeffs.values()) for k in ks]))
-        assert contract_outs == [] and plans == [(ck,)] and built == [deg, deg, 3]
-        assert hexes(again) == hexes(got)
-        assert [v.hex() for v in stack[-len(got.coeffs) :]] == hexes(got)
-        assert (got - ks[deg]).max_abs() < 1e-12 and (low - ks[3]).max_abs() < 1e-12
+        got = ck.compose_stack(x)
+        low = ck.compose_stack(x[: starts[4]], 3)
+        back = ck.contract_in(x)
+        out = ck.contract_out(deg, deg, x[starts[deg] :])
+        assert plans == [(ck,)] and built == []
+        # identity power kernels: grade n of M x is kernel n, and so is
+        # grade n of M^T x, as (1/n!) n! over the pairing's multiplicities
+        assert np.abs(got - x).max() < 1e-12 and np.abs(low - x[starts[3] : starts[4]]).max() < 1e-12
+        assert np.abs(back - x).max() < 1e-12
+        assert hex_list(out / factorial(deg)) == hex_list(got[starts[deg] :])
         # another instance builds its own
         other = comp_kernels(identity_vjet(d, deg))
-        assert hexes(other.compose(deg, ks)) == hexes(got)
+        assert hex_list(other.contract_in(x)) == hex_list(back)
         assert plans == [(ck,), (other,)]
 
     def test_compose_skips_the_block_of_a_dead_kernel(self, monkeypatch):
-        # jet_invert composes grade n while kernel n is zero: the terms of
-        # the (n, n) block, the largest, are left out, and the bits hold
+        # jet_invert composes grade n from a stack that ends before kernel n:
+        # the terms of the (n, n) block, the largest, are left out, and the
+        # bits are those of the literal sum over the kernels held
         d, deg = 3, 5
         ck = comp_kernels(random_vjet(np.random.default_rng(21), d, deg))
         assert [len(ck.rows[(deg, m)][0]) for m in range(1, deg + 1)] == [3, 6, 10, 15, 21]
         rng = np.random.default_rng(22)
-        ks = [random_tensor(rng, d, n) for n in range(deg)] + [zero_tensor(d, deg)]
-        sums = count_calls(monkeypatch, appellsys.jets._flat_sums)
-        got = ck.compose(deg, ks)
-        assert hexes(got) == hexes(literal_compose(ck, deg, ks))
+        ks = [random_tensor(rng, d, n) for n in range(deg + 1)]
+        x, starts = stack_of(ks), stack_starts(d, deg)
+        sums = count_calls(monkeypatch, appellsys.jets._term_sums)
+        got = ck.compose_stack(x[: starts[deg]], deg)
+        assert hex_list(got) == hexes(literal_compose(ck, deg, ks[:deg]))
+        assert hex_list(got) == hexes(literal_compose(ck, deg, ks[:deg] + [zero_tensor(d, deg)]))
         # grade deg's 55 rows come last in the plan, the (deg, deg) block's 21 last of all
-        plan = sums[0][0]
-        assert [args[2:] for args in sums] == [(len(plan.at) - 55, len(plan.at) - 21, deg, deg)]
-        # a live kernel deg brings its block back
+        plan = ck._plan
+        assert [args[2:4] for args in sums] == [(len(plan.at) - 55, len(plan.at) - 21)]
+        # a stack that holds kernel deg brings its block back
         sums.clear()
-        ks[deg] = random_tensor(rng, d, deg)
-        assert hexes(ck.compose(deg, ks)) == hexes(literal_compose(ck, deg, ks))
-        assert [args[2:] for args in sums] == [(len(plan.at) - 55, len(plan.at), deg, deg)]
-        # with no block left, the grade is the shared zero
-        sums.clear()
-        zeros = [zero_tensor(d, n) for n in range(deg)] + [SymTensor(d, deg, dict.fromkeys(multi_indices(d, deg), -0.0))]
-        assert ck.compose(deg, zeros) is zero_tensor(d, deg)
-        assert hexes(literal_compose(ck, deg, zeros)) == hexes(zero_tensor(d, deg))
-        assert sums == []
+        assert hex_list(ck.compose_stack(x, deg)) == hexes(literal_compose(ck, deg, ks))
+        assert [args[2:4] for args in sums] == [(len(plan.at) - 55, len(plan.at))]
+        # so does the stack of every grade; one that ends before kernel deg
+        # leaves it out of the top grade only
+        assert hex_list(ck.compose_stack(x[: starts[deg]])[starts[deg] :]) == hex_list(got)
+        below = ck.compose_stack(x[: starts[deg]])[: starts[deg]]
+        assert hex_list(below) == hex_list(ck.compose_stack(x)[: starts[deg]])
 
     def test_vanishing_below_diagonal(self):
         ck = comp_kernels(random_vjet(np.random.default_rng(8), 2, 4))
@@ -599,47 +623,100 @@ class TestCompKernels:
         assert (3, 4) not in ck.rows
 
     def test_coefficient_of_another_dim_rejected(self):
+        # a stack or a row of another dim's widths, or that cuts a kernel, is rejected
         ck = comp_kernels(random_vjet(np.random.default_rng(13), 2, 4))
         rng = np.random.default_rng(14)
         for dim in (1, 3):
-            with pytest.raises(DimensionMismatchError):
-                ck.contract_out(3, 2, random_tensor(rng, dim, 2))
-            # compose checks the shape of each kernel it reads, as contract_out does
-            with pytest.raises(DimensionMismatchError, match=f"dim mismatch: 2 vs {dim}"):
-                ck.compose(3, [random_tensor(rng, dim, n) for n in range(5)])
-        ks = [random_tensor(rng, 2, n) for n in range(5)]
-        ks[2] = random_tensor(rng, 2, 1)
-        with pytest.raises(ValueError, match=re.escape("coefficient rank 1 != output slots 2")):
-            ck.compose(3, ks)
+            width = len(multi_indices(dim, 2))
+            with pytest.raises(ValueError, match=f"rows of width {width} are not rank-2 tensors of dim 2"):
+                ck.contract_out(3, 2, values(random_tensor(rng, dim, 2)))
+            x = stack_of([random_tensor(rng, dim, n) for n in range(5)])
+            with pytest.raises(ValueError, match=re.escape(f"stack width {len(x)} is not one of [10, 15]")):
+                ck.compose_stack(x)
+        x = stack_of([random_tensor(rng, 2, n) for n in range(5)])
+        for cut in (x[:2], x[:5], x[:9], x[:14], np.concatenate([x, [1.0]])):
+            with pytest.raises(ValueError, match=f"stack width {len(cut)} is not one of"):
+                ck.compose_stack(cut, 4 if len(cut) < 14 else None)
+        # grade 3 may leave out kernel 3, not kernel 2; the stack of every
+        # grade may leave out kernel 4
+        ck.compose_stack(x[:6], 3)
+        with pytest.raises(ValueError, match=re.escape("stack width 3 is not one of [6, 10, 15]")):
+            ck.compose_stack(x[:3], 3)
+        assert hex_list(ck.compose_stack(x[:10])[:10]) == hex_list(ck.compose_stack(x)[:10])
 
     def test_contract_in_rejects_a_wrong_shape(self):
         ck = comp_kernels(random_vjet(np.random.default_rng(23), 2, 4))
         rng = np.random.default_rng(24)
-        # (1, 3) is absent, (3, 1) present; both plans are built first or not at all
-        for n, m in ((1, 3), (3, 1), (1, 3), (3, 1)):
-            with pytest.raises(DimensionMismatchError, match="dim mismatch: 2 vs 3"):
-                ck.contract_in(n, m, random_tensor(rng, 3, n))
-            with pytest.raises(ValueError, match=f"kernel rank {n + 1} != input rank {n}"):
-                ck.contract_in(n, m, random_tensor(rng, 2, n + 1))
-            ck.contract_in(n, m, random_tensor(rng, 2, n))
+        x = stack_of([random_tensor(rng, 2, n) for n in range(5)])
+        other_dim = stack_of([random_tensor(rng, 3, n) for n in range(5)])
+        for bad in (x[:10], np.concatenate([x, [1.0]]), other_dim, np.stack([x, x])):
+            message = f"contract_in takes one stack of width 15, got shape {bad.shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ck.contract_in(bad)
+        assert ck.contract_in(x).shape == x.shape
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), d=st.integers(1, 3), deg=st.integers(1, 6),
-           kind=st.sampled_from(("identity", "log1p", "random")))
-    def test_contract_in_matches_literal_pairing(self, data, d, deg, kind):
-        # phi has +0.0 and -0.0 holes or is all zeros; absent tables read as
-        # zero; each plan is read cold, then warm
+           kind=st.sampled_from(("identity", "log1p", "random")),
+           scale=st.sampled_from((1.0, 1.0, 0.0, 1e300, 1e-320)))
+    def test_contract_in_matches_literal_pairing(self, data, d, deg, kind, scale):
+        # phi has +0.0 and -0.0 holes, dead kernels or is all zeros; absent
+        # tables read as zero; a scale of 1e300 makes pairings and grade sums
+        # overflow, and the error is the first of the per-table loop
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         alpha = {"identity": identity_vjet, "log1p": log1p_vjet}.get(kind, lambda d, deg: random_vjet(rng, d, deg))
         ck = comp_kernels(alpha(d, deg))
-        tables = row_tables(ck)
-        phis = data.draw(kernel_seqs(d, deg))
-        for n in range(1, deg + 1):
-            for m in range(1, deg + 1):
-                table = tables.get((n, m), {})
-                want = [pairing(table[u], phis[n]).hex() if u in table else "0x0.0p+0" for u in multi_indices(d, m)]
-                for _ in range(2):
-                    assert hexes(ck.contract_in(n, m, phis[n])) == want
+        phis = [t.scale(scale) if scale != 1e300 or rng.random() < 0.5 else t for t in data.draw(kernel_seqs(d, deg))]
+        try:
+            want = [hexes(t) for t in literal_contract_in(ck, phis)]
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                ck.contract_in(stack_of(phis))
+            assert str(got.value) == str(err)
+            return
+        got = ck.contract_in(stack_of(phis))
+        starts = stack_starts(d, deg)
+        assert [hex_list(got[starts[n] : starts[n + 1]]) for n in range(deg + 1)] == want
+        assert hex_list(ck.contract_in(stack_of(phis))) == hex_list(got)
+
+    def test_contract_in_raises_at_the_first_pairing_in_table_order(self):
+        # alpha = 4 log1p: table (2, 1) pairs phi_2 to -4e308 at (2,), and
+        # table (3, 1) phi_3 to 8e308 at (1,); the per-table loop raised at
+        # grade 1, table n = 2, not at the first entry of grade 1
+        alpha = VectorJet(2, 3, tuple(c.scale(4.0) for c in log1p_vjet(2, 3).components))
+        ck = comp_kernels(alpha)
+        phis = [zero_tensor(2, n) for n in range(4)]
+        phis[2] = SymTensor(2, 2, {(1, 1): 0.0, (1, 2): 0.0, (2, 2): 1e308})
+        phis[3] = SymTensor(2, 3, {(1, 1, 1): 1e308, (1, 1, 2): 0.0, (1, 2, 2): 0.0, (2, 2, 2): 0.0})
+        with pytest.raises(ValueError) as want:
+            literal_contract_in(ck, phis)
+        assert str(want.value) == "non-finite coefficient at index (2,): -inf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as got:
+                ck.contract_in(stack_of(phis))
+        assert str(got.value) == str(want.value)
+
+    def test_contract_in_of_zeros_and_of_an_overflow_beside_a_zero(self):
+        # an all-zero stack gives +0.0 everywhere, -0.0 included; a pairing
+        # term of a zero entry is skipped, so 24 * 1e307 overflowing beside
+        # it leaves no nan
+        ck = comp_kernels(random_vjet(np.random.default_rng(25), 2, 4))
+        for zero in (0.0, -0.0):
+            assert hex_list(ck.contract_in(np.full(15, zero))) == ["0x0.0p+0"] * 15
+        # a_1 = s (theta_1 + ... + theta_4): row (1, 1, 1, 1) of table (4, 4)
+        # is 24 s^4 = 2.4e307 in every column, and column (1, 2, 3, 4) has
+        # multiplicity 24
+        s = 1e306**0.25
+        comps = [linear_jet(4, 4, [s] * 4)] + [linear_jet(4, 4, row) for row in np.eye(4)[1:]]
+        ck = comp_kernels(VectorJet(4, 4, tuple(comps)))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(24 * ck.rows[(4, 4)][1][0]).all()
+        phis = [zero_tensor(4, n) for n in range(5)]
+        phis[4] = SymTensor(4, 4, {u: 1.0 if u == (1, 1, 1, 1) else 0.0 for u in multi_indices(4, 4)})
+        x = stack_of(phis)
+        assert np.isfinite(ck.contract_in(x)).all()
+        assert hex_list(ck.contract_in(x)) == [h for t in literal_contract_in(ck, phis) for h in hexes(t)]
 
 
 def literal_product(f, g, grades, weight):
@@ -654,16 +731,34 @@ def literal_product(f, g, grades, weight):
 
 
 def literal_compose(ck, n, ks):
-    """CompKernels.compose as a literal loop over every table row."""
+    """Grade n of compose_stack as a literal loop over every row of the
+    tables (n, m) of the kernels ks holds: ks may end before kernel n."""
     if n == 0:
         return ks[0]
     acc, tables = zero_tensor(ck.dim, n), row_tables(ck)
-    for m in range(1, n + 1):
+    for m in range(1, min(n, len(ks) - 1) + 1):
         inner = zero_tensor(ck.dim, n)
         for u, tens in tables.get((n, m), {}).items():
             inner = inner + tens.scale(multiplicity(u) * ks[m][u])
         acc = acc + inner.scale(1.0 / factorial(m))
     return acc
+
+
+def literal_contract_in(ck, phis):
+    """contract_in as the per-table route before it: grade m is (1/m!)
+    times the weighted_sum over n = m..N of the tensor of pairings of the
+    rows of table (n, m) with phis[n], an absent row 0.0; grade 0 is
+    phis[0] added to +0.0."""
+    tables, d = row_tables(ck), ck.dim
+    out = [weighted_sum(d, 0, [(1, phis[0])])]
+    for m in range(1, ck.degree + 1):
+        terms = []
+        for n in range(m, ck.degree + 1):
+            table = tables.get((n, m), {})
+            pairs = {u: pairing(table[u], phis[n]) if u in table else 0.0 for u in multi_indices(d, m)}
+            terms.append((1, SymTensor(d, m, pairs)))
+        out.append(weighted_sum(d, m, terms).scale(1.0 / factorial(m)))
+    return out
 
 
 @st.composite
@@ -711,8 +806,12 @@ class TestPlans:
             alpha = random_vjet(np.random.default_rng(data.draw(st.integers(0, 99))), d, deg)
         ck = comp_kernels(alpha)
         ks = data.draw(kernel_seqs(d, deg))
+        x, starts = stack_of(ks), stack_starts(d, deg)
+        got = ck.compose_stack(x)
         for n in range(deg + 1):
-            assert hexes(ck.compose(n, ks)) == hexes(literal_compose(ck, n, ks))
+            want = hexes(literal_compose(ck, n, ks))
+            assert hex_list(got[starts[n] : starts[n + 1]]) == want
+            assert hex_list(ck.compose_stack(x[: starts[n + 1]], n)) == want
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     def test_graded_plan_indexes_like_product_plan(self, dim):
@@ -739,19 +838,22 @@ class TestPlans:
         assert hexes(got) == hexes(literal_product(f, g, [2], lambda n, k: -1)[0])
         ck = comp_kernels(identity_vjet(2, 2))
         ks = [scalar_tensor(2, 0.0), zero_tensor(2, 1), SymTensor(2, 2, {(1, 1): -0.0, (1, 2): -1.0, (2, 2): -1.0})]
-        got = ck.compose(2, ks)
-        assert got[(1, 1)].hex() == "0x0.0p+0"
-        assert hexes(got) == hexes(literal_compose(ck, 2, ks))
+        got = ck.compose_stack(stack_of(ks), 2)
+        assert got[0].hex() == "0x0.0p+0"
+        assert hex_list(got) == hexes(literal_compose(ck, 2, ks))
 
     def test_overflow_raises_as_the_term_route(self):
         big = SymTensor(2, 1, {(1,): 1e308, (2,): 1e308})
         one = [scalar_tensor(2, 1.0), big, zero_tensor(2, 2)]
         with pytest.raises(ValueError, match="non-finite coefficient"):
             graded_product(one, one, [2])
+        # compose_stack leaves the check to its caller
         ck = comp_kernels(identity_vjet(2, 2))
         huge = SymTensor(2, 2, dict.fromkeys(multi_indices(2, 2), 1e308))
+        ks = [scalar_tensor(2, 0.0), big, huge]
+        assert not np.isfinite(ck.compose_stack(stack_of(ks), 2)).all()
         with pytest.raises(ValueError, match="non-finite coefficient"):
-            ck.compose(2, [scalar_tensor(2, 0.0), big, huge])
+            literal_compose(ck, 2, ks)
 
     def test_zero_factor_beside_an_overflow_is_skipped(self, monkeypatch):
         # ways * 1e308 overflows in the dead product f_1 g_1; the plan gives
@@ -831,13 +933,17 @@ class TestLinearPowerKernels:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_overflow_raises_as_before(self, d):
-        # L^-1 = 1e30 I: rank 11 of the pull-back overflows
+        # L^-1 = 1e30 I: rank 11 of the pull-back overflows, in jet_invert
+        # as in the per-component loop
         a = VectorJet(d, 12, tuple(linear_jet(d, 12, 1e-30 * row) for row in np.eye(d)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as err:
                 jet_invert(a)
         assert str(err.value) == f"non-finite coefficient at index {(1,) * 11}: inf"
+        with pytest.raises(ValueError) as want:
+            literal_invert(a)
+        assert str(want.value) == str(err.value)
 
     def test_inversion_builds_no_jet(self, monkeypatch):
         a = random_vjet(np.random.default_rng(17), 3, 5)
@@ -927,7 +1033,7 @@ def literal_contract_out(ck, n, m, coeff):
 
 class TestStackedViews:
     """jet_mul reads the stacked views of its factors and seeds its
-    product's; contract_out runs one cached plan per (n, m)."""
+    product's; contract_out reads one block of the plan."""
 
     @settings(max_examples=60, deadline=None)
     @given(a=chain_alphas(), data=st.data())
@@ -996,7 +1102,8 @@ class TestStackedViews:
     @given(data=st.data(), d=st.integers(1, 4), deg=st.integers(1, 6),
            kind=st.sampled_from(("identity", "log1p", "random", "pull-back")))
     def test_contract_out_matches_literal_loop(self, data, d, deg, kind):
-        # the pull-back's plans are seeded by the builder, the others built on use
+        # one tensor, then three rows at once with an all +0.0 and an all
+        # -0.0 row, against the literal loop per tensor
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         if kind == "pull-back":
             ck = _linear_power_kernels(np.linalg.inv(rng.standard_normal((d, d)) + d * np.eye(d)), deg)
@@ -1006,20 +1113,24 @@ class TestStackedViews:
         ks = data.draw(kernel_seqs(d, deg))
         for n in range(1, deg + 1):
             for m in range(1, deg + 1):
-                want = literal_contract_out(ck, n, m, ks[m])
-                for _ in range(2):
-                    got = ck.contract_out(n, m, ks[m])
-                    assert hexes(got) == hexes(want)
-                    assert (got is zero_tensor(d, n)) == (want is zero_tensor(d, n))
+                want = hexes(literal_contract_out(ck, n, m, ks[m]))
+                assert hex_list(ck.contract_out(n, m, values(ks[m]))) == want
+                rows = np.stack([values(ks[m]), np.zeros(len(ks[m].coeffs)), np.full(len(ks[m].coeffs), -0.0)])
+                got = ck.contract_out(n, m, rows)
+                assert got.shape == (3, len(multi_indices(d, n)))
+                assert hex_list(got) == want + ["0x0.0p+0"] * (2 * got.shape[1])
 
-    def test_contract_out_of_zero_coefficients_is_the_shared_zero(self):
+    def test_contract_out_of_zero_rows_is_positive_zero(self):
         ck = comp_kernels(random_vjet(np.random.default_rng(18), 2, 4))
-        for coeff in (zero_tensor(2, 2), SymTensor(2, 2, dict.fromkeys(multi_indices(2, 2), -0.0))):
-            assert ck.contract_out(4, 2, coeff) is zero_tensor(2, 4)
+        for zero in (0.0, -0.0):
+            assert hex_list(ck.contract_out(4, 2, np.full(3, zero))) == ["0x0.0p+0"] * 5
+        # an absent table gives +0.0
+        assert (1, 2) not in ck.rows
+        assert hex_list(ck.contract_out(1, 2, np.ones((2, 3)))) == ["0x0.0p+0"] * 4
         # a zero sum is +0.0: every term of entry (1, 1) is -0.0
         ck = comp_kernels(identity_vjet(2, 2))
-        got = ck.contract_out(2, 2, SymTensor(2, 2, {(1, 1): -0.0, (1, 2): -1.0, (2, 2): -1.0}))
-        assert got[(1, 1)].hex() == "0x0.0p+0"
+        got = ck.contract_out(2, 2, [-0.0, -1.0, -1.0])
+        assert got[0].hex() == "0x0.0p+0"
 
     @pytest.mark.parametrize("seeded", [False, True])
     def test_contract_out_rejects_a_wrong_shape(self, seeded):
@@ -1028,12 +1139,12 @@ class TestStackedViews:
         else:
             ck = comp_kernels(random_vjet(np.random.default_rng(19), 2, 3))
         rng = np.random.default_rng(20)
-        ck.contract_out(3, 3, random_tensor(rng, 2, 3))  # builds or reads the plan
-        with pytest.raises(ValueError, match="coefficient rank 2 != output slots 3"):
-            ck.contract_out(3, 3, random_tensor(rng, 2, 2))
+        ck.contract_out(3, 3, values(random_tensor(rng, 2, 3)))  # builds or reads the plan
+        with pytest.raises(ValueError, match="rows of width 3 are not rank-3 tensors of dim 2"):
+            ck.contract_out(3, 3, values(random_tensor(rng, 2, 2)))
         for dim in (1, 3):
-            with pytest.raises(DimensionMismatchError):
-                ck.contract_out(3, 3, random_tensor(rng, dim, 3))
+            with pytest.raises(ValueError, match="are not rank-3 tensors of dim 2"):
+                ck.contract_out(3, 3, rng.standard_normal((2, len(multi_indices(dim, 3)))))
 
 
 def is_view_born(jet):
@@ -1111,7 +1222,64 @@ class TestViewBornJets:
         assert_read_only(*lazy._view(), *eager._view())
 
 
+def literal_invert(a):
+    """jet_invert as a loop over grades, then components, each grade of a
+    component solved by literal_compose over kernels 0..n-1 and
+    literal_contract_out through the pull-back kernels."""
+    d, deg = a.dim, a.degree
+    inv = np.linalg.inv(linear_part(a))
+    ck, pull = comp_kernels(a), _linear_power_kernels(inv, deg)
+    g = [[scalar_tensor(d, 0.0), vector_tensor(row)] for row in inv]
+    for n in range(2, deg + 1):
+        for ks in g:
+            ks.append(literal_contract_out(pull, n, n, literal_compose(ck, n, ks)).scale(-1.0 / factorial(n)))
+    return g
+
+
 class TestInversion:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), deg=st.integers(1, 6),
+           kind=st.sampled_from(("identity", "log1p", "random")))
+    def test_matches_the_per_component_loop(self, data, d, deg, kind):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        nonlinearity = data.draw(st.sampled_from((0.3, 0.9)))
+        a = {"identity": identity_vjet, "log1p": log1p_vjet}.get(
+            kind, lambda d, deg: random_vjet(rng, d, deg, nonlinearity)
+        )(d, deg)
+        # one composition and one pull-back per grade n >= 2, for all d components
+        with pytest.MonkeyPatch.context() as mp:
+            composes = count_method(mp, CompKernels, "compose_stack")
+            contracts = count_method(mp, CompKernels, "contract_out")
+            got = jet_invert(a)
+        assert [len(composes), len(contracts)] == [deg - 1, deg - 1]
+        assert [bits(c) for c in got.components] == [[hexes(t) for t in ks] for ks in literal_invert(a)]
+
+    @pytest.mark.parametrize(
+        "mat, extra_1, extra_2, deg",
+        [
+            ([[1.0, 0.0], [0.0, 1.0]], {}, {(2, 2): 1e10}, 5),
+            ([[1.0, 0.0], [0.0, 1.0]], {(1, 2): 1e10}, {(2, 2): 1e10}, 5),
+            ([[1.0, 0.0], [0.0, 1.0]], {(1, 1): 1e100}, {(1, 2): 1e10}, 5),
+            ([[1.0, 1.0], [0.0, 1.0]], {}, {(1, 1): 1e200}, 3),
+        ],
+    )
+    def test_overflow_message_is_the_per_component_loop(self, mat, extra_1, extra_2, deg):
+        # L = 1e-30 mat plus a large quadratic term: grade 3 or 5 of g
+        # overflows in the pull-back, in component 2 alone or in both, where
+        # component 1 raises; in the last case the composition overflows,
+        # and its pull-back through a non-diagonal L^-1 holds a nan first
+        d = 2
+        lin = [linear_jet(d, deg, 1e-30 * np.array(row)) for row in mat]
+        a = VectorJet(d, deg, (lin[0] + jet_from_entries(d, deg, extra_1), lin[1] + jet_from_entries(d, deg, extra_2)))
+        with pytest.raises(ValueError) as want:
+            literal_invert(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as got:
+                jet_invert(a)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("non-finite coefficient at index")
+
     def test_degree_zero_rejected(self):
         a = VectorJet(2, 0, (constant_jet(2, 0, 0.0),) * 2)
         assert comp_kernels(a).rows == {}

@@ -163,6 +163,15 @@ class TestSymProduct:
         with pytest.raises(DimensionMismatchError):
             sym_product(basis_vector(2, 1), basis_vector(3, 1))
 
+    def test_product_of_overflowing_power_tensors(self):
+        # power_tensor stores Python floats, so the overflow is the
+        # "non-finite coefficient" error, not numpy's RuntimeWarning, which
+        # the test settings turn into an error
+        big = power_tensor([1e200], 1)
+        assert type(big[(1,)]) is float
+        with pytest.raises(ValueError, match=r"non-finite coefficient at index \(1, 1\): inf"):
+            sym_product(big, big)
+
 
 class TestPairing:
     def test_orthogonal_power_vectors(self):
