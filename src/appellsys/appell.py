@@ -2,13 +2,13 @@
 
 An AppellBasis fixes a measure model, an invertible vector jet alpha with
 alpha(0) = 0, and a truncation degree N.  From the moment jet l(theta) it
-caches the ingredients every downstream operation needs:
+holds the ingredients the downstream operations read:
 
 * m_jet      -- moment tensors of the measure,
 * malpha_jet -- moment tensors of the reparametrized transform l(alpha(.)),
 * u_jet      -- kernels of 1/l, i.e. the polynomial system constants at 0,
 * ualpha_jet -- kernels of 1/l(alpha(.)), the generalized constants at 0,
-* A, B       -- power kernels of alpha and of its compositional inverse.
+* A, B       -- power kernels of alpha and of its inverse (B on first read).
 
 The polynomial (test) side P and the distribution side Q are represented
 as graded kernel sequences tagged with their basis; pairing, basis
@@ -19,7 +19,7 @@ operate on these sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import comb, exp, factorial, sqrt
 
@@ -102,11 +102,14 @@ class BasisMismatchError(ValueError):
 
 
 class AppellBasis:
-    """Cached context for one (measure, alpha, dimension, degree) choice.
+    """Context for one (measure, alpha, dimension, degree) choice.
 
-    Immutable after construction; all operations below are pure functions
-    of the basis and their arguments.
+    B and alpha_is_identity are computed on first read and then fixed; all
+    operations below are pure functions of the basis and their arguments.
     """
+
+    B = cached_property(lambda self: comp_kernels(self.g_alpha))
+    alpha_is_identity = cached_property(lambda self: self.alpha == identity_vjet(self.dim, self.degree))
 
     def __init__(
         self,
@@ -129,11 +132,9 @@ class AppellBasis:
         self.m_jet = moment_kernels(model, degree)
         self.A = comp_kernels(alpha)
         self.g_alpha = jet_invert(alpha, self.A)
-        self.B = comp_kernels(self.g_alpha)
         self.malpha_jet = jet_compose_scalar(self.m_jet, alpha, self.A)
         self.u_jet = jet_recip(self.m_jet)
         self.ualpha_jet = jet_recip(self.malpha_jet)
-        self.alpha_is_identity = alpha == identity_vjet(self.dim, degree)
 
     def same_basis(self, other: "AppellBasis") -> bool:
         return self.model == other.model and self.same_alpha(other)
@@ -157,6 +158,9 @@ class KernelSeq:
             raise ValueError(f"unknown basis tag {self.tag!r}")
         if self.tag != MONOMIAL and self.basis is None:
             raise ValueError(f"{self.tag}-tagged sequences need an AppellBasis")
+        shape = (self.dim, self.degree)
+        if self.basis is not None and (self.basis.dim, self.basis.degree) != shape:
+            raise ValueError(f"sequence has (dim, degree) {shape}, its basis {(self.basis.dim, self.basis.degree)}")
         if len(self.kernels) != self.degree + 1:
             raise ValueError("need one kernel per grade 0..N")
         for n, k in enumerate(self.kernels):

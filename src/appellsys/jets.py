@@ -125,7 +125,7 @@ class ScalarJet:
         return self.kernels[n]
 
     def constant(self) -> float:
-        return self.kernels[0].item()
+        return self.kernels[0].item() if self._stacked is None else self._stacked[0].item(0)
 
     def __add__(self, other: "ScalarJet") -> "ScalarJet":
         _check_compatible(self, other)

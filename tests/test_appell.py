@@ -2,6 +2,7 @@
 operators, pairings, evaluation functionals, norms."""
 
 import math
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -12,6 +13,8 @@ from appellsys.appell import (
     AppellBasis,
     BasisMismatchError,
     KernelSeq,
+    P_TAG,
+    Q_TAG,
     appell_constants,
     appell_eval,
     convolution,
@@ -131,6 +134,19 @@ class TestBasisInvariants:
                 assert prod.constant() == pytest.approx(1.0, rel=1e-12)
                 for n in range(1, basis.degree + 1):
                     assert prod.kernels[n].max_abs() < 1e-11
+
+
+class TestKernelSeqShape:
+    """A P- or Q-tagged sequence has its basis's dim and degree."""
+
+    @pytest.mark.parametrize("tag", [P_TAG, Q_TAG])
+    @pytest.mark.parametrize("dim, degree", [(2, 3), (2, 5), (1, 4), (3, 4)])
+    def test_shape_other_than_the_basis_rejected(self, tag, dim, degree):
+        basis = AppellBasis(GaussianModel.standard(2), degree=4)
+        kernels = tuple(zero_tensor(dim, n) for n in range(degree + 1))
+        want = f"sequence has (dim, degree) {(dim, degree)}, its basis (2, 4)"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            KernelSeq(tag, dim, degree, kernels, basis)
 
 
 class TestPlainEval:

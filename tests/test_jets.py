@@ -17,8 +17,10 @@ from appellsys.appell import (
     AppellBasis,
     appell_eval,
     gen_appell_all,
+    monomial_seq,
     p_seq,
     q_seq,
+    to_appell,
     to_monomial,
 )
 from appellsys.jets import (
@@ -952,8 +954,23 @@ class TestLinearPowerKernels:
         products = count_calls(monkeypatch, jet_mul)
         jet_invert(a, ck)
         assert builds == [] and products == []
-        AppellBasis(GaussianModel.standard(3), a, degree=5)
+        # A at construction; B, of the inverse, on its first read alone
+        basis = AppellBasis(GaussianModel.standard(3), a, degree=5)
+        assert len(builds) == 1
+        basis.B
         assert len(builds) == 2
+
+    @pytest.mark.parametrize("kind", ["identity", "log1p", "random"])
+    def test_inversion_builds_no_tensor(self, monkeypatch, kind):
+        a = {"identity": identity_vjet, "log1p": log1p_vjet}.get(
+            kind, lambda d, deg: random_vjet(np.random.default_rng(18), d, deg)
+        )(3, 5)
+        ck = comp_kernels(a)
+        built = count_tensors(monkeypatch)
+        g = jet_invert(a, ck)
+        assert built == []
+        assert all(is_view_born(c) for c in g.components)
+        assert [c.constant() for c in g.components] == [0.0] * 3
 
 
 def plain_tables(a):
@@ -1402,3 +1419,69 @@ class TestPowerDuality:
                 expected[u] = factorial(m) / multiplicity(u)
                 for k in multi_indices(d, m):
                     assert back.kernels[m][k] == pytest.approx(expected[k], abs=1e-10)
+
+
+def row_bytes(ck):
+    """Every table of ck in order: its key, its keys u and its rows' bytes."""
+    return [(key, us, x.tobytes()) for key, (us, x) in ck.rows.items()]
+
+
+class TestLazyBasisParts:
+    """AppellBasis builds B and alpha_is_identity on first read."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), deg=st.integers(1, 6),
+           kind=st.sampled_from(("identity", "log1p", "random")))
+    def test_b_is_comp_kernels_of_the_inverse(self, data, d, deg, kind):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a = {"identity": identity_vjet, "log1p": log1p_vjet}.get(kind, lambda d, deg: random_vjet(rng, d, deg))(d, deg)
+        with pytest.MonkeyPatch.context() as mp:
+            builds = count_calls(mp, comp_kernels)
+            basis = AppellBasis(GaussianModel.standard(d), a, degree=deg)
+            assert len(builds) == 1
+            b = basis.B
+            assert len(builds) == 2
+            assert basis.B is b and len(builds) == 2
+        g = basis.g_alpha
+        eager = VectorJet(d, deg, tuple(ScalarJet(d, deg, c.kernels) for c in g.components))
+        assert row_bytes(b) == row_bytes(comp_kernels(g)) == row_bytes(comp_kernels(eager))
+
+    @pytest.mark.parametrize(
+        "make, want",
+        [
+            (identity_vjet, True),
+            (lambda d, deg: VectorJet(d, deg, tuple(jet_from_entries(d, deg, {(j,): 1.0}) for j in (1, 2))), True),
+            (lambda d, deg: VectorJet(d, deg, tuple(linear_jet(d, deg, row) for row in np.eye(d) * (1 + 2**-52))), False),
+            (log1p_vjet, False),
+            (lambda d, deg: random_vjet(np.random.default_rng(19), d, deg), False),
+        ],
+    )
+    def test_alpha_is_identity_on_first_read(self, monkeypatch, make, want):
+        a = make(2, 4)
+        basis = AppellBasis(GaussianModel.standard(2), a, degree=4)
+        made = count_calls(monkeypatch, identity_vjet)
+        assert basis.alpha_is_identity is want
+        assert want is (a == identity_vjet(2, 4))
+        assert len(made) == 1
+        assert basis.alpha_is_identity is want and len(made) == 1
+
+    def test_overflow_of_b_raises_at_its_first_read(self):
+        # L = 1e-10 and a_5 = 1e240: g_1 = 1e10 and g_5 = -1e300, both
+        # finite, so the inversion holds; B(6, 2) = 6 g_1 g_5 overflows
+        a = VectorJet(1, 6, (jet_from_entries(1, 6, {(1,): 1e-10, (1,) * 5: 1e240}),))
+        message = f"non-finite coefficient at index {(1,) * 6}: -inf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = jet_invert(a)
+            assert g.components[0].kernels[5][(1,) * 5] == -1e300
+            with pytest.raises(ValueError) as direct:
+                comp_kernels(g)
+            assert str(direct.value) == message
+            basis = AppellBasis(GaussianModel.standard(1), a, degree=6)
+            for _ in range(2):
+                with pytest.raises(ValueError) as err:
+                    basis.B
+                assert str(err.value) == message
+            mono = monomial_seq(1, 6, {1: vector_tensor([1.0])})
+            with pytest.raises(ValueError, match=re.escape(message)):
+                to_appell(basis, mono)
