@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
-from math import comb, exp, factorial, sqrt
+from math import comb, exp, factorial, inf, sqrt
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .jets import (
     VectorJet,
     _check_rows,
     _row_tensors,
+    _stack,
     comp_kernels,
     graded_rows,
     identity_vjet,
@@ -363,7 +363,7 @@ def to_monomial(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
     """Re-express a P-tagged test function in monomial kernels (same function)."""
     _require_tag(f, P_TAG)
     _require_same_basis(basis, f.basis)
-    plain = basis.A.contract_in(_stacked(basis, f.kernels))
+    plain = basis.A.contract_in(_stack(f.kernels)[0])
     mono = binomial_contract(_row_tensors(basis.dim, range(basis.degree + 1), plain), basis.u_jet.kernels)
     return KernelSeq(MONOMIAL, basis.dim, basis.degree, tuple(mono))
 
@@ -372,7 +372,7 @@ def to_appell(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
     """Inverse of to_monomial: expand monomial kernels in the P basis."""
     _require_tag(f, MONOMIAL)
     plain = binomial_contract(f.kernels, basis.m_jet.kernels)
-    gen = _row_tensors(basis.dim, range(basis.degree + 1), basis.B.contract_in(_stacked(basis, plain)))
+    gen = _row_tensors(basis.dim, range(basis.degree + 1), basis.B.contract_in(_stack(plain)[0]))
     return KernelSeq(P_TAG, basis.dim, basis.degree, tuple(gen), basis)
 
 
@@ -433,7 +433,7 @@ def s_transform(basis: AppellBasis, Phi: KernelSeq) -> ScalarJet:
     _require_tag(Phi, Q_TAG)
     _require_same_basis(basis, Phi.basis)
     grades = range(basis.degree + 1)
-    coeffs = _stacked(basis, Phi.kernels) * _factorials(basis.dim, basis.degree)
+    coeffs = _stack(Phi.kernels)[0] * _factorials(basis.dim, basis.degree)
     _check_rows(basis.dim, grades, coeffs[None])
     return ScalarJet(basis.dim, basis.degree, tuple(_row_tensors(basis.dim, grades, basis.B.compose_stack(coeffs))))
 
@@ -449,12 +449,6 @@ def _q_of_grades(basis: AppellBasis, row: np.ndarray) -> KernelSeq:
     """The distribution with kernel n (1/n!) times grade n of row."""
     row = row * (1.0 / _factorials(basis.dim, basis.degree))
     return q_seq(basis, dict(enumerate(_row_tensors(basis.dim, range(basis.degree + 1), row))))
-
-
-def _stacked(basis: AppellBasis, kernels) -> np.ndarray:
-    """Kernels 0..N of the basis's shape as one vector, as a jet's view reads them."""
-    size = len(_factorials(basis.dim, basis.degree))
-    return np.fromiter(chain.from_iterable([k.coeffs.values() for k in kernels]), float, size)
 
 
 @lru_cache(maxsize=None)
@@ -575,14 +569,24 @@ SIGMA_SAMPLES = 512
 SIGMA_ROUNDS = 3
 
 
+def _check_sweep(epsilon: float, trials: int = 0) -> None:
+    """Reject an epsilon that is not positive and finite, or a negative trials count."""
+    if not 0 < epsilon < inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials!r}")
+
+
 def estimate_sigma_eps(basis: AppellBasis, p: float, epsilon: float, seed: int = 0) -> float:
     """Largest sphere radius keeping |alpha(theta)|_p <= eps and the
     reparametrized transform >= 1/2, by random search with refinement.
 
     The returned value divides out the polarization and embedding factor
     e * ||i||_HS for the step from p to p + 1, so the resulting tensor-norm
-    growth bound is honest at finite dimension.
+    growth bound is honest at finite dimension.  An epsilon that is not
+    positive and finite raises ValueError.
     """
+    _check_sweep(epsilon)
     rng = np.random.Generator(np.random.Philox(key=seed))
     w = np.array(basis.scale.weights)
 
@@ -625,8 +629,10 @@ def growth_bound_check(
 
     Reports the largest observed ratio |phi(z)| / (||phi||_{p,q} e^{eps |z|})
     and the theoretical constant 2 (1 - 2^(-q) sigma^(-2))^(-1/2) when the
-    latter is finite.
+    latter is finite.  A negative trials count raises ValueError, as does
+    an epsilon that estimate_sigma_eps rejects.
     """
+    _check_sweep(epsilon, trials)
     sigma = estimate_sigma_eps(basis, p - 1.0, epsilon, seed=seed)
     rng = np.random.Generator(np.random.Philox(key=seed + 1))
     norm = test_norm(basis, phi, p, q)

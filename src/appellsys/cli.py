@@ -22,6 +22,7 @@ import numpy as np
 
 from .appell import (
     AppellBasis,
+    _check_sweep,
     appell_constants,
     growth_bound_check,
     pair,
@@ -293,6 +294,10 @@ def cmd_hermite(args) -> int:
 
 def cmd_growth(args) -> int:
     cfg = _settings(args)
+    try:
+        _check_sweep(cfg["epsilon"], cfg["trials"])
+    except ValueError as e:
+        return _usage_error(str(e))
     out = _out_dir(cfg)
     basis = _basis_from(cfg)
     rng = np.random.Generator(np.random.Philox(key=cfg["seed"]))

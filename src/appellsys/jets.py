@@ -117,8 +117,7 @@ class ScalarJet:
         """Kernels 0..N as one read-only vector in multi_indices order, and
         whether each kernel is live."""
         if self._stacked is None:
-            plan = _graded_plan(self.dim, tuple(range(self.degree + 1)))
-            object.__setattr__(self, "_stacked", _stack(self.kernels, plan.starts))
+            object.__setattr__(self, "_stacked", _stack(self.kernels))
         return self._stacked
 
     def kernel(self, n: int) -> SymTensor:
@@ -193,23 +192,6 @@ def jet_from_entries(dim: int, degree: int, entries) -> ScalarJet:
     return ScalarJet(dim, degree, tuple(SymTensor(dim, n, t) for n, t in enumerate(tables)))
 
 
-def _graded_terms(f, g, grades, weight) -> list[SymTensor]:
-    """graded_product term by term: one sym_product per pair of live kernels.
-
-    Only products of two live kernels are formed, and a weight of 1 is not
-    applied; a grade with no such product is the shared zero tensor.
-    """
-    f_live = [is_live(k) for k in f]
-    g_live = [is_live(k) for k in g]
-
-    def terms(n):
-        for k in range(n + 1):
-            if f_live[k] and g_live[n - k]:
-                yield weight(n, k), sym_product(f[k], g[n - k])
-
-    return [weighted_sum(f[0].dim, n, terms(n)) for n in grades]
-
-
 def _row_tensors(dim: int, grades, row) -> list[SymTensor]:
     """The kernels of the grades whose coefficients, grade after grade, are
     row: the shared zero where a grade is all +0.0, else a SymTensor, which
@@ -231,9 +213,11 @@ def _check_rows(dim: int, grades, values: np.ndarray) -> None:
         _row_tensors(dim, grades, values[np.isfinite(values).all(axis=1).argmin()])
 
 
-def _stack(kernels, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients of kernels 0, 1, ... as one vector, with whether
-    each kernel is live, both read-only."""
+def _stack(kernels) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of kernels 0, 1, ... as one vector in multi_indices
+    order, as a jet's view reads them, with whether each kernel is live,
+    both read-only."""
+    starts = _graded_plan(kernels[0].dim, tuple(range(len(kernels)))).starts
     x = np.fromiter(chain.from_iterable([t.coeffs.values() for t in kernels]), float, starts[-1])
     return _frozen(x, starts)
 
@@ -300,29 +284,38 @@ def _graded_plan(dim: int, grades: tuple[int, ...]) -> SimpleNamespace:
     )
 
 
-def graded_product(f, g, grades, weight=comb) -> list[SymTensor]:
-    """The given grades of the product h_n = sum_k weight(n, k) f_k sym g_{n-k}.
+def graded_product(dim: int, grades, x, y, weight) -> np.ndarray:
+    """The given grades of h_n = sum_k weight(n, k) f_k sym g_{n-k}, checked.
 
-    f and g are graded kernel sequences (kernel k of rank k).  The sums run
-    through one cached plan per (dim, grades): one bincount forms every
-    product, each is divided by C(n, k) and weighted, and a cumsum over k
-    adds them in order from +0.0.  That is the term-by-term sum bit for
-    bit: a skipped product of a dead kernel adds only signed zeros.  A grade
-    with no product of two live kernels is the shared zero tensor.  A
-    non-finite entry of a live grade, or a kernel of the wrong shape, goes
-    to the term route, which raises as before and skips a zero factor
-    beside an overflow.
+    x and y are the (vector, live) views of kernels 0, 1, ... of f and g, as
+    ScalarJet._view gives them.  The result holds the columns of the grades,
+    grade after grade: the sums of graded_rows, which are the term-by-term
+    sums of one sym_product per pair of live kernels bit for bit, all +0.0
+    in a grade with no such pair.  Only when a sum is non-finite are the
+    sums formed again with each term of a zero factor +0.0, as sym_product
+    skips it: finite, they are the term route's.  Otherwise this raises as
+    the term route did: within each grade, at the first non-finite product
+    of two live kernels in k order, then at the grade's sum.
     """
     grades = tuple(grades)
-    if not grades:
-        return []
-    plan = _graded_plan(f[0].dim, grades)
-    top = len(plan.shapes)
-    if any([(t.dim, t.rank) for t in s[:top]] != plan.shapes for s in (f, g)):
-        return _graded_terms(f, g, grades, weight)
-    fx, gy = _stack(f[:top], plan.starts), _stack(g[:top], plan.starts)
-    values = _plan_values(plan, grades, fx[0], gy[0], weight)
-    return _plan_kernels(plan, grades, f, g, fx, gy, weight, values)
+    plan = _graded_plan(dim, grades)
+    values = _plan_values(plan, grades, x[0], y[0], weight)
+    if np.isfinite(values).all():
+        return values
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, g = x[0][plan.f_at], y[0][plan.g_at]
+        terms = (plan.ways * f) * g
+        terms[(f == 0) | (g == 0)] = 0.0
+        products = _cell_sums(plan.cells, terms, plan.combs.shape) / plan.combs
+        values = np.add.accumulate(products * _plan_weights(plan, grades, weight), axis=0)[-1] + 0.0
+    if not np.isfinite(values).all():
+        for n, keys, col in plan.columns:
+            cols = slice(col, col + len(keys))
+            for k in range(n + 1):
+                if x[1][k] and y[1][n - k]:
+                    _row_tensors(dim, [n], products[k, cols])
+            _row_tensors(dim, [n], values[cols])
+    return values
 
 
 def graded_rows(dim: int, grades, x, y, weight) -> np.ndarray:
@@ -345,6 +338,14 @@ def _columns(x: np.ndarray, at: np.ndarray) -> np.ndarray:
     return x[at] if x.ndim == 1 else x[:, at]
 
 
+def _plan_weights(plan, grades, weight) -> np.ndarray:
+    """weight(n, k) at (k, column of grade n) of plan, 0 where k > n."""
+    if weight is comb:
+        return plan.combs
+    ws = [[weight(n, k) if k <= n else 0 for n in grades] for k in range(len(plan.shapes))]
+    return np.repeat(np.array(ws, dtype=float), plan.widths, axis=1)
+
+
 def _plan_values(plan, grades, x, y, weight) -> np.ndarray:
     """The sums of graded_product of x and y through plan: the columns of
     the grades as one vector, or one row of them per row of x or y.
@@ -352,12 +353,7 @@ def _plan_values(plan, grades, x, y, weight) -> np.ndarray:
     The rows share one bincount over cells + size * row, so each cell adds
     its terms in the order of the 1-D call; a 1-D call offsets no cell.
     """
-    weights = plan.combs
-    if weight is not comb:
-        top = len(plan.shapes)
-        ws = [[weight(n, k) if k <= n else 0 for n in grades] for k in range(top)]
-        weights = np.repeat(np.array(ws, dtype=float), plan.widths, axis=1)
-
+    weights = _plan_weights(plan, grades, weight)
     if x.ndim == y.ndim == 1:
         return _plan_sums(plan, weights, x, y)
     return _by_blocks(len(plan.cells), lambda x, y: _plan_sums(plan, weights, x, y), x, y)
@@ -381,51 +377,34 @@ def _cell_sums(cells: np.ndarray, terms: np.ndarray, shape) -> np.ndarray:
     return np.bincount(cells, terms.ravel(), minlength=prod(shape)).astype(float, copy=False).reshape(shape)
 
 
-def _plan_kernels(plan, grades, f, g, fx, gy, weight, values) -> list[SymTensor]:
-    """graded_product of f and g, read as fx = (vector, live) and gy, from
-    the plan's values; an overflow goes to the term route."""
-    live = np.convolve(fx[1], gy[1]).tolist()  # grade n: is some f_k and g_{n-k} live
-    vals, dim = values.tolist(), plan.shapes[0][0]
-    try:
-        return [
-            SymTensor(dim, n, dict(zip(keys, vals[col : col + len(keys)]))) if live[n] else zero_tensor(dim, n)
-            for n, keys, col in plan.columns
-        ]
-    except ValueError:
-        return _graded_terms(f, g, grades, weight)  # an overflow: SymTensor rejects it
-
-
 def graded_solve(f, h0: SymTensor, post, weight=comb) -> list[SymTensor]:
     """Kernels h_0 = h0 and h_n = post * sum_{k=1..n} weight(n, k) f_k sym h_{n-k}.
 
-    Grade n is the term-by-term graded product of f without its constant and
-    h_0..h_{n-1}; with kernel 0 of the first factor dead, it never reads h_n.
+    Grade n adds, in k order from +0.0 by weighted_sum, one sym_product per
+    pair of live f_k and h_{n-k}; a weight of 1 is not applied, and a grade
+    with no such pair is the shared zero tensor.  It never reads f_0, nor
+    h_n.
     """
-    tail = [zero_tensor(h0.dim, 0), *f[1:]]
-    h = [h0]
+    f_live = [is_live(t) for t in f]
+    h, h_live = [h0], [is_live(h0)]
     for n in range(1, len(f)):
-        acc = _graded_terms(tail, h, [n], weight)[0]
+        pairs = [k for k in range(1, n + 1) if f_live[k] and h_live[n - k]]
+        acc = weighted_sum(h0.dim, n, ((weight(n, k), sym_product(f[k], h[n - k])) for k in pairs))
         h.append(acc if post == 1 else acc.scale(post))
+        h_live.append(is_live(h[n]))
     return h
 
 
 def jet_mul(f: ScalarJet, g: ScalarJet) -> ScalarJet:
     """Product of jets: h_n = sum_k C(n,k) f_k sym g_{n-k}.
 
-    graded_product of the views of f and g.  When its values are all finite
-    they are the product's view, and its kernels are built on first read: a
-    dead grade's values are +0.0 but for an overflow's nan.  Otherwise the
-    kernels are built at once, or the term route raises.
+    graded_product of the views of f and g is the product's view, and its
+    kernels are built from it on first read.
     """
     _check_compatible(f, g)
     grades = tuple(range(f.degree + 1))
-    plan = _graded_plan(f.dim, grades)
-    fx, gy = f._view(), g._view()
-    values = _plan_values(plan, grades, fx[0], gy[0], comb)
-    if np.isfinite(values).all():
-        return ScalarJet._from_view(f.dim, f.degree, _frozen(values, plan.starts))
-    ks = _plan_kernels(plan, grades, f.kernels, g.kernels, fx, gy, comb, values)
-    return ScalarJet(f.dim, f.degree, tuple(ks))
+    values = graded_product(f.dim, grades, f._view(), g._view(), comb)
+    return ScalarJet._from_view(f.dim, f.degree, _frozen(values, _graded_plan(f.dim, grades).starts))
 
 
 def jet_exp(f: ScalarJet) -> ScalarJet:
@@ -760,13 +739,13 @@ def _linear_power_kernels(inv: np.ndarray, degree: int) -> CompKernels:
     """comp_kernels of the linear jets of the rows of inv, bit for bit, with no jet.
 
     Only the tables (m, m) are present.  Layer m holds the live rows of rank
-    m: row u' + (j,) is grade m of the product of row u' with
-    linear_jet(inv[j-1]) in graded_product's arithmetic, the terms
-    (W * x_i) * inv[j-1, j'] of _product_arrays(d, m-1, 1) added in plan
-    order from +0.0, then / m * m + 0.0.  One bincount per last coordinate j
-    forms them, so the terms of a call are a few times the layer's table.  A
-    dead row drops every row that extends it, and a non-finite entry raises
-    as SymTensor does.
+    m: row u' + (j,) is grade m of jet_mul of row u' with
+    linear_jet(inv[j-1]), bit for bit: the plan's terms (W * x_i) *
+    inv[j-1, j'] of _product_arrays(d, m-1, 1) added in plan order from
+    +0.0, then / m * m + 0.0.  One bincount per last coordinate j forms
+    them, so the terms of a call are a few times the layer's table.  A dead
+    row drops every row that extends it, and a non-finite entry raises as
+    SymTensor does.
     """
     d = len(inv)
     live = inv.any(axis=1)

@@ -21,6 +21,7 @@ from .appell import (
     KernelSeq,
     P_TAG,
     Q_TAG,
+    _check_grade,
     _factorials,
     binomial_contract,
     gen_appell_batch,
@@ -29,7 +30,7 @@ from .appell import (
     s_inverse,
     s_transform,
 )
-from .jets import ScalarJet, _row_tensors, graded_product, graded_rows, jet_mul
+from .jets import ScalarJet, _frozen, _graded_plan, _row_tensors, _stack, graded_product, graded_rows, jet_mul
 
 __all__ = [
     "p_relation",
@@ -63,6 +64,7 @@ def p_relation(basis_mu: AppellBasis, basis_mut: AppellBasis, n: int, points) ->
     basis.
     """
     _require_shared_alpha(basis_mu, basis_mut)
+    _check_grade(basis_mu, n)
     points = list(points)
     zs = np.asarray(points, dtype=float) if points else np.empty((0, basis_mu.dim))
     ratio = _ratio_jet(basis_mu, basis_mut)._view()[0]
@@ -101,10 +103,11 @@ def transport_dist(
     if not basis_mut.same_basis(Phi_t.basis):
         raise BasisMismatchError("distribution does not live in the source basis")
     _require_shared_alpha(basis_mu, basis_mut)
-    grades = range(basis_mu.degree + 1)
-    ratio = _ratio_jet(basis_mu, basis_mut)._view()[0] * (1.0 / _factorials(basis_mu.dim, basis_mu.degree))
-    out = graded_product(Phi_t.kernels, _row_tensors(basis_mu.dim, grades, ratio), grades, lambda n, k: 1)
-    return q_seq(basis_mu, dict(enumerate(out)))
+    dim, grades = basis_mu.dim, tuple(range(basis_mu.degree + 1))
+    ratio = _ratio_jet(basis_mu, basis_mut)._view()[0] * (1.0 / _factorials(dim, basis_mu.degree))
+    ratio = _frozen(ratio, _graded_plan(dim, grades).starts)
+    out = graded_product(dim, grades, _stack(Phi_t.kernels), ratio, lambda n, k: 1)
+    return q_seq(basis_mu, dict(enumerate(_row_tensors(dim, grades, out))))
 
 
 def change_alpha_dist(

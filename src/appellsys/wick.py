@@ -17,7 +17,7 @@ from .appell import (
     Q_TAG,
     q_seq,
 )
-from .jets import graded_product, graded_rows, graded_solve
+from .jets import _row_tensors, _stack, graded_product, graded_rows, graded_solve
 from .symtensor import multi_indices, norm_rows, scalar_tensor, weighted_sum
 
 __all__ = [
@@ -51,8 +51,9 @@ def wick_unit(basis: AppellBasis) -> KernelSeq:
 def wick_mul(Phi: KernelSeq, Psi: KernelSeq) -> KernelSeq:
     """Graded convolution: grade n collects Phi^(k) sym Psi^(n-k)."""
     basis = _same_basis(Phi, Psi)
-    out = graded_product(Phi.kernels, Psi.kernels, range(basis.degree + 1), lambda n, k: 1)
-    return q_seq(basis, dict(enumerate(out)))
+    grades = range(basis.degree + 1)
+    out = graded_product(basis.dim, grades, _stack(Phi.kernels), _stack(Psi.kernels), lambda n, k: 1)
+    return q_seq(basis, dict(enumerate(_row_tensors(basis.dim, grades, out))))
 
 
 def wick_pow(Phi: KernelSeq, n: int) -> KernelSeq:

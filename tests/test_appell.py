@@ -906,6 +906,25 @@ class TestGrowth:
         report = growth_bound_check(gauss1d_basis, phi, 2, 6, 0.5, trials=200, seed=3, z_radius=10.0)
         assert report["passed"]
 
+    @pytest.mark.parametrize("epsilon", [-0.5, 0.0, -0.0, float("nan"), float("inf"), -float("inf")])
+    def test_epsilon_not_positive_and_finite_rejected(self, gauss1d_basis, epsilon):
+        message = f"epsilon must be positive and finite, got {epsilon!r}"
+        with pytest.raises(ValueError) as err:
+            estimate_sigma_eps(gauss1d_basis, 1.0, epsilon)
+        assert str(err.value) == message
+        phi = p_seq(gauss1d_basis, {2: tensor_1d(2, 1.0)})
+        with pytest.raises(ValueError) as err:
+            growth_bound_check(gauss1d_basis, phi, 2, 6, epsilon, trials=10)
+        assert str(err.value) == message
+
+    def test_negative_trials_rejected(self, gauss1d_basis):
+        phi = p_seq(gauss1d_basis, {2: tensor_1d(2, 1.0)})
+        with pytest.raises(ValueError) as err:
+            growth_bound_check(gauss1d_basis, phi, 2, 6, 0.5, trials=-3)
+        assert str(err.value) == "trials must be non-negative, got -3"
+        report = growth_bound_check(gauss1d_basis, phi, 2, 6, 0.5, trials=0)
+        assert report["trials"] == 0 and report["max_ratio"] == 0.0
+
     def test_epsilon_loosens_bound(self, gauss1d_basis):
         phi = p_seq(gauss1d_basis, {2: tensor_1d(2, 1.0)})
         r1 = growth_bound_check(gauss1d_basis, phi, 2, 6, 0.3, trials=100, seed=4)

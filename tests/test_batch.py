@@ -27,6 +27,8 @@ from appellsys.appell import (
 )
 from appellsys.jets import (
     ScalarJet,
+    _row_tensors,
+    _stack,
     graded_product,
     graded_rows,
     identity_vjet,
@@ -74,7 +76,8 @@ def literal_plain(basis, z, grades):
     """The plain tensors at z as before batching: power tensors and one
     graded product against the constants at zero."""
     powers = [power_tensor(z, k) for k in range(max(grades) + 1)]
-    return graded_product(powers, basis.u_jet.kernels, grades)
+    values = graded_product(basis.dim, grades, _stack(powers), basis.u_jet._view(), comb)
+    return _row_tensors(basis.dim, grades, values)
 
 
 def literal_gen_appell_all(basis, z):
@@ -266,9 +269,9 @@ class TestBatchedPlans:
         for r in range(rows):
             f, g = as_tensors(d, X[r], top), as_tensors(d, Y[r], top)
             f0, g0 = as_tensors(d, X[0], top), as_tensors(d, Y[0], top)
-            assert hexes(both[r]) == tensor_hexes(graded_product(f, g, grades, weight))
-            assert hexes(left[r]) == tensor_hexes(graded_product(f, g0, grades, weight))
-            assert hexes(right[r]) == tensor_hexes(graded_product(f0, g, grades, weight))
+            assert hexes(both[r]) == hexes(graded_product(d, grades, _stack(f), _stack(g), weight))
+            assert hexes(left[r]) == hexes(graded_product(d, grades, _stack(f), _stack(g0), weight))
+            assert hexes(right[r]) == hexes(graded_product(d, grades, _stack(f0), _stack(g), weight))
         assert hexes(graded_rows(d, grades, X[0], Y[0], weight)) == hexes(both[0])
 
     @settings(max_examples=80)

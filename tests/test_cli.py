@@ -403,6 +403,27 @@ def test_out_of_range_input_is_usage_error(args, config, tmp_path, capsys):
 @pytest.mark.parametrize(
     "config, message",
     [
+        ("epsilon = -0.5", "epsilon must be positive and finite, got -0.5"),
+        ("epsilon = 0", "epsilon must be positive and finite, got 0.0"),
+        ("epsilon = nan", "epsilon must be positive and finite, got nan"),
+        ("epsilon = inf", "epsilon must be positive and finite, got inf"),
+        ("trials = -3", "trials must be non-negative, got -3"),
+    ],
+    ids=["epsilon-minus-0.5", "epsilon-0", "epsilon-nan", "epsilon-inf", "trials-minus-3"],
+)
+def test_bad_growth_check_setting_is_usage_error(config, message, tmp_path, capsys):
+    # before, a negative epsilon passed, 0 raised ZeroDivisionError and a
+    # negative trials count numpy's "negative dimensions" error
+    (tmp_path / "run.cfg").write_text(f"[check]\n{config}\n")
+    assert exit_code(["growth", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not (tmp_path / "growth.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
         ("[basis]\ndegre = 9\n", "unknown config key [basis] degre"),
         ("[check]\nbeta = 1.0\n", "unknown config key [check] beta"),
         ("[model]\nmeasure = poisson\n\n[plot]\ncolor = red\n", "unknown config section [plot]"),

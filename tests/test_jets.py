@@ -26,6 +26,8 @@ from appellsys.appell import (
 from appellsys.jets import (
     CompKernels,
     _linear_power_kernels,
+    _row_tensors,
+    _stack,
     graded_product,
     ScalarJet,
     SingularJetError,
@@ -721,6 +723,26 @@ class TestCompKernels:
         assert hex_list(ck.contract_in(x)) == [h for t in literal_contract_in(ck, phis) for h in hexes(t)]
 
 
+def graded_terms(f, g, grades, weight):
+    """graded_product as the term route: one sym_product per pair of live
+    kernels, summed by weighted_sum; a grade with no such pair is the
+    shared zero tensor."""
+    f_live, g_live = [is_live(k) for k in f], [is_live(k) for k in g]
+
+    def terms(n):
+        for k in range(n + 1):
+            if f_live[k] and g_live[n - k]:
+                yield weight(n, k), sym_product(f[k], g[n - k])
+
+    return [weighted_sum(f[0].dim, n, terms(n)) for n in grades]
+
+
+def product_tensors(f, g, grades, weight=comb):
+    """graded_product of the kernel lists f and g, as tensors."""
+    d = f[0].dim
+    return _row_tensors(d, grades, graded_product(d, grades, _stack(f), _stack(g), weight))
+
+
 def literal_product(f, g, grades, weight):
     """graded_product as a literal loop over every pair, dead kernels included."""
     out = []
@@ -789,12 +811,16 @@ class TestPlans:
         # a weight of -1 turns a zero sum to -0.0, which the sums must not return
         f, g = data.draw(kernel_seqs(d, deg)), data.draw(kernel_seqs(d, deg))
         grades = data.draw(st.lists(st.integers(0, deg), min_size=1, unique=True))
-        got = graded_product(f, g, grades, weight) if weight is not comb else graded_product(f, g, grades)
+        got = graded_product(d, grades, _stack(f), _stack(g), weight)
         want = literal_product(f, g, grades, weight)
-        assert [hexes(t) for t in got] == [hexes(t) for t in want]
-        for n, t in zip(grades, got):
+        assert hex_list(got) == [h for t in want for h in hexes(t)]
+        assert hex_list(got) == [h for t in graded_terms(f, g, grades, weight) for h in hexes(t)]
+        # a dead grade is all +0.0, so its tensor is the shared zero, as is
+        # that of a live grade whose sums are all +0.0
+        for n, t, w in zip(grades, _row_tensors(d, grades, got), want):
             dead = not any(is_live(f[k]) and is_live(g[n - k]) for k in range(n + 1))
-            assert (t is zero_tensor(d, n)) == dead
+            assert not dead or hexes(t) == ["0x0.0p+0"] * len(t.coeffs)
+            assert (t is zero_tensor(d, n)) == (not is_live(w))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), d=st.integers(1, 3), deg=st.integers(1, 5),
@@ -835,9 +861,9 @@ class TestPlans:
         # every term of entry (1, 1) is -0.0; the literal sum from +0.0 is +0.0
         f = [scalar_tensor(2, 1.0), SymTensor(2, 1, {(1,): 1.0, (2,): 0.0}), zero_tensor(2, 2)]
         g = [scalar_tensor(2, 1.0), SymTensor(2, 1, {(1,): 0.0, (2,): 1.0}), zero_tensor(2, 2)]
-        got = graded_product(f, g, [2], lambda n, k: -1)[0]
-        assert got[(1, 1)].hex() == "0x0.0p+0"
-        assert hexes(got) == hexes(literal_product(f, g, [2], lambda n, k: -1)[0])
+        got = graded_product(2, [2], _stack(f), _stack(g), lambda n, k: -1)
+        assert got[0].hex() == "0x0.0p+0"
+        assert hex_list(got) == hexes(literal_product(f, g, [2], lambda n, k: -1)[0])
         ck = comp_kernels(identity_vjet(2, 2))
         ks = [scalar_tensor(2, 0.0), zero_tensor(2, 1), SymTensor(2, 2, {(1, 1): -0.0, (1, 2): -1.0, (2, 2): -1.0})]
         got = ck.compose_stack(stack_of(ks), 2)
@@ -847,8 +873,11 @@ class TestPlans:
     def test_overflow_raises_as_the_term_route(self):
         big = SymTensor(2, 1, {(1,): 1e308, (2,): 1e308})
         one = [scalar_tensor(2, 1.0), big, zero_tensor(2, 2)]
-        with pytest.raises(ValueError, match="non-finite coefficient"):
-            graded_product(one, one, [2])
+        with pytest.raises(ValueError, match="non-finite coefficient") as err:
+            graded_product(2, [2], _stack(one), _stack(one), comb)
+        with pytest.raises(ValueError) as want:
+            graded_terms(one, one, [2], comb)
+        assert str(err.value) == str(want.value)
         # compose_stack leaves the check to its caller
         ck = comp_kernels(identity_vjet(2, 2))
         huge = SymTensor(2, 2, dict.fromkeys(multi_indices(2, 2), 1e308))
@@ -857,19 +886,120 @@ class TestPlans:
         with pytest.raises(ValueError, match="non-finite coefficient"):
             literal_compose(ck, 2, ks)
 
-    def test_zero_factor_beside_an_overflow_is_skipped(self, monkeypatch):
-        # ways * 1e308 overflows in the dead product f_1 g_1; the plan gives
-        # a nan there, and the term route, which skips it, decides
+    def test_zero_factor_beside_an_overflow_is_skipped(self):
+        # ways * 1e308 overflows in the dead product f_1 g_1; the first sums
+        # hold a nan there, and the sums again with its zero factors +0.0,
+        # as the term route skips them, are finite
         big = SymTensor(2, 1, {(1,): 1e308, (2,): 1e308})
         dead = SymTensor(2, 1, {(1,): 0.0, (2,): -0.0})
         f = [scalar_tensor(2, 1.0), big, zero_tensor(2, 2)]
         g = [scalar_tensor(2, 1.0), dead, random_tensor(np.random.default_rng(4), 2, 2)]
-        want = appellsys.jets._graded_terms(f, g, [0, 1, 2], comb)
-        terms = count_calls(monkeypatch, appellsys.jets._graded_terms)
-        got = graded_product(f, g, [0, 1, 2])
-        assert len(terms) == 1
-        assert [hexes(t) for t in got] == [hexes(t) for t in want]
-        assert all(np.isfinite(list(t.coeffs.values())).all() for t in got)
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = appellsys.jets.graded_rows(2, [0, 1, 2], stack_of(f), stack_of(g), comb)
+        assert np.isnan(first).any()
+        want = [h for t in graded_terms(f, g, [0, 1, 2], comb) for h in hexes(t)]
+        got = graded_product(2, [0, 1, 2], _stack(f), _stack(g), comb)
+        assert hex_list(got) == want
+        assert np.isfinite(got).all()
+        # jet_mul's product is born from these sums
+        h = jet_mul(ScalarJet(2, 2, tuple(f)), ScalarJet(2, 2, tuple(g)))
+        assert is_view_born(h)
+        assert view_bits(h)[0] == want
+        assert bits(h) == [hexes(t) for t in graded_terms(f, g, [0, 1, 2], comb)]
+
+
+WIDE = ((1.0, 1e10, 1e100, 1e154, 1e300, 1e308), ("live", "holes", "holes", "+0", "-0"))
+
+
+@st.composite
+def wide_kernel_seqs(draw, d, deg, scales=WIDE[0], kinds=WIDE[1]):
+    """Kernels 0..deg, each live, live with +0.0 and -0.0 holes, all +0.0 or
+    all -0.0, at one of the scales, by default from 1 up to 1e308: products
+    overflow, often beside a zero factor."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ks = []
+    for n in range(deg + 1):
+        keys = multi_indices(d, n)
+        v = rng.uniform(-1.5, 1.5, len(keys)) * draw(st.sampled_from(scales))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "holes":
+            v *= rng.choice([1.0, 0.0, -0.0], size=len(keys))
+        elif kind != "live":
+            v = np.full(len(keys), 0.0 if kind == "+0" else -0.0)
+        ks.append(SymTensor(d, n, dict(zip(keys, v.tolist()))))
+    return ks
+
+
+@st.composite
+def factor_pairs(draw, d, deg):
+    """Two kernel sequences, both wide, or one of kernels near 1e308 beside
+    one of dead kernels and kernels of scale 1 with holes, in either order:
+    there ways * f[u] overflows beside many zero factors."""
+    if draw(st.booleans()):
+        return draw(wide_kernel_seqs(d, deg)), draw(wide_kernel_seqs(d, deg))
+    big = draw(wide_kernel_seqs(d, deg, (1e308,), ("live", "holes", "+0")))
+    sparse = draw(wide_kernel_seqs(d, deg, (1.0,), ("holes", "+0", "-0", "+0", "-0")))
+    return (big, sparse) if draw(st.booleans()) else (sparse, big)
+
+
+def outcome(route):
+    """The hex form of the coefficients of the tensors route() returns, or
+    the message of the ValueError it raises; a numpy warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return [h for t in route() for h in hexes(t)]
+        except ValueError as err:
+            return str(err)
+
+
+@lru_cache(maxsize=None)
+def route_bases(d, deg):
+    """A Gaussian and a Poisson basis of the shape, both with the identity alpha."""
+    return AppellBasis(GaussianModel.standard(d), degree=deg), AppellBasis(PoissonModel((1.5,) * d), degree=deg)
+
+
+class TestOneRoute:
+    """Every graded product over stacks against the term route: one
+    sym_product per pair of live kernels, summed by weighted_sum.  The bits
+    are equal, and on an overflow so is the message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), deg=st.integers(0, 6),
+           weight=st.sampled_from((comb, lambda n, k: 1, lambda n, k: -1)))
+    def test_graded_product_is_the_term_route(self, data, d, deg, weight):
+        f, g = data.draw(factor_pairs(d, deg))
+        grades = data.draw(st.lists(st.integers(0, deg), min_size=1, unique=True))
+        want = outcome(lambda: graded_terms(f, g, grades, weight))
+        got = outcome(lambda: _row_tensors(d, grades, graded_product(d, grades, _stack(f), _stack(g), weight)))
+        assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), deg=st.integers(1, 6))
+    def test_jet_wick_and_transport_products_are_the_term_route(self, data, d, deg):
+        f, g = data.draw(factor_pairs(d, deg))
+        grades = range(deg + 1)
+        jets = [ScalarJet(d, deg, tuple(ks)) for ks in (f, g)]
+        want = outcome(lambda: graded_terms(f, g, grades, comb))
+        if isinstance(want, str):
+            assert outcome(lambda: jet_mul(*jets).kernels) == want
+        else:
+            # born from its view, which holds the term route's bits
+            h = jet_mul(*jets)
+            assert is_view_born(h)
+            assert view_bits(h)[0] == want
+            assert bits(h) == [hexes(t) for t in graded_terms(f, g, grades, comb)]
+        gauss, poisson = route_bases(d, deg)
+        one = lambda n, k: 1
+        Phi, Psi = q_seq(gauss, dict(enumerate(f))), q_seq(gauss, dict(enumerate(g)))
+        want = outcome(lambda: graded_terms(f, g, grades, one))
+        assert outcome(lambda: wick_mul(Phi, Psi).kernels) == want
+        # the ratio kernels (1/n!) times those of l_mut(alpha) / l_mu(alpha)
+        ratio = jet_mul(gauss.ualpha_jet, poisson.malpha_jet)
+        ratio = [t.scale(1.0 / factorial(n)) for n, t in enumerate(ratio.kernels)]
+        Phi_t = q_seq(poisson, dict(enumerate(f)))
+        want = outcome(lambda: graded_terms(f, ratio, grades, one))
+        assert outcome(lambda: transport_dist(poisson, gauss, Phi_t).kernels) == want
 
 
 def linear_route(inv, deg):
@@ -980,7 +1110,7 @@ def plain_tables(a):
     for m in range(1, a.degree + 1):
         for u in multi_indices(a.dim, m):
             last = list(a.components[u[-1] - 1].kernels)
-            ks = last if m == 1 else graded_product(prods[u[:-1]], last, range(a.degree + 1))
+            ks = last if m == 1 else product_tensors(prods[u[:-1]], last, range(a.degree + 1))
             prods[u] = ks
             for n in range(m, a.degree + 1):
                 if is_live(ks[n]):
@@ -1062,8 +1192,8 @@ class TestStackedViews:
         for j in u[1:]:
             comp = a.components[j - 1]
             jet = jet_mul(jet, comp)
-            plain = graded_product(plain, list(comp.kernels), range(a.degree + 1))
-            terms = appellsys.jets._graded_terms(terms, list(comp.kernels), range(a.degree + 1), comb)
+            plain = product_tensors(plain, list(comp.kernels), range(a.degree + 1))
+            terms = graded_terms(terms, list(comp.kernels), range(a.degree + 1), comb)
             assert bits(jet) == [hexes(t) for t in plain] == [hexes(t) for t in terms]
             assert_view_matches(jet)
 
@@ -1091,7 +1221,7 @@ class TestStackedViews:
         with pytest.raises(ValueError) as err:
             jet_mul(jet, a)
         with pytest.raises(ValueError) as want:
-            appellsys.jets._graded_terms(jet.kernels, a.kernels, range(5), comb)
+            graded_terms(jet.kernels, a.kernels, range(5), comb)
         assert str(err.value) == str(want.value) == "non-finite coefficient at index (1, 1, 1, 1): inf"
 
     def test_nan_of_a_dead_grade_stays_out_of_the_view(self):
@@ -1194,7 +1324,7 @@ class TestViewBornJets:
         jet = a.components[u[0] - 1]
         for j in u[1:]:
             comp = a.components[j - 1]
-            terms = appellsys.jets._graded_terms(jet.kernels, comp.kernels, range(a.degree + 1), comb)
+            terms = graded_terms(jet.kernels, comp.kernels, range(a.degree + 1), comb)
             prod = jet_mul(jet, comp)
             assert is_view_born(prod)
             assert_read_only(*prod._view())

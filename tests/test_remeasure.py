@@ -1,7 +1,7 @@
 """Measure transport: cross-measure expansions, reordering, pairing invariance."""
 
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from appellsys.appell import (
     to_monomial,
     monomial_seq,
 )
-from appellsys.jets import graded_product, identity_vjet, jet_mul, log1p_vjet, random_vjet
+from appellsys.jets import _row_tensors, _stack, graded_product, identity_vjet, jet_mul, log1p_vjet, random_vjet
 from appellsys.measures import DeltaModel, GaussianModel, PoissonModel
 from appellsys.oracle import exact_expectation
 from appellsys.remeasure import (
@@ -148,6 +148,16 @@ class TestPRelation:
         with pytest.raises(BasisMismatchError):
             p_relation(b1, b2, 2, [np.zeros(1)])
 
+    @pytest.mark.parametrize(
+        "n, message", [(5, "grade 5 exceeds truncation degree 4"), (-1, "grade -1 is negative")]
+    )
+    def test_grade_out_of_range_rejected(self, n, message):
+        bp = make_basis("poisson", "log1p", degree=4)
+        bg = make_basis("gaussian", "log1p", degree=4)
+        with pytest.raises(ValueError) as err:
+            p_relation(bp, bg, n, [np.array([0.5]), np.array([1.5])])
+        assert str(err.value) == message
+
     def test_generator_points_counted(self):
         bp = make_basis("poisson", "log1p")
         bg = make_basis("gaussian", "log1p")
@@ -162,7 +172,8 @@ class TestPRelation:
             ratio = jet_mul(mu.ualpha_jet, mut.malpha_jet)
             worst = 0.0
             for x in points:
-                rhs = graded_product(gen_appell_all(mut, x), ratio.kernels, [n])[0]
+                values = graded_product(mut.dim, [n], _stack(gen_appell_all(mut, x)), ratio._view(), comb)
+                rhs = _row_tensors(mut.dim, [n], values)[0]
                 worst = max(worst, (gen_appell_all(mu, x)[n] - rhs).max_abs())
             return {"n": n, "max_discrepancy": worst, "points": len(points)}
 
