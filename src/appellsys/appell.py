@@ -569,12 +569,13 @@ SIGMA_SAMPLES = 512
 SIGMA_ROUNDS = 3
 
 
-def _check_sweep(epsilon: float, trials: int = 0) -> None:
-    """Reject an epsilon that is not positive and finite, or a negative trials count."""
+def _check_sweep(epsilon: float, trials: int = 1) -> None:
+    """Reject an epsilon that is not positive and finite, or a trials count
+    below 1: a sweep of no point would pass having checked nothing."""
     if not 0 < epsilon < inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if trials < 0:
-        raise ValueError(f"trials must be non-negative, got {trials!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials!r}")
 
 
 def estimate_sigma_eps(basis: AppellBasis, p: float, epsilon: float, seed: int = 0) -> float:
@@ -629,7 +630,7 @@ def growth_bound_check(
 
     Reports the largest observed ratio |phi(z)| / (||phi||_{p,q} e^{eps |z|})
     and the theoretical constant 2 (1 - 2^(-q) sigma^(-2))^(-1/2) when the
-    latter is finite.  A negative trials count raises ValueError, as does
+    latter is finite.  A trials count below 1 raises ValueError, as does
     an epsilon that estimate_sigma_eps rejects.
     """
     _check_sweep(epsilon, trials)

@@ -298,7 +298,11 @@ def graded_product(dim: int, grades, x, y, weight) -> np.ndarray:
     of two live kernels in k order, then at the grade's sum.
     """
     grades = tuple(grades)
-    plan = _graded_plan(dim, grades)
+    return _checked_values(_graded_plan(dim, grades), dim, grades, x, y, weight)
+
+
+def _checked_values(plan, dim: int, grades: tuple[int, ...], x, y, weight) -> np.ndarray:
+    """graded_product through plan, the _graded_plan of dim and grades."""
     values = _plan_values(plan, grades, x[0], y[0], weight)
     if np.isfinite(values).all():
         return values
@@ -399,12 +403,14 @@ def jet_mul(f: ScalarJet, g: ScalarJet) -> ScalarJet:
     """Product of jets: h_n = sum_k C(n,k) f_k sym g_{n-k}.
 
     graded_product of the views of f and g is the product's view, and its
-    kernels are built from it on first read.
+    kernels are built from it on first read.  One plan lookup serves the
+    product and the starts of its view.
     """
     _check_compatible(f, g)
     grades = tuple(range(f.degree + 1))
-    values = graded_product(f.dim, grades, f._view(), g._view(), comb)
-    return ScalarJet._from_view(f.dim, f.degree, _frozen(values, _graded_plan(f.dim, grades).starts))
+    plan = _graded_plan(f.dim, grades)
+    values = _checked_values(plan, f.dim, grades, f._view(), g._view(), comb)
+    return ScalarJet._from_view(f.dim, f.degree, _frozen(values, plan.starts))
 
 
 def jet_exp(f: ScalarJet) -> ScalarJet:
@@ -710,12 +716,22 @@ def comp_kernels(a: VectorJet) -> CompKernels:
     l_i >= 1; the iterated product computes it in O(N^2) tensor products.
     The rows of each table are sliced from the stacked views of the
     products, so no tensor is built.
+
+    Grade m of a rank-m product reads only grade m-1 of its prefix and grade
+    1 of its last component, so each table (m, m) is the power kernel of the
+    linear part L of a, bit for bit.  Products are formed only where a table
+    above the diagonal can be live: for layers 2..N-1 of an a with a live
+    kernel of rank >= 2.  The top layer, which holds (N, N) alone, and every
+    layer of a linear a come from _power_layer over L, the layer step that
+    jet_invert's pull-back through L^-1 also takes.
     """
     N = a.degree
+    if not any(c._view()[1][2:].any() for c in a.components):
+        return _linear_power_kernels(linear_part(a), N)
     starts = _graded_plan(a.dim, tuple(range(N + 1))).starts.tolist()
     rows: dict[tuple[int, int], tuple] = {}
     prods: dict[tuple[int, ...], ScalarJet] = {}
-    for m in range(1, N + 1):
+    for m in range(1, N):
         layer, found = {}, {}
         for u in multi_indices(a.dim, m):
             if m == 1:
@@ -732,50 +748,72 @@ def comp_kernels(a: VectorJet) -> CompKernels:
                     xs.append(x[starts[n] : starts[n + 1]])
         rows.update({(n, m): _frozen_rows(us, xs) for n, (us, xs) in found.items()})
         prods = layer
+    if (N - 1, N - 1) in rows:
+        us, x = _power_layer(*rows[(N - 1, N - 1)], linear_part(a), N)
+        if us:
+            rows[(N, N)] = _frozen_rows(us, x)
     return CompKernels(a.dim, N, rows)
 
 
-def _linear_power_kernels(inv: np.ndarray, degree: int) -> CompKernels:
-    """comp_kernels of the linear jets of the rows of inv, bit for bit, with no jet.
+def _power_layer(us, x: np.ndarray, mat: np.ndarray, m: int) -> tuple[list, np.ndarray]:
+    """The live rows of layer m of the power kernels of the d x d matrix mat,
+    and their keys, from the live rows x of layer m-1 keyed by us.
 
-    Only the tables (m, m) are present.  Layer m holds the live rows of rank
-    m: row u' + (j,) is grade m of jet_mul of row u' with
-    linear_jet(inv[j-1]), bit for bit: the plan's terms (W * x_i) *
-    inv[j-1, j'] of _product_arrays(d, m-1, 1) added in plan order from
-    +0.0, then / m * m + 0.0.  One bincount per last coordinate j forms
-    them, so the terms of a call are a few times the layer's table.  A dead
-    row drops every row that extends it, and a non-finite entry raises as
-    SymTensor does.
+    Row u' + (j,), j >= u'[-1], is grade m of jet_mul of a jet whose grade
+    m-1 is row u', with no live grade below it, and a jet whose grade 1 is
+    mat[j-1], bit for bit: the plan's terms (W * x_i) * mat[j-1, j'] of
+    _product_arrays(d, m-1, 1) added in plan order from +0.0, then / m * m
+    + 0.0.  The rows, prefix-major and then by j, are in multi_indices
+    order, and one bincount per block of them forms their terms, so memory
+    stays flat in the rows.  A non-finite row is formed again with each term
+    of a zero factor +0.0, as graded_product does, and one that stays
+    non-finite raises as jet_mul does: at the first such row, in the
+    product / m before the sum.
     """
-    d = len(inv)
-    live = inv.any(axis=1)
-    us, x = [(j,) for j in (np.flatnonzero(live) + 1).tolist()], inv[live]
+    d = len(mat)
+    T, W = _product_arrays(d, m - 1, 1)
+    size = comb(d + m - 1, m)
+    keys = [u + (j,) for u in us for j in range(u[-1], d + 1)]
+    rows = np.repeat(np.arange(len(us)), [d + 1 - u[-1] for u in us])
+    coords = np.array([key[-1] - 1 for key in keys], dtype=np.intp)
+
+    def block(f, g, skip_zeros):
+        f, g = f[:, :, None], g[:, None, :]
+        terms = (W * f) * g
+        if skip_zeros:
+            terms[(f == 0) | (g == 0)] = 0.0
+        cells = (np.arange(len(f))[:, None] * size + T).ravel()
+        return np.bincount(cells, terms.ravel(), len(f) * size).reshape(-1, size)
+
+    def products(skip_zeros: bool) -> np.ndarray:
+        out = _by_blocks(W.size, lambda f, g: block(f, g, skip_zeros), x[rows], mat[coords])
+        out /= m
+        return out
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = products(False) * m + 0.0
+        if not np.isfinite(values).all():
+            prods = products(True)
+            values = prods * m + 0.0
+            _check_rows(d, [m, m], np.hstack([prods, values]))
+    live = values.any(axis=1)
+    return [keys[r] for r in np.flatnonzero(live).tolist()], values if live.all() else values[live]
+
+
+def _linear_power_kernels(mat: np.ndarray, degree: int) -> CompKernels:
+    """comp_kernels of the linear jets of the rows of mat, with no jet: the
+    tables (m, m) alone, layer m from layer m-1 by _power_layer.  A dead row
+    drops every row that extends it."""
+    live = mat.any(axis=1)
+    us, x = [(j,) for j in (np.flatnonzero(live) + 1).tolist()], mat[live]
     rows = {}
     for m in range(1, degree + 1):
         if m > 1:
-            T, W = _product_arrays(d, m - 1, 1)
-            size = len(multi_indices(d, m))
-            prev, us, blocks = us, [], []
-            last = np.array([u[-1] for u in prev])
-            with np.errstate(over="ignore", invalid="ignore"):
-                for j, row in enumerate(inv, 1):
-                    at = np.flatnonzero(last <= j)
-                    cells = (np.arange(len(at))[:, None] * size + T).ravel()
-                    terms = ((W * x[at, :, None]) * row).ravel()
-                    sums = np.bincount(cells, terms, minlength=len(at) * size)
-                    blocks.append(sums.reshape(-1, size) / m * m + 0.0)
-                    us += [prev[r] + (j,) for r in at]
-            position = _position(d, m)
-            order = np.argsort([position[u] for u in us])
-            values = np.concatenate(blocks)[order]
-            live = values.any(axis=1)
-            x = values[live]
-            us = [us[r] for r in order[live].tolist()]
+            us, x = _power_layer(us, x, mat, m)
         if not us:
             break
-        _check_rows(d, [m], x)
         rows[(m, m)] = _frozen_rows(us, x)
-    return CompKernels(d, degree, rows)
+    return CompKernels(len(mat), degree, rows)
 
 
 def jet_compose_scalar(f: ScalarJet, a: VectorJet, ck: CompKernels | None = None) -> ScalarJet:
@@ -798,8 +836,9 @@ def jet_compose_vector(a: VectorJet, b: VectorJet, ck: CompKernels | None = None
 
 
 def linear_part(a: VectorJet) -> np.ndarray:
-    """The d x d matrix of the degree-1 kernels, row j = output coordinate j."""
-    return np.array([list(c.kernels[1].coeffs.values()) for c in a.components], dtype=float)
+    """The d x d matrix of the degree-1 kernels, row j = output coordinate j,
+    read from the components' views (d x 0 at degree 0)."""
+    return np.array([c._view()[0][1 : 1 + a.dim] for c in a.components])
 
 
 def jet_invert(a: VectorJet, ck: CompKernels | None = None) -> VectorJet:

@@ -918,12 +918,14 @@ class TestGrowth:
         assert str(err.value) == message
 
     def test_negative_trials_rejected(self, gauss1d_basis):
+        # zero trials too: a sweep of no point passed having checked nothing
         phi = p_seq(gauss1d_basis, {2: tensor_1d(2, 1.0)})
-        with pytest.raises(ValueError) as err:
-            growth_bound_check(gauss1d_basis, phi, 2, 6, 0.5, trials=-3)
-        assert str(err.value) == "trials must be non-negative, got -3"
-        report = growth_bound_check(gauss1d_basis, phi, 2, 6, 0.5, trials=0)
-        assert report["trials"] == 0 and report["max_ratio"] == 0.0
+        for trials in (-3, 0):
+            with pytest.raises(ValueError) as err:
+                growth_bound_check(gauss1d_basis, phi, 2, 6, 0.5, trials=trials)
+            assert str(err.value) == f"trials must be positive, got {trials}"
+        report = growth_bound_check(gauss1d_basis, phi, 2, 6, 0.5, trials=1)
+        assert report["trials"] == 1 and report["max_ratio"] > 0.0
 
     def test_epsilon_loosens_bound(self, gauss1d_basis):
         phi = p_seq(gauss1d_basis, {2: tensor_1d(2, 1.0)})

@@ -407,18 +407,21 @@ def test_out_of_range_input_is_usage_error(args, config, tmp_path, capsys):
         ("epsilon = 0", "epsilon must be positive and finite, got 0.0"),
         ("epsilon = nan", "epsilon must be positive and finite, got nan"),
         ("epsilon = inf", "epsilon must be positive and finite, got inf"),
-        ("trials = -3", "trials must be non-negative, got -3"),
+        ("trials = -3", "trials must be positive, got -3"),
+        ("trials = 0", "trials must be positive, got 0"),
     ],
-    ids=["epsilon-minus-0.5", "epsilon-0", "epsilon-nan", "epsilon-inf", "trials-minus-3"],
+    ids=["epsilon-minus-0.5", "epsilon-0", "epsilon-nan", "epsilon-inf", "trials-minus-3", "trials-0"],
 )
 def test_bad_growth_check_setting_is_usage_error(config, message, tmp_path, capsys):
-    # before, a negative epsilon passed, 0 raised ZeroDivisionError and a
-    # negative trials count numpy's "negative dimensions" error
+    # before, a negative epsilon passed, 0 raised ZeroDivisionError, a
+    # negative trials count numpy's "negative dimensions" error, and zero
+    # trials passed having checked nothing
     (tmp_path / "run.cfg").write_text(f"[check]\n{config}\n")
-    assert exit_code(["growth", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert exit_code(["growth", "--config", str(tmp_path / "run.cfg"), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == message + "\n" and captured.out == ""
-    assert not (tmp_path / "growth.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from appellsys.appell import (
 from appellsys.jets import (
     CompKernels,
     _linear_power_kernels,
+    _power_layer,
     _row_tensors,
     _stack,
     graded_product,
@@ -382,7 +383,8 @@ class TestLiveGrades:
             assert bits(transport_dist(src, gauss, Phi_t)) == bits(dense_transport(src, gauss, Phi_t))
 
     def test_identity_power_kernels_cost_one_plan(self, monkeypatch):
-        # the rows are sliced from the products' views: no tensor is built
+        # a linear alpha: every table comes from the layer step over its
+        # linear part, and no tensor is built; the one plan stacks its views
         d, deg = 3, 6
         a = identity_vjet(d, deg)
         for n in range(deg + 1):
@@ -1003,9 +1005,10 @@ class TestOneRoute:
 
 
 def linear_route(inv, deg):
-    """The pull-back kernels through comp_kernels of the linear jets of the rows."""
+    """The pull-back kernels as comp_kernels formed them from products: by
+    graded_product of every prefix with the linear jet of each row."""
     d = len(inv)
-    return comp_kernels(VectorJet(d, deg, tuple(linear_jet(d, deg, row) for row in inv)))
+    return plain_power_kernels(VectorJet(d, deg, tuple(linear_jet(d, deg, row) for row in inv)))
 
 
 def row_tables(ck):
@@ -1103,6 +1106,115 @@ class TestLinearPowerKernels:
         assert [c.constant() for c in g.components] == [0.0] * 3
 
 
+@st.composite
+def layer_inputs(draw):
+    """Rows of a layer m-1, keyed by a subset of its multi-indices, and a
+    d x d matrix, with entries of scale 1 or 1e308, small ones in the
+    matrix, and +0.0 and -0.0 holes: ways * x overflows, often beside a
+    zero entry of the matrix."""
+    d, m = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = multi_indices(d, m - 1)
+    picked = sorted(draw(st.sets(st.integers(0, len(keys) - 1), min_size=1)))
+    x = rng.uniform(-1.5, 1.5, (len(picked), len(keys))) * rng.choice([1.0, 1e308, 0.0, -0.0], (len(picked), len(keys)))
+    mat = rng.uniform(-1.5, 1.5, (d, d)) * rng.choice([1.0, 1e-10, 0.0, -0.0], (d, d))
+    return [keys[i] for i in picked], x, mat, m
+
+
+def layer_by_products(us, x, mat, m):
+    """_power_layer as jet_mul forms it: per row u' and j >= u'[-1], grade
+    m of the product of the jet whose only live grade is row u' with the
+    linear jet of mat[j-1]; the live rows, in hex, with their keys."""
+    d = len(mat)
+    keys, rows = [], []
+    for u, row in zip(us, x):
+        ks = [zero_tensor(d, n) for n in range(m + 1)]
+        ks[m - 1] = SymTensor(d, m - 1, dict(zip(multi_indices(d, m - 1), row.tolist())))
+        for j in range(u[-1], d + 1):
+            grade = jet_mul(ScalarJet(d, m, tuple(ks)), linear_jet(d, m, mat[j - 1])).kernels[m]
+            if is_live(grade):
+                keys.append(u + (j,))
+                rows.append(hexes(grade))
+    return keys, rows
+
+
+def layer_outcome(route):
+    """The keys and hex rows route() gives, or the message of the
+    ValueError it raises; a numpy warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            keys, rows = route()
+        except ValueError as err:
+            return str(err)
+    return list(keys), [hex_list(r) for r in rows] if isinstance(rows, np.ndarray) else rows
+
+
+class TestDiagonalLayers:
+    """comp_kernels forms a product only where a table above the diagonal
+    can be live; every other table (m, m) comes from _power_layer over the
+    linear part, as jet_mul gave it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=layer_inputs())
+    def test_power_layer_is_the_products_diagonal(self, case):
+        us, x, mat, m = case
+        assert layer_outcome(lambda: _power_layer(us, x, mat, m)) == layer_outcome(
+            lambda: layer_by_products(us, x, mat, m)
+        )
+
+    def test_product_is_checked_before_its_sum(self):
+        # row (1, 1, 1): cell (1, 1, 1) is inf * 0, skipped as a zero factor;
+        # cell (1, 1, 2) sums to the largest float, finite / 3 but inf once
+        # times 3; cell (2, 2, 2) is 3 * 1e308, inf in the product too
+        big = sys.float_info.max
+        us, x, mat = [(1, 1)], np.array([[big, 0.0, 1e308]]), np.array([[0.0, 1.0], [1.0, 1.0]])
+        want = "non-finite coefficient at index (2, 2, 2): inf"
+        assert layer_outcome(lambda: _power_layer(us, x, mat, 3)) == want
+        assert layer_outcome(lambda: layer_by_products(us, x, mat, 3)) == want
+
+    @pytest.mark.parametrize(
+        "mat, extras, index",
+        [
+            # table (3, 2) overflows at (1, 1, 2) in layer 2, before the top
+            # diagonal (3, 3) overflows at (1, 1, 1)
+            ([[1e110, 0.0], [0.0, 1.0]], [{(1, 2): 1e200}, {}], (1, 1, 2)),
+            # the top layer alone: rows (1, 1, 3) and (1, 2, 2) overflow, and
+            # (1, 1, 3) is first in multi_indices order, though its last
+            # coordinate is the larger
+            (np.diag([1e100, 1e105, 1e110]), [{(1, 1): 1.0}, {}, {}], (1, 1, 3)),
+            (np.diag([1e100, 1e105, 1e110]), [{}, {}, {}], (1, 1, 3)),
+        ],
+        ids=["layer-2-first", "top-layer-order", "top-layer-order-linear"],
+    )
+    def test_overflow_message_is_the_product_route(self, mat, extras, index):
+        d, deg = len(mat), 3
+        comps = [linear_jet(d, deg, np.array(row)) + jet_from_entries(d, deg, e) for row, e in zip(mat, extras)]
+        a = VectorJet(d, deg, tuple(comps))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                comp_kernels(a)
+        assert str(err.value) == f"non-finite coefficient at index {index}: inf"
+        with pytest.raises(ValueError) as want:
+            plain_power_kernels(a)
+        assert str(want.value) == str(err.value)
+
+    @pytest.mark.parametrize("d, deg", [(1, 6), (2, 5), (3, 4), (5, 3), (2, 2), (3, 1)])
+    def test_products_only_below_the_top_layer(self, monkeypatch, d, deg):
+        rng = np.random.default_rng(21)
+        linear = VectorJet(d, deg, tuple(linear_jet(d, deg, row) for row in rng.standard_normal((d, d))))
+        products = count_calls(monkeypatch, jet_mul)
+        for a in (identity_vjet(d, deg), linear):
+            ck = comp_kernels(a)
+            assert sorted(ck.rows) == [(n, n) for n in range(1, deg + 1)]
+        assert products == []
+        for a in (log1p_vjet(d, deg), random_vjet(rng, d, deg)):
+            comp_kernels(a)
+            assert len(products) == sum(comb(d + m - 1, m) for m in range(2, deg))
+            products.clear()
+
+
 def plain_tables(a):
     """The tables of comp_kernels through graded_product on plain kernel
     lists, with is_live per grade."""
@@ -1130,12 +1242,13 @@ def plain_power_kernels(a):
 
 @st.composite
 def chain_alphas(draw):
-    """Identity, log1p or random alphas with d <= 4 and N <= 8, each output
-    coordinate scaled by 1, -3, 1e-30, 1e-100 or 1e-160, so that products
-    underflow and grades die, and with +0.0 and -0.0 holes."""
+    """Identity, log1p, random or linear alphas with d <= 4 and N <= 8, each
+    output coordinate scaled by 1, -3, 1e-30, 1e-100 or 1e-160, so that
+    products underflow and grades die, and with +0.0 and -0.0 holes.  A
+    linear alpha is a random one with every kernel of rank >= 2 all +-0.0."""
     d, deg = draw(st.integers(1, 4)), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["identity", "log1p", "random"]))
+    kind = draw(st.sampled_from(["identity", "log1p", "random", "linear"]))
     a = {"identity": identity_vjet, "log1p": log1p_vjet}.get(kind, lambda d, deg: random_vjet(rng, d, deg))(d, deg)
     scales = draw(st.lists(st.sampled_from([1.0, -3.0, 1e-30, 1e-100, 1e-160]), min_size=d, max_size=d))
     holes = draw(st.booleans())
@@ -1144,6 +1257,8 @@ def chain_alphas(draw):
         ks = [c.kernels[0]]
         for t in c.kernels[1:]:
             v = np.array(list(t.coeffs.values())) * scale
+            if kind == "linear" and t.rank >= 2:
+                v = rng.choice([0.0, -0.0], len(v))
             if holes:
                 v[rng.random(len(v)) < 0.4] = 0.0
                 v[(v == 0) & (rng.random(len(v)) < 0.5)] = -0.0
