@@ -363,7 +363,7 @@ def to_monomial(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
     """Re-express a P-tagged test function in monomial kernels (same function)."""
     _require_tag(f, P_TAG)
     _require_same_basis(basis, f.basis)
-    plain = basis.A.contract_in(_stack(f.kernels)[0])
+    plain = basis.A.contract_in(_stack(f.kernels))
     mono = binomial_contract(_row_tensors(basis.dim, range(basis.degree + 1), plain), basis.u_jet.kernels)
     return KernelSeq(MONOMIAL, basis.dim, basis.degree, tuple(mono))
 
@@ -372,7 +372,7 @@ def to_appell(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
     """Inverse of to_monomial: expand monomial kernels in the P basis."""
     _require_tag(f, MONOMIAL)
     plain = binomial_contract(f.kernels, basis.m_jet.kernels)
-    gen = _row_tensors(basis.dim, range(basis.degree + 1), basis.B.contract_in(_stack(plain)[0]))
+    gen = _row_tensors(basis.dim, range(basis.degree + 1), basis.B.contract_in(_stack(plain)))
     return KernelSeq(P_TAG, basis.dim, basis.degree, tuple(gen), basis)
 
 
@@ -433,7 +433,7 @@ def s_transform(basis: AppellBasis, Phi: KernelSeq) -> ScalarJet:
     _require_tag(Phi, Q_TAG)
     _require_same_basis(basis, Phi.basis)
     grades = range(basis.degree + 1)
-    coeffs = _stack(Phi.kernels)[0] * _factorials(basis.dim, basis.degree)
+    coeffs = _stack(Phi.kernels) * _factorials(basis.dim, basis.degree)
     _check_rows(basis.dim, grades, coeffs[None])
     return ScalarJet(basis.dim, basis.degree, tuple(_row_tensors(basis.dim, grades, basis.B.compose_stack(coeffs))))
 

@@ -134,8 +134,7 @@ class _Reader:
 
 
 def _format_entries(t: SymTensor, out: list[str]) -> None:
-    for idx in multi_indices(t.dim, t.rank):
-        v = t.coeffs[idx]
+    for idx, v in zip(multi_indices(t.dim, t.rank), t.values):
         if v != 0.0 or t.rank == 0:
             out.append(f"{_format_index(idx)} {v!r}")
 

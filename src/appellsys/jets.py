@@ -86,7 +86,7 @@ class ScalarJet:
     dim: int
     degree: int
     kernels: tuple[SymTensor, ...]
-    # the kernels stacked as by _stack, built on first use or by jet_mul or jet_invert
+    # the (vector, live) view of _view, built on first use or by jet_mul or jet_invert
     _stacked: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -117,7 +117,8 @@ class ScalarJet:
         """Kernels 0..N as one read-only vector in multi_indices order, and
         whether each kernel is live."""
         if self._stacked is None:
-            object.__setattr__(self, "_stacked", _stack(self.kernels))
+            starts = _graded_plan(self.dim, tuple(range(self.degree + 1))).starts
+            object.__setattr__(self, "_stacked", _frozen(_stack(self.kernels), starts))
         return self._stacked
 
     def kernel(self, n: int) -> SymTensor:
@@ -198,11 +199,11 @@ def _row_tensors(dim: int, grades, row) -> list[SymTensor]:
     raises on a non-finite entry."""
     vals, col, out = row.tolist(), 0, []
     for n in grades:
-        keys = multi_indices(dim, n)
-        part = vals[col : col + len(keys)]
+        width = len(multi_indices(dim, n))
+        part = vals[col : col + width]
         signed = any(part) or any(copysign(1.0, v) < 0 for v in part)
-        out.append(SymTensor(dim, n, dict(zip(keys, part))) if signed else zero_tensor(dim, n))
-        col += len(keys)
+        out.append(SymTensor(dim, n, part) if signed else zero_tensor(dim, n))
+        col += width
     return out
 
 
@@ -213,13 +214,10 @@ def _check_rows(dim: int, grades, values: np.ndarray) -> None:
         _row_tensors(dim, grades, values[np.isfinite(values).all(axis=1).argmin()])
 
 
-def _stack(kernels) -> tuple[np.ndarray, np.ndarray]:
+def _stack(kernels) -> np.ndarray:
     """The coefficients of kernels 0, 1, ... as one vector in multi_indices
-    order, as a jet's view reads them, with whether each kernel is live,
-    both read-only."""
-    starts = _graded_plan(kernels[0].dim, tuple(range(len(kernels)))).starts
-    x = np.fromiter(chain.from_iterable([t.coeffs.values() for t in kernels]), float, starts[-1])
-    return _frozen(x, starts)
+    order, as a jet's view reads them."""
+    return np.fromiter(chain.from_iterable([t.values for t in kernels]), float)
 
 
 def _frozen(x: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

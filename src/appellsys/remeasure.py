@@ -105,8 +105,8 @@ def transport_dist(
     _require_shared_alpha(basis_mu, basis_mut)
     dim, grades = basis_mu.dim, tuple(range(basis_mu.degree + 1))
     ratio = _ratio_jet(basis_mu, basis_mut)._view()[0] * (1.0 / _factorials(dim, basis_mu.degree))
-    ratio = _frozen(ratio, _graded_plan(dim, grades).starts)
-    out = graded_product(dim, grades, _stack(Phi_t.kernels), ratio, lambda n, k: 1)
+    starts = _graded_plan(dim, grades).starts
+    out = graded_product(dim, grades, _frozen(_stack(Phi_t.kernels), starts), _frozen(ratio, starts), lambda n, k: 1)
     return q_seq(basis_mu, dict(enumerate(_row_tensors(dim, grades, out))))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, isfinite, sqrt
@@ -131,56 +131,96 @@ def _pairing_plan(dim: int, n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(p for p, _ in row) for row in _product_plan(dim, n - k, k))
 
 
-@dataclass(frozen=True)
 class SymTensor:
-    """Immutable symmetric tensor; coeffs holds one entry per multiset index.
+    """Immutable symmetric tensor; values holds one Python float per
+    multiset index, in multi_indices order.
 
-    The entries are kept in multi_indices order: a table given in another
-    order is reordered once, here.  coeffs is a read-only view, so a write
-    through it raises TypeError.  A table given in order is viewed, not
-    copied: a caller that keeps and then writes to the dict it passed in
-    changes the tensor.
+    coeffs may be a {multi-index: value} table in any key order, or the
+    values themselves in multi_indices order; either is copied, so a later
+    write to it leaves the tensor as it was.  The coeffs attribute is a
+    read-only {multi-index: value} view of values, built on first read.
+    Tensors compare by dim, rank and values, and are unhashable.
     """
 
-    dim: int
-    rank: int
-    coeffs: Mapping[tuple[int, ...], float]
+    __slots__ = ("dim", "rank", "values", "_coeffs")
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if self.rank < 0:
-            raise ValueError(f"rank must be non-negative, got {self.rank}")
-        keys = multi_indices(self.dim, self.rank)
-        c = self.coeffs
-        canonical = tuple(c) == keys
-        if not canonical and set(c) != _key_set(self.dim, self.rank):
+    def __init__(self, dim: int, rank: int, coeffs) -> None:
+        # every construction runs here, under the name perfbench's tracer counts
+        self.__post_init__(dim, rank, coeffs)
+
+    def __post_init__(self, dim: int, rank: int, coeffs) -> None:
+        if dim < 1:
+            raise ValueError(f"dim must be positive, got {dim}")
+        if rank < 0:
+            raise ValueError(f"rank must be non-negative, got {rank}")
+        keys = multi_indices(dim, rank)
+        given = None if isinstance(coeffs, (list, tuple)) else coeffs
+        if given is None:
+            table, wrong = coeffs, len(coeffs) != len(keys)
+        elif tuple(given) == keys:
+            table, wrong = given.values(), False
+        else:
+            table, wrong = map(given.__getitem__, keys), set(given) != _key_set(dim, rank)
+        if wrong:
             raise ValueError(
                 f"coefficient table must have exactly one entry per multiset index "
-                f"(expected {len(keys)}, got {len(c)})"
+                f"(expected {len(keys)}, got {len(coeffs)})"
             )
-        if not all(map(isfinite, c.values())):
-            k, v = next((k, v) for k, v in c.items() if not isfinite(v))
-            raise ValueError(f"non-finite coefficient at index {k}: {v}")
-        object.__setattr__(self, "coeffs", MappingProxyType(c if canonical else {k: c[k] for k in keys}))
+        values = tuple(map(float, table))
+        # a sum of finite floats that is not finite has overflowed: look closer
+        if not isfinite(sum(values)) and not all(map(isfinite, values)):
+            # the first one in the order given
+            pairs = zip(keys, values) if given is None else given.items()
+            k, v = next((k, v) for k, v in pairs if not isfinite(v))
+            raise ValueError(f"non-finite coefficient at index {k}: {float(v)}")
+        init = object.__setattr__
+        init(self, "dim", dim)
+        init(self, "rank", rank)
+        init(self, "values", values)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return SymTensor, (self.dim, self.rank, self.values)
+
+    @property
+    def coeffs(self) -> Mapping[tuple[int, ...], float]:
+        try:
+            return self._coeffs
+        except AttributeError:
+            view = MappingProxyType(dict(zip(multi_indices(self.dim, self.rank), self.values)))
+            object.__setattr__(self, "_coeffs", view)
+            return view
+
+    def __eq__(self, other):
+        if other.__class__ is not SymTensor:
+            return NotImplemented
+        return self.dim == other.dim and self.rank == other.rank and self.values == other.values
+
+    def __repr__(self) -> str:
+        return f"SymTensor(dim={self.dim!r}, rank={self.rank!r}, coeffs={self.coeffs!r})"
 
     def __getitem__(self, idx: tuple[int, ...]) -> float:
-        return self.coeffs[tuple(sorted(idx))]
+        return self.values[_position(self.dim, self.rank)[tuple(sorted(idx))]]
 
     def item(self) -> float:
         """The scalar value of a rank-0 tensor."""
         if self.rank != 0:
             raise RankMismatchError(f"item() requires rank 0, got rank {self.rank}")
-        return self.coeffs[()]
+        return self.values[0]
 
     def scale(self, c: float) -> "SymTensor":
-        return SymTensor(self.dim, self.rank, {k: c * v for k, v in self.coeffs.items()})
+        c = float(c)
+        return SymTensor(self.dim, self.rank, [c * v for v in self.values])
 
     def __add__(self, other: "SymTensor") -> "SymTensor":
         _check_shape(self.dim, self.rank, other)
-        return SymTensor(
-            self.dim, self.rank, {k: v + other.coeffs[k] for k, v in self.coeffs.items()}
-        )
+        return SymTensor(self.dim, self.rank, [x + y for x, y in zip(self.values, other.values)])
 
     def __sub__(self, other: "SymTensor") -> "SymTensor":
         return self + other.scale(-1.0)
@@ -189,7 +229,7 @@ class SymTensor:
         return self.scale(-1.0)
 
     def max_abs(self) -> float:
-        return max(abs(v) for v in self.coeffs.values())
+        return max(map(abs, self.values))
 
 
 def _check_shape(dim: int, rank: int, t: SymTensor) -> None:
@@ -206,7 +246,7 @@ def is_live(t: SymTensor) -> bool:
     sum that starts at +0.0 is never -0.0, so adding a signed zero to it
     changes nothing.
     """
-    return any(t.coeffs.values())
+    return any(t.values)
 
 
 def weighted_sum(dim: int, rank: int, terms) -> SymTensor:
@@ -222,34 +262,34 @@ def weighted_sum(dim: int, rank: int, terms) -> SymTensor:
     for w, t in terms:
         _check_shape(dim, rank, t)
         if acc is None:
-            acc = [0.0] * len(t.coeffs)
+            acc = [0.0] * len(t.values)
         if w == 1:
-            acc = [s + x for s, x in zip(acc, t.coeffs.values())]
+            acc = [s + x for s, x in zip(acc, t.values)]
         else:
-            acc = [s + w * x for s, x in zip(acc, t.coeffs.values())]
+            acc = [s + w * x for s, x in zip(acc, t.values)]
     if acc is None:
         return zero_tensor(dim, rank)
-    return SymTensor(dim, rank, dict(zip(multi_indices(dim, rank), acc)))
+    return SymTensor(dim, rank, acc)
 
 
 @lru_cache(maxsize=None)
 def zero_tensor(dim: int, rank: int) -> SymTensor:
     """The zero tensor of the shape, one shared instance per shape."""
-    return SymTensor(dim, rank, dict.fromkeys(multi_indices(dim, rank), 0.0))
+    return SymTensor(dim, rank, [0.0] * len(multi_indices(dim, rank)))
 
 
 def scalar_tensor(dim: int, value: float) -> SymTensor:
-    return SymTensor(dim, 0, {(): float(value)})
+    return SymTensor(dim, 0, [value])
 
 
 def basis_vector(dim: int, i: int) -> SymTensor:
     """The i-th coordinate vector (1-based) as a rank-1 tensor."""
-    return SymTensor(dim, 1, {(j,): 1.0 if j == i else 0.0 for j in range(1, dim + 1)})
+    return SymTensor(dim, 1, [1.0 if j == i else 0.0 for j in range(1, dim + 1)])
 
 
 def vector_tensor(x) -> SymTensor:
     x = np.asarray(x, dtype=float)
-    return SymTensor(len(x), 1, {(j,): float(x[j - 1]) for j in range(1, len(x) + 1)})
+    return SymTensor(len(x), 1, x.tolist())
 
 
 def power_tensor(x, n: int) -> SymTensor:
@@ -257,19 +297,18 @@ def power_tensor(x, n: int) -> SymTensor:
     floats, so that an overflow gives inf without a numpy warning."""
     x = np.asarray(x, dtype=float).tolist()
     d = len(x)
-    coeffs = {}
+    values = []
     for idx in multi_indices(d, n):
         v = 1.0
         for i in idx:
             v *= x[i - 1]
-        coeffs[idx] = v
-    return SymTensor(d, n, coeffs)
+        values.append(v)
+    return SymTensor(d, n, values)
 
 
 def random_tensor(rng: np.random.Generator, dim: int, rank: int, scale: float = 1.0) -> SymTensor:
-    keys = multi_indices(dim, rank)
-    vals = rng.standard_normal(len(keys)) * scale
-    return SymTensor(dim, rank, {k: float(v) for k, v in zip(keys, vals)})
+    vals = rng.standard_normal(len(multi_indices(dim, rank))) * scale
+    return SymTensor(dim, rank, vals.tolist())
 
 
 def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
@@ -288,23 +327,22 @@ def sym_product(a: SymTensor, b: SymTensor) -> SymTensor:
     # entry t gets its terms ways * a[u] * b[v] in ascending u, from +0.0;
     # a zero factor is skipped: its signed zero term cannot change a sum
     # that is never -0.0, and its ways * a[u] may overflow
-    keys = multi_indices(a.dim, m + n)
     total = comb(m + n, m)
-    live_b = [(j, y) for j, y in enumerate(b.coeffs.values()) if y]
-    acc = [0.0] * len(keys)
-    for x, row in zip(a.coeffs.values(), _product_plan(a.dim, m, n)):
+    live_b = [(j, y) for j, y in enumerate(b.values) if y]
+    acc = [0.0] * len(multi_indices(a.dim, m + n))
+    for x, row in zip(a.values, _product_plan(a.dim, m, n)):
         if x:
             for j, y in live_b:
                 p, ways = row[j]
                 acc[p] += ways * x * y
-    return SymTensor(a.dim, m + n, dict(zip(keys, [s / total for s in acc])))
+    return SymTensor(a.dim, m + n, [s / total for s in acc])
 
 
 def pairing(a: SymTensor, b: SymTensor) -> float:
     """Dual pairing: sum of entrywise products over all ordered index tuples."""
     _check_shape(a.dim, a.rank, b)
     s = 0.0
-    for w, x, y in zip(_multiplicities(a.dim, a.rank), a.coeffs.values(), b.coeffs.values()):
+    for w, x, y in zip(_multiplicities(a.dim, a.rank), a.values, b.values):
         if x and y:
             s += w * x * y
     return s
@@ -323,16 +361,16 @@ def partial_pairing(a: SymTensor, b: SymTensor) -> SymTensor:
     if b.rank == 0:
         return a.scale(b.item())
     k = b.rank
-    av = list(a.coeffs.values())
+    av = a.values
     mult = _multiplicities(a.dim, k)
-    nz = [(j, mult[j] * y) for j, y in enumerate(b.coeffs.values()) if y]
+    nz = [(j, mult[j] * y) for j, y in enumerate(b.values) if y]
     out = []
     for row in _pairing_plan(a.dim, a.rank, k):
         acc = 0.0
         for j, w in nz:
             acc += w * av[row[j]]
         out.append(acc)
-    return SymTensor(a.dim, a.rank - k, dict(zip(multi_indices(a.dim, a.rank - k), out)))
+    return SymTensor(a.dim, a.rank - k, out)
 
 
 # The batched routes work through their rows in blocks whose largest
@@ -360,7 +398,7 @@ def eval_power_batch(a, xs) -> np.ndarray:
     go through in blocks, each reading its coordinates once as columns.  A
     power is its prefix power, shared across grades, times one coordinate,
     as power_tensor multiplies.  Each grade adds its nonzero terms
-    (multiplicity(u) * v) * x^u from +0.0 in coeffs order, and the grade
+    (multiplicity(u) * v) * x^u from +0.0 in multi_indices order, and the grade
     sums are added in order into +0.0: a grade sum is never -0.0, so one
     tensor gives its grade sum bit for bit.
     """
@@ -372,7 +410,10 @@ def eval_power_batch(a, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != dim:
         raise DimensionMismatchError(f"points have shape {xs.shape}, tensor has dim {dim}")
-    terms = [[(multiplicity(u) * v, u) for u, v in t.coeffs.items() if v] for t in grades]
+    terms = [
+        [(w * v, u) for u, w, v in zip(multi_indices(dim, t.rank), _multiplicities(dim, t.rank), t.values) if v]
+        for t in grades
+    ]
     # the powers of rank 2 and up that the terms need; sorted, a prefix comes first
     chain = sorted({u[:k] for grade in terms for _, u in grade for k in range(2, len(u) + 1)})
 
@@ -432,7 +473,7 @@ def tensor_norm(a: SymTensor, p: float, scale: HilbertScale | None = None) -> fl
     if scale.dim != a.dim:
         raise DimensionMismatchError(f"scale dim {scale.dim} != tensor dim {a.dim}")
     s = 0.0
-    for c, v in zip(_norm_weights(scale, a.rank, p), a.coeffs.values()):
+    for c, v in zip(_norm_weights(scale, a.rank, p), a.values):
         if v:
             s += c * v * v
     return sqrt(s)

@@ -17,7 +17,7 @@ from .appell import (
     Q_TAG,
     q_seq,
 )
-from .jets import _row_tensors, _stack, graded_product, graded_rows, graded_solve
+from .jets import _frozen, _graded_plan, _row_tensors, _stack, graded_product, graded_rows, graded_solve
 from .symtensor import multi_indices, norm_rows, scalar_tensor, weighted_sum
 
 __all__ = [
@@ -51,8 +51,10 @@ def wick_unit(basis: AppellBasis) -> KernelSeq:
 def wick_mul(Phi: KernelSeq, Psi: KernelSeq) -> KernelSeq:
     """Graded convolution: grade n collects Phi^(k) sym Psi^(n-k)."""
     basis = _same_basis(Phi, Psi)
-    grades = range(basis.degree + 1)
-    out = graded_product(basis.dim, grades, _stack(Phi.kernels), _stack(Psi.kernels), lambda n, k: 1)
+    grades = tuple(range(basis.degree + 1))
+    starts = _graded_plan(basis.dim, grades).starts
+    x, y = (_frozen(_stack(seq.kernels), starts) for seq in (Phi, Psi))
+    out = graded_product(basis.dim, grades, x, y, lambda n, k: 1)
     return q_seq(basis, dict(enumerate(_row_tensors(basis.dim, grades, out))))
 
 

@@ -27,6 +27,8 @@ from appellsys.appell import (
 )
 from appellsys.jets import (
     ScalarJet,
+    _frozen,
+    _graded_plan,
     _row_tensors,
     _stack,
     graded_product,
@@ -54,6 +56,11 @@ from appellsys.symtensor import (
 from appellsys.wick import _dist_norm_rows, wick_mul, wick_norm_check
 
 
+def view(ks):
+    """The (vector, live) view of kernels 0, 1, ..., as ScalarJet._view gives it."""
+    return _frozen(_stack(ks), _graded_plan(ks[0].dim, tuple(range(len(ks)))).starts)
+
+
 def hexes(values):
     return [float(v).hex() for v in values]
 
@@ -76,7 +83,7 @@ def literal_plain(basis, z, grades):
     """The plain tensors at z as before batching: power tensors and one
     graded product against the constants at zero."""
     powers = [power_tensor(z, k) for k in range(max(grades) + 1)]
-    values = graded_product(basis.dim, grades, _stack(powers), basis.u_jet._view(), comb)
+    values = graded_product(basis.dim, grades, view(powers), basis.u_jet._view(), comb)
     return _row_tensors(basis.dim, grades, values)
 
 
@@ -269,9 +276,9 @@ class TestBatchedPlans:
         for r in range(rows):
             f, g = as_tensors(d, X[r], top), as_tensors(d, Y[r], top)
             f0, g0 = as_tensors(d, X[0], top), as_tensors(d, Y[0], top)
-            assert hexes(both[r]) == hexes(graded_product(d, grades, _stack(f), _stack(g), weight))
-            assert hexes(left[r]) == hexes(graded_product(d, grades, _stack(f), _stack(g0), weight))
-            assert hexes(right[r]) == hexes(graded_product(d, grades, _stack(f0), _stack(g), weight))
+            assert hexes(both[r]) == hexes(graded_product(d, grades, view(f), view(g), weight))
+            assert hexes(left[r]) == hexes(graded_product(d, grades, view(f), view(g0), weight))
+            assert hexes(right[r]) == hexes(graded_product(d, grades, view(f0), view(g), weight))
         assert hexes(graded_rows(d, grades, X[0], Y[0], weight)) == hexes(both[0])
 
     @settings(max_examples=80)

@@ -94,6 +94,36 @@ def test_every_private_constant_is_read():
     assert unread == []
 
 
+# The functions of src/ that may read a SymTensor's coeffs mapping; every
+# other reader takes .values, so no hot path builds the lazy view.
+COEFFS_READERS = {
+    "symtensor.py:SymTensor.__repr__",
+    # the --coeffs flag of `appellsys wick fn`, not a tensor
+    "cli.py:cmd_wick",
+}
+
+
+def coeffs_reads(tree, scope=""):
+    """The qualified names of the functions that read an attribute named
+    coeffs, once per read."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield from coeffs_reads(node, f"{scope}{node.name}.")
+        else:
+            if isinstance(node, ast.Attribute) and node.attr == "coeffs" and isinstance(node.ctx, ast.Load):
+                yield scope.rstrip(".")
+            yield from coeffs_reads(node, scope)
+
+
+def test_only_the_allowed_functions_read_coeffs():
+    found = {
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in coeffs_reads(ast.parse(path.read_text()))
+    }
+    assert found == COEFFS_READERS
+
+
 # The public surface: each module's __all__ and the names the package itself
 # exports.  A change to an export is made on purpose by editing this table.
 SURFACE = {

@@ -27,6 +27,8 @@ from appellsys.jets import (
     CompKernels,
     _linear_power_kernels,
     _power_layer,
+    _frozen,
+    _graded_plan,
     _row_tensors,
     _stack,
     graded_product,
@@ -73,6 +75,11 @@ from appellsys.symtensor import (
 from appellsys.wick import wick_inv, wick_mul
 
 N = 6
+
+
+def view(ks):
+    """The (vector, live) view of kernels 0, 1, ..., as ScalarJet._view gives it."""
+    return _frozen(_stack(ks), _graded_plan(ks[0].dim, tuple(range(len(ks)))).starts)
 
 
 def jet_1d(coeffs):
@@ -337,9 +344,9 @@ def count_tensors(monkeypatch):
     built = []
     post_init = SymTensor.__post_init__
 
-    def counted(self):
-        built.append(self.rank)
-        post_init(self)
+    def counted(self, dim, rank, coeffs):
+        built.append(rank)
+        post_init(self, dim, rank, coeffs)
 
     monkeypatch.setattr(SymTensor, "__post_init__", counted)
     return built
@@ -742,7 +749,7 @@ def graded_terms(f, g, grades, weight):
 def product_tensors(f, g, grades, weight=comb):
     """graded_product of the kernel lists f and g, as tensors."""
     d = f[0].dim
-    return _row_tensors(d, grades, graded_product(d, grades, _stack(f), _stack(g), weight))
+    return _row_tensors(d, grades, graded_product(d, grades, view(f), view(g), weight))
 
 
 def literal_product(f, g, grades, weight):
@@ -813,7 +820,7 @@ class TestPlans:
         # a weight of -1 turns a zero sum to -0.0, which the sums must not return
         f, g = data.draw(kernel_seqs(d, deg)), data.draw(kernel_seqs(d, deg))
         grades = data.draw(st.lists(st.integers(0, deg), min_size=1, unique=True))
-        got = graded_product(d, grades, _stack(f), _stack(g), weight)
+        got = graded_product(d, grades, view(f), view(g), weight)
         want = literal_product(f, g, grades, weight)
         assert hex_list(got) == [h for t in want for h in hexes(t)]
         assert hex_list(got) == [h for t in graded_terms(f, g, grades, weight) for h in hexes(t)]
@@ -863,7 +870,7 @@ class TestPlans:
         # every term of entry (1, 1) is -0.0; the literal sum from +0.0 is +0.0
         f = [scalar_tensor(2, 1.0), SymTensor(2, 1, {(1,): 1.0, (2,): 0.0}), zero_tensor(2, 2)]
         g = [scalar_tensor(2, 1.0), SymTensor(2, 1, {(1,): 0.0, (2,): 1.0}), zero_tensor(2, 2)]
-        got = graded_product(2, [2], _stack(f), _stack(g), lambda n, k: -1)
+        got = graded_product(2, [2], view(f), view(g), lambda n, k: -1)
         assert got[0].hex() == "0x0.0p+0"
         assert hex_list(got) == hexes(literal_product(f, g, [2], lambda n, k: -1)[0])
         ck = comp_kernels(identity_vjet(2, 2))
@@ -876,7 +883,7 @@ class TestPlans:
         big = SymTensor(2, 1, {(1,): 1e308, (2,): 1e308})
         one = [scalar_tensor(2, 1.0), big, zero_tensor(2, 2)]
         with pytest.raises(ValueError, match="non-finite coefficient") as err:
-            graded_product(2, [2], _stack(one), _stack(one), comb)
+            graded_product(2, [2], view(one), view(one), comb)
         with pytest.raises(ValueError) as want:
             graded_terms(one, one, [2], comb)
         assert str(err.value) == str(want.value)
@@ -900,7 +907,7 @@ class TestPlans:
             first = appellsys.jets.graded_rows(2, [0, 1, 2], stack_of(f), stack_of(g), comb)
         assert np.isnan(first).any()
         want = [h for t in graded_terms(f, g, [0, 1, 2], comb) for h in hexes(t)]
-        got = graded_product(2, [0, 1, 2], _stack(f), _stack(g), comb)
+        got = graded_product(2, [0, 1, 2], view(f), view(g), comb)
         assert hex_list(got) == want
         assert np.isfinite(got).all()
         # jet_mul's product is born from these sums
@@ -973,7 +980,7 @@ class TestOneRoute:
         f, g = data.draw(factor_pairs(d, deg))
         grades = data.draw(st.lists(st.integers(0, deg), min_size=1, unique=True))
         want = outcome(lambda: graded_terms(f, g, grades, weight))
-        got = outcome(lambda: _row_tensors(d, grades, graded_product(d, grades, _stack(f), _stack(g), weight)))
+        got = outcome(lambda: _row_tensors(d, grades, graded_product(d, grades, view(f), view(g), weight)))
         assert got == want
 
     @settings(max_examples=200, deadline=None)

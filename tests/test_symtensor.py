@@ -3,9 +3,11 @@
 import gc
 import itertools
 import math
+import pickle
 import re
 import warnings
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import appellsys.symtensor
 from appellsys.appell import eval_monomial_seq, monomial_seq
+from appellsys.fixtures import format_tensor, parse_tensor
 from appellsys.jets import ScalarJet, VectorJet, constant_jet
 from appellsys.symtensor import (
     _position,
@@ -120,6 +123,73 @@ class TestStorage:
             with pytest.raises((TypeError, AttributeError)):
                 write(t.coeffs)
         assert list(t.coeffs.values()) == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("reordered", [False, True])
+    def test_a_later_write_to_the_given_table_leaves_the_tensor(self, reordered):
+        keys = multi_indices(2, 2)
+        given = {k: 1.0 for k in (reversed(keys) if reordered else keys)}
+        t = SymTensor(2, 2, given)
+        given[(1, 1)] = 5.0
+        del given[(2, 2)]
+        assert t.values == (1.0, 1.0, 1.0)
+        assert dict(t.coeffs) == dict.fromkeys(keys, 1.0)
+
+    def test_values_in_order_are_accepted_and_copied(self):
+        given = [1.0, 2.0, 3.0]
+        t = SymTensor(2, 2, given)
+        given[0] = 5.0
+        assert t == SymTensor(2, 2, {(2, 2): 3.0, (1, 2): 2.0, (1, 1): 1.0})
+        with pytest.raises(ValueError, match=re.escape("(expected 3, got 2)")):
+            SymTensor(2, 2, [1.0, 2.0])
+        with pytest.raises(ValueError, match=re.escape("non-finite coefficient at index (1, 2): inf")):
+            SymTensor(2, 2, (1.0, math.inf, math.nan))
+
+    def test_numpy_scalars_are_kept_as_python_floats(self):
+        t = SymTensor(1, 1, {(1,): np.float64(1.5)})
+        assert type(t.values[0]) is float and type(t.coeffs[(1,)]) is float
+        assert format_tensor(t) == "symtensor\ndim 1\nrank 1\n1 1.5\n"
+        assert parse_tensor(format_tensor(t)) == t
+
+    def test_an_overflowing_product_of_numpy_scalars_raises_without_a_warning(self):
+        t = SymTensor(1, 1, {(1,): np.float64(1e200)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("non-finite coefficient at index (1, 1): inf")):
+                sym_product(t, t)
+            with pytest.raises(ValueError, match=re.escape("non-finite coefficient at index (1,): inf")):
+                t.scale(np.float64(1e200))
+
+    def test_fields_are_frozen_and_a_pickle_round_trips(self):
+        t = random_tensor(np.random.default_rng(3), 2, 2)
+        for name in ("dim", "rank", "values", "coeffs"):
+            with pytest.raises((FrozenInstanceError, AttributeError)):
+                setattr(t, name, None)
+        with pytest.raises(FrozenInstanceError):
+            del t.values
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and back.values == t.values
+
+
+@st.composite
+def holey_tensors(draw):
+    """A tensor of dim <= 3 and rank <= 5 whose entries are random floats,
+    +0.0 or -0.0."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    entry = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]))
+    return SymTensor(d, n, draw(st.lists(entry, min_size=len(multi_indices(d, n)), max_size=len(multi_indices(d, n)))))
+
+
+@settings(max_examples=200)
+@given(t=holey_tensors())
+def test_coeffs_view_round_trips_the_values(t):
+    keys = multi_indices(t.dim, t.rank)
+    again = SymTensor(t.dim, t.rank, t.coeffs)
+    assert again == t and tuple(t.coeffs) == keys
+    assert [v.hex() for v in again.values] == [v.hex() for v in t.values] == [v.hex() for v in t.coeffs.values()]
+    assert all(type(v) is float for v in t.values)
+    assert [t[k] for k in keys] == list(t.values)
+    with pytest.raises(TypeError):
+        hash(t)
 
 
 class TestSymProduct:
