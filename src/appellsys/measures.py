@@ -11,6 +11,7 @@ exponential of the cumulant jet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import exp, inf, sqrt, pi
 from numbers import Integral
 
@@ -34,6 +35,8 @@ __all__ = [
 
 # Samples are drawn in fixed-size shards from independent counter-based
 # streams, so a sharded/parallel consumer reproduces the sequential result.
+# Shard k opens Philox(key=seed) at counter word 2 = k, the state that
+# .jumped(k) reaches by advancing the counter k * 2**128.
 _SHARD = 8192
 
 
@@ -58,11 +61,23 @@ class MeasureModel:
         raise NotImplementedError
 
     def laplace_jet(self, degree: int) -> ScalarJet:
-        """The moment jet, exp of the cumulant jet."""
-        return jet_exp(jet_from_entries(self.dim, degree, self.cumulants(degree)))
+        """The moment jet, exp of the cumulant jet; equal models share one."""
+        return _cumulant_jet(self, degree)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         raise UnsupportedModelError(f"model {self.name!r} has no sampler")
+
+
+# Keyed on model values, which callers choose, so the memo is bounded; a
+# verify run reads 27 distinct (model, degree) pairs.
+@lru_cache(maxsize=128)
+def _cumulant_jet(model: MeasureModel, degree: int) -> ScalarJet:
+    """exp of the model's cumulant jet, computed once per (model, degree).
+
+    Keyed on the model's value, so every caller of moment_kernels for an
+    equal model reads the same immutable jet.
+    """
+    return jet_exp(jet_from_entries(model.dim, degree, model.cumulants(degree)))
 
 
 @dataclass(frozen=True)
@@ -88,6 +103,8 @@ class GaussianModel(MeasureModel):
             raise ValueError(
                 f"covariance must be positive semidefinite; smallest eigenvalue {eigs[0]:.6g}"
             )
+        # tuples of floats, so that a model given lists is hashable for the memo
+        object.__setattr__(self, "cov", tuple(map(tuple, mat.tolist())))
 
     @staticmethod
     def standard(dim: int, sigma2: float = 1.0) -> "GaussianModel":
@@ -141,6 +158,7 @@ class PoissonModel(MeasureModel):
         for v in self.nu:
             if not 0 < v < inf:
                 raise ValueError(f"intensities must be positive and finite, got {v}")
+        object.__setattr__(self, "nu", tuple(map(float, self.nu)))
 
     @property
     def dim(self) -> int:
@@ -235,12 +253,14 @@ def moment_kernels(model: MeasureModel, degree: int) -> ScalarJet:
 
 def sample_batch(model: MeasureModel, count: int, seed: int) -> np.ndarray:
     """Reproducible i.i.d. draws, shape (count, dim); count 0 gives no rows."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
     if count < 0:
         raise ValueError(f"sample count must be non-negative, got {count}")
     # count 0 still draws one empty shard, so a model with no sampler raises
     chunks = []
     for shard, start in enumerate(range(0, count or 1, _SHARD)):
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(shard))
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, shard, 0]))
         chunks.append(model.sample(rng, min(_SHARD, count - start)))
     return np.concatenate(chunks, axis=0)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import exp, sqrt
+from sys import float_info
 
 import numpy as np
 
@@ -108,14 +109,22 @@ def exact_product_expectation(basis: AppellBasis, phi: KernelSeq, psi: KernelSeq
 def mc_expectation(model: MeasureModel, evaluator, count: int, seed: int) -> tuple[float, float]:
     """Monte Carlo mean and standard error of evaluator over model samples.
 
-    evaluator maps an (count, dim) array to a length-count vector; results
-    are deterministic for a fixed seed.
+    evaluator maps an (count, dim) array to a length-count vector of finite
+    values; results are deterministic for a fixed seed.  A standard error
+    needs at least two samples.
     """
+    if count < 2:
+        raise ValueError(f"mc_expectation needs at least 2 samples, got {count}")
     xs = sample_batch(model, count, seed)
     vals = np.asarray(evaluator(xs), dtype=float)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / sqrt(count)) if count > 1 else 0.0
-    return mean, stderr
+    if vals.shape != (count,):
+        raise ValueError(
+            f"evaluator must return one value per sample, shape ({count},); got {vals.shape}"
+        )
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        raise ValueError(f"evaluator value at sample {bad[0]} is {vals[bad[0]]}, not finite")
+    return float(vals.mean()), float(vals.std(ddof=1) / sqrt(count))
 
 
 @lru_cache(maxsize=None)
@@ -172,13 +181,19 @@ def pmf_sum(model: PoissonModel, f) -> float:
     Polynomial integrands grow while the mass decays factorially, so the
     stop rule watches the terms, not the remaining mass: past the bulk the
     terms fall superexponentially and a run of negligibly small ones bounds
-    the tail at machine level.
+    the tail at machine level.  The mass recurrence starts at exp(-nu),
+    which must be a normal float: nu up to about 708.4.
     """
     if model.dim != 1:
         raise UnsupportedModelError("pmf_sum needs d = 1")
     nu = model.nu[0]
     total = 0.0
     pk = exp(-nu)
+    if pk < float_info.min:
+        raise ValueError(
+            f"Poisson intensity nu = {nu} is too large for pmf_sum: exp(-nu) is not "
+            "a normal float (nu must be at most about 708.39)"
+        )
     k = 0
     small_run = 0
     while k <= 10_000:

@@ -207,17 +207,20 @@ def suite_hermite_gaussian(seed: int) -> SuiteResult:
             density_rows.append(_row(n, float(x), qn, expected))
     density_err = max(r["abs_error"] for r in density_rows)
 
-    # quadrature biorthogonality of the density-route distribution side
+    # quadrature biorthogonality of the density-route distribution side; the
+    # seven m share one q_n per node, as quad_1d visits the same nodes for each
     quad_rows = []
     for n in range(7):
+        qn_at: dict[float, float] = {}
         for m in range(7):
             terms = list(enumerate(hermite_he_coeffs(m)))
 
             # ders[0] is the density bit for bit: 1.0 * 1.0 * rho
-            def integrand(x, n=n, terms=terms):
-                ders = model.density_derivatives(x, n)
-                qn = (-1.0) ** n * ders[n] / ders[0]
-                return qn * sum(c * x**k for k, c in terms)
+            def integrand(x, n=n, terms=terms, qn_at=qn_at):
+                if x not in qn_at:
+                    ders = model.density_derivatives(x, n)
+                    qn_at[x] = (-1.0) ** n * ders[n] / ders[0]
+                return qn_at[x] * sum(c * x**k for k, c in terms)
 
             val = quad_1d(model, integrand)
             expected = factorial(n) if n == m else 0.0

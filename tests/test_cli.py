@@ -4,9 +4,11 @@ import json
 import re
 import subprocess
 import sys
+from types import ModuleType
 
 import pytest
 
+import appellsys
 from appellsys.cli import main
 from appellsys.appell import AppellBasis, q_seq
 from appellsys.fixtures import format_kernel_seq
@@ -230,6 +232,28 @@ def test_nu_length_mismatch_is_usage_error(tmp_path, capsys):
         run_cli(["kernels", "--config", str(cfg), "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "nu needs 1 or 3 values, got 2" in capsys.readouterr().err
+
+
+def clear_package_caches():
+    """Empty every functools cache in the package's modules, as in a new process."""
+    for mod in vars(appellsys).values():
+        if isinstance(mod, ModuleType):
+            for value in list(vars(mod).values()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+def test_verify_cold_then_warm_writes_identical_artifacts(tmp_path):
+    # the memoised moment jets, plans and nodes must not change a byte
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    clear_package_caches()
+    assert run_cli(["verify", "--seed", "5", "--out", str(cold)]) == 0
+    assert run_cli(["verify", "--seed", "5", "--out", str(warm)]) == 0
+    names = sorted(p.name for p in cold.iterdir())
+    assert len(names) == 21 and "report.json" in names
+    assert sorted(p.name for p in warm.iterdir()) == names
+    for name in names:
+        assert (cold / name).read_bytes() == (warm / name).read_bytes(), name
 
 
 def test_shipped_configs_verify(tmp_path):

@@ -124,6 +124,87 @@ def test_only_the_allowed_functions_read_coeffs():
     assert found == COEFFS_READERS
 
 
+CACHES = {"lru_cache", "cache"}
+
+
+def misplaced_caches(tree):
+    """The lines of every functools cache that is not a decorator of a
+    module-level function: a cached method or closure is out of reach of a
+    sweep that empties the caches it finds in module namespaces."""
+    names = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for a in node.names
+        if a.name in CACHES
+    }
+    placed = {
+        id(d.func if isinstance(d, ast.Call) else d)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        for d in node.decorator_list
+    }
+    for node in ast.walk(tree):
+        named = isinstance(node, ast.Name) and node.id in names
+        dotted = (
+            isinstance(node, ast.Attribute)
+            and node.attr in CACHES
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        )
+        if (named or dotted) and id(node) not in placed:
+            yield node.lineno
+
+
+def test_every_cache_decorates_a_module_level_function():
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := list(misplaced_caches(ast.parse(path.read_text()))))
+    }
+    assert found == {}
+
+
+def test_the_moment_jet_memo_is_in_a_module_namespace():
+    swept = {
+        f"{value.__module__}.{name}"
+        for mod in vars(appellsys).values()
+        if isinstance(mod, ModuleType)
+        for name, value in vars(mod).items()
+        if hasattr(value, "cache_clear")
+    }
+    assert "appellsys.measures._cumulant_jet" in swept
+
+
+def test_the_cache_check_sees_methods_closures_and_calls():
+    source = """
+import functools
+from functools import lru_cache, cache as memo
+
+@lru_cache(maxsize=None)
+def fine(n):
+    return n
+
+@functools.cache
+def also_fine(n):
+    return n
+
+class Model:
+    @memo
+    def method(self):
+        return 1
+
+def outer():
+    @functools.lru_cache(maxsize=None)
+    def inner(n):
+        return n
+    return inner
+
+wrapped = lru_cache(maxsize=None)(fine)
+"""
+    assert list(misplaced_caches(ast.parse(source))) == [14, 19, 24]
+
+
 # The public surface: each module's __all__ and the names the package itself
 # exports.  A change to an export is made on purpose by editing this table.
 SURFACE = {

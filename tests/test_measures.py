@@ -15,6 +15,8 @@ from appellsys.measures import (
     MomentFileModel,
     PoissonModel,
     UnsupportedModelError,
+    _SHARD,
+    _cumulant_jet,
     moment_kernels,
     nondegeneracy_check,
     sample_batch,
@@ -219,7 +221,93 @@ class TestCumulantRoute:
             change_alpha_dist(by_model, by_file, q_seq(by_model, {0: scalar_tensor(1, 1.0)}))
 
 
+uncached_jet = _cumulant_jet.__wrapped__
+
+
+class TestMomentJetMemo:
+    def test_equal_models_share_one_jet(self):
+        assert moment_kernels(GaussianModel.standard(2), 4) is moment_kernels(
+            GaussianModel.standard(2), 4
+        )
+        assert moment_kernels(PoissonModel((1.0,)), 3) is not moment_kernels(PoissonModel((2.0,)), 3)
+        assert moment_kernels(PoissonModel((1.0,)), 3) is not moment_kernels(PoissonModel((1.0,)), 4)
+
+    def test_a_negative_zero_covariance_shares_the_jet_of_its_equal(self):
+        plus = GaussianModel(((1.0, 0.0, 0.5), (0.0, 2.0, 0.0), (0.5, 0.0, 3.0)))
+        minus = GaussianModel(((1.0, -0.0, 0.5), (-0.0, 2.0, 0.0), (0.5, 0.0, 3.0)))
+        assert plus == minus
+        for degree in range(7):
+            # both routes give the same bits, so which model fills the memo does not matter
+            assert bits(uncached_jet(plus, degree)) == bits(uncached_jet(minus, degree))
+            assert moment_kernels(minus, degree) is moment_kernels(plus, degree)
+            assert bits(moment_kernels(minus, degree)) == bits(uncached_jet(minus, degree))
+
+    def test_models_given_lists_are_stored_as_float_tuples_and_share_the_jet(self):
+        gauss = GaussianModel([[1, 0.5], [0.5, 2.0]])
+        poisson = PoissonModel([1, 2.5])
+        assert gauss.cov == ((1.0, 0.5), (0.5, 2.0)) and type(gauss.cov[0][0]) is float
+        assert poisson.nu == (1.0, 2.5) and type(poisson.nu[0]) is float
+        twin = GaussianModel(((1.0, 0.5), (0.5, 2.0)))
+        assert moment_kernels(gauss, 4) is moment_kernels(twin, 4)
+        assert moment_kernels(poisson, 4) is moment_kernels(PoissonModel((1.0, 2.5)), 4)
+
+    def test_a_moment_file_keeps_its_slicing_route(self):
+        moments = tuple(moment_kernels(GaussianModel.standard(1), 4).kernels)
+        model = MomentFileModel("fixture", 1, 4, moments)
+        before = _cumulant_jet.cache_info().currsize
+        jet = moment_kernels(model, 3)
+        assert _cumulant_jet.cache_info().currsize == before
+        assert all(a is b for a, b in zip(jet.kernels, moments[:4]))
+        assert kernels_1d(jet) == [1.0, 0.0, 1.0, 0.0]
+
+    def test_jets_rebuilt_after_cache_clear_are_bit_identical(self):
+        models = (GaussianModel.standard(2), PoissonModel((0.5, 2.0)), DeltaModel(3))
+        first = [moment_kernels(m, 6) for m in models]
+        _cumulant_jet.cache_clear()
+        again = [moment_kernels(m, 6) for m in models]
+        for a, b in zip(first, again):
+            assert a is not b
+            assert bits(a) == bits(b)
+
+
+def philox_state(bit_generator):
+    """A Philox state with its arrays as lists, comparable with ==."""
+    state = bit_generator.state
+    inner = {k: v.tolist() for k, v in state["state"].items()}
+    return {**state, "state": inner, "buffer": state["buffer"].tolist()}
+
+
+def jumped_stream(model, count, seed):
+    """sample_batch's draws with each shard opened by Philox.jumped."""
+    chunks = []
+    for shard, start in enumerate(range(0, count or 1, _SHARD)):
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(shard))
+        chunks.append(model.sample(rng, min(_SHARD, count - start)))
+    return np.concatenate(chunks, axis=0)
+
+
 class TestSampler:
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 + 3, 2**127])
+    def test_shards_open_at_the_jumped_state(self, seed):
+        for shard in (0, 1, 3, 2**40):
+            by_counter = np.random.Philox(key=seed, counter=[0, 0, shard, 0])
+            assert philox_state(by_counter) == philox_state(np.random.Philox(key=seed).jumped(shard))
+        for model in (GaussianModel(((1.0, 0.6), (0.6, 2.0))), PoissonModel((2.0, 0.5)), DeltaModel(2)):
+            for count in (0, 1, _SHARD, _SHARD + 1, 3 * _SHARD + 5):
+                got = sample_batch(model, count, seed)
+                want = jumped_stream(model, count, seed)
+                assert got.shape == want.shape == (count, 2)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [1.5, True, "1", None, 1.0])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(TypeError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            sample_batch(GaussianModel.standard(1), 10, seed)
+
+    def test_numpy_integer_seed_draws_its_stream(self):
+        model = GaussianModel.standard(1)
+        assert np.array_equal(sample_batch(model, 10, np.int64(5)), sample_batch(model, 10, 5))
+
     def test_delta_all_zero(self):
         xs = sample_batch(DeltaModel(2), 100, seed=1)
         assert xs.shape == (100, 2)

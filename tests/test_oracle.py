@@ -1,6 +1,7 @@
 """Verification engines: exact vs sampled expectations, 1D integration."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,37 @@ class TestMonteCarlo:
         assert abs(mean) < 4 * err
 
 
+    @pytest.mark.parametrize("count", [0, 1, -4])
+    def test_needs_two_samples(self, count):
+        message = f"mc_expectation needs at least 2 samples, got {count}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mc_expectation(GaussianModel.standard(1), lambda xs: xs[:, 0], count, seed=0)
+
+    @pytest.mark.parametrize(
+        "evaluator, shape",
+        [
+            (lambda xs: xs[:10, 0], "(10,)"),
+            (lambda xs: xs, "(1000, 1)"),
+            (lambda xs: 1.0, "()"),
+        ],
+    )
+    def test_needs_one_value_per_sample(self, evaluator, shape):
+        message = f"evaluator must return one value per sample, shape (1000,); got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mc_expectation(GaussianModel.standard(1), evaluator, 1000, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_needs_finite_values(self, bad):
+        def evaluator(xs):
+            vals = xs[:, 0].copy()
+            vals[17] = bad
+            return vals
+
+        message = f"evaluator value at sample 17 is {bad}, not finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mc_expectation(GaussianModel.standard(1), evaluator, 1000, seed=0)
+
+
 class TestQuad1d:
     def test_gaussian_normalization(self):
         assert quad_1d(GaussianModel.standard(1), lambda x: 1.0) == pytest.approx(
@@ -170,6 +202,21 @@ class TestQuad1d:
     def test_unsupported(self):
         with pytest.raises(UnsupportedModelError):
             quad_1d(DeltaModel(1), lambda x: 1.0)
+
+    @pytest.mark.parametrize("nu", [708.4, 740.0, 746.0, 2000.0, 9000.0])
+    def test_pmf_sum_rejects_a_subnormal_first_mass(self, nu):
+        # exp(-nu) underflows past nu = 708.39: the mass once summed to 0.0, or 1.0026 at 740
+        message = (
+            f"Poisson intensity nu = {nu} is too large for pmf_sum: exp(-nu) is not "
+            "a normal float (nu must be at most about 708.39)"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pmf_sum(PoissonModel((nu,)), lambda k: 1.0)
+
+    def test_pmf_sum_keeps_its_bits_up_to_nu_708(self):
+        model = PoissonModel((708.0,))
+        assert pmf_sum(model, lambda k: 1.0).hex() == "0x1.fffffffffffc7p-1"
+        assert pmf_sum(model, lambda k: k).hex() == "0x1.61fffffffffdep+9"
 
     def test_nodes_are_computed_once_and_read_only(self, monkeypatch):
         calls = []
