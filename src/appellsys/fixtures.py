@@ -9,6 +9,7 @@ Writers emit entries in sorted order so files are byte-stable.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isfinite
 
 from .appell import AppellBasis, KernelSeq, MONOMIAL, P_TAG, Q_TAG, monomial_seq, p_seq, q_seq
@@ -66,6 +67,14 @@ def _format_index(idx: tuple[int, ...]) -> str:
     return "." if not idx else ",".join(str(i) for i in idx)
 
 
+@lru_cache(maxsize=None)
+def _entry_tokens(dim: int, rank: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The canonical entry tokens of a (dim, rank) section in multi_indices
+    order, and each token's position."""
+    tokens = tuple(map(_format_index, multi_indices(dim, rank)))
+    return tokens, {token: p for p, token in enumerate(tokens)}
+
+
 class _Reader:
     """Header/section/entry splitter shared by all fixture kinds."""
 
@@ -100,43 +109,48 @@ class _Reader:
             raise FixtureFormatError(f"line {lineno}: expected {word!r}, got {line!r}")
 
     def read_entries(self, dim: int, rank: int) -> SymTensor:
-        coeffs = {k: 0.0 for k in multi_indices(dim, rank)}
+        tokens, position = _entry_tokens(dim, rank)
+        values = [0.0] * len(tokens)
         seen = set()
         while True:
             item = self.peek()
             if item is None:
                 break
             lineno, line = item
-            first = line.split(None, 1)[0]
-            if first in ("kernel", "grade") or first.isalpha():
+            parts = line.split()
+            if parts[0] in ("kernel", "grade") or parts[0].isalpha():
                 break
             self.pos += 1
-            parts = line.split()
             if len(parts) != 2:
                 raise FixtureFormatError(f"line {lineno}: expected '<index> <value>'")
-            idx = _parse_index(parts[0])
-            if len(idx) != rank:
-                raise FixtureFormatError(
-                    f"line {lineno}: index rank {len(idx)} does not match section rank {rank}"
-                )
-            if any(i > dim for i in idx):
-                raise FixtureFormatError(f"line {lineno}: index out of range for dim {dim}")
-            if idx in seen:
-                raise FixtureFormatError(f"line {lineno}: entry {parts[0]} given twice")
-            seen.add(idx)
+            token, value = parts
+            p = position.get(token)
+            if p is None:
+                # another spelling, or a bad index: check it as it is written
+                idx = _parse_index(token)
+                if len(idx) != rank:
+                    raise FixtureFormatError(
+                        f"line {lineno}: index rank {len(idx)} does not match section rank {rank}"
+                    )
+                if any(i > dim for i in idx):
+                    raise FixtureFormatError(f"line {lineno}: index out of range for dim {dim}")
+                p = position[_format_index(idx)]
+            if p in seen:
+                raise FixtureFormatError(f"line {lineno}: entry {token} given twice")
+            seen.add(p)
             try:
-                coeffs[idx] = float(parts[1])
+                values[p] = float(value)
             except ValueError as e:
-                raise FixtureFormatError(f"line {lineno}: bad value {parts[1]!r}") from e
-            if not isfinite(coeffs[idx]):
-                raise FixtureFormatError(f"line {lineno}: non-finite value {parts[1]!r}")
-        return SymTensor(dim, rank, coeffs)
+                raise FixtureFormatError(f"line {lineno}: bad value {value!r}") from e
+            if not isfinite(values[p]):
+                raise FixtureFormatError(f"line {lineno}: non-finite value {value!r}")
+        return SymTensor(dim, rank, values)
 
 
 def _format_entries(t: SymTensor, out: list[str]) -> None:
-    for idx, v in zip(multi_indices(t.dim, t.rank), t.values):
+    for token, v in zip(_entry_tokens(t.dim, t.rank)[0], t.values):
         if v != 0.0 or t.rank == 0:
-            out.append(f"{_format_index(idx)} {v!r}")
+            out.append(f"{token} {v!r}")
 
 
 # -- single tensor ----------------------------------------------------------

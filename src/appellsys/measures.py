@@ -255,6 +255,8 @@ def sample_batch(model: MeasureModel, count: int, seed: int) -> np.ndarray:
     """Reproducible i.i.d. draws, shape (count, dim); count 0 gives no rows."""
     if isinstance(seed, bool) or not isinstance(seed, Integral):
         raise TypeError(f"seed must be an integer, got {seed!r}")
+    if isinstance(count, bool) or not isinstance(count, Integral):
+        raise TypeError(f"sample count must be an integer, got {count!r}")
     if count < 0:
         raise ValueError(f"sample count must be non-negative, got {count}")
     # count 0 still draws one empty shard, so a model with no sampler raises

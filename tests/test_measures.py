@@ -304,6 +304,15 @@ class TestSampler:
         with pytest.raises(TypeError, match=re.escape(f"seed must be an integer, got {seed!r}")):
             sample_batch(GaussianModel.standard(1), 10, seed)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, False, "3", None])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(TypeError, match=re.escape(f"sample count must be an integer, got {count!r}")):
+            sample_batch(GaussianModel.standard(1), count, 0)
+
+    def test_numpy_integer_count_draws_its_rows(self):
+        model = GaussianModel.standard(1)
+        assert np.array_equal(sample_batch(model, np.int64(10), 5), sample_batch(model, 10, 5))
+
     def test_numpy_integer_seed_draws_its_stream(self):
         model = GaussianModel.standard(1)
         assert np.array_equal(sample_batch(model, 10, np.int64(5)), sample_batch(model, 10, 5))
