@@ -15,7 +15,7 @@ import io
 import json
 import os
 import sys
-from math import inf
+from math import inf, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -57,10 +57,11 @@ def _dump_csv(path: Path, rows) -> None:
         path.write_text("")
         return
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, extrasaction="ignore", lineterminator="\n")
-    writer.writeheader()
-    for r in rows:
-        writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in r.items()})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_CSV_FIELDS)
+    writer.writerows(
+        [repr(v) if isinstance(v, float) else v for v in (r.get(k, "") for k in _CSV_FIELDS)] for r in rows
+    )
     path.write_text(buf.getvalue())
 
 
@@ -189,6 +190,9 @@ def _settings(args) -> dict:
         value = getattr(args, flag, None)
         if value is not None:
             cfg[setting] = (value,) if flag == "nu" else value
+    # the commands that take --seed key numpy's Philox with it
+    if hasattr(args, "seed") and not 0 <= cfg["seed"] < 2**128:
+        raise SystemExit(_usage_error(f"seed must be in [0, 2**128), got {cfg['seed']}"))
     return cfg
 
 
@@ -325,13 +329,22 @@ def cmd_growth(args) -> int:
 
 def cmd_wick(args) -> int:
     cfg = _settings(args)
+    if args.operation in ("mul", "solve") and not args.psi:
+        return _usage_error(f"operation {args.operation} needs --psi")
+    if args.operation == "pow" and args.power < 0:
+        return _usage_error(f"--power must be non-negative, got {args.power}")
+    if args.operation == "fn":
+        if not args.coeffs:
+            return _usage_error("operation fn needs --coeffs (Taylor coefficients at the mean)")
+        try:
+            coeffs = [float(c) for c in args.coeffs.split(",")]
+        except ValueError as e:
+            return _usage_error(f"bad --coeffs: {e}")
+        if not all(map(isfinite, coeffs)):
+            return _usage_error(f"--coeffs must be finite numbers, got {args.coeffs}")
     out = _out_dir(cfg)
     basis = _basis_from(cfg)
     Phi = _read_fixture(args.phi, parse_kernel_seq, basis)
-    if args.operation in ("mul", "solve") and not args.psi:
-        return _usage_error(f"operation {args.operation} needs --psi")
-    if args.operation == "fn" and not args.coeffs:
-        return _usage_error("operation fn needs --coeffs (Taylor coefficients at the mean)")
     Psi = _read_fixture(args.psi, parse_kernel_seq, basis) if args.psi else None
     if args.operation == "mul":
         result = wick.wick_mul(Phi, Psi)
@@ -342,7 +355,6 @@ def cmd_wick(args) -> int:
     elif args.operation == "solve":
         result = wick.wick_solve(Phi, Psi)
     else:
-        coeffs = [float(c) for c in args.coeffs.split(",")]
         result = wick.wick_fn(coeffs, Phi)
     (out / "wick_result.fixture").write_text(format_kernel_seq(result))
 
@@ -424,7 +436,7 @@ def cmd_transport(args) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="appellsys",
         description="Biorthogonal polynomial/distribution systems at finite "
@@ -459,8 +471,15 @@ def main(argv=None) -> int:
     sp.add_argument("--power", type=int, default=2, help="exponent for pow")
     sp.add_argument("--coeffs", help="comma-separated Taylor coefficients for fn")
     commands["transport"].add_argument("--phi", required=True, help="kernel sequence fixture (source basis)")
+    return parser
 
-    args = parser.parse_args(argv)
+
+# static configuration like _FLAGS: built once at import, read by every call
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

@@ -127,7 +127,10 @@ class _Reader:
             p = position.get(token)
             if p is None:
                 # another spelling, or a bad index: check it as it is written
-                idx = _parse_index(token)
+                try:
+                    idx = _parse_index(token)
+                except FixtureFormatError as e:
+                    raise FixtureFormatError(f"line {lineno}: {e}") from e
                 if len(idx) != rank:
                     raise FixtureFormatError(
                         f"line {lineno}: index rank {len(idx)} does not match section rank {rank}"

@@ -136,6 +136,20 @@ def _legendre_nodes() -> tuple[np.ndarray, np.ndarray]:
     return x0, w0
 
 
+@lru_cache(maxsize=128)
+def _panel_nodes(model: GaussianModel, panels: int) -> tuple:
+    """Each of the panels' half width and its (x, w, density1d(x)) node
+    triples, computed once per (model, panels)."""
+    L = QUAD_SIGMAS * sqrt(model.cov[0][0])
+    x0, w0 = _legendre_nodes()
+    edges = np.linspace(-L, L, panels + 1)
+    table = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        table.append((half, tuple((x, w, model.density1d(x)) for x, w in zip(mid + half * x0, w0))))
+    return tuple(table)
+
+
 def quad_1d(model: MeasureModel, integrand) -> float:
     """Integrate integrand(x) * density(x) over the real line (d = 1).
 
@@ -146,19 +160,11 @@ def quad_1d(model: MeasureModel, integrand) -> float:
     if isinstance(model, GaussianModel):
         if model.dim != 1:
             raise UnsupportedModelError("quad_1d needs d = 1")
-        s = sqrt(model.cov[0][0])
-        L = QUAD_SIGMAS * s
-        x0, w0 = _legendre_nodes()
 
         def estimate(panels: int) -> float:
-            edges = np.linspace(-L, L, panels + 1)
             total = 0.0
-            for a, b in zip(edges[:-1], edges[1:]):
-                mid, half = (a + b) / 2.0, (b - a) / 2.0
-                xs = mid + half * x0
-                total += half * sum(
-                    w * integrand(x) * model.density1d(x) for x, w in zip(xs, w0)
-                )
+            for half, nodes in _panel_nodes(model, panels):
+                total += half * sum(w * integrand(x) * rho for x, w, rho in nodes)
             return total
 
         panels = 4

@@ -1,19 +1,25 @@
 """Command-line behavior: exit codes, artifacts, determinism, fixtures."""
 
+import argparse
+import csv
+import io
 import json
 import re
 import subprocess
 import sys
 from types import ModuleType
 
+import numpy as np
 import pytest
 
 import appellsys
-from appellsys.cli import main
+from appellsys import cli
+from appellsys.cli import _CSV_FIELDS, _dump_csv, main
 from appellsys.appell import AppellBasis, q_seq
 from appellsys.fixtures import format_kernel_seq
 from appellsys.measures import GaussianModel, PoissonModel
 from appellsys.remeasure import transport_dist
+from appellsys.suites import run_suite
 from appellsys.symtensor import SymTensor, scalar_tensor
 
 
@@ -502,3 +508,134 @@ def test_readme_config_sample_loads(tmp_path):
     sample = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
     (tmp_path / "sample.cfg").write_text(sample)
     assert exit_code(["kernels", "--config", str(tmp_path / "sample.cfg"), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "args, config, message",
+    [
+        (["verify", "--suite", "symtensor-algebra", "--seed", "-1"], None, "seed must be in [0, 2**128), got -1"),
+        (["verify", "--seed", str(2**128)], None, f"seed must be in [0, 2**128), got {2**128}"),
+        (["growth", "--seed", "-5"], None, "seed must be in [0, 2**128), got -5"),
+        (["hermite"], "[run]\nseed = -3\n", "seed must be in [0, 2**128), got -3"),
+        (["wick", "pow", "--power", "-1", "--phi", "{phi}", "--N", "4"], None, "--power must be non-negative, got -1"),
+        (
+            ["wick", "fn", "--coeffs", "1,x", "--phi", "{phi}", "--N", "4"],
+            None,
+            "bad --coeffs: could not convert string to float: 'x'",
+        ),
+        (["wick", "fn", "--coeffs", "1,nan", "--phi", "{phi}", "--N", "4"], None, "--coeffs must be finite numbers, got 1,nan"),
+        (["wick", "fn", "--coeffs", "inf", "--phi", "{phi}", "--N", "4"], None, "--coeffs must be finite numbers, got inf"),
+    ],
+    ids=["verify-seed-minus-1", "verify-seed-2-128", "growth-seed-minus-5", "config-seed-minus-3",
+         "wick-power-minus-1", "wick-coeffs-x", "wick-coeffs-nan", "wick-coeffs-inf"],
+)
+def test_value_the_library_rejects_is_usage_error(args, config, message, tmp_path, capsys):
+    # before, each raised from numpy or the library: a traceback and exit 1
+    basis = AppellBasis(GaussianModel.standard(1), degree=4)
+    phi = tmp_path / "phi.fixture"
+    phi.write_text(format_kernel_seq(q_seq(basis, {0: scalar_tensor(1, 2.0)})))
+    args = [a.format(phi=phi) for a in args]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        args += ["--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "out"
+    assert exit_code(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not out.exists()
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    assert run_cli(["verify", "--suite", "symtensor-algebra", "--seed", str(2**128 - 1), "--out", str(tmp_path)]) == 0
+
+
+# -- report rows against csv.DictWriter ---------------------------------------
+
+
+def reference_csv(rows):
+    """The report table as csv.DictWriter writes it, floats by repr."""
+    if not rows:
+        return ""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    for r in rows:
+        writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in r.items()})
+    return buf.getvalue()
+
+
+def assert_csv_matches_reference(path, rows):
+    _dump_csv(path, rows)
+    assert path.read_bytes() == reference_csv(rows).encode()
+
+
+@pytest.fixture(scope="module")
+def suite_results_seed5():
+    return run_suite(None, seed=5)
+
+
+def test_every_suite_table_matches_dictwriter(suite_results_seed5, tmp_path):
+    assert len(suite_results_seed5) == 20
+    for res in suite_results_seed5:
+        assert_csv_matches_reference(tmp_path / f"{res.name}.csv", res.rows)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernels_table_matches_dictwriter(dim, tmp_path, monkeypatch):
+    # the d >= 2 table's m column holds indices such as 1,2, which get quoted
+    written = []
+    dump = cli._dump_csv
+    monkeypatch.setattr(cli, "_dump_csv", lambda path, rows: written.append(rows) or dump(path, rows))
+    assert run_cli(["kernels", "--dim", str(dim), "--N", "3", "--out", str(tmp_path)]) == 0
+    (rows,) = written
+    assert (tmp_path / "kernels.csv").read_bytes() == reference_csv(rows).encode()
+    assert ('"1,2"' in (tmp_path / "kernels.csv").read_text()) == (dim == 2)
+
+
+def test_hand_rows_match_dictwriter(tmp_path):
+    rows = [
+        {"n": 0, "m": 1, "value": 1.5, "expected": 2, "abs_error": 0.5},
+        {"n": 1, "value": np.float64(0.1), "band": "inner"},
+        {"abs_error": -0.0, "m": "quad", "n": 2, "extra": [1, 2]},
+        {"n": 3, "m": "1,2", "value": float("inf"), "expected": float("-inf"), "abs_error": float("nan")},
+        {"n": 4, "m": 'say "hi"', "value": 5e-324, "expected": "a\nb", "abs_error": "x,y"},
+        {"n": True, "m": None, "value": 1e308, "expected": -2.5e-310, "abs_error": ""},
+        {},
+    ]
+    assert_csv_matches_reference(tmp_path / "hand.csv", rows)
+    assert_csv_matches_reference(tmp_path / "empty.csv", [])
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_the_module_parser_equals_a_fresh_one():
+    fresh = cli._build_parser()
+    assert cli._PARSER.format_help() == fresh.format_help()
+    built, new = subparsers(cli._PARSER), subparsers(fresh)
+    assert list(built) == list(new)
+    for name in built:
+        assert built[name].format_help() == new[name].format_help(), name
+
+
+def test_main_builds_no_parser(tmp_path, monkeypatch, capsys):
+    made = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: made.append(1) or init(self, *a, **k))
+    assert run_cli(["list-suites"]) == 0
+    assert run_cli(["verify", "--suite", "nondegeneracy", "--out", str(tmp_path)]) == 0
+    assert made == []
+
+
+def test_two_calls_in_one_process_stay_independent(tmp_path, capsys):
+    one, every = tmp_path / "one", tmp_path / "all"
+    assert run_cli(["verify", "--suite", "nondegeneracy", "--seed", "5", "--out", str(one)]) == 0
+    assert run_cli(["verify", "--seed", "5", "--out", str(every)]) == 0
+    assert [s["name"] for s in json.loads((one / "report.json").read_text())["suites"]] == ["nondegeneracy"]
+    report = json.loads((every / "report.json").read_text())
+    assert report["seed"] == 5 and len(report["suites"]) == 20

@@ -204,11 +204,11 @@ TENSOR_22 = "symtensor\ndim 2\nrank 2\n"
 @pytest.mark.parametrize(
     "text, message",
     [
-        (TENSOR_22 + "2,1 3.0\n", "multi-index must be weakly increasing, got '2,1'"),
-        ("symtensor\ndim 2\nrank 1\n0 3.0\n", "multi-indices are 1-based, got '0'"),
-        (TENSOR_22 + "0,1 3.0\n", "multi-indices are 1-based, got '0,1'"),
-        (TENSOR_22 + "1,x 3.0\n", "bad multi-index '1,x'"),
-        (TENSOR_22 + "1,,2 3.0\n", "bad multi-index '1,,2'"),
+        (TENSOR_22 + "2,1 3.0\n", "line 4: multi-index must be weakly increasing, got '2,1'"),
+        ("symtensor\ndim 2\nrank 1\n0 3.0\n", "line 4: multi-indices are 1-based, got '0'"),
+        (TENSOR_22 + "0,1 3.0\n", "line 4: multi-indices are 1-based, got '0,1'"),
+        (TENSOR_22 + "1,x 3.0\n", "line 4: bad multi-index '1,x'"),
+        (TENSOR_22 + "1,,2 3.0\n", "line 4: bad multi-index '1,,2'"),
         ("symtensor\ndim 2\nrank 1\n3 1.0\n", "line 4: index out of range for dim 2"),
         (TENSOR_22 + "1,3 1.0\n", "line 4: index out of range for dim 2"),
         (TENSOR_22 + "1 1.0\n", "line 4: index rank 1 does not match section rank 2"),
@@ -242,7 +242,7 @@ TENSOR_22 = "symtensor\ndim 2\nrank 2\n"
     ],
 )
 def test_bad_entry_line_message(text, message):
-    # index errors name the token but no line; every other names its line
+    # every entry error names its line
     with pytest.raises(FixtureFormatError) as e:
         (parse_scalar_jet if "scalarjet" in text else parse_tensor)(text)
     assert str(e.value) == message

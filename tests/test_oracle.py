@@ -14,8 +14,12 @@ from appellsys.measures import (
     PoissonModel,
     UnsupportedModelError,
 )
+from appellsys import oracle
 from appellsys.oracle import (
+    QUAD_MAX_PANELS,
     QUAD_NODES,
+    QUAD_SIGMAS,
+    QUAD_TOL,
     _legendre_nodes,
     charlier,
     exact_expectation,
@@ -233,6 +237,74 @@ class TestQuad1d:
         assert not x0.flags.writeable and not w0.flags.writeable
         want = leggauss(QUAD_NODES)
         assert x0.tobytes() == want[0].tobytes() and w0.tobytes() == want[1].tobytes()
+
+
+def reference_quad(model, integrand):
+    """quad_1d's Gaussian route as a literal loop: linspace, the panel nodes
+    and density1d at every node of every estimate."""
+    L = QUAD_SIGMAS * math.sqrt(model.cov[0][0])
+    x0, w0 = np.polynomial.legendre.leggauss(QUAD_NODES)
+
+    def estimate(panels):
+        edges = np.linspace(-L, L, panels + 1)
+        total = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid, half = (a + b) / 2.0, (b - a) / 2.0
+            xs = mid + half * x0
+            total += half * sum(w * integrand(x) * model.density1d(x) for x, w in zip(xs, w0))
+        return total
+
+    panels = 4
+    prev = estimate(panels)
+    while panels < QUAD_MAX_PANELS:
+        panels *= 2
+        cur = estimate(panels)
+        if abs(cur - prev) < QUAD_TOL:
+            return cur
+        prev = cur
+    return prev
+
+
+# smooth, oscillating and a step that never converges, so every panel count runs
+QUAD_INTEGRANDS = {
+    "one": lambda x: 1.0,
+    "x": lambda x: x,
+    "x^7": lambda x: x**7,
+    "x^10": lambda x: x**10,
+    "he4^2": lambda x: hermite_he(4, x) ** 2,
+    "cos": lambda x: math.cos(x),
+    "exp": lambda x: math.exp(x / 3.0),
+    "sin40": lambda x: math.sin(40.0 * x),
+    "step": lambda x: 1.0 if x > 0.3 else 0.0,
+}
+
+
+class TestQuad1dNodeTable:
+    @pytest.mark.parametrize("sigma2", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(QUAD_INTEGRANDS))
+    def test_matches_the_literal_loop_bit_for_bit(self, sigma2, name):
+        model = GaussianModel.standard(1, sigma2)
+        f = QUAD_INTEGRANDS[name]
+        want = reference_quad(model, f).hex()
+        assert [quad_1d(model, f).hex() for _ in range(2)] == [want, want]
+
+    def test_density_runs_once_per_node_per_panel_count(self, monkeypatch):
+        calls, nodes = [], set()
+        density1d = GaussianModel.density1d
+        monkeypatch.setattr(GaussianModel, "density1d", lambda self, x: calls.append((self, x)) or density1d(self, x))
+        oracle._panel_nodes.cache_clear()
+        try:
+            models = [GaussianModel.standard(1, s2) for s2 in (0.5, 1.0)]
+            for model in models:
+                for f in QUAD_INTEGRANDS.values():
+                    quad_1d(model, lambda x, f=f, model=model: nodes.add((model, x)) or f(x))
+        finally:
+            oracle._panel_nodes.cache_clear()
+        # the step integrand runs every panel count, 4 + 8 + ... + 64 = 124 panels
+        assert len(calls) == len(set(calls)) == len(nodes) == len(models) * QUAD_NODES * 124
+
+    def test_the_table_is_a_module_level_cache(self):
+        assert hasattr(vars(oracle)["_panel_nodes"], "cache_clear")
 
 
 class TestClassicalPolynomials:
