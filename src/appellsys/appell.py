@@ -28,8 +28,10 @@ from .jets import (
     ScalarJet,
     VectorJet,
     _check_rows,
+    _factorials,
     _row_tensors,
     _stack,
+    _starts,
     comp_kernels,
     graded_rows,
     identity_vjet,
@@ -259,7 +261,7 @@ def _plain_rows(basis: AppellBasis, zs: np.ndarray, grades) -> np.ndarray:
     power raises before the sums, then a non-finite sum."""
     grades = tuple(grades)
     powers = _power_rows(basis.dim, zs, max(grades))
-    values = graded_rows(basis.dim, grades, powers, basis.u_jet._view()[0], comb)
+    values = graded_rows(basis.dim, grades, powers, basis.u_jet._view(), comb)
     _check_rows(basis.dim, grades, values)
     return values
 
@@ -297,8 +299,7 @@ def gen_appell_batch(basis: AppellBasis, zs) -> list[np.ndarray]:
     zs = np.asarray(zs, dtype=float)
     if zs.ndim != 2 or zs.shape[1] != basis.dim:
         raise DimensionMismatchError(f"points have shape {zs.shape}, basis has dim {basis.dim}")
-    starts = np.cumsum([len(multi_indices(basis.dim, n)) for n in range(basis.degree)])
-    return np.split(_generalized_rows(basis, zs), starts, axis=1)
+    return np.split(_generalized_rows(basis, zs), _starts(basis.dim, basis.degree)[1:-1], axis=1)
 
 
 def _generalized_rows(basis: AppellBasis, zs: np.ndarray) -> np.ndarray:
@@ -432,32 +433,22 @@ def s_transform(basis: AppellBasis, Phi: KernelSeq) -> ScalarJet:
     """
     _require_tag(Phi, Q_TAG)
     _require_same_basis(basis, Phi.basis)
-    grades = range(basis.degree + 1)
     coeffs = _stack(Phi.kernels) * _factorials(basis.dim, basis.degree)
-    _check_rows(basis.dim, grades, coeffs[None])
-    return ScalarJet(basis.dim, basis.degree, tuple(_row_tensors(basis.dim, grades, basis.B.compose_stack(coeffs))))
+    _check_rows(basis.dim, range(basis.degree + 1), coeffs[None])
+    return ScalarJet._from_view(basis.dim, basis.degree, basis.B.compose_stack(coeffs))
 
 
 def s_inverse(basis: AppellBasis, jet: ScalarJet) -> KernelSeq:
     """Kernels of the distribution whose transform is the given jet."""
     if jet.dim != basis.dim or jet.degree != basis.degree:
         raise ValueError("jet shape does not match the basis")
-    return _q_of_grades(basis, basis.A.compose_stack(jet._view()[0]))
+    return _q_of_grades(basis, basis.A.compose_stack(jet._view()))
 
 
 def _q_of_grades(basis: AppellBasis, row: np.ndarray) -> KernelSeq:
     """The distribution with kernel n (1/n!) times grade n of row."""
     row = row * (1.0 / _factorials(basis.dim, basis.degree))
     return q_seq(basis, dict(enumerate(_row_tensors(basis.dim, range(basis.degree + 1), row))))
-
-
-@lru_cache(maxsize=None)
-def _factorials(dim: int, degree: int) -> np.ndarray:
-    """n! at each column of grade n, n = 0..degree, as a jet's view reads them; read-only."""
-    sizes = [len(multi_indices(dim, n)) for n in range(degree + 1)]
-    fact = np.repeat([float(factorial(n)) for n in range(degree + 1)], sizes)
-    fact.flags.writeable = False
-    return fact
 
 
 def pair(basis: AppellBasis, Phi: KernelSeq, phi: KernelSeq) -> float:
@@ -564,9 +555,10 @@ def _sphere_samples(rng: np.random.Generator, basis: AppellBasis, p: float, radi
 
 
 # estimate_sigma_eps tests SIGMA_SAMPLES sphere points per radius and
-# refines the admissible radius SIGMA_ROUNDS times
+# refines the admissible radius SIGMA_ROUNDS times; growth sweeps draw |z| from [0, Z_RADIUS)
 SIGMA_SAMPLES = 512
 SIGMA_ROUNDS = 3
+Z_RADIUS = 8.0
 
 
 def _check_sweep(epsilon: float, trials: int = 1) -> None:
@@ -624,7 +616,6 @@ def growth_bound_check(
     epsilon: float,
     trials: int,
     seed: int = 0,
-    z_radius: float = 8.0,
 ) -> dict:
     """Sweep random z and compare |phi(z)| to the graded-norm envelope.
 
@@ -641,7 +632,7 @@ def growth_bound_check(
     zs = np.empty((trials, basis.dim))
     for t in range(trials):
         direction = rng.standard_normal(basis.dim)
-        r = rng.uniform(0.0, z_radius)
+        r = rng.uniform(0.0, Z_RADIUS)
         zs[t] = r * direction / np.linalg.norm(direction)
     vals = np.abs(eval_monomial_seq(mono, zs))
     worst = 0.0

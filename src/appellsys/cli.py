@@ -45,24 +45,28 @@ __all__ = ["main"]
 _RESULTS_ENV = "APPELLSYS_RESULTS_DIR"
 
 
+def _write(path: Path, text: str) -> None:
+    """Write text to path; the first write makes the directory, so a usage error leaves none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
 def _dump_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    _write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 _CSV_FIELDS = ["n", "m", "value", "expected", "abs_error"]
 
 
 def _dump_csv(path: Path, rows) -> None:
-    if not rows:
-        path.write_text("")
-        return
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
-    writer.writerows(
-        [repr(v) if isinstance(v, float) else v for v in (r.get(k, "") for k in _CSV_FIELDS)] for r in rows
-    )
-    path.write_text(buf.getvalue())
+    if rows:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(_CSV_FIELDS)
+        writer.writerows(
+            [repr(v) if isinstance(v, float) else v for v in (r.get(k, "") for k in _CSV_FIELDS)] for r in rows
+        )
+    _write(path, buf.getvalue())
 
 
 def _usage_error(message: str) -> int:
@@ -197,9 +201,7 @@ def _settings(args) -> dict:
 
 
 def _out_dir(cfg) -> Path:
-    path = Path(cfg["out"] or os.environ.get(_RESULTS_ENV, "results"))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(cfg["out"] or os.environ.get(_RESULTS_ENV, "results"))
 
 
 def _basis_from(cfg) -> AppellBasis:
@@ -356,7 +358,7 @@ def cmd_wick(args) -> int:
         result = wick.wick_solve(Phi, Psi)
     else:
         result = wick.wick_fn(coeffs, Phi)
-    (out / "wick_result.fixture").write_text(format_kernel_seq(result))
+    _write(out / "wick_result.fixture", format_kernel_seq(result))
 
     # transform consistency: the result transform vs the independently
     # recomputed jet for every operation
@@ -413,7 +415,7 @@ def cmd_transport(args) -> int:
     basis_dst = AppellBasis(model_dst, basis_src.alpha, degree=degree)
     Phi = _read_fixture(args.phi, parse_kernel_seq, basis_src)
     moved = remeasure.transport_dist(basis_src, basis_dst, Phi)
-    (out / "transport_result.fixture").write_text(format_kernel_seq(moved))
+    _write(out / "transport_result.fixture", format_kernel_seq(moved))
 
     rng = np.random.Generator(np.random.Philox(key=cfg["seed"]))
     worst = 0.0

@@ -202,21 +202,30 @@ def _read_graded(r: _Reader, dim: int, degree: int, marker: str, component: bool
     return kernels
 
 
+def _read_kernels(r: _Reader, dim: int, degree: int) -> tuple[SymTensor, ...]:
+    """Kernels 0..degree from the 'kernel n' sections, a missing one zero."""
+    sections = _read_graded(r, dim, degree, "kernel", False)
+    return tuple(sections.get(n, zero_tensor(dim, n)) for n in range(degree + 1))
+
+
+def _format_graded(out: list[str], marker: str, kernels, keep_first: bool) -> str:
+    """The header lines out, then a '<marker> n' section per live kernel n, and kernel 0 if keep_first."""
+    for n, k in enumerate(kernels):
+        if is_live(k) or (keep_first and n == 0):
+            out.append(f"{marker} {n}")
+            _format_entries(k, out)
+    return "\n".join(out) + "\n"
+
+
 def parse_scalar_jet(text: str) -> ScalarJet:
     r = _Reader(text)
     r.expect_literal("scalarjet")
     dim, degree = r.expect_shape("degree")
-    sections = _read_graded(r, dim, degree, "kernel", False)
-    return ScalarJet(dim, degree, tuple(sections.get(n, zero_tensor(dim, n)) for n in range(degree + 1)))
+    return ScalarJet(dim, degree, _read_kernels(r, dim, degree))
 
 
 def format_scalar_jet(j: ScalarJet) -> str:
-    out = ["scalarjet", f"dim {j.dim}", f"degree {j.degree}"]
-    for n, k in enumerate(j.kernels):
-        if is_live(k) or n == 0:
-            out.append(f"kernel {n}")
-            _format_entries(k, out)
-    return "\n".join(out) + "\n"
+    return _format_graded(["scalarjet", f"dim {j.dim}", f"degree {j.degree}"], "kernel", j.kernels, True)
 
 
 def parse_vector_jet(text: str) -> VectorJet:
@@ -265,12 +274,8 @@ def parse_kernel_seq(text: str, basis: AppellBasis | None = None) -> KernelSeq:
 
 
 def format_kernel_seq(f: KernelSeq) -> str:
-    out = ["kernelseq", f"tag {f.tag}", f"dim {f.dim}", f"degree {f.degree}"]
-    for n, k in enumerate(f.kernels):
-        if is_live(k):
-            out.append(f"grade {n}")
-            _format_entries(k, out)
-    return "\n".join(out) + "\n"
+    head = ["kernelseq", f"tag {f.tag}", f"dim {f.dim}", f"degree {f.degree}"]
+    return _format_graded(head, "grade", f.kernels, False)
 
 
 # -- moment files -------------------------------------------------------------
@@ -281,17 +286,12 @@ def parse_moment_model(text: str) -> MomentFileModel:
     r.expect_literal("moments")
     label = r.expect_header("label")
     dim, degree = r.expect_shape("degree")
-    sections = _read_graded(r, dim, degree, "kernel", False)
-    ks = [sections.get(n, zero_tensor(dim, n)) for n in range(degree + 1)]
+    ks = _read_kernels(r, dim, degree)
     if ks[0].item() != 1.0:
         raise FixtureFormatError("moment fixtures must have unit mass (kernel 0 = 1)")
-    return MomentFileModel(label, dim, degree, tuple(ks))
+    return MomentFileModel(label, dim, degree, ks)
 
 
 def format_moment_model(m: MomentFileModel) -> str:
-    out = ["moments", f"label {m.label}", f"dim {m.d}", f"degree {m.max_degree}"]
-    for n, k in enumerate(m.moments):
-        if is_live(k) or n == 0:
-            out.append(f"kernel {n}")
-            _format_entries(k, out)
-    return "\n".join(out) + "\n"
+    head = ["moments", f"label {m.label}", f"dim {m.d}", f"degree {m.max_degree}"]
+    return _format_graded(head, "kernel", m.moments, True)

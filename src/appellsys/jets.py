@@ -79,15 +79,17 @@ def _check_compatible(a, b) -> None:
 class ScalarJet:
     """Degree-N scalar jet; kernels[n] is the rank-n coefficient tensor.
 
-    A product of jet_mul, or a component of jet_invert, is born from its
-    stacked view alone: its kernels are built from the view when first read.
+    Every jet holds its view, kernels 0..N as one vector.  A jet built from
+    kernels stacks them at construction.  A product of jet_mul, a composite
+    of jet_compose_scalar, an S-transform or a component of jet_invert is
+    born from its view alone: its kernels are built from it when first read.
     """
 
     dim: int
     degree: int
     kernels: tuple[SymTensor, ...]
-    # the (vector, live) view of _view, built on first use or by jet_mul or jet_invert
-    _stacked: tuple = field(default=None, init=False, repr=False, compare=False)
+    # the view of _view, stacked by __post_init__ or given to _from_view
+    _stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.kernels) != self.degree + 1:
@@ -95,12 +97,18 @@ class ScalarJet:
         for n, k in enumerate(self.kernels):
             if k.rank != n or k.dim != self.dim:
                 raise ValueError(f"kernel {n} has wrong shape")
+        x = _stack(self.kernels)
+        x.flags.writeable = False
+        object.__setattr__(self, "_stacked", x)
 
     @classmethod
-    def _from_view(cls, dim: int, degree: int, stacked) -> "ScalarJet":
-        """The jet whose view is stacked, with its kernels slot left unset."""
+    def _from_view(cls, dim: int, degree: int, x: np.ndarray) -> "ScalarJet":
+        """The jet whose view is x, made read-only, with its kernels slot
+        left unset; a non-finite entry raises as SymTensor does."""
+        _check_rows(dim, range(degree + 1), x[None])
+        x.flags.writeable = False
         jet = object.__new__(cls)
-        for name, value in (("dim", dim), ("degree", degree), ("_stacked", stacked)):
+        for name, value in (("dim", dim), ("degree", degree), ("_stacked", x)):
             object.__setattr__(jet, name, value)
         return jet
 
@@ -109,23 +117,19 @@ class ScalarJet:
         # view, a live grade a SymTensor and a dead one the shared zero
         if name != "kernels":
             raise AttributeError(name)
-        ks = tuple(_row_tensors(self.dim, range(self.degree + 1), self._stacked[0]))
+        ks = tuple(_row_tensors(self.dim, range(self.degree + 1), self._stacked))
         object.__setattr__(self, "kernels", ks)
         return ks
 
-    def _view(self) -> tuple[np.ndarray, np.ndarray]:
-        """Kernels 0..N as one read-only vector in multi_indices order, and
-        whether each kernel is live."""
-        if self._stacked is None:
-            starts = _graded_plan(self.dim, tuple(range(self.degree + 1))).starts
-            object.__setattr__(self, "_stacked", _frozen(_stack(self.kernels), starts))
+    def _view(self) -> np.ndarray:
+        """Kernels 0..N as one read-only vector, kernel n at _starts(dim, N)[n]."""
         return self._stacked
 
     def kernel(self, n: int) -> SymTensor:
         return self.kernels[n]
 
     def constant(self) -> float:
-        return self.kernels[0].item() if self._stacked is None else self._stacked[0].item(0)
+        return self._stacked.item(0)
 
     def __add__(self, other: "ScalarJet") -> "ScalarJet":
         _check_compatible(self, other)
@@ -220,20 +224,34 @@ def _stack(kernels) -> np.ndarray:
     return np.fromiter(chain.from_iterable([t.values for t in kernels]), float)
 
 
-def _frozen(x: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x, kernels read as one vector that starts them at starts, with
-    whether each kernel is live; both made read-only."""
-    live = np.logical_or.reduceat(x != 0, starts[:-1])
-    x.flags.writeable = live.flags.writeable = False
-    return x, live
+@lru_cache(maxsize=None)
+def _starts(dim: int, degree: int) -> np.ndarray:
+    """Where each of kernels 0..degree begins in a view, then its length."""
+    start = np.cumsum([0, *(len(multi_indices(dim, n)) for n in range(degree + 1))])
+    start.flags.writeable = False
+    return start
+
+
+@lru_cache(maxsize=None)
+def _factorials(dim: int, degree: int) -> np.ndarray:
+    """n! at each column of kernel n of a view, n = 0..degree; read-only."""
+    fact = np.repeat([float(factorial(n)) for n in range(degree + 1)], np.diff(_starts(dim, degree)))
+    fact.flags.writeable = False
+    return fact
+
+
+def _live(x: np.ndarray, dim: int, degree: int) -> list[bool]:
+    """Whether each of kernels 0..degree of the view x has a nonzero entry, as is_live tells."""
+    starts = _starts(dim, degree)
+    return np.logical_or.reduceat(x[: starts[-1]] != 0, starts[:-1]).tolist()
 
 
 @lru_cache(maxsize=None)
 def _graded_plan(dim: int, grades: tuple[int, ...]) -> SimpleNamespace:
     """The bilinear plan of graded_product over the given grades.
 
-    f and g are read as one vector each, kernels 0..max(grades) in turn
-    (starts: where each begins; shapes: their (dim, rank)).  The columns are
+    f and g are read as one vector each, kernels 0..max(grades) in turn,
+    kernel n at start[n] = _starts(dim, max(grades))[n].  The columns are
     the entries of the grades, grade after grade, widths of them a grade.
     Term (u_i, v_j) of f_k sym g_{n-k} is ways * f[f_at] * g[g_at], added
     into cells, the flat index of (k, column of merge(u_i, v_j)).  The terms
@@ -245,9 +263,8 @@ def _graded_plan(dim: int, grades: tuple[int, ...]) -> SimpleNamespace:
     t above p.  combs holds C(n, k) at (k, column), 1 where k > n.
     """
     top = max(grades) + 1
-    sizes = [len(multi_indices(dim, n)) for n in range(top)]
-    start = np.cumsum([0, *sizes])
-    widths = [sizes[n] for n in grades]
+    start = _starts(dim, top - 1)
+    widths = np.diff(start)[list(grades)].tolist()
     column = np.cumsum([0, *widths])
     n_of, k_of = np.array([(n, k) for n in grades for k in range(n + 1)]).T
     # block (n, k) has sizes[k] * sizes[n-k] terms; its term e reads f at
@@ -270,8 +287,6 @@ def _graded_plan(dim: int, grades: tuple[int, ...]) -> SimpleNamespace:
     block_grade = np.repeat(np.arange(len(grades)), [n + 1 for n in grades])
     combs = [[comb(n, k) if k <= n else 1 for n in grades] for k in range(top)]
     return SimpleNamespace(
-        shapes=[(dim, n) for n in range(top)],
-        starts=start,
         widths=widths,
         f_at=f_at,
         g_at=g_at,
@@ -285,36 +300,33 @@ def _graded_plan(dim: int, grades: tuple[int, ...]) -> SimpleNamespace:
 def graded_product(dim: int, grades, x, y, weight) -> np.ndarray:
     """The given grades of h_n = sum_k weight(n, k) f_k sym g_{n-k}, checked.
 
-    x and y are the (vector, live) views of kernels 0, 1, ... of f and g, as
-    ScalarJet._view gives them.  The result holds the columns of the grades,
-    grade after grade: the sums of graded_rows, which are the term-by-term
-    sums of one sym_product per pair of live kernels bit for bit, all +0.0
-    in a grade with no such pair.  Only when a sum is non-finite are the
+    x and y are the views of kernels 0, 1, ... of f and g, as ScalarJet._view
+    gives them.  The result holds the columns of the grades, grade after
+    grade: the sums of graded_rows, which are the term-by-term sums of one
+    sym_product per pair of live kernels bit for bit, all +0.0 in a grade
+    with no such pair.  Only when a sum is non-finite are the
     sums formed again with each term of a zero factor +0.0, as sym_product
     skips it: finite, they are the term route's.  Otherwise this raises as
     the term route did: within each grade, at the first non-finite product
     of two live kernels in k order, then at the grade's sum.
     """
     grades = tuple(grades)
-    return _checked_values(_graded_plan(dim, grades), dim, grades, x, y, weight)
-
-
-def _checked_values(plan, dim: int, grades: tuple[int, ...], x, y, weight) -> np.ndarray:
-    """graded_product through plan, the _graded_plan of dim and grades."""
-    values = _plan_values(plan, grades, x[0], y[0], weight)
+    plan = _graded_plan(dim, grades)
+    values = _plan_values(plan, grades, x, y, weight)
     if np.isfinite(values).all():
         return values
     with np.errstate(over="ignore", invalid="ignore"):
-        f, g = x[0][plan.f_at], y[0][plan.g_at]
+        f, g = x[plan.f_at], y[plan.g_at]
         terms = (plan.ways * f) * g
         terms[(f == 0) | (g == 0)] = 0.0
         products = _cell_sums(plan.cells, terms, plan.combs.shape) / plan.combs
         values = np.add.accumulate(products * _plan_weights(plan, grades, weight), axis=0)[-1] + 0.0
     if not np.isfinite(values).all():
+        x_live, y_live = _live(x, dim, max(grades)), _live(y, dim, max(grades))
         for n, keys, col in plan.columns:
             cols = slice(col, col + len(keys))
             for k in range(n + 1):
-                if x[1][k] and y[1][n - k]:
+                if x_live[k] and y_live[n - k]:
                     _row_tensors(dim, [n], products[k, cols])
             _row_tensors(dim, [n], values[cols])
     return values
@@ -344,7 +356,7 @@ def _plan_weights(plan, grades, weight) -> np.ndarray:
     """weight(n, k) at (k, column of grade n) of plan, 0 where k > n."""
     if weight is comb:
         return plan.combs
-    ws = [[weight(n, k) if k <= n else 0 for n in grades] for k in range(len(plan.shapes))]
+    ws = [[weight(n, k) if k <= n else 0 for n in grades] for k in range(len(plan.combs))]
     return np.repeat(np.array(ws, dtype=float), plan.widths, axis=1)
 
 
@@ -401,14 +413,11 @@ def jet_mul(f: ScalarJet, g: ScalarJet) -> ScalarJet:
     """Product of jets: h_n = sum_k C(n,k) f_k sym g_{n-k}.
 
     graded_product of the views of f and g is the product's view, and its
-    kernels are built from it on first read.  One plan lookup serves the
-    product and the starts of its view.
+    kernels are built from it on first read.
     """
     _check_compatible(f, g)
-    grades = tuple(range(f.degree + 1))
-    plan = _graded_plan(f.dim, grades)
-    values = _checked_values(plan, f.dim, grades, f._view(), g._view(), comb)
-    return ScalarJet._from_view(f.dim, f.degree, _frozen(values, plan.starts))
+    values = graded_product(f.dim, range(f.degree + 1), f._view(), g._view(), comb)
+    return ScalarJet._from_view(f.dim, f.degree, values)
 
 
 def jet_exp(f: ScalarJet) -> ScalarJet:
@@ -645,7 +654,7 @@ def _flat_plan(ck: CompKernels) -> SimpleNamespace:
     each table (n, m), and where each grade n starts in the rows.  Per
     column of the stack: its multiplicity and 1/n! of its grade n."""
     dim, N, keys = ck.dim, ck.degree, sorted(ck.rows)
-    starts, stride = _graded_plan(dim, tuple(range(N + 1))).starts.tolist(), max(N, 1)
+    starts, stride = _starts(dim, N).tolist(), max(N, 1)
     table = [
         (starts[m] + _position(dim, m)[u], multiplicity(u), starts[n + 1] - starts[n], starts[n], m - 1)
         for n, m in keys
@@ -669,7 +678,7 @@ def _flat_plan(ck: CompKernels) -> SimpleNamespace:
         grade_rows=[ends[bisect_left(keys, (n,))] for n in range(N + 2)],
         inv_fact=np.array([1.0 / factorial(m) for m in range(1, stride + 1)]),
         col_mult=np.array([w for n in range(N + 1) for w in _multiplicities(dim, n)], dtype=float),
-        inv_cols=np.repeat([1.0 / factorial(n) for n in range(N + 1)], np.diff(starts)),
+        inv_cols=1.0 / _factorials(dim, N),
     )
 
 
@@ -724,9 +733,10 @@ def comp_kernels(a: VectorJet) -> CompKernels:
     jet_invert's pull-back through L^-1 also takes.
     """
     N = a.degree
-    if not any(c._view()[1][2:].any() for c in a.components):
+    # kernels 2..N of a view follow kernel 0 and the dim entries of kernel 1
+    if not any(c._view()[1 + a.dim :].any() for c in a.components):
         return _linear_power_kernels(linear_part(a), N)
-    starts = _graded_plan(a.dim, tuple(range(N + 1))).starts.tolist()
+    starts = _starts(a.dim, N).tolist()
     rows: dict[tuple[int, int], tuple] = {}
     prods: dict[tuple[int, ...], ScalarJet] = {}
     for m in range(1, N):
@@ -737,8 +747,8 @@ def comp_kernels(a: VectorJet) -> CompKernels:
             else:
                 jet = jet_mul(prods[u[:-1]], a.components[u[-1] - 1])
             layer[u] = jet
-            x, live = jet._view()
-            live = live.tolist()
+            x = jet._view()
+            live = _live(x, a.dim, N)
             for n in range(m, N + 1):
                 if live[n]:
                     us, xs = found.setdefault(n, ([], []))
@@ -815,13 +825,13 @@ def _linear_power_kernels(mat: np.ndarray, degree: int) -> CompKernels:
 
 
 def jet_compose_scalar(f: ScalarJet, a: VectorJet, ck: CompKernels | None = None) -> ScalarJet:
-    """Composite jet f(a(theta)) through one compose_stack call over the
-    view of f; a must vanish at zero, and ck holds its power kernels."""
+    """Composite jet f(a(theta)), born from one compose_stack call over the
+    view of f; a must vanish at zero, and ck holds its power kernels.  A
+    non-finite entry raises as SymTensor does."""
     _check_compatible(f, a)
     if ck is None:
         ck = comp_kernels(a)
-    ks = _row_tensors(f.dim, range(f.degree + 1), ck.compose_stack(f._view()[0]))
-    return ScalarJet(f.dim, f.degree, tuple(ks))
+    return ScalarJet._from_view(f.dim, f.degree, ck.compose_stack(f._view()))
 
 
 def jet_compose_vector(a: VectorJet, b: VectorJet, ck: CompKernels | None = None) -> VectorJet:
@@ -836,7 +846,7 @@ def jet_compose_vector(a: VectorJet, b: VectorJet, ck: CompKernels | None = None
 def linear_part(a: VectorJet) -> np.ndarray:
     """The d x d matrix of the degree-1 kernels, row j = output coordinate j,
     read from the components' views (d x 0 at degree 0)."""
-    return np.array([c._view()[0][1 : 1 + a.dim] for c in a.components])
+    return np.array([c._view()[1 : 1 + a.dim] for c in a.components])
 
 
 def jet_invert(a: VectorJet, ck: CompKernels | None = None) -> VectorJet:
@@ -866,7 +876,7 @@ def jet_invert(a: VectorJet, ck: CompKernels | None = None) -> VectorJet:
     if ck is None:
         ck = comp_kernels(a)
     pull = _linear_power_kernels(inv, N)
-    starts = _graded_plan(d, tuple(range(N + 1))).starts.tolist()
+    starts = _starts(d, N).tolist()
     g = np.zeros((d, starts[-1]))
     g[:, starts[1] : starts[2]] = inv
     for n in range(2, N + 1):
@@ -875,4 +885,4 @@ def jet_invert(a: VectorJet, ck: CompKernels | None = None) -> VectorJet:
         pulled = pull.contract_out(n, n, rest)
         _check_rows(d, [n, n], np.hstack([rest, pulled]))
         g[:, starts[n] : starts[n + 1]] = pulled * (-1.0 / factorial(n))
-    return VectorJet(d, N, tuple(ScalarJet._from_view(d, N, _frozen(row, starts)) for row in g))
+    return VectorJet(d, N, tuple(ScalarJet._from_view(d, N, row) for row in g))

@@ -22,7 +22,6 @@ from .appell import (
     P_TAG,
     Q_TAG,
     _check_grade,
-    _factorials,
     binomial_contract,
     gen_appell_batch,
     p_seq,
@@ -30,7 +29,7 @@ from .appell import (
     s_inverse,
     s_transform,
 )
-from .jets import ScalarJet, _frozen, _graded_plan, _row_tensors, _stack, graded_product, graded_rows, jet_mul
+from .jets import ScalarJet, _factorials, _row_tensors, _stack, graded_product, graded_rows, jet_mul
 
 __all__ = [
     "p_relation",
@@ -67,7 +66,7 @@ def p_relation(basis_mu: AppellBasis, basis_mut: AppellBasis, n: int, points) ->
     _check_grade(basis_mu, n)
     points = list(points)
     zs = np.asarray(points, dtype=float) if points else np.empty((0, basis_mu.dim))
-    ratio = _ratio_jet(basis_mu, basis_mut)._view()[0]
+    ratio = _ratio_jet(basis_mu, basis_mut)._view()
     lhs = gen_appell_batch(basis_mu, zs)[n]
     rhs = graded_rows(basis_mu.dim, [n], np.concatenate(gen_appell_batch(basis_mut, zs), axis=1), ratio, comb)
     worst = float(np.abs(lhs - rhs).max(initial=0.0))
@@ -104,9 +103,8 @@ def transport_dist(
         raise BasisMismatchError("distribution does not live in the source basis")
     _require_shared_alpha(basis_mu, basis_mut)
     dim, grades = basis_mu.dim, tuple(range(basis_mu.degree + 1))
-    ratio = _ratio_jet(basis_mu, basis_mut)._view()[0] * (1.0 / _factorials(dim, basis_mu.degree))
-    starts = _graded_plan(dim, grades).starts
-    out = graded_product(dim, grades, _frozen(_stack(Phi_t.kernels), starts), _frozen(ratio, starts), lambda n, k: 1)
+    ratio = _ratio_jet(basis_mu, basis_mut)._view() * (1.0 / _factorials(dim, basis_mu.degree))
+    out = graded_product(dim, grades, _stack(Phi_t.kernels), ratio, lambda n, k: 1)
     return q_seq(basis_mu, dict(enumerate(_row_tensors(dim, grades, out))))
 
 

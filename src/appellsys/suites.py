@@ -16,6 +16,7 @@ import numpy as np
 
 from . import wick
 from .appell import (
+    Z_RADIUS,
     AppellBasis,
     appell_eval,
     convolution,
@@ -407,7 +408,7 @@ def suite_growth_bounds(seed: int) -> SuiteResult:
         zs = np.empty((334, dim))
         for t in range(334):
             direction = rng.standard_normal(dim)
-            zs[t] = rng.uniform(0.0, 8.0) * direction / np.linalg.norm(direction)
+            zs[t] = rng.uniform(0.0, Z_RADIUS) * direction / np.linalg.norm(direction)
         znorms = norm_rows(zs, 1, -1.0, basis.scale).tolist()
         lhs = [norm_rows(t, n, -2.0, basis.scale).tolist() for n, t in enumerate(gen_appell_batch(basis, zs))]
         for t, znorm in enumerate(znorms):

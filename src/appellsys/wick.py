@@ -17,8 +17,8 @@ from .appell import (
     Q_TAG,
     q_seq,
 )
-from .jets import _frozen, _graded_plan, _row_tensors, _stack, graded_product, graded_rows, graded_solve
-from .symtensor import multi_indices, norm_rows, scalar_tensor, weighted_sum
+from .jets import _row_tensors, _stack, _starts, graded_product, graded_rows, graded_solve
+from .symtensor import norm_rows, scalar_tensor, weighted_sum
 
 __all__ = [
     "wick_mul",
@@ -51,10 +51,8 @@ def wick_unit(basis: AppellBasis) -> KernelSeq:
 def wick_mul(Phi: KernelSeq, Psi: KernelSeq) -> KernelSeq:
     """Graded convolution: grade n collects Phi^(k) sym Psi^(n-k)."""
     basis = _same_basis(Phi, Psi)
-    grades = tuple(range(basis.degree + 1))
-    starts = _graded_plan(basis.dim, grades).starts
-    x, y = (_frozen(_stack(seq.kernels), starts) for seq in (Phi, Psi))
-    out = graded_product(basis.dim, grades, x, y, lambda n, k: 1)
+    grades = range(basis.degree + 1)
+    out = graded_product(basis.dim, grades, _stack(Phi.kernels), _stack(Psi.kernels), lambda n, k: 1)
     return q_seq(basis, dict(enumerate(_row_tensors(basis.dim, grades, out))))
 
 
@@ -108,12 +106,10 @@ def _dist_norm_rows(basis: AppellBasis, values: np.ndarray, p: float, q: float) 
     """dist_norm with beta = 1 of each row of values, the kernels of grades
     0..N of one distribution read as one vector, bit for bit: grade n adds
     2^(-qn) * v * v from +0.0, v its norm |.|_{-p} by norm_rows."""
-    s, col = np.zeros(len(values)), 0
+    s, starts = np.zeros(len(values)), _starts(basis.dim, basis.degree).tolist()
     for n in range(basis.degree + 1):
-        width = len(multi_indices(basis.dim, n))
-        v = norm_rows(values[:, col : col + width], n, -p, basis.scale)
+        v = norm_rows(values[:, starts[n] : starts[n + 1]], n, -p, basis.scale)
         s = s + (2.0 ** (-q * n)) * v * v
-        col += width
     return np.sqrt(s)
 
 
@@ -138,7 +134,7 @@ def wick_norm_check(
     p = max(p1, p2)
     q = q1 + q2 + 1
     grades = range(basis.degree + 1)
-    size = sum(len(multi_indices(basis.dim, n)) for n in grades)
+    size = _starts(basis.dim, basis.degree).item(-1)
     draws = rng.standard_normal(trials * 2 * size).reshape(trials, 2, size)
     Phi, Psi = draws[:, 0], draws[:, 1]
     product = graded_rows(basis.dim, grades, Phi, Psi, lambda n, k: 1)

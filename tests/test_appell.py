@@ -901,9 +901,10 @@ class TestGrowth:
         assert float.hex(report["max_ratio"]) == "0x1.5133fc3f8932cp-16"
         assert float.hex(report["sigma_eps"]) == "0x1.78b56362cef38p-3"
 
-    def test_hermite_test_function_bounded(self, gauss1d_basis):
+    def test_hermite_test_function_bounded(self, gauss1d_basis, monkeypatch):
         phi = p_seq(gauss1d_basis, {4: tensor_1d(4, 1.0)})
-        report = growth_bound_check(gauss1d_basis, phi, 2, 6, 0.5, trials=200, seed=3, z_radius=10.0)
+        monkeypatch.setattr("appellsys.appell.Z_RADIUS", 10.0)
+        report = growth_bound_check(gauss1d_basis, phi, 2, 6, 0.5, trials=200, seed=3)
         assert report["passed"]
 
     @pytest.mark.parametrize("epsilon", [-0.5, 0.0, -0.0, float("nan"), float("inf"), -float("inf")])

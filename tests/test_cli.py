@@ -545,6 +545,32 @@ def test_value_the_library_rejects_is_usage_error(args, config, message, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "--suite", "nosuch"], "unknown suite name(s): nosuch"),
+        (["kernels", "--measure", "nosuch"], "unknown measure 'nosuch' (expected gaussian|poisson|delta)"),
+        (["transport", "--phi", "{phi}"], "transport needs --measure2 or a [model2] config section"),
+        (
+            ["wick", "inv", "--phi", "{missing}"],
+            "bad fixture {missing}: [Errno 2] No such file or directory: '{missing}'",
+        ),
+    ],
+    ids=["verify-unknown-suite", "kernels-unknown-measure", "transport-no-measure2", "wick-missing-phi"],
+)
+def test_usage_error_leaves_no_output_directory(args, message, tmp_path, capsys):
+    # before, each of these made the --out directory, then exited 2
+    basis = AppellBasis(GaussianModel.standard(1), degree=4)
+    phi, missing = tmp_path / "phi.fixture", tmp_path / "missing.fixture"
+    phi.write_text(format_kernel_seq(q_seq(basis, {0: scalar_tensor(1, 2.0)})))
+    args = [a.format(phi=phi, missing=missing) for a in args]
+    out = tmp_path / "out"
+    assert exit_code(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message.format(missing=missing) + "\n" and captured.out == ""
+    assert not out.exists()
+
+
 def test_largest_seed_is_accepted(tmp_path):
     assert run_cli(["verify", "--suite", "symtensor-algebra", "--seed", str(2**128 - 1), "--out", str(tmp_path)]) == 0
 

@@ -124,6 +124,29 @@ def test_only_the_allowed_functions_read_coeffs():
     assert found == COEFFS_READERS
 
 
+# The modules of src/ that may read jets._graded_plan; every other module
+# takes a view's offsets from jets._starts and its products from
+# graded_product or graded_rows.
+GRADED_PLAN_READERS = {"jets.py"}
+
+
+def reads_name(tree, name):
+    """Whether tree imports name or reads it as a name or an attribute."""
+    return any(
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_jets_reads_the_graded_plan():
+    found = {
+        path.name for path in PACKAGE.glob("*.py") if reads_name(ast.parse(path.read_text()), "_graded_plan")
+    }
+    assert found == GRADED_PLAN_READERS
+
+
 CACHES = {"lru_cache", "cache"}
 
 

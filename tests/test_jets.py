@@ -27,10 +27,10 @@ from appellsys.jets import (
     CompKernels,
     _linear_power_kernels,
     _power_layer,
-    _frozen,
-    _graded_plan,
+    _live,
     _row_tensors,
     _stack,
+    _starts,
     graded_product,
     ScalarJet,
     SingularJetError,
@@ -75,11 +75,6 @@ from appellsys.symtensor import (
 from appellsys.wick import wick_inv, wick_mul
 
 N = 6
-
-
-def view(ks):
-    """The (vector, live) view of kernels 0, 1, ..., as ScalarJet._view gives it."""
-    return _frozen(_stack(ks), _graded_plan(ks[0].dim, tuple(range(len(ks)))).starts)
 
 
 def jet_1d(coeffs):
@@ -389,9 +384,10 @@ class TestLiveGrades:
             Phi_t = q_seq(src, dict(enumerate(f.kernels)))
             assert bits(transport_dist(src, gauss, Phi_t)) == bits(dense_transport(src, gauss, Phi_t))
 
-    def test_identity_power_kernels_cost_one_plan(self, monkeypatch):
+    def test_identity_power_kernels_cost_no_plan(self, monkeypatch):
         # a linear alpha: every table comes from the layer step over its
-        # linear part, and no tensor is built; the one plan stacks its views
+        # linear part, and no tensor is built; its views are stacked at
+        # construction and their offsets need no product plan
         d, deg = 3, 6
         a = identity_vjet(d, deg)
         for n in range(deg + 1):
@@ -401,10 +397,10 @@ class TestLiveGrades:
         appellsys.jets._graded_plan.cache_clear()
         ck = comp_kernels(a)
         assert products == [] and built == []
-        assert appellsys.jets._graded_plan.cache_info().misses == 1
+        assert appellsys.jets._graded_plan.cache_info().misses == 0
         assert sorted(ck.rows) == [(n, n) for n in range(1, deg + 1)]
         comp_kernels(a)
-        assert appellsys.jets._graded_plan.cache_info().misses == 1
+        assert appellsys.jets._graded_plan.cache_info().misses == 0
 
     def test_plain_tensors_cost_one_plan_per_shape(self, monkeypatch):
         # the constants u_jet of a centred Gaussian are live at even grades only
@@ -749,7 +745,7 @@ def graded_terms(f, g, grades, weight):
 def product_tensors(f, g, grades, weight=comb):
     """graded_product of the kernel lists f and g, as tensors."""
     d = f[0].dim
-    return _row_tensors(d, grades, graded_product(d, grades, view(f), view(g), weight))
+    return _row_tensors(d, grades, graded_product(d, grades, _stack(f), _stack(g), weight))
 
 
 def literal_product(f, g, grades, weight):
@@ -820,7 +816,7 @@ class TestPlans:
         # a weight of -1 turns a zero sum to -0.0, which the sums must not return
         f, g = data.draw(kernel_seqs(d, deg)), data.draw(kernel_seqs(d, deg))
         grades = data.draw(st.lists(st.integers(0, deg), min_size=1, unique=True))
-        got = graded_product(d, grades, view(f), view(g), weight)
+        got = graded_product(d, grades, _stack(f), _stack(g), weight)
         want = literal_product(f, g, grades, weight)
         assert hex_list(got) == [h for t in want for h in hexes(t)]
         assert hex_list(got) == [h for t in graded_terms(f, g, grades, weight) for h in hexes(t)]
@@ -855,7 +851,7 @@ class TestPlans:
         # the plan's vectorised indices against sym_product's own plans
         for grades in ((0,), (0, 1, 2, 3, 4, 5), (5, 2), (4,)):
             plan = appellsys.jets._graded_plan(dim, grades)
-            starts, width = plan.starts, sum(plan.widths)
+            starts, width = _starts(dim, max(grades)), sum(plan.widths)
             want, col = [], 0
             for n in grades:
                 for k in range(n + 1):
@@ -870,7 +866,7 @@ class TestPlans:
         # every term of entry (1, 1) is -0.0; the literal sum from +0.0 is +0.0
         f = [scalar_tensor(2, 1.0), SymTensor(2, 1, {(1,): 1.0, (2,): 0.0}), zero_tensor(2, 2)]
         g = [scalar_tensor(2, 1.0), SymTensor(2, 1, {(1,): 0.0, (2,): 1.0}), zero_tensor(2, 2)]
-        got = graded_product(2, [2], view(f), view(g), lambda n, k: -1)
+        got = graded_product(2, [2], _stack(f), _stack(g), lambda n, k: -1)
         assert got[0].hex() == "0x0.0p+0"
         assert hex_list(got) == hexes(literal_product(f, g, [2], lambda n, k: -1)[0])
         ck = comp_kernels(identity_vjet(2, 2))
@@ -883,7 +879,7 @@ class TestPlans:
         big = SymTensor(2, 1, {(1,): 1e308, (2,): 1e308})
         one = [scalar_tensor(2, 1.0), big, zero_tensor(2, 2)]
         with pytest.raises(ValueError, match="non-finite coefficient") as err:
-            graded_product(2, [2], view(one), view(one), comb)
+            graded_product(2, [2], _stack(one), _stack(one), comb)
         with pytest.raises(ValueError) as want:
             graded_terms(one, one, [2], comb)
         assert str(err.value) == str(want.value)
@@ -907,13 +903,13 @@ class TestPlans:
             first = appellsys.jets.graded_rows(2, [0, 1, 2], stack_of(f), stack_of(g), comb)
         assert np.isnan(first).any()
         want = [h for t in graded_terms(f, g, [0, 1, 2], comb) for h in hexes(t)]
-        got = graded_product(2, [0, 1, 2], view(f), view(g), comb)
+        got = graded_product(2, [0, 1, 2], _stack(f), _stack(g), comb)
         assert hex_list(got) == want
         assert np.isfinite(got).all()
         # jet_mul's product is born from these sums
         h = jet_mul(ScalarJet(2, 2, tuple(f)), ScalarJet(2, 2, tuple(g)))
         assert is_view_born(h)
-        assert view_bits(h)[0] == want
+        assert view_bits(h) == want
         assert bits(h) == [hexes(t) for t in graded_terms(f, g, [0, 1, 2], comb)]
 
 
@@ -980,7 +976,7 @@ class TestOneRoute:
         f, g = data.draw(factor_pairs(d, deg))
         grades = data.draw(st.lists(st.integers(0, deg), min_size=1, unique=True))
         want = outcome(lambda: graded_terms(f, g, grades, weight))
-        got = outcome(lambda: _row_tensors(d, grades, graded_product(d, grades, view(f), view(g), weight)))
+        got = outcome(lambda: _row_tensors(d, grades, graded_product(d, grades, _stack(f), _stack(g), weight)))
         assert got == want
 
     @settings(max_examples=200, deadline=None)
@@ -996,7 +992,7 @@ class TestOneRoute:
             # born from its view, which holds the term route's bits
             h = jet_mul(*jets)
             assert is_view_born(h)
-            assert view_bits(h)[0] == want
+            assert view_bits(h) == want
             assert bits(h) == [hexes(t) for t in graded_terms(f, g, grades, comb)]
         gauss, poisson = route_bases(d, deg)
         one = lambda n, k: 1
@@ -1275,18 +1271,16 @@ def chain_alphas(draw):
 
 
 def view_bits(jet):
-    """The hex form of a jet's stacked view, and its live flags."""
-    x, live = jet._view()
-    return [v.hex() for v in x.tolist()], live.tolist()
+    """The hex form of a jet's stacked view."""
+    return [v.hex() for v in jet._view().tolist()]
 
 
 def assert_view_matches(jet):
-    x, live = jet._view()
-    assert view_bits(jet) == ([h for t in jet.kernels for h in hexes(t)], [is_live(t) for t in jet.kernels])
+    x = jet._view()
+    assert view_bits(jet) == [h for t in jet.kernels for h in hexes(t)]
+    assert _live(x, jet.dim, jet.degree) == [is_live(t) for t in jet.kernels]
     with pytest.raises(ValueError, match="read-only"):
         x[0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        live[0] = not live[0]
 
 
 def literal_contract_out(ck, n, m, coeff):
@@ -1449,7 +1443,7 @@ class TestViewBornJets:
             terms = graded_terms(jet.kernels, comp.kernels, range(a.degree + 1), comb)
             prod = jet_mul(jet, comp)
             assert is_view_born(prod)
-            assert_read_only(*prod._view())
+            assert_read_only(prod._view())
             ks = prod.kernels
             assert not is_view_born(prod) and prod.kernels is ks
             assert bits(prod) == [hexes(t) for t in terms]
@@ -1488,7 +1482,41 @@ class TestViewBornJets:
                 hash(jet)
         with pytest.raises(AttributeError):
             jet_mul(f, g).coeffs
-        assert_read_only(*lazy._view(), *eager._view())
+        assert_read_only(lazy._view(), eager._view())
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), deg=st.integers(1, 5))
+    def test_composites_and_s_transforms_are_born_from_their_views(self, data, d, deg):
+        # each is the compose_stack row, as the tensors it used to be built
+        # from; an eager jet holds its view from construction
+        from appellsys.appell import s_transform
+
+        f = ScalarJet(d, deg, tuple(data.draw(kernel_seqs(d, deg))))
+        assert not is_view_born(f)
+        assert_read_only(f._view())
+        basis = AppellBasis(GaussianModel.standard(d), log1p_vjet(d, deg), degree=deg)
+        Phi = q_seq(basis, dict(enumerate(f.kernels)))
+        x = stack_of(f.kernels)
+        routes = [
+            (jet_compose_scalar(f, basis.alpha, basis.A), basis.A.compose_stack(x)),
+            (s_transform(basis, Phi), basis.B.compose_stack(x * appellsys.jets._factorials(d, deg))),
+        ]
+        for jet, row in routes:
+            assert is_view_born(jet)
+            assert_read_only(jet._view())
+            assert hex_list(jet._view()) == hex_list(row)
+            assert bits(jet) == [hexes(t) for t in _row_tensors(d, range(deg + 1), row)]
+            assert_view_matches(jet)
+
+    def test_a_composite_that_overflows_raises_as_its_tensors_did(self):
+        a = log1p_vjet(1, 3)
+        f = jet_1d([0.0, 1e308, 1e308, 1e308])
+        with pytest.raises(ValueError) as err:
+            jet_compose_scalar(f, a)
+        with pytest.raises(ValueError) as want:
+            _row_tensors(1, range(4), comp_kernels(a).compose_stack(f._view()))
+        assert str(err.value) == str(want.value)
+        assert str(err.value).startswith("non-finite coefficient at index")
 
 
 def literal_invert(a):

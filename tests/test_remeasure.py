@@ -20,7 +20,7 @@ from appellsys.appell import (
     to_monomial,
     monomial_seq,
 )
-from appellsys.jets import _frozen, _graded_plan, _row_tensors, _stack, graded_product, identity_vjet, jet_mul, log1p_vjet, random_vjet
+from appellsys.jets import _row_tensors, _stack, graded_product, identity_vjet, jet_mul, log1p_vjet, random_vjet
 from appellsys.measures import DeltaModel, GaussianModel, PoissonModel
 from appellsys.oracle import exact_expectation
 from appellsys.remeasure import (
@@ -39,11 +39,6 @@ from appellsys.symtensor import (
 )
 
 N = 5
-
-
-def view(ks):
-    """The (vector, live) view of kernels 0, 1, ..., as ScalarJet._view gives it."""
-    return _frozen(_stack(ks), _graded_plan(ks[0].dim, tuple(range(len(ks)))).starts)
 
 
 def tensor_1d(rank, value):
@@ -177,7 +172,7 @@ class TestPRelation:
             ratio = jet_mul(mu.ualpha_jet, mut.malpha_jet)
             worst = 0.0
             for x in points:
-                values = graded_product(mut.dim, [n], view(gen_appell_all(mut, x)), ratio._view(), comb)
+                values = graded_product(mut.dim, [n], _stack(gen_appell_all(mut, x)), ratio._view(), comb)
                 rhs = _row_tensors(mut.dim, [n], values)[0]
                 worst = max(worst, (gen_appell_all(mu, x)[n] - rhs).max_abs())
             return {"n": n, "max_discrepancy": worst, "points": len(points)}
