@@ -8,7 +8,9 @@ holds the ingredients the downstream operations read:
 * malpha_jet -- moment tensors of the reparametrized transform l(alpha(.)),
 * u_jet      -- kernels of 1/l, i.e. the polynomial system constants at 0,
 * ualpha_jet -- kernels of 1/l(alpha(.)), the generalized constants at 0,
-* A, B       -- power kernels of alpha and of its inverse (B on first read).
+* A, B       -- power kernels of alpha and of its inverse (B on first read),
+* u_plan, m_plan -- binomial_contract against u_jet and m_jet, compiled
+  on first read; to_monomial and to_appell apply them.
 
 The polynomial (test) side P and the distribution side Q are represented
 as graded kernel sequences tagged with their basis; pairing, basis
@@ -21,14 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, exp, factorial, inf, sqrt
+from types import SimpleNamespace
 
 import numpy as np
 
 from .jets import (
     ScalarJet,
     VectorJet,
+    _cell_sums,
     _check_rows,
     _factorials,
+    _live,
+    _merge_terms,
     _row_tensors,
     _stack,
     _starts,
@@ -48,6 +54,7 @@ from .symtensor import (
     HilbertScale,
     SymTensor,
     _by_blocks,
+    _multiplicities,
     eval_power_batch,
     is_live,
     multi_indices,
@@ -106,11 +113,14 @@ class BasisMismatchError(ValueError):
 class AppellBasis:
     """Context for one (measure, alpha, dimension, degree) choice.
 
-    B and alpha_is_identity are computed on first read and then fixed; all
-    operations below are pure functions of the basis and their arguments.
+    B, u_plan, m_plan and alpha_is_identity are computed on first read and
+    then fixed; all operations below are pure functions of the basis and
+    their arguments.
     """
 
     B = cached_property(lambda self: comp_kernels(self.g_alpha))
+    u_plan = cached_property(lambda self: _contract_plan(self.u_jet.kernels))
+    m_plan = cached_property(lambda self: _contract_plan(self.m_jet.kernels))
     alpha_is_identity = cached_property(lambda self: self.alpha == identity_vjet(self.dim, self.degree))
 
     def __init__(
@@ -360,20 +370,104 @@ def binomial_contract(kernels, weights) -> list[SymTensor]:
     return [weighted_sum(weights[0].dim, k, terms(k)) for k in range(len(weights))]
 
 
+@lru_cache(maxsize=None)
+def _contract_terms(dim: int, N: int) -> SimpleNamespace:
+    """The part of _contract_plan that does not read the weights.
+
+    The terms are jet_mul's, from _merge_terms: term (u_i, v_j) of block
+    (m, k) reads kernel k at u_i, weight m-k at v_j and kernel m at
+    merge(u_i, v_j), and adds into cell (m, column of u_i).  Output column
+    (k, u_i) reads cell (m, column of u_i) for m = 0..N, in out's order.
+    combs[m, k] is C(m, k), 0 where m < k; lag[k, m] is m - k, 0 where
+    m < k, and ahead[k, m] tells whether m >= k.
+    """
+    grades, starts = np.arange(N + 1), _starts(dim, N)
+    width, grade = starts[-1], np.repeat(grades, np.diff(starts))
+    u_at, v_at, merge = _merge_terms(dim, N)
+    lag = np.subtract.outer(grades, grades).T
+    return SimpleNamespace(
+        grade=grade,
+        v_at=v_at,
+        merge=merge,
+        cells=grade[merge] * width + u_at,
+        mult=np.array([c for n in range(N + 1) for c in _multiplicities(dim, n)], dtype=float),
+        out=np.tile(np.arange(width), N + 1),
+        combs=np.array([[comb(m, k) for k in range(N + 1)] for m in range(N + 1)], dtype=float),
+        lag=np.maximum(lag, 0),
+        ahead=lag >= 0,
+    )
+
+
+def _contract_plan(weights) -> SimpleNamespace:
+    """binomial_contract(., weights) compiled for kernels 0..N read as one
+    stack, as a jet's view reads them: two bincounts, bit for bit.
+
+    Cell (m, column of u_i) is entry u_i of the partial_pairing of kernel m
+    with weight m-k: (multiplicity(v_j) * w[v_j]) * x[merge] over the
+    nonzero w[v_j], in j order from +0.0; for m = k that is w_0 * x, as
+    scale gives it.  Output column (k, u_i) adds C(m, k) times its cells in
+    ascending m from +0.0, as weighted_sum does, with 0 in place of C(m, k)
+    where weight m-k is dead or m < k.  A dead kernel, which
+    binomial_contract skips, adds only +0.0 while its terms are finite.
+    links[k, m] tells whether m >= k and weight m-k is live.
+    """
+    dim, N = weights[0].dim, len(weights) - 1
+    terms, w = _contract_terms(dim, N), _stack(weights)
+    keep = w[terms.v_at] != 0
+    links = terms.ahead & np.array(_live(w, dim, N))[terms.lag]
+    return SimpleNamespace(
+        weights=weights,
+        at=terms.merge[keep],
+        coef=(terms.mult * w)[terms.v_at[keep]],
+        cells=terms.cells[keep],
+        out=terms.out,
+        combs=np.where(links.T, terms.combs, 0.0)[:, terms.grade].ravel(),
+        links=links,
+    )
+
+
+def _contract_stack(plan: SimpleNamespace, x: np.ndarray) -> np.ndarray:
+    """binomial_contract of the kernels stacked in x against plan's weights,
+    stacked.  A non-finite sum reruns binomial_contract, which raises as it
+    does, at the same index, or returns its sums if what overflowed was a
+    term of a dead kernel, which it skips."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pp = _cell_sums(plan.cells, plan.coef * x[plan.at], plan.combs.shape)
+        sums = _cell_sums(plan.out, plan.combs * pp, x.shape)
+    if np.isfinite(sums).all():
+        return sums
+    dim, grades = plan.weights[0].dim, range(len(plan.weights))
+    return _stack(binomial_contract(_row_tensors(dim, grades, x), plan.weights))
+
+
 def to_monomial(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
-    """Re-express a P-tagged test function in monomial kernels (same function)."""
+    """Re-express a P-tagged test function in monomial kernels (same function).
+
+    The kernels are binomial_contract's against u_jet, through basis.u_plan:
+    grade k is the shared zero tensor where binomial_contract has no term.
+    """
     _require_tag(f, P_TAG)
     _require_same_basis(basis, f.basis)
     plain = basis.A.contract_in(_stack(f.kernels))
-    mono = binomial_contract(_row_tensors(basis.dim, range(basis.degree + 1), plain), basis.u_jet.kernels)
-    return KernelSeq(MONOMIAL, basis.dim, basis.degree, tuple(mono))
+    vals = _contract_stack(basis.u_plan, plain).tolist()
+    dim, starts = basis.dim, _starts(basis.dim, basis.degree).tolist()
+    has_terms = (basis.u_plan.links & _live(plain, dim, basis.degree)).any(axis=1).tolist()
+    mono = [
+        SymTensor(dim, k, vals[starts[k] : starts[k + 1]]) if has_terms[k] else zero_tensor(dim, k)
+        for k in range(basis.degree + 1)
+    ]
+    return KernelSeq(MONOMIAL, dim, basis.degree, tuple(mono))
 
 
 def to_appell(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
-    """Inverse of to_monomial: expand monomial kernels in the P basis."""
+    """Inverse of to_monomial: expand monomial kernels in the P basis.
+
+    The plain kernels, binomial_contract's against m_jet through
+    basis.m_plan, stay one stack on their way into B.
+    """
     _require_tag(f, MONOMIAL)
-    plain = binomial_contract(f.kernels, basis.m_jet.kernels)
-    gen = _row_tensors(basis.dim, range(basis.degree + 1), basis.B.contract_in(_stack(plain)))
+    plain = _contract_stack(basis.m_plan, _stack(f.kernels))
+    gen = _row_tensors(basis.dim, range(basis.degree + 1), basis.B.contract_in(plain))
     return KernelSeq(P_TAG, basis.dim, basis.degree, tuple(gen), basis)
 
 

@@ -346,6 +346,15 @@ def graded_rows(dim: int, grades, x, y, weight) -> np.ndarray:
     return _plan_values(_graded_plan(dim, grades), grades, np.asarray(x), np.asarray(y), weight)
 
 
+def _merge_terms(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms (u_i, v_j) of the products f_k sym g_{n-k}, n = 0..degree,
+    in graded_product's order: n, then k, then i, then j.  Per term, the
+    places in a view of kernels 0..degree of u_i (rank k), of v_j (rank
+    n-k) and of merge(u_i, v_j) (rank n)."""
+    plan = _graded_plan(dim, tuple(range(degree + 1)))
+    return plan.f_at, plan.g_at, plan.cells % _starts(dim, degree)[-1]
+
+
 def _columns(x: np.ndarray, at: np.ndarray) -> np.ndarray:
     """x[at] of a vector, or of each row of a stack; a vector takes numpy's
     fast path for one index array."""

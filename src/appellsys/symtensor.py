@@ -159,15 +159,20 @@ class SymTensor:
         if given is None:
             table, wrong = coeffs, len(coeffs) != len(keys)
         elif tuple(given) == keys:
-            table, wrong = given.values(), False
+            table, wrong = tuple(given.values()), False
         else:
-            table, wrong = map(given.__getitem__, keys), set(given) != _key_set(dim, rank)
+            wrong = set(given) != _key_set(dim, rank)
+            table = () if wrong else tuple(map(given.__getitem__, keys))
         if wrong:
             raise ValueError(
                 f"coefficient table must have exactly one entry per multiset index "
                 f"(expected {len(keys)}, got {len(coeffs)})"
             )
         values = tuple(map(float, table))
+        # float() hands a float entry back as is, and text never equals the
+        # float parsed from it: only a table that is not all floats is scanned
+        if values != tuple(table):
+            _reject_text(zip(keys, table) if given is None else given.items())
         # a sum of finite floats that is not finite has overflowed: look closer
         if not isfinite(sum(values)) and not all(map(isfinite, values)):
             # the first one in the order given
@@ -230,6 +235,15 @@ class SymTensor:
 
     def max_abs(self) -> float:
         return max(map(abs, self.values))
+
+
+def _reject_text(pairs) -> None:
+    """Raise TypeError at the first (index, entry) pair whose entry is not a
+    real number, one that float() read as text: a str, bytes or other
+    buffer, which has neither __float__ nor __index__."""
+    for k, v in pairs:
+        if not hasattr(v, "__float__") and not hasattr(v, "__index__"):
+            raise TypeError(f"coefficient at index {k} must be a real number, not {type(v).__name__}")
 
 
 def _check_shape(dim: int, rank: int, t: SymTensor) -> None:

@@ -4,11 +4,14 @@ operators, pairings, evaluation functionals, norms."""
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import appellsys.appell
 from appellsys.appell import (
     AppellBasis,
     BasisMismatchError,
@@ -17,6 +20,7 @@ from appellsys.appell import (
     Q_TAG,
     appell_constants,
     appell_eval,
+    binomial_contract,
     convolution,
     delta_appell_eval,
     delta_z,
@@ -44,6 +48,8 @@ from appellsys.appell import (
 from appellsys.jets import (
     ScalarJet,
     VectorJet,
+    _row_tensors,
+    _stack,
     identity_vjet,
     jet_compose_scalar,
     jet_mul,
@@ -334,6 +340,143 @@ class TestBasisConversion:
         f = monomial_seq(1, 6, {0: scalar_tensor(1, 1.0)})
         with pytest.raises(ValueError):
             to_monomial(gauss1d_basis, f)
+
+
+CONVERSION_MODELS = {
+    "gaussian": GaussianModel.standard,
+    "poisson": lambda d: PoissonModel(tuple(1.0 + 0.5 * i for i in range(d))),
+    "delta": DeltaModel,
+}
+
+
+@lru_cache(maxsize=None)
+def conversion_basis(model: str, alpha: str, d: int, N: int) -> AppellBasis:
+    jets = {
+        "identity": lambda: None,
+        "log1p": lambda: log1p_vjet(d, N),
+        "random": lambda: random_vjet(np.random.default_rng(10 * d + N), d, N),
+    }
+    return AppellBasis(CONVERSION_MODELS[model](d), jets[alpha](), degree=N)
+
+
+def term_route_monomial(basis, f):
+    """to_monomial through binomial_contract, one partial_pairing per term."""
+    plain = basis.A.contract_in(_stack(f.kernels))
+    return binomial_contract(_row_tensors(basis.dim, range(basis.degree + 1), plain), basis.u_jet.kernels)
+
+
+def term_route_appell(basis, f):
+    """to_appell through binomial_contract, one partial_pairing per term."""
+    plain = binomial_contract(f.kernels, basis.m_jet.kernels)
+    return _row_tensors(basis.dim, range(basis.degree + 1), basis.B.contract_in(_stack(plain)))
+
+
+def conversion_outcome(convert):
+    """The message a conversion raises, or its kernels' bits and which of
+    them are the shared zero tensor of their shape."""
+    try:
+        kernels = convert()
+    except ValueError as exc:
+        return "raises", str(exc)
+    bits = [[v.hex() for v in t.values] for t in kernels]
+    return bits, [t is zero_tensor(t.dim, t.rank) for t in kernels]
+
+
+@st.composite
+def conversion_cases(draw):
+    d, N = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    basis = conversion_basis(
+        draw(st.sampled_from(sorted(CONVERSION_MODELS))), draw(st.sampled_from(["identity", "log1p", "random"])), d, N
+    )
+    # large scales overflow somewhere on either route, so both must raise alike
+    scale = draw(st.sampled_from([1.0, 1e308, 1e-300, 1e150]))
+    entry = st.one_of(st.floats(-1.5, 1.5), st.sampled_from([0.0, -0.0]))
+    kernels = {}
+    for n in range(N + 1):
+        width = len(multi_indices(d, n))
+        if draw(st.integers(0, 3)):
+            kernels[n] = SymTensor(d, n, [scale * v for v in draw(st.lists(entry, min_size=width, max_size=width))])
+    return basis, kernels
+
+
+class TestCompiledConversions:
+    @settings(max_examples=100)
+    @given(case=conversion_cases())
+    def test_planned_conversions_are_the_term_route_bit_for_bit(self, case):
+        basis, kernels = case
+        f, g = p_seq(basis, kernels), monomial_seq(basis.dim, basis.degree, kernels)
+        assert conversion_outcome(lambda: to_monomial(basis, f).kernels) == conversion_outcome(
+            lambda: term_route_monomial(basis, f)
+        )
+        assert conversion_outcome(lambda: to_appell(basis, g).kernels) == conversion_outcome(
+            lambda: term_route_appell(basis, g)
+        )
+
+    def test_overflow_raises_the_term_route_message(self, gauss1d_basis):
+        basis = gauss1d_basis
+        # the plain kernels are finite; grade 1 of the monomial sum is not
+        f = p_seq(basis, {1: tensor_1d(1, -1.5e308), 3: tensor_1d(3, 2.5e307)})
+        assert np.isfinite(basis.A.contract_in(_stack(f.kernels))).all()
+        # grade 0 of the plain kernels of x^4 is 3 * 1e308
+        g = monomial_seq(1, basis.degree, {4: tensor_1d(4, 1e308)})
+        for convert, reference, seq, index in (
+            (to_monomial, term_route_monomial, f, "(1,): -inf"),
+            (to_appell, term_route_appell, g, "(): inf"),
+        ):
+            with pytest.raises(ValueError) as planned:
+                convert(basis, seq)
+            with pytest.raises(ValueError) as terms:
+                reference(basis, seq)
+            assert str(planned.value) == str(terms.value) == f"non-finite coefficient at index {index}"
+
+    def test_a_grade_with_terms_is_built_even_when_it_cancels(self, gauss1d_basis):
+        # He_2 + 1 = x^2: grade 0 adds -1 and +1; grade 1 has no term
+        f = p_seq(gauss1d_basis, {0: tensor_1d(0, 1.0), 2: tensor_1d(2, 1.0)})
+        mono = to_monomial(gauss1d_basis, f).kernels
+        assert mono[0].values == (0.0,) and mono[0] is not zero_tensor(1, 0)
+        assert mono[1] is zero_tensor(1, 1)
+        assert conversion_outcome(lambda: mono) == conversion_outcome(lambda: term_route_monomial(gauss1d_basis, f))
+
+    def test_a_build_compiles_neither_plan(self):
+        basis = AppellBasis(PoissonModel((1.0, 2.0)), log1p_vjet(2, 4), degree=4)
+        assert "u_plan" not in basis.__dict__ and "m_plan" not in basis.__dict__
+
+    def test_each_plan_is_built_once_and_reused(self, monkeypatch):
+        built, compile_plan = [], appellsys.appell._contract_plan
+        monkeypatch.setattr(appellsys.appell, "_contract_plan", lambda ws: built.append(ws) or compile_plan(ws))
+        basis = AppellBasis(PoissonModel((1.0, 2.0)), log1p_vjet(2, 4), degree=4)
+        rng = np.random.default_rng(12)
+        plans = []
+        for _ in range(3):
+            to_monomial(basis, random_pseq(rng, basis))
+            to_appell(basis, monomial_seq(2, 4, {n: random_tensor(rng, 2, n) for n in range(5)}))
+            plans.append((basis.u_plan, basis.m_plan))
+        assert len(built) == 2 and built[0] is basis.u_jet.kernels and built[1] is basis.m_jet.kernels
+        assert all(u is plans[0][0] and m is plans[0][1] for u, m in plans)
+
+    def test_finite_conversions_build_only_their_output_tensors(self, monkeypatch):
+        basis = AppellBasis(GaussianModel(((1.0, 0.2), (0.2, 1.5))), log1p_vjet(2, 5), degree=5)
+        rng = np.random.default_rng(13)
+        f = random_pseq(rng, basis)
+        g = monomial_seq(2, 5, {n: random_tensor(rng, 2, n) for n in range(6)})
+        basis.u_plan, basis.m_plan, basis.B  # compiled before counting
+
+        def refuse(*args):
+            raise AssertionError("a compiled conversion called partial_pairing")
+
+        monkeypatch.setattr(appellsys.appell, "partial_pairing", refuse)
+        built, post_init = [], SymTensor.__post_init__
+
+        def counted(self, dim, rank, coeffs):
+            built.append(rank)
+            post_init(self, dim, rank, coeffs)
+
+        monkeypatch.setattr(SymTensor, "__post_init__", counted)
+        to_monomial(basis, f)
+        assert built == list(range(6))
+        built.clear()
+        to_appell(basis, g)
+        assert built == list(range(6))
 
 
 class TestDiffOp:

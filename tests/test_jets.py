@@ -419,7 +419,9 @@ class TestLiveGrades:
         contractions = count_calls(monkeypatch, partial_pairing)
         rng = np.random.default_rng(0)
         to_monomial(basis, p_seq(basis, {n: random_tensor(rng, d, n) for n in range(deg + 1)}))
-        assert len(contractions) == 16
+        # the conversion's plan links grade k to kernel m only where weight
+        # m - k is live, the 16 contractions of the term route; it calls none
+        assert contractions == [] and basis.u_plan.links.sum() == 16
 
     def test_product_builds_one_tensor_per_live_grade(self, monkeypatch):
         # the terms of a grade add into one accumulator, built once

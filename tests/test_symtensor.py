@@ -159,6 +159,33 @@ class TestStorage:
             with pytest.raises(ValueError, match=re.escape("non-finite coefficient at index (1,): inf")):
                 t.scale(np.float64(1e200))
 
+    @pytest.mark.parametrize("text", ["1.5", b"3", bytearray(b"2"), "nan"])
+    def test_text_entries_are_rejected_in_every_form(self, text):
+        keys = multi_indices(2, 2)
+        message = re.escape(f"coefficient at index (1, 2) must be a real number, not {type(text).__name__}")
+        for coeffs in (
+            [1.0, text, 3.0],
+            (1.0, text, 3.0),
+            dict(zip(keys, [1.0, text, 3.0])),
+            dict(zip(reversed(keys), [3.0, text, 1.0])),
+        ):
+            with pytest.raises(TypeError, match=message):
+                SymTensor(2, 2, coeffs)
+        with pytest.raises(TypeError, match=re.escape("index (1,)")):
+            SymTensor(1, 1, {(1,): text})
+
+    def test_numbers_of_other_types_are_still_read_as_floats(self):
+        from decimal import Decimal
+        from fractions import Fraction
+
+        t = SymTensor(2, 2, [1, True, np.float64(0.25)])
+        assert t.values == (1.0, 1.0, 0.25) and all(type(v) is float for v in t.values)
+        assert SymTensor(1, 2, {(1, 1): Fraction(1, 4)}).values == (0.25,)
+        assert SymTensor(1, 1, [Decimal("0.5")]).values == (0.5,)
+        # a numpy nan is not the float nan it converts to: looked at, it is no text
+        with pytest.raises(ValueError, match=re.escape("non-finite coefficient at index (1,): nan")):
+            SymTensor(1, 1, [np.float64("nan")])
+
     def test_fields_are_frozen_and_a_pickle_round_trips(self):
         t = random_tensor(np.random.default_rng(3), 2, 2)
         for name in ("dim", "rank", "values", "coeffs"):
