@@ -378,13 +378,11 @@ def _contract_terms(dim: int, N: int) -> SimpleNamespace:
     (m, k) reads kernel k at u_i, weight m-k at v_j and kernel m at
     merge(u_i, v_j), and adds into cell (m, column of u_i).  Output column
     (k, u_i) reads cell (m, column of u_i) for m = 0..N, in out's order.
-    combs[m, k] is C(m, k), 0 where m < k; lag[k, m] is m - k, 0 where
-    m < k, and ahead[k, m] tells whether m >= k.
+    combs[m, k] is C(m, k), 0 where m < k.
     """
     grades, starts = np.arange(N + 1), _starts(dim, N)
     width, grade = starts[-1], np.repeat(grades, np.diff(starts))
     u_at, v_at, merge = _merge_terms(dim, N)
-    lag = np.subtract.outer(grades, grades).T
     return SimpleNamespace(
         grade=grade,
         v_at=v_at,
@@ -393,8 +391,6 @@ def _contract_terms(dim: int, N: int) -> SimpleNamespace:
         mult=np.array([c for n in range(N + 1) for c in _multiplicities(dim, n)], dtype=float),
         out=np.tile(np.arange(width), N + 1),
         combs=np.array([[comb(m, k) for k in range(N + 1)] for m in range(N + 1)], dtype=float),
-        lag=np.maximum(lag, 0),
-        ahead=lag >= 0,
     )
 
 
@@ -413,8 +409,8 @@ def _contract_plan(weights) -> SimpleNamespace:
     """
     dim, N = weights[0].dim, len(weights) - 1
     terms, w = _contract_terms(dim, N), _stack(weights)
-    keep = w[terms.v_at] != 0
-    links = terms.ahead & np.array(_live(w, dim, N))[terms.lag]
+    keep, live = w[terms.v_at] != 0, _live(w, dim, N)
+    links = np.array([[m >= k and live[m - k] for m in range(N + 1)] for k in range(N + 1)])
     return SimpleNamespace(
         weights=weights,
         at=terms.merge[keep],
