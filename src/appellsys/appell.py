@@ -10,7 +10,9 @@ holds the ingredients the downstream operations read:
 * ualpha_jet -- kernels of 1/l(alpha(.)), the generalized constants at 0,
 * A, B       -- power kernels of alpha and of its inverse (B on first read),
 * u_plan, m_plan -- binomial_contract against u_jet and m_jet, compiled
-  on first read; to_monomial and to_appell apply them.
+  on first read; to_monomial and to_appell apply them,
+* pair_plans -- the transport of each partner basis, keyed weakly on it
+  and filled by the remeasure module.
 
 The polynomial (test) side P and the distribution side Q are represented
 as graded kernel sequences tagged with their basis; pairing, basis
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, exp, factorial, inf, sqrt
 from types import SimpleNamespace
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -113,14 +116,15 @@ class BasisMismatchError(ValueError):
 class AppellBasis:
     """Context for one (measure, alpha, dimension, degree) choice.
 
-    B, u_plan, m_plan and alpha_is_identity are computed on first read and
-    then fixed; all operations below are pure functions of the basis and
-    their arguments.
+    B, u_plan, m_plan, pair_plans and alpha_is_identity are computed on
+    first read and then fixed, but for the entries pair_plans gains; all
+    operations below are pure functions of the basis and their arguments.
     """
 
     B = cached_property(lambda self: comp_kernels(self.g_alpha))
     u_plan = cached_property(lambda self: _contract_plan(self.u_jet.kernels))
     m_plan = cached_property(lambda self: _contract_plan(self.m_jet.kernels))
+    pair_plans = cached_property(lambda self: WeakKeyDictionary())
     alpha_is_identity = cached_property(lambda self: self.alpha == identity_vjet(self.dim, self.degree))
 
     def __init__(
@@ -436,6 +440,19 @@ def _contract_stack(plan: SimpleNamespace, x: np.ndarray) -> np.ndarray:
     return _stack(binomial_contract(_row_tensors(dim, grades, x), plan.weights))
 
 
+def _contract_tensors(plan: SimpleNamespace, x: np.ndarray) -> list[SymTensor]:
+    """binomial_contract of the kernels stacked in x against plan's weights,
+    as its tensors: grade k is the shared zero tensor where binomial_contract
+    has no term."""
+    dim, N = plan.weights[0].dim, len(plan.weights) - 1
+    vals, starts = _contract_stack(plan, x).tolist(), _starts(dim, N).tolist()
+    has_terms = (plan.links & _live(x, dim, N)).any(axis=1).tolist()
+    return [
+        SymTensor(dim, k, vals[starts[k] : starts[k + 1]]) if has_terms[k] else zero_tensor(dim, k)
+        for k in range(N + 1)
+    ]
+
+
 def to_monomial(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
     """Re-express a P-tagged test function in monomial kernels (same function).
 
@@ -444,15 +461,8 @@ def to_monomial(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
     """
     _require_tag(f, P_TAG)
     _require_same_basis(basis, f.basis)
-    plain = basis.A.contract_in(_stack(f.kernels))
-    vals = _contract_stack(basis.u_plan, plain).tolist()
-    dim, starts = basis.dim, _starts(basis.dim, basis.degree).tolist()
-    has_terms = (basis.u_plan.links & _live(plain, dim, basis.degree)).any(axis=1).tolist()
-    mono = [
-        SymTensor(dim, k, vals[starts[k] : starts[k + 1]]) if has_terms[k] else zero_tensor(dim, k)
-        for k in range(basis.degree + 1)
-    ]
-    return KernelSeq(MONOMIAL, dim, basis.degree, tuple(mono))
+    mono = _contract_tensors(basis.u_plan, basis.A.contract_in(_stack(f.kernels)))
+    return KernelSeq(MONOMIAL, basis.dim, basis.degree, tuple(mono))
 
 
 def to_appell(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
@@ -651,13 +661,19 @@ SIGMA_ROUNDS = 3
 Z_RADIUS = 8.0
 
 
-def _check_sweep(epsilon: float, trials: int = 1) -> None:
-    """Reject an epsilon that is not positive and finite, or a trials count
-    below 1: a sweep of no point would pass having checked nothing."""
-    if not 0 < epsilon < inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+def _check_trials(trials: int) -> None:
+    """Reject a trials count below 1: a sweep of no point would pass having
+    checked nothing."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
+
+
+def _check_sweep(epsilon: float, trials: int = 1) -> None:
+    """Reject an epsilon that is not positive and finite, then a trials
+    count that _check_trials rejects."""
+    if not 0 < epsilon < inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    _check_trials(trials)
 
 
 def estimate_sigma_eps(basis: AppellBasis, p: float, epsilon: float, seed: int = 0) -> float:

@@ -4,13 +4,16 @@ Two bases sharing the dimension, degree and reparametrization jet admit an
 explicit transport through one weight jet, the ratio l_mut(alpha)/l_mu(alpha)
 of the reparametrized transforms: test kernels are reordered through
 partial contractions against its kernels, and distribution kernels are
-multiplied by it, so that every dual pairing is preserved.  Changing the
-reparametrization itself for a fixed measure goes through the scalar
-transform.
+multiplied by it, so that every dual pairing is preserved.  Each ordered
+pair of bases builds its ratio once, and compiles the contraction once,
+into an entry of the first basis's pair_plans that holds neither basis.
+Changing the reparametrization itself for a fixed measure goes through the
+scalar transform.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -22,7 +25,8 @@ from .appell import (
     P_TAG,
     Q_TAG,
     _check_grade,
-    binomial_contract,
+    _contract_plan,
+    _contract_tensors,
     gen_appell_batch,
     p_seq,
     q_seq,
@@ -49,9 +53,27 @@ def _require_shared_alpha(a: AppellBasis, b: AppellBasis) -> None:
         )
 
 
+class _Pair:
+    """The transport of one ordered pair of bases: the ratio jet, and
+    binomial_contract against its kernels compiled on first read."""
+
+    plan = cached_property(lambda self: _contract_plan(self.ratio.kernels))
+
+    def __init__(self, ratio: ScalarJet) -> None:
+        self.ratio = ratio
+
+
+def _pair(basis_mu: AppellBasis, basis_mut: AppellBasis) -> _Pair:
+    """The pair's entry in basis_mu.pair_plans, built on first use."""
+    entry = basis_mu.pair_plans.get(basis_mut)
+    if entry is None:
+        entry = basis_mu.pair_plans[basis_mut] = _Pair(jet_mul(basis_mu.ualpha_jet, basis_mut.malpha_jet))
+    return entry
+
+
 def _ratio_jet(basis_mu: AppellBasis, basis_mut: AppellBasis) -> ScalarJet:
-    """Kernels of l_mut(alpha(theta)) / l_mu(alpha(theta))."""
-    return jet_mul(basis_mu.ualpha_jet, basis_mut.malpha_jet)
+    """Kernels of l_mut(alpha(theta)) / l_mu(alpha(theta)), built once per pair."""
+    return _pair(basis_mu, basis_mut).ratio
 
 
 def p_relation(basis_mu: AppellBasis, basis_mut: AppellBasis, n: int, points) -> dict:
@@ -77,14 +99,15 @@ def reorder_test(basis_mu: AppellBasis, basis_mut: AppellBasis, phi: KernelSeq) 
     """Rewrite a test function from the mu basis into the mut basis.
 
     Grade n gains contractions of the higher mu-kernels against the ratio
-    jet; pointwise values are unchanged.
+    jet, binomial_contract's through the pair's compiled plan; pointwise
+    values are unchanged.
     """
     if phi.tag != P_TAG:
         raise ValueError("reorder_test expects a P-tagged sequence")
     if not basis_mu.same_basis(phi.basis):
         raise BasisMismatchError("phi does not live in the source basis")
     _require_shared_alpha(basis_mu, basis_mut)
-    out = binomial_contract(phi.kernels, _ratio_jet(basis_mu, basis_mut).kernels)
+    out = _contract_tensors(_pair(basis_mu, basis_mut).plan, _stack(phi.kernels))
     return p_seq(basis_mut, dict(enumerate(out)))
 
 

@@ -8,6 +8,8 @@ functions given by Taylor coefficients, and the inverse are built from it.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from .appell import (
@@ -15,6 +17,7 @@ from .appell import (
     BasisMismatchError,
     KernelSeq,
     Q_TAG,
+    _check_trials,
     q_seq,
 )
 from .jets import _row_tensors, _stack, _starts, graded_product, graded_rows, graded_solve
@@ -57,6 +60,8 @@ def wick_mul(Phi: KernelSeq, Psi: KernelSeq) -> KernelSeq:
 
 
 def wick_pow(Phi: KernelSeq, n: int) -> KernelSeq:
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise TypeError(f"power must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("power must be non-negative")
     _require_q(Phi)
@@ -128,8 +133,10 @@ def wick_norm_check(
     factor norms on every trial; reports the worst observed quotient.  Each
     trial draws the standard normal kernels of grades 0..N of Phi, then of
     Psi, in multi_indices order, as random_tensor does; all trials are drawn
-    at once and multiplied and normed as one stack of rows.
+    at once and multiplied and normed as one stack of rows.  A trials count
+    below 1 raises ValueError.
     """
+    _check_trials(trials)
     rng = np.random.Generator(np.random.Philox(key=seed))
     p = max(p1, p2)
     q = q1 + q2 + 1

@@ -64,6 +64,7 @@ from appellsys.oracle import (
     hermite_he,
     hermite_he_coeffs,
 )
+from appellsys.remeasure import reorder_test
 from appellsys.symtensor import (
     DimensionMismatchError,
     SymTensor,
@@ -384,10 +385,11 @@ def conversion_outcome(convert):
 
 @st.composite
 def conversion_cases(draw):
+    """A basis, a partner basis sharing its alpha, and kernels for either."""
     d, N = draw(st.integers(1, 3)), draw(st.integers(1, 6))
-    basis = conversion_basis(
-        draw(st.sampled_from(sorted(CONVERSION_MODELS))), draw(st.sampled_from(["identity", "log1p", "random"])), d, N
-    )
+    model, partner_model = draw(st.sampled_from(sorted(CONVERSION_MODELS))), draw(st.sampled_from(sorted(CONVERSION_MODELS)))
+    alpha = draw(st.sampled_from(["identity", "log1p", "random"]))
+    basis, partner = conversion_basis(model, alpha, d, N), conversion_basis(partner_model, alpha, d, N)
     # large scales overflow somewhere on either route, so both must raise alike
     scale = draw(st.sampled_from([1.0, 1e308, 1e-300, 1e150]))
     entry = st.one_of(st.floats(-1.5, 1.5), st.sampled_from([0.0, -0.0]))
@@ -396,20 +398,24 @@ def conversion_cases(draw):
         width = len(multi_indices(d, n))
         if draw(st.integers(0, 3)):
             kernels[n] = SymTensor(d, n, [scale * v for v in draw(st.lists(entry, min_size=width, max_size=width))])
-    return basis, kernels
+    return basis, partner, kernels
 
 
 class TestCompiledConversions:
     @settings(max_examples=100)
     @given(case=conversion_cases())
     def test_planned_conversions_are_the_term_route_bit_for_bit(self, case):
-        basis, kernels = case
+        basis, partner, kernels = case
         f, g = p_seq(basis, kernels), monomial_seq(basis.dim, basis.degree, kernels)
         assert conversion_outcome(lambda: to_monomial(basis, f).kernels) == conversion_outcome(
             lambda: term_route_monomial(basis, f)
         )
         assert conversion_outcome(lambda: to_appell(basis, g).kernels) == conversion_outcome(
             lambda: term_route_appell(basis, g)
+        )
+        ratio = jet_mul(basis.ualpha_jet, partner.malpha_jet)
+        assert conversion_outcome(lambda: reorder_test(basis, partner, f).kernels) == conversion_outcome(
+            lambda: binomial_contract(f.kernels, ratio.kernels)
         )
 
     def test_overflow_raises_the_term_route_message(self, gauss1d_basis):

@@ -1,5 +1,7 @@
 """Measure transport: cross-measure expansions, reordering, pairing invariance."""
 
+import gc
+import weakref
 from functools import lru_cache
 from math import comb, factorial
 
@@ -7,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import appellsys.appell
+import appellsys.remeasure
 from appellsys.appell import (
     AppellBasis,
     BasisMismatchError,
@@ -359,6 +363,60 @@ class TestChangeAlpha:
         assert pair(b_id, moved, phi) == pytest.approx(
             eval_test(b_id, phi, z), rel=1e-9, abs=1e-9
         )
+
+
+class TestPairPlans:
+    def test_each_pair_builds_its_ratio_and_plan_once(self, monkeypatch):
+        ratios, plans = [], []
+        mul, compile_plan = appellsys.remeasure.jet_mul, appellsys.remeasure._contract_plan
+        monkeypatch.setattr(appellsys.remeasure, "jet_mul", lambda a, b: ratios.append((a, b)) or mul(a, b))
+        monkeypatch.setattr(appellsys.remeasure, "_contract_plan", lambda ws: plans.append(ws) or compile_plan(ws))
+        bp, bg = make_basis("poisson", "log1p", dim=2), make_basis("gaussian", "log1p", dim=2)
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            reorder_test(bp, bg, random_pseq(rng, bp))
+            transport_dist(bg, bp, random_qseq(rng, bg))
+            p_relation(bp, bg, 3, [rng.standard_normal(2)])
+        assert ratios == [(bp.ualpha_jet, bg.malpha_jet)]
+        assert len(plans) == 1 and plans[0] is bp.pair_plans[bg].ratio.kernels
+        # the reverse pair is a pair of its own
+        reorder_test(bg, bp, random_pseq(rng, bg))
+        assert len(ratios) == len(plans) == 2 and list(bg.pair_plans) == [bp]
+
+    def test_finite_reorder_builds_only_its_output_tensors(self, monkeypatch):
+        bp = make_basis("poisson", "random", dim=2, alpha_seed=3)
+        bg = make_basis("gaussian", "random", dim=2, alpha_seed=3)
+        phi = random_pseq(np.random.default_rng(22), bp)
+        want = reorder_test(bp, bg, phi)  # compiles the plan before counting
+
+        def refuse(*args):
+            raise AssertionError("a compiled reorder_test called partial_pairing")
+
+        monkeypatch.setattr(appellsys.appell, "partial_pairing", refuse)
+        built, post_init = [], SymTensor.__post_init__
+
+        def counted(self, dim, rank, coeffs):
+            built.append(rank)
+            post_init(self, dim, rank, coeffs)
+
+        monkeypatch.setattr(SymTensor, "__post_init__", counted)
+        assert reorder_test(bp, bg, phi) == want
+        assert built == list(range(N + 1))
+
+    def test_an_entry_keeps_neither_basis_alive(self):
+        bp, partner = make_basis("poisson", "log1p"), make_basis("gaussian", "log1p")
+        rng = np.random.default_rng(23)
+        reorder_test(bp, partner, random_pseq(rng, bp))
+        transport_dist(partner, bp, random_qseq(rng, partner))
+        assert len(bp.pair_plans) == 1
+        source, gone = weakref.ref(bp), weakref.ref(partner)
+        del partner
+        gc.collect()
+        assert gone() is None and source() is bp and len(bp.pair_plans) == 0
+        # nor the source: its entries die with it
+        del bp
+        gc.collect()
+        assert source() is None
 
 
 MEASURE_KINDS = ("gaussian", "poisson", "delta")

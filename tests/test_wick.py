@@ -124,6 +124,18 @@ class TestWickPow:
         with pytest.raises(ValueError):
             wick_pow(wick_unit(gauss1d_basis), -1)
 
+    @pytest.mark.parametrize("power", [True, False, 2.5, 2.0, "2"])
+    def test_power_that_is_not_an_integer_rejected(self, gauss1d_basis, power):
+        # True passed as Phi itself, 2.5 failed inside range
+        Phi = q_kernel_make(gauss1d_basis, tensor_1d(1, 2.0))
+        with pytest.raises(TypeError) as err:
+            wick_pow(Phi, power)
+        assert str(err.value) == f"power must be an integer, got {power!r}"
+
+    def test_numpy_integer_power_accepted(self, gauss1d_basis):
+        Phi = q_kernel_make(gauss1d_basis, tensor_1d(1, 2.0))
+        assert wick_pow(Phi, np.int64(3)) == wick_pow(Phi, 3)
+
 
 class TestWickFn:
     def test_identity_function(self, poisson1d_log1p_basis):
@@ -277,6 +289,13 @@ class TestContinuity:
     def test_unit_pair(self, gauss1d_basis):
         report = wick_norm_check(gauss1d_basis, 1, 1, 1, 1, trials=1, seed=0)
         assert report["passed"]
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_rejected(self, gauss1d_basis, trials):
+        # zero trials passed having checked nothing; -1 failed inside numpy
+        with pytest.raises(ValueError) as err:
+            wick_norm_check(gauss1d_basis, 1, 1, 1, 1, trials=trials)
+        assert str(err.value) == f"trials must be positive, got {trials}"
 
     def test_thousand_random_pairs(self, gauss2d_basis):
         report = wick_norm_check(gauss2d_basis, 1, 1, 2, 2, trials=1000, seed=1)
