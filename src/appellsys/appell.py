@@ -22,9 +22,9 @@ operate on these sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, exp, factorial, inf, sqrt
+from numbers import Integral
 from types import SimpleNamespace
 from weakref import WeakKeyDictionary
 
@@ -33,7 +33,9 @@ import numpy as np
 from .jets import (
     ScalarJet,
     VectorJet,
+    _Graded,
     _cell_sums,
+    _check_compatible,
     _check_rows,
     _factorials,
     _live,
@@ -58,6 +60,7 @@ from .symtensor import (
     SymTensor,
     _by_blocks,
     _multiplicities,
+    _norm_weights,
     eval_power_batch,
     is_live,
     multi_indices,
@@ -122,8 +125,8 @@ class AppellBasis:
     """
 
     B = cached_property(lambda self: comp_kernels(self.g_alpha))
-    u_plan = cached_property(lambda self: _contract_plan(self.u_jet.kernels))
-    m_plan = cached_property(lambda self: _contract_plan(self.m_jet.kernels))
+    u_plan = cached_property(lambda self: _contract_plan(self.u_jet))
+    m_plan = cached_property(lambda self: _contract_plan(self.m_jet))
     pair_plans = cached_property(lambda self: WeakKeyDictionary())
     alpha_is_identity = cached_property(lambda self: self.alpha == identity_vjet(self.dim, self.degree))
 
@@ -159,39 +162,31 @@ class AppellBasis:
         return self.alpha == other.alpha and self.degree == other.degree
 
 
-@dataclass(frozen=True)
-class KernelSeq:
+class KernelSeq(_Graded):
     """Graded kernels in a tagged basis; P/monomial are test functions, Q distributions."""
 
-    tag: str
-    dim: int
-    degree: int
-    kernels: tuple[SymTensor, ...]
-    basis: AppellBasis | None = None
+    __slots__ = ("tag", "basis")
+    _fields = ("tag", "dim", "degree", "kernels", "basis")
+    _count_error, _shape_error = "need one kernel per grade 0..N", "grade-{} kernel has wrong shape"
 
-    def __post_init__(self) -> None:
-        if self.tag not in (MONOMIAL, P_TAG, Q_TAG):
-            raise ValueError(f"unknown basis tag {self.tag!r}")
-        if self.tag != MONOMIAL and self.basis is None:
-            raise ValueError(f"{self.tag}-tagged sequences need an AppellBasis")
-        shape = (self.dim, self.degree)
-        if self.basis is not None and (self.basis.dim, self.basis.degree) != shape:
-            raise ValueError(f"sequence has (dim, degree) {shape}, its basis {(self.basis.dim, self.basis.degree)}")
-        if len(self.kernels) != self.degree + 1:
-            raise ValueError("need one kernel per grade 0..N")
-        for n, k in enumerate(self.kernels):
-            if k.rank != n or k.dim != self.dim:
-                raise ValueError(f"grade-{n} kernel has wrong shape")
+    def __init__(
+        self, tag: str, dim: int, degree: int, kernels: tuple[SymTensor, ...], basis: AppellBasis | None = None
+    ) -> None:
+        if tag not in (MONOMIAL, P_TAG, Q_TAG):
+            raise ValueError(f"unknown basis tag {tag!r}")
+        if tag != MONOMIAL and basis is None:
+            raise ValueError(f"{tag}-tagged sequences need an AppellBasis")
+        if basis is not None and (basis.dim, basis.degree) != (dim, degree):
+            raise ValueError(f"sequence has (dim, degree) {(dim, degree)}, its basis {(basis.dim, basis.degree)}")
+        self._hold(kernels, tag=tag, dim=dim, degree=degree, basis=basis)
 
-    def kernel(self, n: int) -> SymTensor:
-        return self.kernels[n]
+    @classmethod
+    def _from_view(cls, tag: str, dim: int, degree: int, x: np.ndarray, basis: AppellBasis | None = None):
+        """The sequence whose view is x, made read-only; the fields must fit together."""
+        return object.__new__(cls)._hold(None, x, tag=tag, dim=dim, degree=degree, basis=basis)
 
     def max_grade(self) -> int:
-        top = 0
-        for n, k in enumerate(self.kernels):
-            if is_live(k):
-                top = n
-        return top
+        return max((n for n, live in enumerate(_live(self._view(), self.dim, self.degree)) if live), default=0)
 
 
 def _filled(dim: int, degree: int, entries: dict[int, SymTensor]) -> tuple[SymTensor, ...]:
@@ -200,11 +195,7 @@ def _filled(dim: int, degree: int, entries: dict[int, SymTensor]) -> tuple[SymTe
         raise ValueError(f"grade {max(over)} exceeds truncation degree {degree}")
     if any(n < 0 for n in entries):
         raise ValueError(f"grade {min(entries)} is negative")
-    ks = []
-    for n in range(degree + 1):
-        t = entries.get(n)
-        ks.append(t if t is not None else zero_tensor(dim, n))
-    return tuple(ks)
+    return tuple(entries[n] if n in entries else zero_tensor(dim, n) for n in range(degree + 1))
 
 
 def monomial_seq(dim: int, degree: int, entries: dict[int, SymTensor]) -> KernelSeq:
@@ -382,7 +373,7 @@ def _contract_terms(dim: int, N: int) -> SimpleNamespace:
     (m, k) reads kernel k at u_i, weight m-k at v_j and kernel m at
     merge(u_i, v_j), and adds into cell (m, column of u_i).  Output column
     (k, u_i) reads cell (m, column of u_i) for m = 0..N, in out's order.
-    combs[m, k] is C(m, k), 0 where m < k.
+    combs[m, k] is C(m, k), 0 where m < k, and lag[m, k] is m - k.
     """
     grades, starts = np.arange(N + 1), _starts(dim, N)
     width, grade = starts[-1], np.repeat(grades, np.diff(starts))
@@ -395,12 +386,13 @@ def _contract_terms(dim: int, N: int) -> SimpleNamespace:
         mult=np.array([c for n in range(N + 1) for c in _multiplicities(dim, n)], dtype=float),
         out=np.tile(np.arange(width), N + 1),
         combs=np.array([[comb(m, k) for k in range(N + 1)] for m in range(N + 1)], dtype=float),
+        lag=np.subtract.outer(grades, grades),
     )
 
 
-def _contract_plan(weights) -> SimpleNamespace:
-    """binomial_contract(., weights) compiled for kernels 0..N read as one
-    stack, as a jet's view reads them: two bincounts, bit for bit.
+def _contract_plan(weights: ScalarJet) -> SimpleNamespace:
+    """binomial_contract(., weights.kernels) compiled for kernels 0..N read
+    as one stack, as a view reads them: two bincounts, bit for bit.
 
     Cell (m, column of u_i) is entry u_i of the partial_pairing of kernel m
     with weight m-k: (multiplicity(v_j) * w[v_j]) * x[merge] over the
@@ -409,20 +401,17 @@ def _contract_plan(weights) -> SimpleNamespace:
     ascending m from +0.0, as weighted_sum does, with 0 in place of C(m, k)
     where weight m-k is dead or m < k.  A dead kernel, which
     binomial_contract skips, adds only +0.0 while its terms are finite.
-    links[k, m] tells whether m >= k and weight m-k is live.
     """
-    dim, N = weights[0].dim, len(weights) - 1
-    terms, w = _contract_terms(dim, N), _stack(weights)
-    keep, live = w[terms.v_at] != 0, _live(w, dim, N)
-    links = np.array([[m >= k and live[m - k] for m in range(N + 1)] for k in range(N + 1)])
+    dim, N = weights.dim, weights.degree
+    terms, w = _contract_terms(dim, N), weights._view()
+    keep, live = w[terms.v_at] != 0, np.array(_live(w, dim, N))
     return SimpleNamespace(
         weights=weights,
         at=terms.merge[keep],
         coef=(terms.mult * w)[terms.v_at[keep]],
         cells=terms.cells[keep],
         out=terms.out,
-        combs=np.where(links.T, terms.combs, 0.0)[:, terms.grade].ravel(),
-        links=links,
+        combs=np.where(live[terms.lag], terms.combs, 0.0)[:, terms.grade].ravel(),
     )
 
 
@@ -436,33 +425,19 @@ def _contract_stack(plan: SimpleNamespace, x: np.ndarray) -> np.ndarray:
         sums = _cell_sums(plan.out, plan.combs * pp, x.shape)
     if np.isfinite(sums).all():
         return sums
-    dim, grades = plan.weights[0].dim, range(len(plan.weights))
-    return _stack(binomial_contract(_row_tensors(dim, grades, x), plan.weights))
-
-
-def _contract_tensors(plan: SimpleNamespace, x: np.ndarray) -> list[SymTensor]:
-    """binomial_contract of the kernels stacked in x against plan's weights,
-    as its tensors: grade k is the shared zero tensor where binomial_contract
-    has no term."""
-    dim, N = plan.weights[0].dim, len(plan.weights) - 1
-    vals, starts = _contract_stack(plan, x).tolist(), _starts(dim, N).tolist()
-    has_terms = (plan.links & _live(x, dim, N)).any(axis=1).tolist()
-    return [
-        SymTensor(dim, k, vals[starts[k] : starts[k + 1]]) if has_terms[k] else zero_tensor(dim, k)
-        for k in range(N + 1)
-    ]
+    jet = plan.weights
+    return _stack(binomial_contract(_row_tensors(jet.dim, range(jet.degree + 1), x), jet.kernels))
 
 
 def to_monomial(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
     """Re-express a P-tagged test function in monomial kernels (same function).
 
-    The kernels are binomial_contract's against u_jet, through basis.u_plan:
-    grade k is the shared zero tensor where binomial_contract has no term.
+    The kernels are binomial_contract's against u_jet, through basis.u_plan.
     """
     _require_tag(f, P_TAG)
     _require_same_basis(basis, f.basis)
-    mono = _contract_tensors(basis.u_plan, basis.A.contract_in(_stack(f.kernels)))
-    return KernelSeq(MONOMIAL, basis.dim, basis.degree, tuple(mono))
+    mono = _contract_stack(basis.u_plan, basis.A.contract_in(f._view()))
+    return KernelSeq._from_view(MONOMIAL, basis.dim, basis.degree, mono)
 
 
 def to_appell(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
@@ -472,9 +447,8 @@ def to_appell(basis: AppellBasis, f: KernelSeq) -> KernelSeq:
     basis.m_plan, stay one stack on their way into B.
     """
     _require_tag(f, MONOMIAL)
-    plain = _contract_stack(basis.m_plan, _stack(f.kernels))
-    gen = _row_tensors(basis.dim, range(basis.degree + 1), basis.B.contract_in(plain))
-    return KernelSeq(P_TAG, basis.dim, basis.degree, tuple(gen), basis)
+    plain = _contract_stack(basis.m_plan, f._view())
+    return KernelSeq._from_view(P_TAG, basis.dim, basis.degree, basis.B.contract_in(plain), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -503,17 +477,19 @@ def g_nabla_apply(basis: AppellBasis, xi, f: KernelSeq) -> KernelSeq:
     derivative with coefficient tensor psi_n = <g^(n)(0), xi>, that is
     binomial_contract of f against psi with psi_0 = 0; it terminates on
     polynomials.  For the identity alpha it is the directional derivative.
+    psi adds xi_j times the view of component j of g_alpha, in j order from
+    +0.0, over the nonzero xi_j.
     """
     _require_tag(f, MONOMIAL)
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (basis.dim,):
         raise DimensionMismatchError(f"xi has shape {xi.shape}, basis has dim {basis.dim}")
-    nz = [j for j in range(1, basis.dim + 1) if xi[j - 1]]
-    psi = [zero_tensor(f.dim, 0)] + [
-        weighted_sum(f.dim, n, [(xi[j - 1], basis.g_alpha.kernel(n, j)) for j in nz])
-        for n in range(1, f.degree + 1)
-    ]
-    return KernelSeq(MONOMIAL, f.dim, f.degree, tuple(binomial_contract(f.kernels, psi)))
+    width = _starts(f.dim, f.degree).item(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = sum((x * c._view()[:width] for x, c in zip(xi, basis.g_alpha.components) if x), np.zeros(width))
+    psi[0] = 0.0
+    out = binomial_contract(f.kernels, _row_tensors(f.dim, range(f.degree + 1), psi))
+    return KernelSeq(MONOMIAL, f.dim, f.degree, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +509,7 @@ def s_transform(basis: AppellBasis, Phi: KernelSeq) -> ScalarJet:
     """
     _require_tag(Phi, Q_TAG)
     _require_same_basis(basis, Phi.basis)
-    coeffs = _stack(Phi.kernels) * _factorials(basis.dim, basis.degree)
+    coeffs = Phi._view() * _factorials(basis.dim, basis.degree)
     _check_rows(basis.dim, range(basis.degree + 1), coeffs[None])
     return ScalarJet._from_view(basis.dim, basis.degree, basis.B.compose_stack(coeffs))
 
@@ -548,7 +524,7 @@ def s_inverse(basis: AppellBasis, jet: ScalarJet) -> KernelSeq:
 def _q_of_grades(basis: AppellBasis, row: np.ndarray) -> KernelSeq:
     """The distribution with kernel n (1/n!) times grade n of row."""
     row = row * (1.0 / _factorials(basis.dim, basis.degree))
-    return q_seq(basis, dict(enumerate(_row_tensors(basis.dim, range(basis.degree + 1), row))))
+    return KernelSeq._from_view(Q_TAG, basis.dim, basis.degree, row, basis)
 
 
 def pair(basis: AppellBasis, Phi: KernelSeq, phi: KernelSeq) -> float:
@@ -639,11 +615,29 @@ def dist_norm(basis: AppellBasis, Phi: KernelSeq, p: float, q: float, beta: floa
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     _require_tag(Phi, Q_TAG)
-    s = 0.0
-    for n, k in enumerate(Phi.kernels):
-        v = tensor_norm(k, -p, basis.scale)
-        s += (factorial(n) ** (1.0 - beta)) * (2.0 ** (-q * n)) * v * v
-    return sqrt(s)
+    _check_compatible(basis, Phi)
+    return _dist_norm_rows(basis, Phi._view(), p, q, beta).item()
+
+
+def _dist_norm_rows(basis: AppellBasis, values: np.ndarray, p: float, q: float, beta: float = 1.0) -> np.ndarray:
+    """dist_norm of values, the kernels of grades 0..N of one distribution
+    read as one vector, or of each row of values, bit for bit: grade n adds
+    (n! ** (1 - beta)) * 2^(-qn) * v * v from +0.0, then the square root.
+    v is the norm |.|_{-p} of kernel n, as norm_rows forms it: the terms
+    (c * x) * x of its columns added in order from +0.0, square-rooted."""
+    grade, c = _norm_columns(basis.scale, basis.degree, -p)
+    w = np.array([(factorial(n) ** (1.0 - beta)) * (2.0 ** (-q * n)) for n in range(basis.degree + 1)])
+    with np.errstate(over="ignore"):
+        v = np.sqrt(_cell_sums(grade, (c * values) * values, (basis.degree + 1,)))
+        # the first term is never -0.0, so the running sum is the sum from +0.0
+        return np.sqrt(np.add.accumulate((w * v) * v, axis=-1)[..., -1])
+
+
+@lru_cache(maxsize=None)
+def _norm_columns(scale: HilbertScale, degree: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The grade and the weight in |.|_p^2 of each column of a view of kernels 0..degree."""
+    grade = np.repeat(np.arange(degree + 1), np.diff(_starts(scale.dim, degree)))
+    return grade, np.array([c for n in range(degree + 1) for c in _norm_weights(scale, n, p)])
 
 
 def _sphere_samples(rng: np.random.Generator, basis: AppellBasis, p: float, radius: float, count: int) -> np.ndarray:
@@ -662,8 +656,10 @@ Z_RADIUS = 8.0
 
 
 def _check_trials(trials: int) -> None:
-    """Reject a trials count below 1: a sweep of no point would pass having
-    checked nothing."""
+    """Reject a trials count that is a bool or not an integer, then one
+    below 1: a sweep of no point would pass having checked nothing."""
+    if isinstance(trials, bool) or not isinstance(trials, Integral):
+        raise TypeError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
 

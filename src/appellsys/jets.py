@@ -14,7 +14,7 @@ compositional inverse and the basis conversions downstream.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import comb, copysign, exp, factorial, log, prod
@@ -75,51 +75,38 @@ def _check_compatible(a, b) -> None:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
 
 
-@dataclass(frozen=True, slots=True)
-class ScalarJet:
-    """Degree-N scalar jet; kernels[n] is the rank-n coefficient tensor.
+class _Graded:
+    """Kernels 0..N of one dim, held as one read-only vector, the view.
 
-    Every jet holds its view, kernels 0..N as one vector.  A jet built from
-    kernels stacks them at construction.  A product of jet_mul, a composite
-    of jet_compose_scalar, an S-transform or a component of jet_invert is
-    born from its view alone: its kernels are built from it when first read.
+    kernels is the tuple of SymTensors an instance was built from, or, for
+    one born from its view, the tuple built from it on first read: a grade
+    of all +0.0 is the shared zero tensor, any other a SymTensor.  An
+    instance is frozen and unhashable, compares by type, fields and view,
+    and reprs as the dataclass of its _fields would.
     """
 
-    dim: int
-    degree: int
-    kernels: tuple[SymTensor, ...]
-    # the view of _view, stacked by __post_init__ or given to _from_view
-    _stacked: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("dim", "degree", "_stacked", "__dict__")
+    kernels = cached_property(lambda self: tuple(_row_tensors(self.dim, range(self.degree + 1), self._stacked)))
 
-    def __post_init__(self) -> None:
-        if len(self.kernels) != self.degree + 1:
-            raise ValueError("need one kernel per degree 0..N")
-        for n, k in enumerate(self.kernels):
-            if k.rank != n or k.dim != self.dim:
-                raise ValueError(f"kernel {n} has wrong shape")
-        x = _stack(self.kernels)
+    def _hold(self, kernels, x=None, **fields):
+        """Set the fields, then hold the kernels, checked for shape, and
+        their stack; or, with no kernels, the view x, whose non-finite entry
+        raises as SymTensor does.  Returns self."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        if kernels is None:
+            _check_rows(self.dim, range(self.degree + 1), x[None])
+        else:
+            if len(kernels) != self.degree + 1:
+                raise ValueError(self._count_error)
+            for n, k in enumerate(kernels):
+                if k.rank != n or k.dim != self.dim:
+                    raise ValueError(self._shape_error.format(n))
+            object.__setattr__(self, "kernels", kernels)
+            x = _stack(kernels)
         x.flags.writeable = False
         object.__setattr__(self, "_stacked", x)
-
-    @classmethod
-    def _from_view(cls, dim: int, degree: int, x: np.ndarray) -> "ScalarJet":
-        """The jet whose view is x, made read-only, with its kernels slot
-        left unset; a non-finite entry raises as SymTensor does."""
-        _check_rows(dim, range(degree + 1), x[None])
-        x.flags.writeable = False
-        jet = object.__new__(cls)
-        for name, value in (("dim", dim), ("degree", degree), ("_stacked", x)):
-            object.__setattr__(jet, name, value)
-        return jet
-
-    def __getattr__(self, name: str):
-        # called only for an unset slot; that of kernels is built from the
-        # view, a live grade a SymTensor and a dead one the shared zero
-        if name != "kernels":
-            raise AttributeError(name)
-        ks = tuple(_row_tensors(self.dim, range(self.degree + 1), self._stacked))
-        object.__setattr__(self, "kernels", ks)
-        return ks
+        return self
 
     def _view(self) -> np.ndarray:
         """Kernels 0..N as one read-only vector, kernel n at _starts(dim, N)[n]."""
@@ -127,6 +114,49 @@ class ScalarJet:
 
     def kernel(self, n: int) -> SymTensor:
         return self.kernels[n]
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    __hash__ = None
+
+    def __reduce__(self):
+        # pickle and copy rebuild the instance from its view, as setattr is refused
+        fields = (self._stacked if name == "kernels" else getattr(self, name) for name in self._fields)
+        return self._from_view, tuple(fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        same = all(getattr(self, name) == getattr(other, name) for name in self._fields if name != "kernels")
+        return same and bool((self._stacked == other._stacked).all())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ScalarJet(_Graded):
+    """Degree-N scalar jet; kernels[n] is the rank-n coefficient tensor.
+
+    A product of jet_mul, a composite of jet_compose_scalar, an S-transform
+    or a component of jet_invert is born from its view alone.
+    """
+
+    __slots__ = ()
+    _fields = ("dim", "degree", "kernels")
+    _count_error, _shape_error = "need one kernel per degree 0..N", "kernel {} has wrong shape"
+
+    def __init__(self, dim: int, degree: int, kernels: tuple[SymTensor, ...]) -> None:
+        self._hold(kernels, dim=dim, degree=degree)
+
+    @classmethod
+    def _from_view(cls, dim: int, degree: int, x: np.ndarray) -> "ScalarJet":
+        """The jet whose view is x, made read-only."""
+        return object.__new__(cls)._hold(None, x, dim=dim, degree=degree)
 
     def constant(self) -> float:
         return self._stacked.item(0)

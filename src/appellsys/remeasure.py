@@ -5,16 +5,16 @@ explicit transport through one weight jet, the ratio l_mut(alpha)/l_mu(alpha)
 of the reparametrized transforms: test kernels are reordered through
 partial contractions against its kernels, and distribution kernels are
 multiplied by it, so that every dual pairing is preserved.  Each ordered
-pair of bases builds its ratio once, and compiles the contraction once,
-into an entry of the first basis's pair_plans that holds neither basis.
+pair of bases builds its ratio and compiles the contraction once, into a
+plan in the first basis's pair_plans that holds neither basis.
 Changing the reparametrization itself for a fixed measure goes through the
 scalar transform.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,14 +26,12 @@ from .appell import (
     Q_TAG,
     _check_grade,
     _contract_plan,
-    _contract_tensors,
+    _contract_stack,
     gen_appell_batch,
-    p_seq,
-    q_seq,
     s_inverse,
     s_transform,
 )
-from .jets import ScalarJet, _factorials, _row_tensors, _stack, graded_product, graded_rows, jet_mul
+from .jets import ScalarJet, _factorials, graded_product, graded_rows, jet_mul
 
 __all__ = [
     "p_relation",
@@ -53,27 +51,18 @@ def _require_shared_alpha(a: AppellBasis, b: AppellBasis) -> None:
         )
 
 
-class _Pair:
-    """The transport of one ordered pair of bases: the ratio jet, and
-    binomial_contract against its kernels compiled on first read."""
-
-    plan = cached_property(lambda self: _contract_plan(self.ratio.kernels))
-
-    def __init__(self, ratio: ScalarJet) -> None:
-        self.ratio = ratio
-
-
-def _pair(basis_mu: AppellBasis, basis_mut: AppellBasis) -> _Pair:
-    """The pair's entry in basis_mu.pair_plans, built on first use."""
-    entry = basis_mu.pair_plans.get(basis_mut)
-    if entry is None:
-        entry = basis_mu.pair_plans[basis_mut] = _Pair(jet_mul(basis_mu.ualpha_jet, basis_mut.malpha_jet))
-    return entry
+def _pair(basis_mu: AppellBasis, basis_mut: AppellBasis) -> SimpleNamespace:
+    """The pair's plan in basis_mu.pair_plans, binomial_contract against the
+    ratio jet compiled, built on first use."""
+    plan = basis_mu.pair_plans.get(basis_mut)
+    if plan is None:
+        plan = basis_mu.pair_plans[basis_mut] = _contract_plan(jet_mul(basis_mu.ualpha_jet, basis_mut.malpha_jet))
+    return plan
 
 
 def _ratio_jet(basis_mu: AppellBasis, basis_mut: AppellBasis) -> ScalarJet:
     """Kernels of l_mut(alpha(theta)) / l_mu(alpha(theta)), built once per pair."""
-    return _pair(basis_mu, basis_mut).ratio
+    return _pair(basis_mu, basis_mut).weights
 
 
 def p_relation(basis_mu: AppellBasis, basis_mut: AppellBasis, n: int, points) -> dict:
@@ -107,8 +96,8 @@ def reorder_test(basis_mu: AppellBasis, basis_mut: AppellBasis, phi: KernelSeq) 
     if not basis_mu.same_basis(phi.basis):
         raise BasisMismatchError("phi does not live in the source basis")
     _require_shared_alpha(basis_mu, basis_mut)
-    out = _contract_tensors(_pair(basis_mu, basis_mut).plan, _stack(phi.kernels))
-    return p_seq(basis_mut, dict(enumerate(out)))
+    out = _contract_stack(_pair(basis_mu, basis_mut), phi._view())
+    return KernelSeq._from_view(P_TAG, basis_mut.dim, basis_mut.degree, out, basis_mut)
 
 
 def transport_dist(
@@ -127,8 +116,8 @@ def transport_dist(
     _require_shared_alpha(basis_mu, basis_mut)
     dim, grades = basis_mu.dim, tuple(range(basis_mu.degree + 1))
     ratio = _ratio_jet(basis_mu, basis_mut)._view() * (1.0 / _factorials(dim, basis_mu.degree))
-    out = graded_product(dim, grades, _stack(Phi_t.kernels), ratio, lambda n, k: 1)
-    return q_seq(basis_mu, dict(enumerate(_row_tensors(dim, grades, out))))
+    out = graded_product(dim, grades, Phi_t._view(), ratio, lambda n, k: 1)
+    return KernelSeq._from_view(Q_TAG, dim, basis_mu.degree, out, basis_mu)
 
 
 def change_alpha_dist(

@@ -18,10 +18,11 @@ from .appell import (
     KernelSeq,
     Q_TAG,
     _check_trials,
+    _dist_norm_rows,
     q_seq,
 )
-from .jets import _row_tensors, _stack, _starts, graded_product, graded_rows, graded_solve
-from .symtensor import norm_rows, scalar_tensor, weighted_sum
+from .jets import _starts, graded_product, graded_rows, graded_solve
+from .symtensor import scalar_tensor
 
 __all__ = [
     "wick_mul",
@@ -54,9 +55,8 @@ def wick_unit(basis: AppellBasis) -> KernelSeq:
 def wick_mul(Phi: KernelSeq, Psi: KernelSeq) -> KernelSeq:
     """Graded convolution: grade n collects Phi^(k) sym Psi^(n-k)."""
     basis = _same_basis(Phi, Psi)
-    grades = range(basis.degree + 1)
-    out = graded_product(basis.dim, grades, _stack(Phi.kernels), _stack(Psi.kernels), lambda n, k: 1)
-    return q_seq(basis, dict(enumerate(_row_tensors(basis.dim, grades, out))))
+    out = graded_product(basis.dim, range(basis.degree + 1), Phi._view(), Psi._view(), lambda n, k: 1)
+    return KernelSeq._from_view(Q_TAG, basis.dim, basis.degree, out, basis)
 
 
 def wick_pow(Phi: KernelSeq, n: int) -> KernelSeq:
@@ -75,19 +75,19 @@ def wick_fn(coeffs, Phi: KernelSeq) -> KernelSeq:
     """Apply an analytic function with Taylor coefficients a_k at the mean.
 
     The expansion point is the grade-0 kernel of Phi (its expectation); the
-    result is sum_k a_k (Phi - mean)^{wick k}, truncated at the degree.
+    result is sum_k a_k (Phi - mean)^{wick k}, truncated at the degree, the
+    terms of nonzero a_k added in k order from +0.0.
     """
     _require_q(Phi)
     basis = Phi.basis
-    centered = q_seq(basis, dict(enumerate(Phi.kernels[1:], start=1)))
+    centered = KernelSeq._from_view(Q_TAG, basis.dim, basis.degree, np.append(0.0, Phi._view()[1:]), basis)
     a = [float(c) for c in list(coeffs)[: basis.degree + 1]]
     powers = [wick_unit(basis)]
     for _ in a[1:]:
         powers.append(wick_mul(powers[-1], centered))
-    return q_seq(basis, {
-        n: weighted_sum(basis.dim, n, ((ak, p.kernels[n]) for ak, p in zip(a, powers) if ak))
-        for n in range(basis.degree + 1)
-    })
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = sum((ak * p._view() for ak, p in zip(a, powers) if ak), np.zeros_like(centered._view()))
+    return KernelSeq._from_view(Q_TAG, basis.dim, basis.degree, out, basis)
 
 
 def wick_inv(Phi: KernelSeq) -> KernelSeq:
@@ -105,17 +105,6 @@ def wick_solve(Phi: KernelSeq, Psi: KernelSeq) -> KernelSeq:
     """Solve Phi wick X = Psi for X."""
     _same_basis(Phi, Psi)
     return wick_mul(wick_inv(Phi), Psi)
-
-
-def _dist_norm_rows(basis: AppellBasis, values: np.ndarray, p: float, q: float) -> np.ndarray:
-    """dist_norm with beta = 1 of each row of values, the kernels of grades
-    0..N of one distribution read as one vector, bit for bit: grade n adds
-    2^(-qn) * v * v from +0.0, v its norm |.|_{-p} by norm_rows."""
-    s, starts = np.zeros(len(values)), _starts(basis.dim, basis.degree).tolist()
-    for n in range(basis.degree + 1):
-        v = norm_rows(values[:, starts[n] : starts[n + 1]], n, -p, basis.scale)
-        s = s + (2.0 ** (-q * n)) * v * v
-    return np.sqrt(s)
 
 
 def wick_norm_check(

@@ -1,8 +1,11 @@
 """The polynomial/distribution system: generating identities, conversions,
 operators, pairings, evaluation functionals, norms."""
 
+import copy
 import math
+import pickle
 import re
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -13,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import appellsys.appell
 from appellsys.appell import (
+    MONOMIAL,
     AppellBasis,
     BasisMismatchError,
     KernelSeq,
@@ -64,10 +68,12 @@ from appellsys.oracle import (
     hermite_he,
     hermite_he_coeffs,
 )
-from appellsys.remeasure import reorder_test
+from appellsys.remeasure import reorder_test, transport_dist
+from appellsys.wick import wick_mul
 from appellsys.symtensor import (
     DimensionMismatchError,
     SymTensor,
+    is_live,
     multi_indices,
     pairing,
     power_tensor,
@@ -76,6 +82,7 @@ from appellsys.symtensor import (
     sym_product,
     tensor_norm,
     vector_tensor,
+    weighted_sum,
     zero_tensor,
 )
 
@@ -372,15 +379,17 @@ def term_route_appell(basis, f):
     return _row_tensors(basis.dim, range(basis.degree + 1), basis.B.contract_in(_stack(plain)))
 
 
-def conversion_outcome(convert):
-    """The message a conversion raises, or its kernels' bits and which of
-    them are the shared zero tensor of their shape."""
+def conversion_outcome(convert, planned=False):
+    """The message a conversion raises, or its kernels' bits; a planned
+    conversion's grade is the shared zero tensor of its shape iff it is not
+    live."""
     try:
         kernels = convert()
     except ValueError as exc:
         return "raises", str(exc)
-    bits = [[v.hex() for v in t.values] for t in kernels]
-    return bits, [t is zero_tensor(t.dim, t.rank) for t in kernels]
+    if planned:
+        assert [t is zero_tensor(t.dim, t.rank) for t in kernels] == [not is_live(t) for t in kernels]
+    return [[v.hex() for v in t.values] for t in kernels]
 
 
 @st.composite
@@ -407,14 +416,14 @@ class TestCompiledConversions:
     def test_planned_conversions_are_the_term_route_bit_for_bit(self, case):
         basis, partner, kernels = case
         f, g = p_seq(basis, kernels), monomial_seq(basis.dim, basis.degree, kernels)
-        assert conversion_outcome(lambda: to_monomial(basis, f).kernels) == conversion_outcome(
+        assert conversion_outcome(lambda: to_monomial(basis, f).kernels, planned=True) == conversion_outcome(
             lambda: term_route_monomial(basis, f)
         )
-        assert conversion_outcome(lambda: to_appell(basis, g).kernels) == conversion_outcome(
+        assert conversion_outcome(lambda: to_appell(basis, g).kernels, planned=True) == conversion_outcome(
             lambda: term_route_appell(basis, g)
         )
         ratio = jet_mul(basis.ualpha_jet, partner.malpha_jet)
-        assert conversion_outcome(lambda: reorder_test(basis, partner, f).kernels) == conversion_outcome(
+        assert conversion_outcome(lambda: reorder_test(basis, partner, f).kernels, planned=True) == conversion_outcome(
             lambda: binomial_contract(f.kernels, ratio.kernels)
         )
 
@@ -435,12 +444,11 @@ class TestCompiledConversions:
                 reference(basis, seq)
             assert str(planned.value) == str(terms.value) == f"non-finite coefficient at index {index}"
 
-    def test_a_grade_with_terms_is_built_even_when_it_cancels(self, gauss1d_basis):
-        # He_2 + 1 = x^2: grade 0 adds -1 and +1; grade 1 has no term
+    def test_a_grade_whose_terms_cancel_is_the_shared_zero(self, gauss1d_basis):
+        # He_2 + 1 = x^2: grade 0 adds -1 and +1 to +0.0; grade 1 has no term
         f = p_seq(gauss1d_basis, {0: tensor_1d(0, 1.0), 2: tensor_1d(2, 1.0)})
         mono = to_monomial(gauss1d_basis, f).kernels
-        assert mono[0].values == (0.0,) and mono[0] is not zero_tensor(1, 0)
-        assert mono[1] is zero_tensor(1, 1)
+        assert mono[0] is zero_tensor(1, 0) and mono[1] is zero_tensor(1, 1)
         assert conversion_outcome(lambda: mono) == conversion_outcome(lambda: term_route_monomial(gauss1d_basis, f))
 
     def test_a_build_compiles_neither_plan(self):
@@ -457,7 +465,7 @@ class TestCompiledConversions:
             to_monomial(basis, random_pseq(rng, basis))
             to_appell(basis, monomial_seq(2, 4, {n: random_tensor(rng, 2, n) for n in range(5)}))
             plans.append((basis.u_plan, basis.m_plan))
-        assert len(built) == 2 and built[0] is basis.u_jet.kernels and built[1] is basis.m_jet.kernels
+        assert len(built) == 2 and built[0] is basis.u_jet and built[1] is basis.m_jet
         assert all(u is plans[0][0] and m is plans[0][1] for u, m in plans)
 
     def test_finite_conversions_build_only_their_output_tensors(self, monkeypatch):
@@ -478,11 +486,107 @@ class TestCompiledConversions:
             post_init(self, dim, rank, coeffs)
 
         monkeypatch.setattr(SymTensor, "__post_init__", counted)
-        to_monomial(basis, f)
-        assert built == list(range(6))
-        built.clear()
-        to_appell(basis, g)
-        assert built == list(range(6))
+        for seq in (to_monomial(basis, f), to_appell(basis, g)):
+            # no tensor until the kernels are read, then one per grade
+            assert built == []
+            seq.kernels
+            assert built == list(range(6))
+            built.clear()
+
+
+def sequence_fields(draw, d, N):
+    """A tag, a basis for it or None, and a view of kernels 0..N with grades
+    that are live, all +0.0, all -0.0 or holed with signed zeros."""
+    tag = draw(st.sampled_from([MONOMIAL, P_TAG, Q_TAG]))
+    basis = conversion_basis(draw(st.sampled_from(sorted(CONVERSION_MODELS))), "log1p", d, N)
+    if tag == MONOMIAL and draw(st.booleans()):
+        basis = None
+    entry = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0]))
+    grades = []
+    for n in range(N + 1):
+        width = len(multi_indices(d, n))
+        kind = draw(st.sampled_from(["drawn", "+0", "-0"]))
+        if kind == "drawn":
+            grades += draw(st.lists(entry, min_size=width, max_size=width))
+        else:
+            grades += [0.0 if kind == "+0" else -0.0] * width
+    return tag, basis, np.array(grades)
+
+
+class TestViewBornSequences:
+    @settings(max_examples=60)
+    @given(data=st.data(), d=st.integers(1, 3), N=st.integers(1, 5))
+    def test_a_view_born_sequence_is_its_eager_twin(self, data, d, N):
+        tag, basis, x = sequence_fields(data.draw, d, N)
+        lazy = KernelSeq._from_view(tag, d, N, x.copy(), basis)
+        eager = KernelSeq(tag, d, N, KernelSeq._from_view(tag, d, N, x.copy(), basis).kernels, basis)
+        assert "kernels" not in lazy.__dict__ and "kernels" in eager.__dict__
+        assert lazy == eager and eager == lazy
+        assert repr(KernelSeq._from_view(tag, d, N, x.copy(), basis)) == repr(eager)
+        # the one zero-identity rule: a grade of all +0.0 is the shared zero
+        starts = appellsys.jets._starts(d, N)
+        for n, t in enumerate(lazy.kernels):
+            part = x[starts[n] : starts[n + 1]]
+            assert [v.hex() for v in t.values] == [v.hex() for v in part.tolist()]
+            assert (t is zero_tensor(d, n)) == (not np.signbit(part).any() and not part.any())
+        assert lazy == eager and repr(lazy) == repr(eager)
+        for seq in (KernelSeq._from_view(tag, d, N, x.copy(), basis), eager):
+            for name in ("kernels", "tag", "dim", "basis", "_stacked"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(seq, name, None)
+            with pytest.raises(TypeError):
+                hash(seq)
+            with pytest.raises(ValueError, match="read-only"):
+                seq._view()[0] = 1.0
+        # a sequence differs from one with another entry, tag or basis
+        y = x.copy()
+        y[-1] += 1.0
+        assert lazy != KernelSeq._from_view(tag, d, N, y, basis)
+        other = conversion_basis("poisson", "random", d, N)
+        assert lazy != KernelSeq._from_view(Q_TAG if tag != Q_TAG else P_TAG, d, N, x.copy(), basis or other)
+        assert lazy != KernelSeq._from_view(tag, d, N, x.copy(), other)
+        assert lazy != ScalarJet._from_view(d, N, x.copy())
+        # copies and pickles are rebuilt from the view; a deep one copies the basis too
+        for obj in (lazy, eager, ScalarJet._from_view(d, N, x.copy())):
+            twins = [copy.copy(obj)]
+            if getattr(obj, "basis", None) is None:
+                twins += [copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))]
+            for twin in twins:
+                assert twin == obj and repr(twin) == repr(obj) and not twin._view().flags.writeable
+
+    def test_producers_build_no_tensor_until_the_kernels_are_read(self, monkeypatch):
+        d, N = 3, 6
+        basis = conversion_basis("gaussian", "log1p", d, N)
+        partner = conversion_basis("poisson", "log1p", d, N)
+        rng = np.random.default_rng(32)
+        kernels = {n: random_tensor(rng, d, n, scale=0.5) for n in range(N + 1)}
+        phi, mono = p_seq(basis, kernels), monomial_seq(d, N, kernels)
+        Phi, Psi, Phi_t = q_seq(basis, kernels), q_seq(basis, dict(reversed(kernels.items()))), q_seq(partner, kernels)
+        z = [0.3, -0.2, 0.1]
+        produce = [
+            lambda: to_monomial(basis, phi),
+            lambda: to_appell(basis, mono),
+            lambda: reorder_test(basis, partner, phi),
+            lambda: transport_dist(partner, basis, Phi_t),
+            lambda: wick_mul(Phi, Psi),
+            lambda: s_inverse(basis, s_transform(basis, Phi)),
+            lambda: delta_z(basis, z),
+            lambda: radon_nikodym(basis, z),
+        ]
+        for make in produce:  # compiles every plan before counting
+            make()
+        built, post_init = [], SymTensor.__post_init__
+
+        def counted(self, dim, rank, coeffs):
+            built.append(rank)
+            post_init(self, dim, rank, coeffs)
+
+        monkeypatch.setattr(SymTensor, "__post_init__", counted)
+        for make in produce:
+            seq = make()
+            assert built == [] and "kernels" not in seq.__dict__
+            assert seq == KernelSeq(seq.tag, d, N, seq.kernels, seq.basis)
+            built.clear()
 
 
 class TestDiffOp:
@@ -523,7 +627,47 @@ class TestDiffOp:
             assert (lhs.kernels[n] - rhs_a.kernels[n] - rhs_b.kernels[n]).max_abs() < 1e-11
 
 
+def weighted_psi_gradient(basis, xi, f):
+    """g_nabla_apply's kernels with psi_n the weighted_sum of xi_j times
+    kernel n of component j over the nonzero xi_j: the reference for the
+    sums over the components' views."""
+    xi = np.asarray(xi, dtype=float)
+    nz = [j for j in range(1, basis.dim + 1) if xi[j - 1]]
+    psi = [zero_tensor(f.dim, 0)] + [
+        weighted_sum(f.dim, n, [(xi[j - 1], basis.g_alpha.kernel(n, j)) for j in nz]) for n in range(1, f.degree + 1)
+    ]
+    return binomial_contract(f.kernels, psi)
+
+
 class TestGradient:
+    @settings(max_examples=60)
+    @given(case=conversion_cases(), data=st.data())
+    def test_psi_from_the_views_is_the_weighted_sum_bit_for_bit(self, case, data):
+        basis, _, kernels = case
+        entry = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1.0, 1e200]))
+        xi = data.draw(st.lists(entry, min_size=basis.dim, max_size=basis.dim))
+        f = monomial_seq(basis.dim, basis.degree, kernels)
+        assert conversion_outcome(lambda: g_nabla_apply(basis, xi, f).kernels) == conversion_outcome(
+            lambda: weighted_psi_gradient(basis, xi, f)
+        )
+
+    def test_sequence_of_lower_degree_than_the_basis(self):
+        basis = AppellBasis(GaussianModel.standard(2), log1p_vjet(2, 5), degree=5)
+        f = monomial_seq(2, 3, {2: SymTensor(2, 2, (0.5, -1.0, 2.0)), 3: SymTensor(2, 3, (1.0, 2.0, 3.0, 4.0))})
+        assert conversion_outcome(lambda: g_nabla_apply(basis, [0.3, -0.7], f).kernels) == conversion_outcome(
+            lambda: weighted_psi_gradient(basis, [0.3, -0.7], f)
+        )
+
+    def test_psi_that_overflows_raises_as_the_weighted_sum_does(self):
+        # component 2 of g_alpha has an entry above 1, so 1.7e308 times it is
+        # inf: psi raises the ValueError, and no overflow warning, there
+        basis = AppellBasis(GaussianModel.standard(2), random_vjet(np.random.default_rng(1), 2, 3), degree=3)
+        f = monomial_seq(2, 3, {3: SymTensor(2, 3, (1.0, 2.0, 3.0, 4.0))})
+        for xi in ([1.7e308, 0.0], [0.0, 1.7e308]):
+            with np.errstate(over="ignore"):
+                want = conversion_outcome(lambda: weighted_psi_gradient(basis, xi, f))
+            assert want[0] == "raises" and conversion_outcome(lambda: g_nabla_apply(basis, xi, f).kernels) == want
+
     def test_identity_alpha_is_directional_derivative(self, gauss1d_basis):
         f = monomial_seq(1, 6, {2: tensor_1d(2, 1.0)})
         out = g_nabla_apply(gauss1d_basis, [1.0], f)
@@ -1001,6 +1145,29 @@ class TestNorms:
         with pytest.raises(ValueError):
             dist_norm(gauss2d_basis, Phi, 1, 1, beta=1.5)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_dist_norm_is_the_per_tensor_formula_bit_for_bit(self, beta, gauss2d_basis, poisson1d_log1p_basis):
+        def per_tensor(basis, Phi, p, q):
+            s = 0.0
+            for n, k in enumerate(Phi.kernels):
+                v = tensor_norm(k, -p, basis.scale)
+                s += (factorial(n) ** (1.0 - beta)) * (2.0 ** (-q * n)) * v * v
+            return math.sqrt(s)
+
+        rng = np.random.default_rng(31)
+        for basis in (gauss2d_basis, poisson1d_log1p_basis):
+            for grades in (range(basis.degree + 1), [0], [2, 4], []):
+                Phi = q_seq(basis, {n: random_tensor(rng, basis.dim, n, scale=3.0) for n in grades})
+                for p, q in ((0, 0), (1, 1), (2.5, -1.5)):
+                    assert dist_norm(basis, Phi, p, q, beta).hex() == per_tensor(basis, Phi, p, q).hex()
+        # a distribution of another dim or degree than the basis raises
+        low = AppellBasis(GaussianModel(((1.0, 0.2), (0.2, 1.5))), degree=3)
+        Phi = q_seq(low, {n: random_tensor(rng, 2, n) for n in range(4)})
+        with pytest.raises(DimensionMismatchError, match=re.escape("dim mismatch: 1 vs 2")):
+            dist_norm(poisson1d_log1p_basis, Phi, 1, 1, beta)
+        with pytest.raises(ValueError, match=re.escape("degree mismatch: 5 vs 3")):
+            dist_norm(gauss2d_basis, Phi, 1, 1, beta)
+
 
 class TestDeskScale:
     def test_d3_n6_random_alpha_end_to_end(self):
@@ -1066,6 +1233,15 @@ class TestGrowth:
         with pytest.raises(ValueError) as err:
             growth_bound_check(gauss1d_basis, phi, 2, 6, epsilon, trials=10)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("trials", [2.5, True, np.float64(2.0)])
+    def test_trials_that_are_not_integers_rejected(self, gauss1d_basis, trials):
+        # a float or bool failed in numpy or the sweep, naming no argument
+        phi = p_seq(gauss1d_basis, {2: tensor_1d(2, 1.0)})
+        with pytest.raises(TypeError) as err:
+            growth_bound_check(gauss1d_basis, phi, 2, 6, 0.5, trials=trials)
+        assert str(err.value) == f"trials must be an integer, got {trials!r}"
+        assert growth_bound_check(gauss1d_basis, phi, 2, 6, 0.5, trials=np.int64(2))["trials"] == 2
 
     def test_negative_trials_rejected(self, gauss1d_basis):
         # zero trials too: a sweep of no point passed having checked nothing

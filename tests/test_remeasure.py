@@ -378,7 +378,7 @@ class TestPairPlans:
             transport_dist(bg, bp, random_qseq(rng, bg))
             p_relation(bp, bg, 3, [rng.standard_normal(2)])
         assert ratios == [(bp.ualpha_jet, bg.malpha_jet)]
-        assert len(plans) == 1 and plans[0] is bp.pair_plans[bg].ratio.kernels
+        assert len(plans) == 1 and plans[0] is bp.pair_plans[bg].weights
         # the reverse pair is a pair of its own
         reorder_test(bg, bp, random_pseq(rng, bg))
         assert len(ratios) == len(plans) == 2 and list(bg.pair_plans) == [bp]
@@ -400,7 +400,10 @@ class TestPairPlans:
             post_init(self, dim, rank, coeffs)
 
         monkeypatch.setattr(SymTensor, "__post_init__", counted)
-        assert reorder_test(bp, bg, phi) == want
+        got = reorder_test(bp, bg, phi)
+        # no tensor until the kernels are read, then one per grade
+        assert got == want and built == []
+        got.kernels
         assert built == list(range(N + 1))
 
     def test_an_entry_keeps_neither_basis_alive(self):

@@ -297,6 +297,14 @@ class TestContinuity:
             wick_norm_check(gauss1d_basis, 1, 1, 1, 1, trials=trials)
         assert str(err.value) == f"trials must be positive, got {trials}"
 
+    @pytest.mark.parametrize("trials", [2.5, True, np.float64(2.0)])
+    def test_trials_that_are_not_integers_rejected(self, gauss1d_basis, trials):
+        # a float or bool failed inside numpy, naming no argument
+        with pytest.raises(TypeError) as err:
+            wick_norm_check(gauss1d_basis, 1, 1, 1, 1, trials=trials)
+        assert str(err.value) == f"trials must be an integer, got {trials!r}"
+        assert wick_norm_check(gauss1d_basis, 1, 1, 1, 1, trials=np.int64(2))["trials"] == 2
+
     def test_thousand_random_pairs(self, gauss2d_basis):
         report = wick_norm_check(gauss2d_basis, 1, 1, 2, 2, trials=1000, seed=1)
         assert report["violations"] == 0
