@@ -60,10 +60,10 @@ from .symtensor import (
     SymTensor,
     _by_blocks,
     _multiplicities,
-    _norm_weights,
     eval_power_batch,
     is_live,
     multi_indices,
+    norm_rows,
     pairing,
     partial_pairing,
     tensor_norm,
@@ -478,12 +478,17 @@ def g_nabla_apply(basis: AppellBasis, xi, f: KernelSeq) -> KernelSeq:
     binomial_contract of f against psi with psi_0 = 0; it terminates on
     polynomials.  For the identity alpha it is the directional derivative.
     psi adds xi_j times the view of component j of g_alpha, in j order from
-    +0.0, over the nonzero xi_j.
+    +0.0, over the nonzero xi_j, so then f needs the basis's dim and at most
+    its degree.
     """
     _require_tag(f, MONOMIAL)
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (basis.dim,):
         raise DimensionMismatchError(f"xi has shape {xi.shape}, basis has dim {basis.dim}")
+    if xi.any() and f.dim != basis.dim:
+        raise DimensionMismatchError(f"dim mismatch: {f.dim} vs {basis.dim}")
+    if xi.any() and f.degree > basis.degree:
+        raise ValueError(f"degree mismatch: {f.degree} above {basis.degree}")
     width = _starts(f.dim, f.degree).item(-1)
     with np.errstate(over="ignore", invalid="ignore"):
         psi = sum((x * c._view()[:width] for x, c in zip(xi, basis.g_alpha.components) if x), np.zeros(width))
@@ -616,28 +621,20 @@ def dist_norm(basis: AppellBasis, Phi: KernelSeq, p: float, q: float, beta: floa
         raise ValueError("beta must lie in [0, 1]")
     _require_tag(Phi, Q_TAG)
     _check_compatible(basis, Phi)
-    return _dist_norm_rows(basis, Phi._view(), p, q, beta).item()
+    return _dist_norm_rows(basis, Phi._view()[None], p, q, beta).item()
 
 
 def _dist_norm_rows(basis: AppellBasis, values: np.ndarray, p: float, q: float, beta: float = 1.0) -> np.ndarray:
-    """dist_norm of values, the kernels of grades 0..N of one distribution
-    read as one vector, or of each row of values, bit for bit: grade n adds
-    (n! ** (1 - beta)) * 2^(-qn) * v * v from +0.0, then the square root.
-    v is the norm |.|_{-p} of kernel n, as norm_rows forms it: the terms
-    (c * x) * x of its columns added in order from +0.0, square-rooted."""
-    grade, c = _norm_columns(basis.scale, basis.degree, -p)
-    w = np.array([(factorial(n) ** (1.0 - beta)) * (2.0 ** (-q * n)) for n in range(basis.degree + 1)])
+    """dist_norm of each row of values, the kernels of grades 0..N of one
+    distribution read as one vector, bit for bit: grade n adds
+    (n! ** (1 - beta)) * 2^(-qn) * v * v from +0.0, v its norm |.|_{-p} by
+    norm_rows, then the square root."""
+    s, starts = np.zeros(len(values)), _starts(basis.dim, basis.degree).tolist()
     with np.errstate(over="ignore"):
-        v = np.sqrt(_cell_sums(grade, (c * values) * values, (basis.degree + 1,)))
-        # the first term is never -0.0, so the running sum is the sum from +0.0
-        return np.sqrt(np.add.accumulate((w * v) * v, axis=-1)[..., -1])
-
-
-@lru_cache(maxsize=None)
-def _norm_columns(scale: HilbertScale, degree: int, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """The grade and the weight in |.|_p^2 of each column of a view of kernels 0..degree."""
-    grade = np.repeat(np.arange(degree + 1), np.diff(_starts(scale.dim, degree)))
-    return grade, np.array([c for n in range(degree + 1) for c in _norm_weights(scale, n, p)])
+        for n in range(basis.degree + 1):
+            v = norm_rows(values[:, starts[n] : starts[n + 1]], n, -p, basis.scale)
+            s = s + (factorial(n) ** (1.0 - beta)) * (2.0 ** (-q * n)) * v * v
+    return np.sqrt(s)
 
 
 def _sphere_samples(rng: np.random.Generator, basis: AppellBasis, p: float, radius: float, count: int) -> np.ndarray:

@@ -497,12 +497,10 @@ def norm_rows(values: np.ndarray, rank: int, p: float, scale: HilbertScale) -> n
     """tensor_norm of each row of values, the coefficients of one rank-`rank`
     tensor of dim scale.dim per row in multi_indices order.
 
-    Each column adds (c * v) * v from +0.0, then the square root: that is
-    tensor_norm's sum bit for bit, as a zero entry adds +0.0 to a sum that
-    is never negative.
+    Each column adds (c * v) * v in order from +0.0, then the square root:
+    that is tensor_norm's sum bit for bit, as a zero entry adds +0.0 to a
+    sum that is never negative.  The running sum starts at the first term,
+    which as c >= 0 is never -0.0, so it is the sum from +0.0.
     """
-    s = np.zeros(len(values))
-    for j, c in enumerate(_norm_weights(scale, rank, p)):
-        v = values[:, j]
-        s = s + (c * v) * v
-    return np.sqrt(s)
+    terms = (np.array(_norm_weights(scale, rank, p)) * values) * values
+    return np.sqrt(np.add.accumulate(terms, axis=1)[:, -1])

@@ -658,6 +658,20 @@ class TestGradient:
             lambda: weighted_psi_gradient(basis, [0.3, -0.7], f)
         )
 
+    def test_sequence_of_another_dim_rejected(self, gauss2d_basis):
+        # psi reads the basis's kernels only where some xi_j is nonzero
+        f = monomial_seq(1, 4, {2: tensor_1d(2, 1.5), 3: tensor_1d(3, 2.0)})
+        for xi in ([1.0, 0.0], [0.0, 1.0], [0.5, -0.5]):
+            with pytest.raises(DimensionMismatchError, match=re.escape("dim mismatch: 1 vs 2")):
+                g_nabla_apply(gauss2d_basis, xi, f)
+        assert not g_nabla_apply(gauss2d_basis, [0.0, -0.0], f)._view().any()
+
+    def test_sequence_of_higher_degree_than_the_basis_rejected(self, gauss2d_basis):
+        f = monomial_seq(2, 7, {7: SymTensor(2, 7, tuple(float(i) for i in range(1, 9)))})
+        with pytest.raises(ValueError, match=re.escape("degree mismatch: 7 above 5")):
+            g_nabla_apply(gauss2d_basis, [1.0, 0.0], f)
+        assert not g_nabla_apply(gauss2d_basis, [0.0, 0.0], f)._view().any()
+
     def test_psi_that_overflows_raises_as_the_weighted_sum_does(self):
         # component 2 of g_alpha has an entry above 1, so 1.7e308 times it is
         # inf: psi raises the ValueError, and no overflow warning, there
