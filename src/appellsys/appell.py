@@ -602,8 +602,10 @@ def convolution(basis: AppellBasis, phi: KernelSeq, z) -> float:
 
 
 def test_norm(basis: AppellBasis, phi: KernelSeq, p: float, q: float) -> float:
-    """Graded test norm: sum_n (n!)^2 2^(nq) |phi^(n)|_p^2, square-rooted."""
+    """Graded test norm: sum_n (n!)^2 2^(nq) |phi^(n)|_p^2, square-rooted.
+    phi must have the dim and degree of the basis."""
     _require_tag(phi, P_TAG)
+    _check_compatible(basis, phi)
     s = 0.0
     for n, k in enumerate(phi.kernels):
         v = tensor_norm(k, p, basis.scale)

@@ -436,7 +436,8 @@ def graded_solve(f, h0: SymTensor, post, weight=comb) -> list[SymTensor]:
     Grade n adds, in k order from +0.0 by weighted_sum, one sym_product per
     pair of live f_k and h_{n-k}; a weight of 1 is not applied, and a grade
     with no such pair is the shared zero tensor.  It never reads f_0, nor
-    h_n.
+    h_n.  graded_solve_view is its view form; jet_exp and jet_recip keep
+    this one, the build's caller of sym_product.
     """
     f_live = [is_live(t) for t in f]
     h, h_live = [h0], [is_live(h0)]
@@ -445,6 +446,65 @@ def graded_solve(f, h0: SymTensor, post, weight=comb) -> list[SymTensor]:
         acc = weighted_sum(h0.dim, n, ((weight(n, k), sym_product(f[k], h[n - k])) for k in pairs))
         h.append(acc if post == 1 else acc.scale(post))
         h_live.append(is_live(h[n]))
+    return h
+
+
+def unit_weight(n: int, k: int) -> int:
+    """The weight 1 of every term of a Wick product, one function so that
+    the plans keyed on a weight are shared by every call."""
+    return 1
+
+
+@lru_cache(maxsize=None)
+def _solve_plans(dim: int, degree: int, weight) -> SimpleNamespace:
+    """The plans _graded_plan(dim, (n,)) of grades n = 1..degree of
+    graded_solve_view: their f_at and ways joined, so that every f term is
+    formed at once, and per grade n, where its terms begin and end in the
+    join, the bounds of kernel n in a view, then the g_at, cells and combs
+    of its plan and weight(n, k) at each cell."""
+    plans = [_graded_plan(dim, (n,)) for n in range(1, degree + 1)]
+    starts = _starts(dim, degree).tolist()
+    ends = np.cumsum([0, *(len(plan.cells) for plan in plans)]).tolist()
+    return SimpleNamespace(
+        f_at=np.concatenate([np.zeros(0, dtype=np.intp), *(plan.f_at for plan in plans)]),
+        ways=np.concatenate([np.zeros(0), *(plan.ways for plan in plans)]),
+        grades=[
+            (n, ends[n - 1], ends[n], starts[n], starts[n + 1], plan.g_at, plan.cells, plan.combs,
+             _plan_weights(plan, (n,), weight))
+            for n, plan in enumerate(plans, 1)
+        ],
+    )
+
+
+def graded_solve_view(dim: int, degree: int, x: np.ndarray, h0: float, post: float, weight) -> np.ndarray:
+    """The view of graded_solve's kernels, from the view x of f and h_0 = h0.
+
+    Grade n is one bincount through _graded_plan(dim, (n,)) of f, with f_0
+    read as +0.0, and of h, filled up to grade n-1: each product's sum from
+    +0.0, over C(n, k), times weight(n, k), the sums added in k order, then
+    times post.  Those are graded_solve's sums bit for bit, since a term of
+    a dead factor adds only a signed zero to a sum that is never -0.0.  A
+    non-finite entry raises as graded_solve does: h0 as scalar_tensor; a
+    grade whose sum is not finite is formed by graded_product, which
+    raises the term route's message or, where a zero factor stood beside
+    an overflow, gives its finite sum; then the grade times post.
+    """
+    _check_rows(dim, [0], np.array([[h0]]))
+    plans = _solve_plans(dim, degree, weight)
+    f, h = x.copy(), np.zeros(len(x))
+    f[0], h[0] = 0.0, h0
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_terms = plans.ways * f[plans.f_at]
+        for n, first, last, lo, hi, g_at, cells, combs, weights in plans.grades:
+            terms = f_terms[first:last] * h[g_at]
+            sums = np.bincount(cells, terms, combs.size).reshape(combs.shape) / combs * weights
+            grade = np.add.accumulate(sums)[-1] + 0.0
+            scaled = grade * post
+            if not np.isfinite(scaled).all():
+                if not np.isfinite(grade).all():
+                    scaled = graded_product(dim, (n,), f, h, weight) * post
+                _check_rows(dim, [n], scaled[None])
+            h[lo:hi] = scaled
     return h
 
 

@@ -21,8 +21,8 @@ from .appell import (
     _dist_norm_rows,
     q_seq,
 )
-from .jets import _starts, graded_product, graded_rows, graded_solve
-from .symtensor import scalar_tensor
+from .jets import _starts, graded_product, graded_rows, graded_solve_view, unit_weight
+from .symtensor import _reject_text, scalar_tensor
 
 __all__ = [
     "wick_mul",
@@ -55,7 +55,7 @@ def wick_unit(basis: AppellBasis) -> KernelSeq:
 def wick_mul(Phi: KernelSeq, Psi: KernelSeq) -> KernelSeq:
     """Graded convolution: grade n collects Phi^(k) sym Psi^(n-k)."""
     basis = _same_basis(Phi, Psi)
-    out = graded_product(basis.dim, range(basis.degree + 1), Phi._view(), Psi._view(), lambda n, k: 1)
+    out = graded_product(basis.dim, range(basis.degree + 1), Phi._view(), Psi._view(), unit_weight)
     return KernelSeq._from_view(Q_TAG, basis.dim, basis.degree, out, basis)
 
 
@@ -76,12 +76,15 @@ def wick_fn(coeffs, Phi: KernelSeq) -> KernelSeq:
 
     The expansion point is the grade-0 kernel of Phi (its expectation); the
     result is sum_k a_k (Phi - mean)^{wick k}, truncated at the degree, the
-    terms of nonzero a_k added in k order from +0.0.
+    terms of nonzero a_k added in k order from +0.0.  A coefficient given as
+    text raises TypeError, as it does in a SymTensor.
     """
     _require_q(Phi)
     basis = Phi.basis
     centered = KernelSeq._from_view(Q_TAG, basis.dim, basis.degree, np.append(0.0, Phi._view()[1:]), basis)
-    a = [float(c) for c in list(coeffs)[: basis.degree + 1]]
+    coeffs = list(coeffs)
+    _reject_text(enumerate(coeffs))
+    a = [float(c) for c in coeffs[: basis.degree + 1]]
     powers = [wick_unit(basis)]
     for _ in a[1:]:
         powers.append(wick_mul(powers[-1], centered))
@@ -91,14 +94,19 @@ def wick_fn(coeffs, Phi: KernelSeq) -> KernelSeq:
 
 
 def wick_inv(Phi: KernelSeq) -> KernelSeq:
-    """Wick reciprocal; requires a nonzero expectation (grade-0 kernel)."""
+    """Wick reciprocal; requires a nonzero expectation (grade-0 kernel).
+
+    h_0 = 1/c0 and h_n = -(1/c0) sum_{k=1..n} Phi_k wick h_{n-k}, solved
+    grade by grade on the view of Phi by graded_solve_view.
+    """
     _require_q(Phi)
     basis = Phi.basis
-    c0 = Phi.kernels[0].item()
+    x = Phi._view()
+    c0 = x.item(0)
     if c0 == 0.0:
         raise ValueError("Wick inverse needs a nonzero grade-0 kernel (expectation)")
-    inv = graded_solve(Phi.kernels, scalar_tensor(basis.dim, 1.0 / c0), -1.0 / c0, lambda n, k: 1)
-    return q_seq(basis, dict(enumerate(inv)))
+    inv = graded_solve_view(basis.dim, basis.degree, x, 1.0 / c0, -1.0 / c0, unit_weight)
+    return KernelSeq._from_view(Q_TAG, basis.dim, basis.degree, inv, basis)
 
 
 def wick_solve(Phi: KernelSeq, Psi: KernelSeq) -> KernelSeq:
@@ -133,7 +141,7 @@ def wick_norm_check(
     size = _starts(basis.dim, basis.degree).item(-1)
     draws = rng.standard_normal(trials * 2 * size).reshape(trials, 2, size)
     Phi, Psi = draws[:, 0], draws[:, 1]
-    product = graded_rows(basis.dim, grades, Phi, Psi, lambda n, k: 1)
+    product = graded_rows(basis.dim, grades, Phi, Psi, unit_weight)
     products = _dist_norm_rows(basis, product, p, q).tolist()
     factors = (_dist_norm_rows(basis, Phi, p1, q1) * _dist_norm_rows(basis, Psi, p2, q2)).tolist()
     violations = 0

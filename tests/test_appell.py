@@ -69,7 +69,7 @@ from appellsys.oracle import (
     hermite_he_coeffs,
 )
 from appellsys.remeasure import reorder_test, transport_dist
-from appellsys.wick import wick_mul
+from appellsys.wick import wick_inv, wick_mul, wick_solve
 from appellsys.symtensor import (
     DimensionMismatchError,
     SymTensor,
@@ -569,6 +569,9 @@ class TestViewBornSequences:
             lambda: reorder_test(basis, partner, phi),
             lambda: transport_dist(partner, basis, Phi_t),
             lambda: wick_mul(Phi, Psi),
+            lambda: wick_inv(Phi),
+            lambda: wick_solve(Phi, Psi),
+            lambda: wick_inv(wick_mul(Phi, Psi)),  # a view-born input is read as its view
             lambda: s_inverse(basis, s_transform(basis, Phi)),
             lambda: delta_z(basis, z),
             lambda: radon_nikodym(basis, z),
@@ -1181,6 +1184,21 @@ class TestNorms:
             dist_norm(poisson1d_log1p_basis, Phi, 1, 1, beta)
         with pytest.raises(ValueError, match=re.escape("degree mismatch: 5 vs 3")):
             dist_norm(gauss2d_basis, Phi, 1, 1, beta)
+
+    def test_test_norm_of_another_degree_raises(self, gauss2d_basis):
+        # it summed the sequence's own grades, as if the basis had degree 3
+        low = AppellBasis(GaussianModel(((1.0, 0.2), (0.2, 1.5))), degree=3)
+        phi = p_seq(low, {n: random_tensor(np.random.default_rng(34), 2, n) for n in range(4)})
+        with pytest.raises(ValueError, match=re.escape("degree mismatch: 5 vs 3")):
+            graded_test_norm(gauss2d_basis, phi, 1, 2)
+
+    def test_test_norm_of_another_dim_raises_as_dist_norm(self, gauss2d_basis, poisson1d_log1p_basis):
+        # tensor_norm's "scale dim 2 != tensor dim 1" was raised in its place
+        phi = p_seq(poisson1d_log1p_basis, {1: tensor_1d(1, 1.0)})
+        with pytest.raises(DimensionMismatchError, match=re.escape("dim mismatch: 2 vs 1")):
+            graded_test_norm(gauss2d_basis, phi, 1, 2)
+        with pytest.raises(DimensionMismatchError, match=re.escape("dim mismatch: 2 vs 1")):
+            dist_norm(gauss2d_basis, q_seq(poisson1d_log1p_basis, {1: tensor_1d(1, 1.0)}), 1, 2)
 
 
 class TestDeskScale:

@@ -1,11 +1,13 @@
 """Jet arithmetic against sympy series and composition-sum oracles."""
 
+import ast
 import re
 import sys
 import warnings
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from math import comb, exp, factorial, log
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,9 @@ from appellsys.jets import (
     _stack,
     _starts,
     graded_product,
+    graded_solve,
+    graded_solve_view,
+    unit_weight,
     ScalarJet,
     SingularJetError,
     VectorJet,
@@ -72,7 +77,7 @@ from appellsys.symtensor import (
     weighted_sum,
     zero_tensor,
 )
-from appellsys.wick import wick_inv, wick_mul
+from appellsys.wick import wick_inv, wick_mul, wick_solve
 
 N = 6
 
@@ -1008,6 +1013,81 @@ class TestOneRoute:
         Phi_t = q_seq(poisson, dict(enumerate(f)))
         want = outcome(lambda: graded_terms(f, ratio, grades, one))
         assert outcome(lambda: transport_dist(poisson, gauss, Phi_t).kernels) == want
+
+
+def term_route_wick_inv(Phi):
+    """wick_inv as graded_solve forms it: one sym_product per live pair."""
+    c0 = Phi.kernels[0].item()
+    if c0 == 0.0:
+        raise ValueError("Wick inverse needs a nonzero grade-0 kernel (expectation)")
+    return graded_solve(Phi.kernels, scalar_tensor(Phi.dim, 1.0 / c0), -1.0 / c0, unit_weight)
+
+
+class TestSolveView:
+    """graded_solve_view, the route of wick_inv, against graded_solve and
+    the dense reference loops: the bits are equal, and on an overflow so is
+    the message."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), deg=st.integers(1, 8), sign=st.sampled_from((1.0, -1.0)))
+    def test_bits_of_sparse_signed_kernels(self, data, d, deg, sign):
+        ks = data.draw(wide_kernel_seqs(d, deg, (1.0,), ("live", "holes", "+0", "-0")))
+        c0 = sign * (0.5 + abs(ks[0].item()))
+        ks[0] = scalar_tensor(d, c0)
+        Phi = q_seq(route_bases(d, deg)[0], dict(enumerate(ks)))
+        inv = wick_inv(Phi)
+        assert is_view_born(inv)
+        assert view_bits(inv) == [h for t in dense_wick_inv(Phi).kernels for h in hexes(t)]
+        f = ScalarJet(d, deg, tuple(ks))
+        recip = graded_solve_view(d, deg, f._view(), 1.0 / c0, -1.0 / c0, comb)
+        assert hex_list(recip) == view_bits(jet_recip(f))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), deg=st.integers(1, 6))
+    def test_overflow_raises_as_the_term_route(self, data, d, deg):
+        ks = data.draw(wide_kernel_seqs(d, deg))
+        Phi = q_seq(route_bases(d, deg)[0], dict(enumerate(ks)))
+        assert outcome(lambda: wick_inv(Phi).kernels) == outcome(lambda: term_route_wick_inv(Phi))
+
+    def test_zero_factor_beside_an_overflow_is_skipped(self, monkeypatch):
+        # grade 3 pairs f_2 = 1e308 at (1, 1) with h_1 = -0.0 at (1,): in the
+        # bincount's term, ways * f = 3 * 1e308 is inf and inf * -0.0 is nan,
+        # so graded_product forms the grade again without it
+        Phi = q_seq(route_bases(2, 3)[0], {0: scalar_tensor(2, 1.0), 1: vector_tensor([0.0, 1.0]),
+                                           2: SymTensor(2, 2, [1e308, 0.0, 0.0])})
+        reruns = count_calls(monkeypatch, graded_product)
+        inv = wick_inv(Phi)
+        assert len(reruns) == 1 and np.isfinite(inv._view()).all()
+        assert view_bits(inv) == [h for t in term_route_wick_inv(Phi) for h in hexes(t)]
+
+    def test_a_dead_grade_is_post_times_zero(self):
+        # with c0 < 0, post = -1/c0 > 0 and a grade with no live pair is all
+        # +0.0, the shared zero; with c0 > 0 it is all -0.0, as in graded_solve
+        basis = route_bases(2, 3)[0]
+        for c0, zero in ((-2.0, "0x0.0p+0"), (2.0, "-0x0.0p+0")):
+            Phi = q_seq(basis, {0: scalar_tensor(2, c0)})
+            inv, want = wick_inv(Phi), [hexes(t) for t in term_route_wick_inv(Phi)]
+            assert bits(inv) == want and want[1] == [zero, zero]
+            assert all((t is zero_tensor(2, n)) == (c0 < 0) for n, t in enumerate(inv.kernels) if n)
+
+    def test_wick_inv_takes_no_term_route(self, monkeypatch):
+        basis = route_bases(3, 6)[0]
+        rng = np.random.default_rng(34)
+        Phi = q_seq(basis, {n: random_tensor(rng, 3, n) for n in range(7)})
+        Psi = q_seq(basis, {n: random_tensor(rng, 3, n) for n in range(7)})
+        calls = [count_calls(monkeypatch, fn) for fn in (graded_solve, sym_product, weighted_sum)]
+        wick_solve(Phi, Psi)
+        assert calls == [[], [], []]
+        # graded_solve is left to the build's jet_exp and jet_recip
+        callers = {
+            fn.name
+            for path in Path(appellsys.jets.__file__).parent.glob("*.py")
+            for fn in ast.walk(ast.parse(path.read_text()))
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "graded_solve"
+        }
+        assert callers == {"jet_exp", "jet_recip"}
 
 
 def linear_route(inv, deg):

@@ -1,6 +1,7 @@
 """Wick product, powers, analytic functions, inverse, continuity."""
 
 import math
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -21,6 +22,7 @@ from appellsys.symtensor import (
     random_tensor,
     scalar_tensor,
     sym_product,
+    vector_tensor,
 )
 from appellsys.wick import (
     wick_fn,
@@ -243,7 +245,51 @@ def test_wick_fn_bit_identical_to_accumulating_loop():
     assert cases == 126
 
 
+@lru_cache(maxsize=None)
+def gauss_basis(d, N):
+    return AppellBasis(GaussianModel.standard(d), degree=N)
+
+
+class TestWickFnCoefficients:
+    def test_text_coefficient_rejected(self, gauss1d_basis):
+        # float() read "1.5" as 1.5; a SymTensor entry given as text raises
+        Phi = seq_1d(gauss1d_basis, {0: 0.5, 1: 1.0})
+        for text in ("1.5", b"1.5"):
+            with pytest.raises(TypeError, match="coefficient at index 0 must be a real number"):
+                wick_fn([text, 2.0], Phi)
+        with pytest.raises(TypeError, match="coefficient at index 1 must be a real number, not str"):
+            wick_fn([1.5, "2"], Phi)
+
+    def test_numpy_coefficients_accepted(self, gauss1d_basis):
+        Phi = seq_1d(gauss1d_basis, {0: 0.5, 1: 1.0})
+        want = wick_fn([1.5, 2.0, 3.0], Phi)
+        assert wick_fn([np.float64(1.5), np.int64(2), np.float32(3.0)], Phi) == want
+        assert wick_fn(np.array([1.5, 2.0, 3.0]), Phi) == want
+
+
 class TestWickInverse:
+    @pytest.mark.parametrize("d, N", [(2, 4), (1, 12), (3, 6)])
+    @pytest.mark.parametrize(
+        "c0, f1, message",
+        [
+            (1e-310, 1.0, "non-finite coefficient at index (): inf"),
+            (1e-200, 1.0, "non-finite coefficient at index (1,): -inf"),
+            (1.0, 1e200, "non-finite coefficient at index (1, 1): -inf"),
+            (1.0, 1e80, "non-finite coefficient at index (1, 1, 1, 1): -inf"),
+            (0.0, 1.0, "Wick inverse needs a nonzero grade-0 kernel (expectation)"),
+            (-0.0, 1.0, "Wick inverse needs a nonzero grade-0 kernel (expectation)"),
+        ],
+    )
+    def test_overflow_messages(self, d, N, c0, f1, message):
+        # f_1 is (f1, 1, ...) beside a c0 other than 1, else (f1, 0, ...):
+        # grade 0, 1, 2 or 4 overflows, and each raises where the term route
+        # raised, not at a later grade
+        rest = 1.0 if c0 != 1.0 else 0.0
+        Phi = q_seq(gauss_basis(d, N), {0: scalar_tensor(d, c0), 1: vector_tensor([f1] + [rest] * (d - 1))})
+        with pytest.raises(ValueError) as err:
+            wick_inv(Phi)
+        assert str(err.value) == message
+
     def test_unit_inverts_to_unit(self, gauss1d_basis):
         out = wick_inv(wick_unit(gauss1d_basis))
         assert out.kernels[0].item() == 1.0
